@@ -8,15 +8,26 @@ timesteps) — expect several minutes of wall-clock time.
 Each benchmark prints the regenerated table/figure data to stdout (run pytest
 with ``-s`` to see it) and stores the headline numbers in
 ``benchmark.extra_info`` so they appear in ``pytest-benchmark``'s JSON output.
+
+The perf benchmarks also keep a ``BENCH_*.json`` artifact at the repository
+root.  They rewrite it only when ``REPRO_BENCH_WRITE=1`` is set, so a plain
+``pytest`` run leaves the tree clean; their assertions run either way and
+gate the write.
 """
 
 from __future__ import annotations
 
+import json
 import os
+from pathlib import Path
+from typing import Any, Dict
 
 import pytest
 
 from repro.cloud.config import SimulationConfig
+
+#: Opt-in for rewriting the ``BENCH_*.json`` artifacts.
+WRITE_ARTIFACTS = os.environ.get("REPRO_BENCH_WRITE", "0") not in ("0", "", "false", "False")
 
 #: Full-scale mode replicates the paper's exact experiment sizes.
 FULL_SCALE = os.environ.get("REPRO_FULL", "0") not in ("0", "", "false", "False")
@@ -33,6 +44,19 @@ TRAINING_N_STEPS = 2048 if FULL_SCALE else 1024
 TRAINING_N_ENVS = int(os.environ.get("REPRO_N_ENVS", "8"))
 #: Workload/calibration seed shared by all benchmarks.
 BENCHMARK_SEED = 2025
+
+
+def write_artifact(path: Path, payload: Dict[str, Any]) -> None:
+    """Write a benchmark artifact as JSON when ``REPRO_BENCH_WRITE=1``.
+
+    Call it after the benchmark's assertions, so a failing run never
+    overwrites a good artifact.
+    """
+    if not WRITE_ARTIFACTS:
+        print(f"not writing {path.name} (set REPRO_BENCH_WRITE=1 to write it)")
+        return
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    print(f"wrote {path}")
 
 
 def case_study_config(**overrides) -> SimulationConfig:

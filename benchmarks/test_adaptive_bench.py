@@ -26,11 +26,11 @@ wall-clock bound.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
+from benchmarks.conftest import write_artifact
 from repro.cloud.config import SimulationConfig
 from repro.cloud.environment import QCloudSimEnv
 
@@ -196,5 +196,4 @@ def test_adaptive_qos_benchmark():
         # 10 % wall-clock on a run where the controllers have nothing to do.
         assert overhead < 0.10, f"control-loop overhead {overhead:.1%} exceeds 10%"
 
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {RESULTS_PATH}")
+    write_artifact(RESULTS_PATH, payload)

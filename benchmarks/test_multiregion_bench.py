@@ -25,11 +25,11 @@ seconds-fast run that still exercises every topology, backend and policy.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
+from benchmarks.conftest import write_artifact
 from repro.cloud.config import SimulationConfig
 from repro.engine import ExperimentRunner
 from repro.region import ROUTING_POLICIES, RegionalCloud, get_topology
@@ -158,5 +158,4 @@ def test_multiregion_benchmark():
         )
         assert entry["normalised_load_spread"] >= 0.0
 
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {RESULTS_PATH}")
+    write_artifact(RESULTS_PATH, payload)

@@ -13,11 +13,11 @@ speedup targets.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
+from benchmarks.conftest import write_artifact
 from repro.rl.ppo import PPO
 from repro.rlenv.batched_env import BatchedQCloudEnv
 from repro.rlenv.qcloud_env import QCloudGymEnv
@@ -128,5 +128,4 @@ def test_rl_train_benchmark():
         # softer floor so noisy CI runners don't flake the suite.
         assert rollout_results["n_envs=16"]["speedup_vs_serial"] >= 2.5
 
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {RESULTS_PATH}")
+    write_artifact(RESULTS_PATH, payload)

@@ -44,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
+from benchmarks.conftest import write_artifact
 from repro.cloud.config import SimulationConfig
 from repro.cloud.environment import QCloudSimEnv
 from repro.cloud.fastpath import JobTable
@@ -258,8 +259,6 @@ def test_scale_benchmark():
             "jobs_ratio": jobs_ratio,
         },
     }
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-
     print(f"\nscale benchmark ({NUM_JOBS:,} jobs, diurnal arrivals, "
           f"best of {REPEATS}):")
     print(f"  dispatch throughput : {throughput:,.0f} jobs/s "
@@ -273,4 +272,4 @@ def test_scale_benchmark():
           f"-> {peaks[MEM_LARGE]:,}B @ {MEM_LARGE:,} jobs "
           f"({mem_ratio:.2f}x for {jobs_ratio:.0f}x)")
     print(f"  peak RSS            : {peak_rss_mb:,.0f} MB")
-    print(f"wrote {RESULTS_PATH}")
+    write_artifact(RESULTS_PATH, payload)

@@ -21,11 +21,11 @@ bound (sub-100-ms timings are dominated by noise).
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
+from benchmarks.conftest import write_artifact
 from repro.cloud.config import SimulationConfig
 from repro.cloud.environment import QCloudSimEnv
 from repro.dynamics import DriftSpec, Scenario, available_scenarios
@@ -62,8 +62,12 @@ HOOKS_ONLY = Scenario(
 
 def _run_once(scenario):
     start = time.perf_counter()
+    # Every preset runs on the per-job engine (world dynamics need it), so
+    # the static and traffic-only baselines are pinned to it too.
     env = QCloudSimEnv(
-        SimulationConfig(num_jobs=NUM_JOBS, policy="fidelity"), scenario=scenario
+        SimulationConfig(num_jobs=NUM_JOBS, policy="fidelity"),
+        scenario=scenario,
+        fast_path=False,
     )
     records = env.run_until_complete()
     return time.perf_counter() - start, env, records
@@ -130,5 +134,4 @@ def test_scenario_overhead_benchmark():
         # wall-clock vs the static world at the drift preset's event rate.
         assert hook_overhead < 0.10, f"hook overhead {hook_overhead:.1%} exceeds 10%"
 
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {RESULTS_PATH}")
+    write_artifact(RESULTS_PATH, payload)

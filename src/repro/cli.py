@@ -321,7 +321,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         scenario=args.scenario,
         tenants=args.tenants,
         checkpointing=args.checkpointing,
-        fast_path=args.fast_path,
         regions=args.regions,
         routing=args.routing,
         adaptive=args.adaptive,
@@ -395,7 +394,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             from repro.des.monitoring import EventLoopStats
 
             stats = EventLoopStats.from_env(env, wall_seconds=wall)
-            print(f"engine        : {'flat fast path' if env.fast_path_active else 'legacy processes'}")
+            print(f"engine        : {'flat events' if env.fast_path_active else 'per-job processes'}")
             print(f"events        : {stats.events_processed:,} in {stats.batches_processed:,} batches "
                   f"(mean {stats.mean_batch_size:.2f}, max {stats.max_batch_size})")
             print(f"peak queue    : {stats.peak_queue_size:,}")
@@ -626,12 +625,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--checkpointing", action="store_true",
                        help="checkpointed preemption: aborted jobs (outages, preemptions) "
                             "resume with only their remaining shots")
-    p_sim.add_argument("--fast-path", action="store_true",
-                       help="flat-event dispatcher for bulk runs (byte-identical results; "
-                            "falls back to the legacy engine when ineligible)")
     p_sim.add_argument("--stats", action="store_true",
-                       help="print event-loop statistics (events, batches, events/s); "
-                            "runs in-process")
+                       help="print which engine ran (flat events for plain static runs, "
+                            "per-job processes otherwise) and event-loop statistics "
+                            "(events, batches, events/s); runs in-process")
     p_sim.add_argument("--regions",
                        help="multi-region topology preset (see 'repro regions'); runs one "
                             "broker shard per region behind the routing tier")

@@ -22,6 +22,13 @@ class SimulationConfig:
     The defaults reproduce the paper's case study (§7): five 127-qubit IBM
     devices, 1,000 synthetic jobs with 130-250 qubits, depth 5-20 and
     10k-100k shots, λ = 0.02 s/qubit and φ = 0.95.
+
+    The dispatch engine is not a knob: :class:`~repro.cloud.environment
+    .QCloudSimEnv` runs the flat-event dispatcher whenever the configuration
+    is eligible (plain broker, no tenant mix, no world dynamics, no active
+    adaptive policy; see :func:`~repro.cloud.fastpath.flat_path_eligible`)
+    and the per-job broker processes otherwise.  Both give byte-identical
+    results.
     """
 
     #: Allocation policy name (see :mod:`repro.scheduling.registry`).
@@ -79,14 +86,6 @@ class SimulationConfig:
     #: partial fidelities.  Off by default — requeued jobs then re-execute
     #: from scratch, byte-identical to historical behaviour.
     checkpointing: bool = False
-
-    #: Flat-event fast path (:mod:`repro.cloud.fastpath`): replace the
-    #: per-job broker processes with the flat pending-table dispatcher when
-    #: the configuration is eligible (plain broker, no tenant mix, no world
-    #: dynamics).  Results are byte-identical to the legacy engine; the
-    #: request silently falls back to the legacy path when ineligible.  Off
-    #: by default.
-    fast_path: bool = False
 
     #: Named multi-region topology (see :mod:`repro.region`): the run becomes
     #: a sharded cloud — one broker shard per region behind a routing tier,
@@ -173,12 +172,6 @@ class SimulationConfig:
         """Copy of the configuration with checkpointed preemption toggled."""
         payload = asdict(self)
         payload["checkpointing"] = checkpointing
-        return SimulationConfig(**payload)
-
-    def with_fast_path(self, fast_path: bool = True) -> "SimulationConfig":
-        """Copy of the configuration with the flat-event fast path toggled."""
-        payload = asdict(self)
-        payload["fast_path"] = fast_path
         return SimulationConfig(**payload)
 
     def with_regions(

@@ -73,16 +73,19 @@ class QCloudSimEnv(Environment):
         :class:`~repro.cloud.records_stream.StreamingRecordsManager` for
         O(1)-memory million-job runs.
     fast_path:
-        Use the flat-event dispatcher (:mod:`repro.cloud.fastpath`) instead
-        of per-job broker processes when the configuration is eligible
-        (overrides ``config.fast_path``).  Byte-identical results; silently
-        falls back to the legacy engine when ineligible.  Whether it engaged
-        is reported by :attr:`fast_path_active`.
+        Engine override.  By default (``None``) the engine follows the
+        configuration: the flat-event dispatcher (:mod:`repro.cloud.fastpath`)
+        drives every run that :func:`~repro.cloud.fastpath.flat_path_eligible`
+        accepts, and the per-job broker processes drive everything else.
+        ``False`` forces the per-job engine (the reference for identity tests
+        and benchmark baselines); ``True`` demands the flat engine and raises
+        ``ValueError`` on an ineligible configuration.  Both engines give
+        byte-identical results; :attr:`fast_path_active` reports which ran.
     job_table:
         A :class:`~repro.cloud.fastpath.JobTable` as the workload — the
         streaming bulk form that never materialises per-job objects.
         Requires an eligible configuration (raises ``ValueError`` otherwise)
-        and implies ``fast_path``.  Mutually exclusive with ``jobs``.
+        and the flat engine.  Mutually exclusive with ``jobs``.
     adaptive:
         Adaptive QoS policy: a registered preset name (``"static"``,
         ``"reactive"``, ``"predictive"``) or an
@@ -236,33 +239,25 @@ class QCloudSimEnv(Environment):
             )
 
         # -- dispatch engine -----------------------------------------------------
-        want_fast = fast_path if fast_path is not None else self.config.fast_path
-        if job_table is not None:
-            want_fast = True
-        #: Whether the flat-event dispatcher is driving this run.
-        self.fast_path_active = False
-        if want_fast:
-            from repro.cloud.fastpath import FlatDispatcher, JobTable, flat_path_eligible
+        from repro.cloud.fastpath import FlatDispatcher, JobTable, flat_path_eligible
 
-            eligible = flat_path_eligible(self.broker, self.tenant_mix, self.scenario)
-            if eligible and self.adaptive_policy is not None and not self.adaptive_policy.is_static:
-                # The flat dispatcher bypasses broker.submit, which is where
-                # the control plane senses arrivals — an active adaptive
-                # policy falls back to the legacy engine.
-                eligible = False
-            if job_table is not None and not eligible:
-                raise ValueError(
-                    "job_table requires a fast-path-eligible configuration "
-                    "(plain broker, no tenant mix, no world dynamics, no "
-                    "active adaptive policy)"
-                )
-            if eligible:
-                table = job_table if job_table is not None else JobTable.from_jobs(jobs)
-                self.job_generator = FlatDispatcher(
-                    self, self.broker, table, records=self.records
-                )
-                self.fast_path_active = True
-        if not self.fast_path_active:
+        eligible = flat_path_eligible(
+            self.broker, self.tenant_mix, self.scenario, self.adaptive_policy
+        )
+        if job_table is not None and fast_path is False:
+            raise ValueError("job_table runs on the flat engine; it cannot take fast_path=False")
+        if (job_table is not None or fast_path) and not eligible:
+            raise ValueError(
+                f"{'job_table' if job_table is not None else 'fast_path=True'} requires a "
+                "fast-path-eligible configuration (plain broker, no tenant mix, no "
+                "world dynamics, no active adaptive policy)"
+            )
+        #: Whether the flat-event dispatcher is driving this run.
+        self.fast_path_active = eligible if fast_path is None else bool(fast_path)
+        if self.fast_path_active:
+            table = job_table if job_table is not None else JobTable.from_jobs(jobs)
+            self.job_generator = FlatDispatcher(self, self.broker, table, records=self.records)
+        else:
             self.job_generator = JobGenerator(self, self.broker, jobs, records=self.records)
 
         #: The world-dynamics runtime (``None`` for plain static runs).

@@ -1,12 +1,14 @@
-"""Flat-event fast path for bulk workloads (million-job simulations).
+"""Flat-event engine: the dispatcher behind every eligible simulation.
 
-The legacy pipeline runs one generator-based DES process per job
+The per-job engine runs one generator-based DES process per job
 (:class:`~repro.cloud.broker.Broker._handle_job`), which is wonderfully
 composable but costs ~15 heap events and several generator resumptions per
 completed job.  At a million jobs that overhead dominates the run.
 
-This module provides the opt-in replacement used when ``fast_path`` is
-enabled on :class:`~repro.cloud.environment.QCloudSimEnv`:
+This module provides the replacement that
+:class:`~repro.cloud.environment.QCloudSimEnv` selects for every
+configuration :func:`flat_path_eligible` accepts (``fast_path=False`` forces
+the per-job engine as a reference):
 
 * :class:`JobTable` — the workload as NumPy column arrays (job id, arrival
   time, qubits, depth, shots, gate counts) instead of a list of
@@ -20,14 +22,14 @@ enabled on :class:`~repro.cloud.environment.QCloudSimEnv`:
   planning/reservation runs in a single pump loop, and each sub-job costs
   exactly one heap event (plus one communication event for split jobs).
 * :func:`flat_path_eligible` — the guard deciding when the flat dispatcher
-  may replace the legacy machinery.
+  may replace the per-job machinery.
 
 Byte identity
 -------------
-For every eligible configuration the flat dispatcher reproduces the legacy
+For every eligible configuration the flat dispatcher reproduces the per-job
 record and event streams *bit for bit* (tests/cloud/test_fastpath_identity.py
 sweeps policies × scenario presets × arrival processes).  The equivalence
-rests on three invariants of the legacy engine:
+rests on three invariants of the per-job engine:
 
 1. Arrival markers are pre-scheduled at ``t=0`` with small sequence numbers,
    so at any timestamp arrivals are processed before every runtime event of
@@ -36,20 +38,35 @@ rests on three invariants of the legacy engine:
 2. A waiting head-of-queue job re-plans exactly once per timestamp that
    released capacity (the ``capacity_released`` signal is swapped on first
    use), after every same-timestamp completion has released its qubits.
-   The dispatcher's pump event runs at priority ``PUMP`` (after every
-   NORMAL event of the timestamp) and re-plans the head at most once.
+   The dispatcher's pump runs at priority ``PUMP``, after every NORMAL
+   event of the timestamp — including the ones the event loop already
+   popped into the batch it is draining — and re-plans the head at most
+   once.
 3. Reservation (``Container.get``) and release mutate the qubit level
    synchronously at event creation, so direct level arithmetic — without
    creating the events — leaves identical fleet states behind.
 
-One corner intentionally diverges: a job whose arrival coincides *exactly*
-(same float) with another job's completion may observe post-release fleet
-state where the legacy engine planned it mid-completion.  Continuous
-arrival processes hit this with probability zero; batch arrivals (all at
-``t=0``) cannot collide with completions at all.
+Arrival at a completion
+-----------------------
+One corner has its own rule: a job arriving at exactly the float time T at
+which another job completes is planned after every release at T, so it sees
+the post-release fleet.  The per-job engine plans some of these arrivals
+mid-completion (before the release of a job whose last sub-job ends at T),
+so the two engines may differ here — and only here.  Continuous arrival
+processes hit this with probability zero; batch arrivals (all at ``t=0``)
+cannot collide with completions at all.
+
+Availability
+------------
+Eligible worlds inject no outages, but user code may call
+``set_offline``/``set_online`` on a device: the dispatcher plans over the
+cloud's current online view, exactly like the per-job engine.  It runs
+sub-jobs without DES processes and so cannot abort them: a *killing*
+``set_offline`` of a device with work in flight raises ``RuntimeError``.
 
 Ineligible configurations (tenant mixes, scenarios with world dynamics,
-custom brokers) silently keep the legacy path, which remains the default.
+active adaptive policies, custom brokers) run on the per-job engine;
+``fast_path=True`` on them raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -180,8 +197,7 @@ class JobTable:
     @classmethod
     def from_jobs(cls, jobs: Sequence[QJob]) -> "JobTable":
         """Columnise existing jobs (keeps the ``QJob`` references — this is
-        the byte-identity mode used when ``fast_path=True`` on a normal
-        workload)."""
+        the byte-identity mode the environment uses for a job list)."""
         jobs = list(jobs)
         return cls(
             job_id=[j.job_id for j in jobs],
@@ -410,21 +426,28 @@ class _FlatJob:
         self.comm_delay = 0.0
 
 
-def flat_path_eligible(broker: Any, tenant_mix: Any, scenario: Any) -> bool:
-    """Whether the flat dispatcher may replace the legacy engine.
+def flat_path_eligible(
+    broker: Any, tenant_mix: Any, scenario: Any, adaptive: Any = None
+) -> bool:
+    """Whether the flat dispatcher may replace the per-job engine.
 
     Eligible: the plain :class:`~repro.cloud.broker.Broker` (no tenant mix /
     serve layer, no custom subclass) in a world without runtime dynamics —
     no scenario at all, or a scenario that injects neither drift nor
     outages nor maintenance nor replayed events (traffic-only presets such
-    as ``rush-hour`` qualify: they only shape arrivals).  Everything else
-    keeps the legacy path, whose behaviour is the reference.
+    as ``rush-hour`` qualify: they only shape arrivals) — and no active
+    adaptive policy (the control plane senses arrivals in
+    ``broker.submit``, which the flat dispatcher bypasses; the ``static``
+    preset is a no-op and qualifies).  Everything else runs on the per-job
+    engine, whose behaviour is the reference.
     """
     from repro.cloud.broker import Broker
 
     if type(broker) is not Broker:
         return False
     if tenant_mix is not None:
+        return False
+    if adaptive is not None and not adaptive.is_static:
         return False
     if scenario is None:
         return True
@@ -433,12 +456,23 @@ def flat_path_eligible(broker: Any, tenant_mix: Any, scenario: Any) -> bool:
     return not scenario.has_world_dynamics
 
 
+def _refuse_kills(device: Any, kill_running: bool) -> None:
+    """Availability listener of flat-engine devices: the flat dispatcher
+    runs sub-jobs without DES processes, so it cannot abort them."""
+    if kill_running and device.free_qubits < device.num_qubits:
+        raise RuntimeError(
+            f"{device.name} went offline with kill_running=True while the flat-event "
+            "engine had work on it; the flat engine cannot abort sub-jobs — build the "
+            "environment with fast_path=False or inject outages through a scenario"
+        )
+
+
 class FlatDispatcher:
-    """Flat pending-table dispatcher: the fast-path replacement for the
-    per-job broker processes plus the :class:`JobGenerator`.
+    """Flat pending-table dispatcher: the replacement for the per-job
+    broker processes plus the :class:`JobGenerator`.
 
     The dispatcher drives the same policy, devices, records manager and
-    communication model as the legacy broker — only the *event plumbing*
+    communication model as the per-job broker — only the *event plumbing*
     changes:
 
     * arrivals: one pre-triggered feed event per distinct arrival time
@@ -497,10 +531,12 @@ class FlatDispatcher:
         self._total_capacity = self.cloud.total_qubits
         self._log_event = self.records.log_event
         self._plan = self.policy.plan
-        # Eligible worlds have no outages/maintenance/drift (see
-        # :func:`flat_path_eligible`), so the online fleet is the same list
-        # for the whole run — compute it once instead of per pump.
-        self._online_devices = self.cloud.online_devices
+        # Eligible worlds inject no outages, but user code may still take a
+        # device offline: plan over the cloud's current online view (a
+        # cached list, rebuilt only on availability changes) and refuse the
+        # one change this engine cannot reproduce — a kill of in-flight work.
+        for device in self.cloud.devices:
+            device.availability_listeners.append(_refuse_kills)
         # Streaming managers discard event detail strings; skip formatting
         # them (device lists, fidelity reprs) when nobody stores them.
         self._keep_detail = getattr(self.records, "KEEPS_EVENT_DETAIL", True)
@@ -609,12 +645,13 @@ class FlatDispatcher:
             return
         env = self.env
         queue = env._queue
-        if not queue or queue[0][0] != env._now:
-            # Nothing else is scheduled at this timestamp (O(1) heap peek),
-            # so running the pump right now is indistinguishable from
-            # running it as a PUMP-priority event — there is no event it
-            # could be ordered against.  Saves one heap event per job on
-            # workloads with distinct arrival/completion times.
+        if not env._batch_rest and (not queue or queue[0][0] != env._now):
+            # Nothing else is scheduled at this timestamp (O(1) heap peek,
+            # plus the undispatched rest of the batch the loop popped), so
+            # running the pump right now is indistinguishable from running
+            # it as a PUMP-priority event — there is no event it could be
+            # ordered against.  Saves one heap event per job on workloads
+            # with distinct arrival/completion times.
             self._pump(None)
             return
         self._pump_scheduled = True
@@ -635,7 +672,7 @@ class FlatDispatcher:
         table = self.table
         jobs = table.jobs
         view = self._row_view
-        online_devices = self._online_devices
+        online_devices = self.cloud.online_devices
         dispatched: List[Tuple[_FlatJob, List[Tuple[Any, int, int, int, int]]]] = []
         fragment_count = 0
         while pending:

@@ -55,6 +55,11 @@ class QCloud:
         names = [d.name for d in self.devices]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate device names: {names}")
+        #: Cached :attr:`online_devices` list; dropped on every availability
+        #: change so planners see the current fleet.
+        self._online: Optional[List[BaseQDevice]] = None
+        for device in self.devices:
+            device.availability_listeners.append(self._availability_changed)
 
         self.communication = communication or ClassicalCommunicationModel()
         #: Serialises the plan-and-reserve critical section (FIFO admission).
@@ -67,8 +72,18 @@ class QCloud:
     @property
     def online_devices(self) -> List[BaseQDevice]:
         """Devices currently accepting work (scenario outages/maintenance may
-        take devices offline mid-run); the broker plans over this view."""
-        return [d for d in self.devices if d.online]
+        take devices offline mid-run); both engines plan over this view.
+
+        The list is cached until a device changes availability, when a fresh
+        list replaces it — callers must treat it as a read-only snapshot.
+        """
+        online = self._online
+        if online is None:
+            online = self._online = [d for d in self.devices if d.online]
+        return online
+
+    def _availability_changed(self, device: BaseQDevice, kill_running: bool) -> None:
+        self._online = None
 
     @property
     def total_qubits(self) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Callable, Dict, Generator, List, Optional
 
 import networkx as nx
 import numpy as np
@@ -95,13 +95,19 @@ class BaseQDevice:
         self.outage_count = 0
         #: Number of sub-jobs aborted by outages.
         self.aborted_subjobs = 0
-        #: In-flight execution processes (interrupted on a killing outage).
-        self._running: set = set()
+        #: In-flight execution processes (interrupted on a killing outage),
+        #: kept in start order so kills are deterministic.
+        self._running: Dict[object, None] = {}
         #: Active offline causes; the device is online iff this is empty.
         #: Tracked per cause so overlapping outage and maintenance windows
         #: don't cancel each other (the device recovers only when *every*
         #: cause has cleared).
         self._offline_causes: set = set()
+        #: Called as ``listener(device, kill_running)`` when an offline cause
+        #: is added and when the device comes back online (the owning
+        #: :class:`~repro.cloud.qcloud.QCloud` keeps its online view current
+        #: this way).
+        self.availability_listeners: List[Callable[["BaseQDevice", bool], None]] = []
 
     # -- capacity --------------------------------------------------------------
     @property
@@ -193,6 +199,8 @@ class BaseQDevice:
         self._offline_causes.add(cause)
         if was_online:
             self.outage_count += 1
+        for listener in self.availability_listeners:
+            listener(self, kill_running)
         if kill_running:
             for process in list(self._running):
                 if process is not None and process.is_alive:
@@ -211,7 +219,11 @@ class BaseQDevice:
             self._offline_causes.clear()
         else:
             self._offline_causes.discard(cause)
-        return not self._offline_causes
+        if self._offline_causes:
+            return False
+        for listener in self.availability_listeners:
+            listener(self, False)
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "" if self.online else " OFFLINE"
@@ -511,7 +523,7 @@ class IBMQuantumDevice(QuantumDevice):
         start = self.env.now
         process = self.env.active_process
         if process is not None:
-            self._running.add(process)
+            self._running[process] = None
         try:
             yield self.env.timeout(duration)
         except Interrupt:
@@ -538,7 +550,7 @@ class IBMQuantumDevice(QuantumDevice):
             )
         finally:
             if process is not None:
-                self._running.discard(process)
+                self._running.pop(process, None)
         self.completed_subjobs += 1
         self.busy_time += self.env.now - start
         self.qubit_seconds += fragment.num_qubits * (self.env.now - start)

@@ -56,6 +56,7 @@ class Environment:
         "_batch_count",
         "_max_batch",
         "_peak_queue",
+        "_batch_rest",
     )
 
     def __init__(self, initial_time: float = 0) -> None:
@@ -68,6 +69,10 @@ class Environment:
         self._batch_count: int = 0
         self._max_batch: int = 0
         self._peak_queue: int = 0
+        #: Events of the batch being dispatched that are still waiting for
+        #: their turn (popped off the heap, so ``_queue`` no longer shows
+        #: them); 0 outside a batch.
+        self._batch_rest: int = 0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Environment now={self._now} queued={len(self._queue)}>"
@@ -285,6 +290,7 @@ class Environment:
                         break
                     event = batch[index][3]
                     index += 1
+                    self._batch_rest = size - index
                     callbacks, event.callbacks = event.callbacks, None
                     for callback in callbacks or ():
                         callback(event)
@@ -296,6 +302,7 @@ class Environment:
                             f"Event {event!r} failed with non-exception {exc!r}"
                         )
             finally:
+                self._batch_rest = 0
                 self._ev_count += index
                 if index:
                     self._batch_count += 1

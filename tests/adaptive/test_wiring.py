@@ -44,18 +44,23 @@ class TestSimulationConfig:
 
 class TestFastPathInteraction:
     def test_static_policy_keeps_fast_path(self):
-        config = SimulationConfig(num_jobs=10, seed=1, fast_path=True,
-                                  adaptive="static")
+        config = SimulationConfig(num_jobs=10, seed=1, adaptive="static")
         env = QCloudSimEnv(config)
         assert env.fast_path_active
 
     def test_active_policy_falls_back_to_legacy_engine(self):
-        config = SimulationConfig(num_jobs=10, seed=1, fast_path=True,
-                                  adaptive="reactive")
+        # The control plane senses arrivals in broker.submit, which the flat
+        # dispatcher bypasses: an active policy selects the per-job engine.
+        config = SimulationConfig(num_jobs=10, seed=1, adaptive="reactive")
         env = QCloudSimEnv(config)
         assert not env.fast_path_active
         records = env.run_until_complete()
         assert len(records) == 10
+
+    def test_active_policy_refuses_explicit_fast_path(self):
+        config = SimulationConfig(num_jobs=10, seed=1, adaptive="reactive")
+        with pytest.raises(ValueError, match="no active adaptive policy"):
+            QCloudSimEnv(config, fast_path=True)
 
 
 class TestExperimentGrid:

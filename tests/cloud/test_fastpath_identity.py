@@ -1,11 +1,12 @@
-"""Byte-identity of the flat-event fast path against the legacy engine.
+"""Byte-identity of the flat-event engine against the per-job engine.
 
-The fast path's contract (see :mod:`repro.cloud.fastpath`) is that every
-eligible configuration reproduces the legacy record and event streams *bit
+The flat engine's contract (see :mod:`repro.cloud.fastpath`) is that every
+eligible configuration reproduces the per-job record and event streams *bit
 for bit*.  These tests sweep policies × arrival processes × traffic-only
 scenarios comparing the full event log, every completed record and the
-failed-job lists, plus the eligibility guards and the :class:`JobTable`
-plumbing the dispatcher runs on.
+failed-job lists (the flat engine is the default; ``fast_path=False``
+forces the per-job reference), plus the engine selection rules and the
+:class:`JobTable` plumbing the dispatcher runs on.
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ from repro.cloud.job_generator import generate_synthetic_jobs
 from repro.cloud.qjob import QJob
 
 
-def _run(fast, policy="speed", arrival=None, scenario=None, jobs=None, n=50):
-    """One simulation; returns (events, records, failed, fast_path_active)."""
+def _run(fast, policy="speed", arrival=None, scenario=None, jobs=None, n=50, devices=None):
+    """One simulation; returns (events, records, failed, fast_path_active).
+
+    ``fast=None`` lets the environment choose the engine; ``False`` forces
+    the per-job engine."""
     if jobs is None:
         jobs = generate_synthetic_jobs(
             num_jobs=n,
@@ -31,9 +35,11 @@ def _run(fast, policy="speed", arrival=None, scenario=None, jobs=None, n=50):
             arrival_rate=arrival if arrival is not None else 0.01,
         )
     env = QCloudSimEnv(
-        config=SimulationConfig(policy=policy, fast_path=fast),
+        config=SimulationConfig(policy=policy),
+        devices=devices,
         jobs=jobs,
         scenario=scenario,
+        fast_path=fast,
     )
     env.run()
     events = [(e.job_id, e.event, e.time, e.detail) for e in env.records.events]
@@ -48,7 +54,7 @@ class TestByteIdentity:
         for arrival in (None, 0.5):
             for scenario in (None, "rush-hour"):
                 legacy = _run(False, policy, arrival, scenario)
-                fast = _run(True, policy, arrival, scenario)
+                fast = _run(None, policy, arrival, scenario)
                 assert not legacy[3], (policy, arrival, scenario)
                 assert fast[3], (policy, arrival, scenario)
                 assert legacy[0] == fast[0], (policy, arrival, scenario, "events")
@@ -67,25 +73,56 @@ class TestByteIdentity:
             arrival_time=0.0,
         )
         legacy = _run(False, jobs=jobs + [giant])
-        fast = _run(True, jobs=jobs + [giant])
+        fast = _run(None, jobs=jobs + [giant])
         assert fast[3] and not legacy[3]
         assert legacy[:3] == fast[:3]
         assert (999, "FAILED") in fast[2]
 
 
+    def test_same_time_completions_replan_after_every_release(self):
+        # Jobs 0 and 1 are identical and share a device, so they complete at
+        # the same float time T; the blocked head (job 3) must re-plan once,
+        # after both releases — a plan after only the first release would
+        # split it across the two devices.
+        from repro.hardware.backends import get_device_profile
+
+        def job(job_id, qubits, shots):
+            circuit = CircuitSpec(num_qubits=qubits, depth=10, num_shots=shots,
+                                  num_two_qubit_gates=3 * qubits)
+            return QJob(job_id=job_id, circuit=circuit, arrival_time=0.0)
+
+        def run(fast):
+            jobs = [job(0, 60, 20_000), job(1, 60, 20_000), job(2, 100, 90_000),
+                    job(3, 90, 20_000)]
+            profiles = [get_device_profile("ibm_strasbourg"), get_device_profile("ibm_kyiv")]
+            return _run(fast, jobs=jobs, devices=profiles)
+
+        legacy, fast = run(False), run(None)
+        assert fast[3] and not legacy[3]
+        assert legacy[:3] == fast[:3]
+        job3 = next(r for r in fast[1] if r["job_id"] == 3)
+        assert job3["devices"] == "ibm_strasbourg"
+
+
 class TestEligibility:
-    def test_default_is_legacy(self):
+    def test_default_is_flat(self):
         env = QCloudSimEnv(config=SimulationConfig(),
                            jobs=generate_synthetic_jobs(num_jobs=3, seed=1))
+        assert env.fast_path_active
+
+    def test_fast_path_false_forces_per_job_engine(self):
+        env = QCloudSimEnv(config=SimulationConfig(),
+                           jobs=generate_synthetic_jobs(num_jobs=3, seed=1),
+                           fast_path=False)
         assert not env.fast_path_active
 
     def test_dynamic_scenario_falls_back(self):
-        # flaky-fleet injects outages — world dynamics keep the legacy path.
-        # (Engagement is decided at construction; don't run — dynamic
-        # scenarios keep scheduling world events, so a bare run() never
-        # drains the queue.)
+        # flaky-fleet injects outages — world dynamics select the per-job
+        # engine.  (Engagement is decided at construction; don't run —
+        # dynamic scenarios keep scheduling world events, so a bare run()
+        # never drains the queue.)
         env = QCloudSimEnv(
-            config=SimulationConfig(policy="speed", fast_path=True),
+            config=SimulationConfig(policy="speed"),
             jobs=generate_synthetic_jobs(num_jobs=5, seed=11),
             scenario="flaky-fleet",
         )
@@ -93,11 +130,27 @@ class TestEligibility:
 
     def test_tenant_mix_falls_back(self):
         env = QCloudSimEnv(
-            config=SimulationConfig(fast_path=True, tenants="free-tier-vs-premium"),
+            config=SimulationConfig(tenants="free-tier-vs-premium"),
             jobs=generate_synthetic_jobs(num_jobs=5, seed=1),
         )
         env.run()
         assert not env.fast_path_active
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"scenario": "flaky-fleet"}, {"tenants": "single"}, {"adaptive": "reactive"}],
+        ids=["scenario", "tenants", "adaptive"],
+    )
+    def test_explicit_fast_path_on_ineligible_config_raises(self, overrides):
+        with pytest.raises(ValueError, match="fast_path=True requires a fast-path-eligible"):
+            QCloudSimEnv(config=SimulationConfig(num_jobs=5, seed=1, **overrides),
+                         fast_path=True)
+
+    def test_job_table_refuses_per_job_engine(self):
+        table = JobTable.synthetic(5, seed=1, qubit_range=(2, 8),
+                                   depth_range=(5, 10), shots_range=(100, 200))
+        with pytest.raises(ValueError, match="flat engine"):
+            QCloudSimEnv(config=SimulationConfig(), job_table=table, fast_path=False)
 
     def test_custom_broker_ineligible(self):
         from repro.cloud.broker import Broker
@@ -206,16 +259,16 @@ class TestArrivalGroups:
 
 
 class TestFallbackIdentity:
-    """Requesting fast_path on an *ineligible* configuration falls back to
-    the legacy engine — and must never change its output.  Together with
-    TestByteIdentity this covers every scenario preset, tenant mix and
-    checkpointing setting: eligible configs engage the flat dispatcher
-    bit-identically, ineligible ones must be bit-identical trivially."""
+    """The engine the environment picks by default must never change the
+    output: eligible configs run the flat dispatcher bit-identically to the
+    per-job engine, ineligible ones run the per-job engine itself.
+    Together with TestByteIdentity this covers every scenario preset, tenant
+    mix and checkpointing setting."""
 
     @staticmethod
     def _run_config(fast, **overrides):
-        config = SimulationConfig(num_jobs=15, seed=9, fast_path=fast, **overrides)
-        env = QCloudSimEnv(config)
+        config = SimulationConfig(num_jobs=15, seed=9, **overrides)
+        env = QCloudSimEnv(config, fast_path=fast)
         records = env.run_until_complete()
         events = [(e.job_id, e.event, e.time, e.detail) for e in env.records.events]
         dicts = [r.as_dict() for r in records]
@@ -225,25 +278,95 @@ class TestFallbackIdentity:
                                           "rush-hour", "black-friday"])
     def test_scenario_presets(self, scenario):
         legacy = self._run_config(False, scenario=scenario)
-        fast = self._run_config(True, scenario=scenario)
-        # Traffic-only presets engage; world dynamics fall back.
-        assert fast[2] == (scenario in ("static", "rush-hour"))
-        assert fast[:2] == legacy[:2]
-        assert fast[3] == legacy[3]
+        default = self._run_config(None, scenario=scenario)
+        # Traffic-only presets engage; world dynamics keep the per-job engine.
+        assert default[2] == (scenario in ("static", "rush-hour"))
+        assert default[:2] == legacy[:2]
+        assert default[3] == legacy[3]
 
     @pytest.mark.parametrize("tenants", ["single", "free-tier-vs-premium",
                                          "batch-vs-interactive", "noisy-neighbor"])
     def test_tenant_mixes(self, tenants):
         legacy = self._run_config(False, tenants=tenants)
-        fast = self._run_config(True, tenants=tenants)
-        assert not fast[2]  # serve layer always keeps the legacy engine
-        assert fast == legacy
+        default = self._run_config(None, tenants=tenants)
+        assert not default[2]  # the serve layer always runs the per-job engine
+        assert default == legacy
 
     @pytest.mark.parametrize("checkpointing", [False, True])
     def test_checkpointing(self, checkpointing):
         legacy = self._run_config(False, scenario="flaky-fleet",
                                   checkpointing=checkpointing)
-        fast = self._run_config(True, scenario="flaky-fleet",
-                                checkpointing=checkpointing)
-        assert not fast[2]
-        assert fast == legacy
+        default = self._run_config(None, scenario="flaky-fleet",
+                                   checkpointing=checkpointing)
+        assert not default[2]
+        assert default == legacy
+
+
+class _FleetStateAtPlan:
+    """Policy wrapper recording, per plan, whether every device was idle."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = inner.name
+        self.idle_fleet_at_plan = {}
+
+    def plan(self, job, devices):
+        self.idle_fleet_at_plan[job.job_id] = all(
+            d.free_qubits == d.num_qubits for d in devices
+        )
+        return self.inner.plan(job, devices)
+
+
+class TestArrivalAtCompletion:
+    """The flat engine's rule for a job arriving at exactly the float time
+    T at which another job completes: the arrival plans after every release
+    at T, so it sees the post-release fleet.  (The per-job engine plans some
+    of these arrivals mid-completion; the two engines may differ here and
+    only here.)"""
+
+    @staticmethod
+    def _run(policy, jobs, traced=False):
+        from repro.des.monitoring import trace_events
+        from repro.hardware.backends import get_device_profile
+        from repro.scheduling.registry import create_policy
+
+        recorder = _FleetStateAtPlan(create_policy(policy))
+        env = QCloudSimEnv(
+            config=SimulationConfig(num_jobs=len(jobs), policy=policy),
+            devices=[get_device_profile("ibm_strasbourg"), get_device_profile("ibm_kyiv")],
+            jobs=jobs,
+            policy=recorder,
+        )
+        assert env.fast_path_active
+        if traced:
+            trace_events(env, lambda *event: None)
+        env.run()
+        return recorder, {r.job_id: r for r in env.records.completed_records}
+
+    @staticmethod
+    def _job(job_id, num_qubits, arrival_time):
+        from repro.circuits.generators import random_circuit_spec
+
+        rng = np.random.default_rng(job_id + 7 * num_qubits)
+        circuit = random_circuit_spec(rng, qubit_range=(num_qubits, num_qubits))
+        return QJob(job_id=job_id, circuit=circuit, arrival_time=arrival_time)
+
+    @pytest.mark.parametrize("policy", ["speed", "fidelity", "fair"])
+    @pytest.mark.parametrize("first", [60, 127, 180, 250])
+    @pytest.mark.parametrize("second", [30, 100, 140])
+    def test_arrival_plans_after_every_release(self, policy, first, second):
+        # Job 0 alone fixes the collision time T = its finish time.
+        _, alone = self._run(policy, [self._job(0, first, 0.0)])
+        collide_at = alone[0].finish_time
+
+        def jobs():
+            return [self._job(0, first, 0.0), self._job(1, second, collide_at)]
+
+        recorder, records = self._run(policy, jobs())
+        assert records[0].finish_time == collide_at
+        assert recorder.idle_fleet_at_plan[1]
+        assert records[1].start_time == collide_at
+        # The rule does not depend on how the event loop drains the
+        # timestamp: a traced (one event per step) run agrees.
+        _, traced = self._run(policy, jobs(), traced=True)
+        assert [r.as_dict() for r in traced.values()] == [r.as_dict() for r in records.values()]

@@ -70,6 +70,21 @@ class TestQueries:
         assert cloud.free_qubits == 18
 
 
+    def test_online_view_tracks_availability(self, cloud):
+        strasbourg = cloud.device("ibm_strasbourg")
+        view = cloud.online_devices
+        assert view == cloud.devices
+        assert cloud.online_devices is view  # cached between changes
+        strasbourg.set_offline(cause="maintenance")
+        assert cloud.online_devices == [cloud.device("ibm_kyiv")]
+        strasbourg.set_offline(cause="outage")
+        strasbourg.set_online("maintenance")  # the outage still holds it
+        assert strasbourg not in cloud.online_devices
+        strasbourg.set_online("outage")
+        assert cloud.online_devices == cloud.devices
+        assert view == cloud.devices  # earlier snapshots are never mutated
+
+
 class TestCapacityReleasedSignal:
     def test_waiters_are_woken_once_per_release(self, cloud, env):
         log = []

@@ -16,7 +16,7 @@ def _job(job_id, num_qubits, arrival_time=0.0):
     return QJob(job_id=job_id, circuit=circuit, arrival_time=arrival_time)
 
 
-def _two_device_env(scenario, jobs, policy="speed"):
+def _two_device_env(scenario, jobs, policy="speed", fast_path=None):
     from repro.hardware.backends import get_device_profile
 
     profiles = [get_device_profile("ibm_strasbourg"), get_device_profile("ibm_kyiv")]
@@ -25,6 +25,7 @@ def _two_device_env(scenario, jobs, policy="speed"):
         devices=profiles,
         jobs=jobs,
         scenario=scenario,
+        fast_path=fast_path,
     )
 
 
@@ -188,3 +189,94 @@ class TestOutages:
                 causes.discard(event.payload["cause"])
             if 10.0 <= event.time < 2010.0:
                 assert "maintenance" in causes, f"window broken at t={event.time}"
+
+    def test_kills_follow_start_order(self):
+        from repro.hardware.backends import get_device_profile
+
+        env = QCloudSimEnv(
+            SimulationConfig(num_jobs=1),
+            devices=[get_device_profile("ibm_kyiv")],
+            jobs=[_job(0, 10, arrival_time=1e9)],
+        )
+        device = env.cloud.device("ibm_kyiv")
+        aborted = []
+
+        def run(tag):
+            result = yield env.process(device.execute(_job(tag, 10).circuit))
+            assert result.aborted
+            aborted.append(tag)
+
+        for tag in range(8):
+            env.process(run(tag))
+
+        def outage():
+            yield env.timeout(1.0)
+            device.set_offline(kill_running=True)
+
+        env.process(outage())
+        env.run(until=2.0)
+        assert aborted == list(range(8))
+
+    @pytest.mark.parametrize("policy", ["speed", "fair"])
+    def test_killing_outages_replay_identically_in_one_process(self, policy):
+        """Two runs of one seed in one process agree even when an outage
+        kills several sub-jobs at once: kills follow start order, not object
+        addresses."""
+
+        def run():
+            env = QCloudSimEnv(SimulationConfig(
+                num_jobs=120, seed=0, policy=policy, scenario="flaky-fleet",
+                qubit_range=(20, 90), arrival="poisson", arrival_rate=0.05,
+            ))
+            env.run_until_complete()
+            events = [(e.job_id, e.event, e.time, e.detail) for e in env.records.events]
+            return env, events, [r.as_dict() for r in env.records.completed_records]
+
+        first = run()
+        second = run()  # the first run stays alive, so objects land elsewhere
+        requeue_times = [e[2] for e in first[1] if e[1] == "requeue"]
+        # Some outage killed more than one sub-job at once.
+        assert len(requeue_times) > len(set(requeue_times))
+        assert second[1] == first[1]
+        assert second[2] == first[2]
+
+
+class TestFlatEngineAvailability:
+    """Availability changes made by user code (not a scenario) on a run the
+    flat-event engine drives."""
+
+    def test_graceful_offline_mid_run_matches_per_job_engine(self):
+        def run(fast_path):
+            jobs = [_job(0, 100, arrival_time=0.0), _job(1, 100, arrival_time=500.0),
+                    _job(2, 100, arrival_time=50_000.0)]
+            env = _two_device_env(None, jobs, fast_path=fast_path)
+            strasbourg = env.cloud.device("ibm_strasbourg")
+
+            def toggle():
+                yield env.timeout(100.0)
+                strasbourg.set_offline(kill_running=False)
+                yield env.timeout(1_000.0)
+                strasbourg.set_online()
+
+            env.process(toggle())
+            records = env.run_until_complete()
+            events = [(e.job_id, e.event, e.time, e.detail) for e in env.records.events]
+            return env.fast_path_active, [r.as_dict() for r in records], events
+
+        flat, per_job = run(None), run(False)
+        assert flat[0] and not per_job[0]
+        assert flat[1:] == per_job[1:]
+        devices = {r["job_id"]: r["devices"] for r in flat[1]}
+        assert devices == {0: "ibm_strasbourg", 1: "ibm_kyiv", 2: "ibm_strasbourg"}
+
+    def test_kill_of_in_flight_work_is_refused(self):
+        env = _two_device_env(None, [_job(0, 100)])
+        assert env.fast_path_active
+
+        def outage():
+            yield env.timeout(1.0)
+            env.cloud.device("ibm_strasbourg").set_offline(kill_running=True)
+
+        env.process(outage())
+        with pytest.raises(RuntimeError, match="fast_path=False"):
+            env.run_until_complete()

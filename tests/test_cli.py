@@ -177,29 +177,42 @@ class TestTrain:
 
 class TestSimulateFastPath:
     def test_fast_path_matches_legacy_records(self, capsys, tmp_path):
-        outputs = {}
-        for flag, label in (([], "legacy"), (["--fast-path"], "fast")):
-            records_path = str(tmp_path / f"{label}.csv")
-            code = main(
-                ["simulate", "--policy", "speed", "-n", "8", "--seed", "4",
-                 "--records", records_path, *flag]
-            )
-            assert code == 0
-            assert "jobs completed: 8" in capsys.readouterr().out
-            outputs[label] = open(records_path).read()
-        assert outputs["fast"] == outputs["legacy"]
+        # The CLI runs the flat engine by default; its records must equal
+        # those of the per-job engine on the same configuration.
+        from repro.cloud.config import SimulationConfig
+        from repro.cloud.environment import QCloudSimEnv
+        from repro.cloud.records import records_to_csv
+
+        fast_path = str(tmp_path / "fast.csv")
+        code = main(
+            ["simulate", "--policy", "speed", "-n", "8", "--seed", "4",
+             "--records", fast_path]
+        )
+        assert code == 0
+        assert "jobs completed: 8" in capsys.readouterr().out
+        env = QCloudSimEnv(SimulationConfig(policy="speed", num_jobs=8, seed=4),
+                           fast_path=False)
+        legacy_path = str(tmp_path / "legacy.csv")
+        records_to_csv(env.run_until_complete(), legacy_path)
+        assert open(fast_path).read() == open(legacy_path).read()
 
     def test_stats_reports_engine_and_counters(self, capsys):
-        assert main(["simulate", "-n", "5", "--seed", "2", "--stats"]) == 0
+        # A tenant mix is ineligible for the flat engine.
+        assert main(["simulate", "-n", "5", "--seed", "2", "--stats",
+                     "--tenants", "single"]) == 0
         out = capsys.readouterr().out
-        assert "engine        : legacy processes" in out
+        assert "engine        : per-job processes" in out
         assert "events        :" in out
         assert "batches" in out
         assert "peak queue    :" in out
         assert "events/s" in out
 
     def test_stats_with_fast_path(self, capsys):
-        assert main(["simulate", "-n", "5", "--seed", "2", "--stats", "--fast-path"]) == 0
+        assert main(["simulate", "-n", "5", "--seed", "2", "--stats"]) == 0
         out = capsys.readouterr().out
-        assert "engine        : flat fast path" in out
+        assert "engine        : flat events" in out
         assert "jobs completed: 5" in out
+
+    def test_fast_path_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "-n", "5", "--fast-path"])
