@@ -22,6 +22,7 @@ from repro.adaptive.engine import AdaptiveEngine
 from repro.adaptive.forecast import OnlineArrivalForecaster
 from repro.adaptive.signals import SignalBus, TenantSignals
 from repro.adaptive.spec import (
+    ADAPTIVE_POLICIES,
     AdaptivePolicySpec,
     available_adaptive_policies,
     get_adaptive_policy,
@@ -30,6 +31,7 @@ from repro.adaptive.spec import (
 )
 
 __all__ = [
+    "ADAPTIVE_POLICIES",
     "AdaptivePolicySpec",
     "AdaptiveEngine",
     "AdaptiveAdmission",

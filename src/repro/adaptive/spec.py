@@ -3,7 +3,8 @@
 An :class:`AdaptivePolicySpec` declares *which* controllers the closed-loop
 control plane runs and with what gains.  Specs are frozen dataclasses so
 their ``repr`` doubles as a content fingerprint for the experiment-engine
-result cache (see :func:`repro.engine.spec._adaptive_fingerprint`).
+result cache (see :meth:`repro.registry.SpecRegistry.fingerprint`);
+:data:`ADAPTIVE_POLICIES` is the registry.
 
 Three presets ship built-in:
 
@@ -19,9 +20,12 @@ Three presets ship built-in:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import List, Tuple
+
+from repro.registry import SpecRegistry
 
 __all__ = [
+    "ADAPTIVE_POLICIES",
     "AdaptivePolicySpec",
     "register_adaptive_policy",
     "get_adaptive_policy",
@@ -136,38 +140,13 @@ class AdaptivePolicySpec:
         return tuple(names)
 
 
-_REGISTRY: Dict[str, AdaptivePolicySpec] = {}
-
-
-def register_adaptive_policy(spec: AdaptivePolicySpec) -> None:
-    """Register *spec* under its name (overwrites existing entries)."""
-    _REGISTRY[spec.name] = spec
-
-
-def get_adaptive_policy(name: str) -> AdaptivePolicySpec:
-    """Look up a registered adaptive policy by name."""
-    if name not in _REGISTRY:
-        raise KeyError(
-            f"unknown adaptive policy {name!r}; "
-            f"available: {available_adaptive_policies()}"
-        )
-    return _REGISTRY[name]
-
-
-def available_adaptive_policies() -> List[str]:
-    """Names of all registered adaptive policies (presets first)."""
-    return list(_REGISTRY)
-
-
-def resolve_adaptive_policy(
-    policy: Union[str, AdaptivePolicySpec, None],
-) -> Optional[AdaptivePolicySpec]:
-    """Resolve a policy reference: ``None``, a registered name, or a spec."""
-    if policy is None:
-        return None
-    if isinstance(policy, AdaptivePolicySpec):
-        return policy
-    return get_adaptive_policy(policy)
+ADAPTIVE_POLICIES: SpecRegistry[AdaptivePolicySpec] = SpecRegistry(
+    "adaptive policy", AdaptivePolicySpec
+)
+register_adaptive_policy = ADAPTIVE_POLICIES.register
+get_adaptive_policy = ADAPTIVE_POLICIES.get
+available_adaptive_policies = ADAPTIVE_POLICIES.available
+resolve_adaptive_policy = ADAPTIVE_POLICIES.resolve
 
 
 def _register_presets() -> None:

@@ -47,9 +47,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro import __version__
+from repro.registry import AXES
 
 __all__ = ["build_parser", "main"]
 
@@ -83,6 +84,30 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
                         help="process-pool size (process backend)")
     parser.add_argument("--results-dir",
                         help="persist/cache results in this directory (ResultStore)")
+
+
+def _add_axis_options(
+    parser: argparse.ArgumentParser, *fields: str, **defaults: str
+) -> None:
+    """Add the named-axis flags of *fields* (all axes when empty), in axis
+    order; ``--routing`` rides along with ``--regions``."""
+    for axis in AXES:
+        if fields and axis.field not in fields:
+            continue
+        default = defaults.get(axis.field)
+        parser.add_argument(f"--{axis.field}", default=default,
+                            help=axis.help + (" (default: %(default)s)" if default else ""))
+        if axis.field == "regions":
+            parser.add_argument("--routing", default="locality",
+                                choices=("locality", "least-loaded", "calibration-aware",
+                                         "round-robin"),
+                                help="routing policy of the multi-region front tier")
+
+
+def _axis_config(args: argparse.Namespace) -> Dict[str, Optional[str]]:
+    """The SimulationConfig fields set by :func:`_add_axis_options` flags."""
+    names = [axis.field for axis in AXES] + ["routing"]
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
 
 
 def _cmd_devices(args: argparse.Namespace) -> int:
@@ -182,11 +207,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         policy=args.policy,
         num_jobs=args.num_jobs,
         seed=args.seed,
-        scenario=args.scenario,
-        tenants=args.tenants,
         max_requeues=args.max_requeues,
         checkpointing=args.checkpointing,
-        adaptive=args.adaptive,
+        **_axis_config(args),
     )
 
     if args.stream:
@@ -318,12 +341,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         policy=args.policy,
         num_jobs=args.num_jobs,
         seed=args.seed,
-        scenario=args.scenario,
-        tenants=args.tenants,
         checkpointing=args.checkpointing,
-        regions=args.regions,
-        routing=args.routing,
-        adaptive=args.adaptive,
+        **_axis_config(args),
     )
     jobs = None
     if args.jobs:
@@ -444,15 +463,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         if "rlbase" not in strategies:
             strategies.append("rlbase")
 
-    config = SimulationConfig(
-        num_jobs=args.num_jobs,
-        seed=args.seed,
-        scenario=args.scenario,
-        tenants=args.tenants,
-        regions=args.regions,
-        routing=args.routing,
-        adaptive=args.adaptive,
-    )
+    config = SimulationConfig(num_jobs=args.num_jobs, seed=args.seed, **_axis_config(args))
     runner = _make_runner(args)
     result = run_case_study(
         config, strategies=tuple(strategies), rl_model=rl_model, runner=runner
@@ -480,9 +491,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"unknown config field {args.param!r}; choose one of {sorted(field_names)}"
         )
 
-    config = SimulationConfig(
-        num_jobs=args.num_jobs, seed=args.seed, regions=args.regions, routing=args.routing
-    )
+    config = SimulationConfig(num_jobs=args.num_jobs, seed=args.seed, **_axis_config(args))
     field_types = {f.name: str(f.type) for f in dataclasses.fields(SimulationConfig)}
     ftype = field_types[args.param]
     if "Tuple" in ftype or "List" in ftype:
@@ -615,12 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--jobs", help="CSV/JSON workload file (overrides --num-jobs)")
     p_sim.add_argument("--model", help="trained policy .npz (required for rlbase)")
     p_sim.add_argument("--records", help="write per-job records to this CSV file")
-    p_sim.add_argument("--scenario",
-                       help="world-dynamics scenario: a preset name (see 'repro scenarios') "
-                            "or a recorded .jsonl trace to replay")
-    p_sim.add_argument("--tenants",
-                       help="multi-tenant mix preset (see 'repro serve --list'); swaps in "
-                            "the serve broker")
     p_sim.add_argument("--trace", help="record the run's scenario trace to this JSONL file")
     p_sim.add_argument("--checkpointing", action="store_true",
                        help="checkpointed preemption: aborted jobs (outages, preemptions) "
@@ -629,15 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print which engine ran (flat events for plain static runs, "
                             "per-job processes otherwise) and event-loop statistics "
                             "(events, batches, events/s); runs in-process")
-    p_sim.add_argument("--regions",
-                       help="multi-region topology preset (see 'repro regions'); runs one "
-                            "broker shard per region behind the routing tier")
-    p_sim.add_argument("--routing", default="locality",
-                       choices=("locality", "least-loaded", "calibration-aware", "round-robin"),
-                       help="routing policy of the multi-region front tier")
-    p_sim.add_argument("--adaptive",
-                       help="adaptive QoS policy preset (see 'repro adaptive'); attaches "
-                            "the closed-loop control plane")
+    _add_axis_options(p_sim)
     _add_engine_options(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -645,17 +640,12 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run a multi-tenant serving simulation and report per-tenant SLOs",
     )
-    p_serve.add_argument("--tenants", default="single",
-                         help="tenant-mix preset (default: single)")
     p_serve.add_argument("--list", action="store_true",
                          help="list the registered tenant-mix presets and exit")
     p_serve.add_argument("--policy", default="speed",
                          help="speed | fidelity | fair | rlbase | any registered policy")
     p_serve.add_argument("-n", "--num-jobs", type=int, default=100)
     p_serve.add_argument("--seed", type=int, default=2025)
-    p_serve.add_argument("--scenario",
-                         help="world-dynamics scenario preset or .jsonl trace; its traffic "
-                              "is routed to tenants by share")
     p_serve.add_argument("--max-requeues", type=int, default=100,
                          help="starvation guard: fail a job after this many outage/preemption "
                               "requeues")
@@ -669,9 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--stream", action="store_true",
                          help="O(1)-memory serving: stream records into P2 percentile "
                               "sketches instead of RAM (million-job runs)")
-    p_serve.add_argument("--adaptive",
-                         help="adaptive QoS policy preset (see 'repro adaptive'); attaches "
-                              "the closed-loop control plane")
+    _add_axis_options(p_serve, "adaptive", "tenants", "scenario", tenants="single")
     p_serve.set_defaults(func=_cmd_serve)
 
     p_cmp = sub.add_parser("compare", help="compare allocation strategies (Table 2)")
@@ -679,21 +667,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--seed", type=int, default=2025)
     p_cmp.add_argument("--strategies", nargs="+", default=["speed", "fidelity", "fair"])
     p_cmp.add_argument("--model", help="trained policy .npz; adds the rlbase row")
-    p_cmp.add_argument("--scenario",
-                       help="world-dynamics scenario preset or .jsonl trace (all strategies "
-                            "face the same non-stationary world)")
-    p_cmp.add_argument("--tenants",
-                       help="multi-tenant mix preset (all strategies serve the same mix)")
-    p_cmp.add_argument("--regions",
-                       help="multi-region topology preset (all strategies route over the "
-                            "same sharded cloud)")
-    p_cmp.add_argument("--routing", default="locality",
-                       choices=("locality", "least-loaded", "calibration-aware", "round-robin"),
-                       help="routing policy of the multi-region front tier")
-    p_cmp.add_argument("--adaptive",
-                       help="adaptive QoS policy preset (all strategies run the same "
-                            "closed-loop control plane)")
     p_cmp.add_argument("--histograms", action="store_true", help="print Fig.-6-style histograms")
+    _add_axis_options(p_cmp)
     _add_engine_options(p_cmp)
     p_cmp.set_defaults(func=_cmd_compare)
 
@@ -706,11 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=2025)
     p_sweep.add_argument("--replicates", type=int, default=1,
                          help="workload replicates per grid cell (seeds derived)")
-    p_sweep.add_argument("--regions",
-                         help="multi-region topology preset applied to every grid cell")
-    p_sweep.add_argument("--routing", default="locality",
-                         choices=("locality", "least-loaded", "calibration-aware", "round-robin"),
-                         help="routing policy of the multi-region front tier")
+    _add_axis_options(p_sweep, "regions")
     _add_engine_options(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -11,6 +11,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.hardware.backends import DEFAULT_DEVICE_NAMES
+from repro.registry import AXES
 
 __all__ = ["SimulationConfig"]
 
@@ -122,23 +123,18 @@ class SimulationConfig:
             raise ValueError("comm_fidelity_penalty must be in [0, 1]")
         if self.comm_latency_per_qubit < 0:
             raise ValueError("comm_latency_per_qubit must be non-negative")
-        if self.scenario is not None and not self.scenario:
-            raise ValueError("scenario must be None or a non-empty name")
-        if self.tenants is not None and not self.tenants:
-            raise ValueError("tenants must be None or a non-empty mix name")
         if self.max_requeues < 0:
             raise ValueError("max_requeues must be non-negative")
+        for axis in AXES:
+            if getattr(self, axis.field) == "":
+                raise ValueError(f"{axis.field} must be None or a non-empty name")
         if self.regions is not None:
-            if not self.regions:
-                raise ValueError("regions must be None or a non-empty topology name")
             from repro.region.router import ROUTING_POLICIES
 
             if self.routing not in ROUTING_POLICIES:
                 raise ValueError(
                     f"routing must be one of {ROUTING_POLICIES}, got {self.routing!r}"
                 )
-        if self.adaptive is not None and not self.adaptive:
-            raise ValueError("adaptive must be None or a non-empty policy name")
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict view (for logging next to results)."""
@@ -154,38 +150,4 @@ class SimulationConfig:
         """Copy of the configuration with a different job count (for quick runs)."""
         payload = asdict(self)
         payload["num_jobs"] = num_jobs
-        return SimulationConfig(**payload)
-
-    def with_scenario(self, scenario: Optional[str]) -> "SimulationConfig":
-        """Copy of the configuration with a different scenario."""
-        payload = asdict(self)
-        payload["scenario"] = scenario
-        return SimulationConfig(**payload)
-
-    def with_tenants(self, tenants: Optional[str]) -> "SimulationConfig":
-        """Copy of the configuration with a different tenant mix."""
-        payload = asdict(self)
-        payload["tenants"] = tenants
-        return SimulationConfig(**payload)
-
-    def with_checkpointing(self, checkpointing: bool = True) -> "SimulationConfig":
-        """Copy of the configuration with checkpointed preemption toggled."""
-        payload = asdict(self)
-        payload["checkpointing"] = checkpointing
-        return SimulationConfig(**payload)
-
-    def with_regions(
-        self, regions: Optional[str], routing: Optional[str] = None
-    ) -> "SimulationConfig":
-        """Copy of the configuration with a different region topology."""
-        payload = asdict(self)
-        payload["regions"] = regions
-        if routing is not None:
-            payload["routing"] = routing
-        return SimulationConfig(**payload)
-
-    def with_adaptive(self, adaptive: Optional[str]) -> "SimulationConfig":
-        """Copy of the configuration with a different adaptive QoS policy."""
-        payload = asdict(self)
-        payload["adaptive"] = adaptive
         return SimulationConfig(**payload)

@@ -29,6 +29,7 @@ from repro.cloud.records import JobRecord, JobRecordsManager
 from repro.des.environment import Environment
 from repro.hardware.backends import build_default_fleet, get_device_profile
 from repro.metrics.aggregate import StrategySummary, summarize_records
+from repro.registry import AXES_BY_FIELD
 
 __all__ = ["QCloudSimEnv"]
 
@@ -112,35 +113,18 @@ class QCloudSimEnv(Environment):
         super().__init__()
         self.config = config if config is not None else SimulationConfig()
 
-        # -- scenario ----------------------------------------------------------
-        if scenario is None and self.config.scenario is not None:
-            scenario = self.config.scenario
-        if isinstance(scenario, str):
-            from repro.dynamics import resolve_scenario
+        # -- named axes: an argument overrides its config field; each registry
+        # is imported only when its axis is in use.
+        def resolve(field: str, ref: Any) -> Any:
+            ref = ref if ref is not None else getattr(self.config, field)
+            return None if ref is None else AXES_BY_FIELD[field].registry.resolve(ref)
 
-            scenario = resolve_scenario(scenario)
         #: The resolved scenario (or ``None`` for a plain static run).
-        self.scenario = scenario
-
-        # -- tenants ------------------------------------------------------------
-        if tenants is None and self.config.tenants is not None:
-            tenants = self.config.tenants
-        if isinstance(tenants, str):
-            from repro.serve import resolve_tenant_mix
-
-            tenants = resolve_tenant_mix(tenants)
+        self.scenario = resolve("scenario", scenario)
         #: The resolved tenant mix (or ``None`` for a plain single-queue run).
-        self.tenant_mix = tenants
-
-        # -- adaptive QoS --------------------------------------------------------
-        if adaptive is None and self.config.adaptive is not None:
-            adaptive = self.config.adaptive
-        if adaptive is not None:
-            from repro.adaptive import resolve_adaptive_policy
-
-            adaptive = resolve_adaptive_policy(adaptive)
+        self.tenant_mix = resolve("tenants", tenants)
         #: The resolved adaptive policy spec (or ``None`` for open-loop runs).
-        self.adaptive_policy = adaptive
+        self.adaptive_policy = resolve("adaptive", adaptive)
 
         # -- devices -----------------------------------------------------------
         if devices is None:

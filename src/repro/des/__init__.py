@@ -9,12 +9,10 @@ of SimPy that the paper's simulation framework relies on:
 * :class:`~repro.des.events.Timeout`, :class:`~repro.des.events.Event`,
   :class:`~repro.des.events.AllOf` / :class:`~repro.des.events.AnyOf`
   composite conditions,
-* shared resources: :class:`~repro.des.resources.resource.Resource`,
-  :class:`~repro.des.resources.resource.PriorityResource`,
+* shared resources: :class:`~repro.des.resources.resource.Resource` (FIFO
+  usage slots, e.g. the cloud's one-at-a-time admission turn) and
   :class:`~repro.des.resources.container.Container` (used to model QPU qubit
-  pools) and :class:`~repro.des.resources.store.Store` /
-  :class:`~repro.des.resources.store.FilterStore` /
-  :class:`~repro.des.resources.store.PriorityStore`.
+  pools).
 
 The public API mirrors SimPy's so that code written against SimPy (such as the
 quantum-cloud layer in :mod:`repro.cloud`) ports over with only the import
@@ -50,8 +48,7 @@ from repro.des.events import (
 from repro.des.exceptions import Interrupt, SimulationError, StopSimulation
 from repro.des.monitoring import PeriodicSampler, trace_events
 from repro.des.resources.container import Container
-from repro.des.resources.resource import PreemptiveResource, PriorityResource, Resource
-from repro.des.resources.store import FilterStore, PriorityItem, PriorityStore, Store
+from repro.des.resources.resource import Resource
 
 __all__ = [
     "AllOf",
@@ -61,19 +58,14 @@ __all__ = [
     "Container",
     "Environment",
     "Event",
-    "FilterStore",
     "Initialize",
     "Interrupt",
     "Interruption",
     "PeriodicSampler",
-    "PreemptiveResource",
-    "PriorityItem",
-    "PriorityResource",
     "Process",
     "Resource",
     "SimulationError",
     "StopSimulation",
-    "Store",
     "Timeout",
     "trace_events",
 ]

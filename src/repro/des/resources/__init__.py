@@ -2,43 +2,16 @@
 
 from repro.des.resources.base import BaseResource, Get, Put
 from repro.des.resources.container import Container, ContainerGet, ContainerPut
-from repro.des.resources.resource import (
-    PreemptiveResource,
-    Preempted,
-    PriorityRequest,
-    PriorityResource,
-    Release,
-    Request,
-    Resource,
-)
-from repro.des.resources.store import (
-    FilterStore,
-    FilterStoreGet,
-    PriorityItem,
-    PriorityStore,
-    Store,
-    StoreGet,
-    StorePut,
-)
+from repro.des.resources.resource import Release, Request, Resource
 
 __all__ = [
     "BaseResource",
     "Container",
     "ContainerGet",
     "ContainerPut",
-    "FilterStore",
-    "FilterStoreGet",
     "Get",
-    "Preempted",
-    "PreemptiveResource",
-    "PriorityItem",
-    "PriorityRequest",
-    "PriorityResource",
     "Put",
     "Release",
     "Request",
     "Resource",
-    "Store",
-    "StoreGet",
-    "StorePut",
 ]

@@ -2,39 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 from repro.des.resources.base import BaseResource, Get, Put
-from repro.des.exceptions import Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.des.environment import Environment
 
-__all__ = [
-    "Request",
-    "Release",
-    "PriorityRequest",
-    "Preempted",
-    "Resource",
-    "PriorityResource",
-    "PreemptiveResource",
-    "SortedQueue",
-]
-
-
-class Preempted:
-    """Cause of an :class:`~repro.des.exceptions.Interrupt` due to preemption."""
-
-    def __init__(self, by: Any, usage_since: float, resource: "Resource") -> None:
-        #: The preempting request's process.
-        self.by = by
-        #: Simulation time at which the preempted process acquired the resource.
-        self.usage_since = usage_since
-        #: The resource on which preemption happened.
-        self.resource = resource
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Preempted(by={self.by!r}, usage_since={self.usage_since}, resource={self.resource!r})"
+__all__ = ["Request", "Release", "Resource"]
 
 
 class Request(Put):
@@ -66,35 +41,6 @@ class Release(Get):
     def __init__(self, resource: "Resource", request: Request) -> None:
         self.request = request
         super().__init__(resource)
-
-
-class PriorityRequest(Request):
-    """Request a slot with a *priority* (smaller = more important).
-
-    Ties are broken by request time, then by preemption flag.
-    """
-
-    def __init__(self, resource: "Resource", priority: int = 0, preempt: bool = True) -> None:
-        self.priority = priority
-        self.preempt = preempt
-        self.time = resource.env.now
-        #: Sort key used by :class:`SortedQueue`.
-        self.key = (self.priority, self.time, not self.preempt)
-        super().__init__(resource)
-
-
-class SortedQueue(list):
-    """A list kept sorted by the items' ``key`` attribute."""
-
-    def __init__(self, maxlen: Optional[int] = None) -> None:
-        super().__init__()
-        self.maxlen = maxlen
-
-    def append(self, item: Any) -> None:
-        if self.maxlen is not None and len(self) >= self.maxlen:
-            raise RuntimeError("Cannot append event. Queue is full.")
-        super().append(item)
-        super().sort(key=lambda e: e.key)
 
 
 class Resource(BaseResource):
@@ -141,43 +87,3 @@ class Resource(BaseResource):
         except ValueError:
             pass
         event.succeed()
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` that grants pending requests by priority."""
-
-    PutQueue = SortedQueue
-    GetQueue = list
-
-    _request_cls = PriorityRequest
-
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        super().__init__(env, capacity)
-
-
-class PreemptiveResource(PriorityResource):
-    """A :class:`PriorityResource` where higher-priority requests may preempt.
-
-    If a request with ``preempt=True`` arrives while all slots are taken and
-    the lowest-priority user has strictly lower priority, that user's process
-    is interrupted with a :class:`Preempted` cause and evicted.
-    """
-
-    users: List[PriorityRequest]
-
-    def _do_put(self, event: PriorityRequest) -> None:
-        if len(self.users) >= self.capacity and event.preempt:
-            # Find the user with the *worst* key (largest), if any is worse
-            # than the incoming request.
-            preempt = sorted(self.users, key=lambda e: e.key)[-1]
-            if preempt.key > event.key:
-                self.users.remove(preempt)
-                if preempt.proc is not None:
-                    preempt.proc.interrupt(
-                        Preempted(
-                            by=event.proc,
-                            usage_since=preempt.usage_since,
-                            resource=self,
-                        )
-                    )
-        return super()._do_put(event)

@@ -29,6 +29,7 @@ scenario leaves results byte-identical to a scenario-less run.
 
 from repro.dynamics.engine import ScenarioEngine
 from repro.dynamics.presets import (
+    SCENARIOS,
     available_scenarios,
     get_scenario,
     register_scenario,
@@ -47,6 +48,7 @@ from repro.dynamics.trace import TRACE_VERSION, load_trace, save_trace
 from repro.dynamics.workload import scenario_jobs
 
 __all__ = [
+    "SCENARIOS",
     "CALIBRATION_CATEGORIES",
     "TRACE_VERSION",
     "DriftSpec",

@@ -1,9 +1,10 @@
 """Named scenario presets and the scenario registry.
 
-The registry maps scenario names to :class:`~repro.dynamics.scenario.Scenario`
-instances so that configurations, experiment grids and the CLI can select
-world dynamics by name (``SimulationConfig(scenario="rush-hour")``,
-``repro compare --scenario flaky-fleet``).  Five presets ship built-in:
+:data:`SCENARIOS` (a :class:`~repro.registry.SpecRegistry`) maps scenario
+names to :class:`~repro.dynamics.scenario.Scenario` instances so that
+configurations, experiment grids and the CLI can select world dynamics by
+name (``SimulationConfig(scenario="rush-hour")``, ``repro compare --scenario
+flaky-fleet``).  Five presets ship built-in:
 
 ==============  ==============================================================
 ``static``      no dynamics at all — byte-identical to a scenario-less run
@@ -13,13 +14,19 @@ world dynamics by name (``SimulationConfig(scenario="rush-hour")``,
 ``black-friday`` MMPP burst arrivals + heavy-tail job sizes + overload outages
 ==============  ==============================================================
 
+and then the six region-local scenarios the multi-region topologies use
+(``region-blackout``, ``region-rush-am``/``-pm``, ``region-sun-00``/``-08``/
+``-16``), so every preset resolves in any interpreter, pool workers included.
+
 A name ending in ``.jsonl`` (or prefixed ``trace:``) resolves to a replay
-scenario loaded from that trace file (see :mod:`repro.dynamics.trace`).
+scenario loaded from that trace file (see :mod:`repro.dynamics.trace`) and is
+fingerprinted by the file's bytes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+import math
+from typing import Optional
 
 from repro.dynamics.scenario import (
     DriftSpec,
@@ -28,45 +35,32 @@ from repro.dynamics.scenario import (
     Scenario,
     TrafficSpec,
 )
+from repro.dynamics.trace import load_trace
+from repro.registry import SpecRegistry
 
 __all__ = [
+    "SCENARIOS",
     "register_scenario",
     "get_scenario",
     "available_scenarios",
     "resolve_scenario",
 ]
 
-_REGISTRY: Dict[str, Scenario] = {}
+
+def _trace_path(name: str) -> Optional[str]:
+    """The trace file a ``trace:<path>`` / ``*.jsonl`` reference names."""
+    if name.startswith("trace:"):
+        return name[len("trace:"):]
+    return name if name.endswith(".jsonl") else None
 
 
-def register_scenario(scenario: Scenario) -> None:
-    """Register *scenario* under its name (overwrites existing entries)."""
-    _REGISTRY[scenario.name] = scenario
-
-
-def get_scenario(name: str) -> Scenario:
-    """Look up a registered scenario by name."""
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown scenario {name!r}; available: {available_scenarios()}")
-    return _REGISTRY[name]
-
-
-def available_scenarios() -> List[str]:
-    """Names of all registered scenarios (presets first, in preset order)."""
-    return list(_REGISTRY)
-
-
-def resolve_scenario(name: str) -> Scenario:
-    """Resolve a scenario reference: a registered name, or a trace path.
-
-    ``"trace:<path>"`` and any name ending in ``".jsonl"`` load a replay
-    scenario from that trace file.
-    """
-    if name.startswith("trace:") or name.endswith(".jsonl"):
-        from repro.dynamics.trace import load_trace
-
-        return load_trace(name[len("trace:"):] if name.startswith("trace:") else name)
-    return get_scenario(name)
+SCENARIOS: SpecRegistry[Scenario] = SpecRegistry(
+    "scenario", Scenario, file_path=_trace_path, load_file=load_trace
+)
+register_scenario = SCENARIOS.register
+get_scenario = SCENARIOS.get
+available_scenarios = SCENARIOS.available
+resolve_scenario = SCENARIOS.resolve
 
 
 def _register_presets() -> None:
@@ -128,6 +122,47 @@ def _register_presets() -> None:
             outages=OutageSpec(mtbf=6000.0, mttr=300.0, kill_running=True),
         )
     )
+    # Region-local world dynamics for the multi-region topologies (a half
+    # fleet drains the case-study batch in roughly twice the full fleet's time).
+    register_scenario(
+        Scenario(
+            name="region-blackout",
+            description="whole-fleet maintenance for the first 1,800 s (region-wide outage)",
+            maintenance=(
+                MaintenanceWindow(start=0.0, duration=1800.0, device=None, kill_running=True),
+            ),
+        )
+    )
+    register_scenario(
+        Scenario(
+            name="region-rush-am",
+            description="diurnal origin traffic peaking in the morning half-period",
+            traffic=TrafficSpec(model="diurnal", rate=0.008, peak_rate=0.1,
+                                period=7200.0, phase=math.pi),
+        )
+    )
+    register_scenario(
+        Scenario(
+            name="region-rush-pm",
+            description="diurnal origin traffic peaking in the evening half-period",
+            traffic=TrafficSpec(model="diurnal", rate=0.008, peak_rate=0.1,
+                                period=7200.0, phase=0.0),
+        )
+    )
+    for hours in (0, 8, 16):
+        register_scenario(
+            Scenario(
+                name=f"region-sun-{hours:02d}",
+                description=f"diurnal origin traffic of a timezone {hours} h ahead of UTC",
+                traffic=TrafficSpec(
+                    model="diurnal",
+                    rate=0.006,
+                    peak_rate=0.08,
+                    period=10_800.0,
+                    phase=2.0 * math.pi * hours / 24.0,
+                ),
+            )
+        )
 
 
 _register_presets()

@@ -17,26 +17,16 @@ are bit-for-bit reproducible.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cloud.config import SimulationConfig
 from repro.cloud.qjob import QJob
+from repro.registry import AXES
 
 __all__ = ["derive_seed", "PolicySpec", "ExperimentCell", "ExperimentSpec"]
-
-#: Sentinel: no scenario axis requested — cells keep the base config's scenario.
-_KEEP_SCENARIO = object()
-
-#: Sentinel: no tenant axis requested — cells keep the base config's tenants.
-_KEEP_TENANTS = object()
-
-#: Sentinel: no regions axis requested — cells keep the base config's regions.
-_KEEP_REGIONS = object()
-
-#: Sentinel: no adaptive axis requested — cells keep the base config's adaptive.
-_KEEP_ADAPTIVE = object()
 
 
 def derive_seed(base_seed: Optional[int], *components: Any) -> int:
@@ -82,97 +72,6 @@ def _jobs_fingerprint(jobs: Sequence[QJob]) -> str:
     return hashlib.sha256(repr(parts).encode("utf-8")).hexdigest()
 
 
-def _scenario_fingerprint(name: str) -> Optional[str]:
-    """Content hash of what a scenario reference *currently* resolves to.
-
-    The config only carries the scenario's name (or trace path), but the
-    content behind it can change — a trace file re-recorded in place, a
-    custom scenario re-registered with different specs.  Folding the
-    resolved content into the cache key keeps the result store honest;
-    ``None`` marks the cell uncacheable (unresolvable references fail at
-    execution time instead of poisoning the cache).
-    """
-    if name.startswith("trace:") or name.endswith(".jsonl"):
-        from pathlib import Path
-
-        path = name[len("trace:"):] if name.startswith("trace:") else name
-        try:
-            blob = Path(path).read_bytes()
-        except OSError:
-            return None
-        return hashlib.sha256(blob).hexdigest()
-    try:
-        from repro.dynamics import get_scenario
-    except ImportError:  # pragma: no cover - dynamics always ships
-        return None
-    try:
-        # Frozen-dataclass reprs are deterministic content descriptions.
-        return hashlib.sha256(repr(get_scenario(name)).encode("utf-8")).hexdigest()
-    except KeyError:
-        return None
-
-
-def _tenants_fingerprint(name: str) -> Optional[str]:
-    """Content hash of what a tenant-mix reference currently resolves to.
-
-    Same honesty contract as :func:`_scenario_fingerprint`: a mix
-    re-registered with different tenants must not return stale cache hits,
-    and an unresolvable reference marks the cell uncacheable.
-    """
-    try:
-        from repro.serve import get_tenant_mix
-    except ImportError:  # pragma: no cover - serve always ships
-        return None
-    try:
-        return hashlib.sha256(repr(get_tenant_mix(name)).encode("utf-8")).hexdigest()
-    except KeyError:
-        return None
-
-
-def _regions_fingerprint(name: str) -> Optional[str]:
-    """Content hash of what a region-topology reference currently resolves to.
-
-    A topology's repr covers its regions, links and workload shares, but the
-    world behind it also includes every per-region *scenario* — so those are
-    folded in through :func:`_scenario_fingerprint` (a re-registered region
-    scenario must not return stale cache hits).  ``None`` marks the cell
-    uncacheable.
-    """
-    try:
-        from repro.region import get_topology
-    except ImportError:  # pragma: no cover - region always ships
-        return None
-    try:
-        topology = get_topology(name)
-    except KeyError:
-        return None
-    parts: List[str] = [repr(topology)]
-    for region in topology.regions:
-        if region.scenario is not None:
-            content = _scenario_fingerprint(region.scenario)
-            if content is None:
-                return None
-            parts.append(f"{region.name}:{content}")
-    return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()
-
-
-def _adaptive_fingerprint(name: str) -> Optional[str]:
-    """Content hash of what an adaptive-policy reference currently resolves to.
-
-    Same honesty contract as :func:`_scenario_fingerprint`: a policy
-    re-registered with different gains must not return stale cache hits,
-    and an unresolvable reference marks the cell uncacheable.
-    """
-    try:
-        from repro.adaptive import get_adaptive_policy
-    except ImportError:  # pragma: no cover - adaptive always ships
-        return None
-    try:
-        return hashlib.sha256(repr(get_adaptive_policy(name)).encode("utf-8")).hexdigest()
-    except KeyError:
-        return None
-
-
 @dataclass(frozen=True)
 class ExperimentCell:
     """One grid cell: a single simulation to run and summarise.
@@ -201,40 +100,22 @@ class ExperimentCell:
     def cache_key(self) -> Optional[str]:
         """Content hash identifying this cell's result, or ``None`` if the
         cell is uncacheable (it carries a prebuilt policy instance, or a
-        scenario reference whose content cannot be resolved right now)."""
+        named-axis reference whose content cannot be resolved right now)."""
         if self.policy is not None:
             return None
-        scenario_content = None
-        if self.config.scenario is not None:
-            scenario_content = _scenario_fingerprint(self.config.scenario)
-            if scenario_content is None:
-                return None
-        tenants_content = None
-        if self.config.tenants is not None:
-            tenants_content = _tenants_fingerprint(self.config.tenants)
-            if tenants_content is None:
-                return None
-        regions_content = None
-        if getattr(self.config, "regions", None) is not None:
-            regions_content = _regions_fingerprint(self.config.regions)
-            if regions_content is None:
-                return None
-        adaptive_content = None
-        if getattr(self.config, "adaptive", None) is not None:
-            adaptive_content = _adaptive_fingerprint(self.config.adaptive)
-            if adaptive_content is None:
-                return None
         payload: Dict[str, Any] = {
             "strategy": self.strategy,
             "seed": self.seed,
             "config": self.config.as_dict(),
-            "scenario_content": scenario_content,
-            "tenants_content": tenants_content,
-            "regions_content": regions_content,
-            "adaptive_content": adaptive_content,
             "policy_spec": self.policy_spec.fingerprint() if self.policy_spec else None,
             "jobs": _jobs_fingerprint(self.jobs) if self.jobs is not None else None,
         }
+        for axis in AXES:
+            name = getattr(self.config, axis.field)
+            content = None if name is None else axis.registry.fingerprint(name)
+            if name is not None and content is None:
+                return None
+            payload[f"{axis.field}_content"] = content
         blob = json.dumps(payload, sort_keys=True, default=repr).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()
 
@@ -268,26 +149,13 @@ class ExperimentSpec:
         RL model; such cells are uncacheable).
     jobs:
         Explicit workload shared by every cell (cloned per simulation).
-    scenarios:
-        Grid axis of world-dynamics scenario names (see
-        :mod:`repro.dynamics`); each entry becomes one grid column (crossed
-        with ``overrides``).  ``None`` in the tuple means "no scenario";
-        omitting the axis keeps the base config's own scenario.
-    tenant_mixes:
-        Grid axis of multi-tenant mix names (see :mod:`repro.serve`);
-        crossed with ``scenarios`` and ``overrides``.  ``None`` in the tuple
-        means "plain single-queue broker"; omitting the axis keeps the base
-        config's own tenants.
-    regions:
-        Grid axis of region-topology names (see :mod:`repro.region`);
-        crossed with every other axis (outermost).  ``None`` in the tuple
-        means "plain single-broker cloud"; omitting the axis keeps the base
-        config's own regions.
-    adaptive:
-        Grid axis of adaptive-QoS policy names (see :mod:`repro.adaptive`);
-        crossed with every other axis (inside ``regions``).  ``None`` in the
-        tuple means "open-loop engine"; omitting the axis keeps the base
-        config's own adaptive policy.
+    scenarios, tenant_mixes, regions, adaptive:
+        Grid axes of the named specs (:data:`repro.registry.AXES`: scenario,
+        tenant mix, region topology, adaptive policy), crossed with every
+        other axis; the grid runs regions-major, then adaptive, tenant mix,
+        scenario and ``overrides``.  ``None`` in a tuple clears the field
+        (static world, plain broker, single-broker cloud, open loop);
+        omitting an axis keeps the base config's own value.
     """
 
     base_config: SimulationConfig
@@ -315,14 +183,9 @@ class ExperimentSpec:
             raise ValueError("seeds must be non-empty when given")
         if not self.overrides:
             raise ValueError("overrides must be non-empty (use ({},) for none)")
-        if self.scenarios is not None and not self.scenarios:
-            raise ValueError("scenarios must be non-empty when given")
-        if self.tenant_mixes is not None and not self.tenant_mixes:
-            raise ValueError("tenant_mixes must be non-empty when given")
-        if self.regions is not None and not self.regions:
-            raise ValueError("regions must be non-empty when given")
-        if self.adaptive is not None and not self.adaptive:
-            raise ValueError("adaptive must be non-empty when given")
+        for axis in AXES:
+            if getattr(self, axis.grid) is not None and not getattr(self, axis.grid):
+                raise ValueError(f"{axis.grid} must be non-empty when given")
 
     def replicate_seeds(self) -> List[int]:
         """The workload seed of every replicate (deterministic)."""
@@ -339,65 +202,35 @@ class ExperimentSpec:
         """Expand the grid into flat cells (regions-major, then adaptive,
         then tenant mix, then scenario, then override, then replicate, then
         strategy — Table 2 order inside each replicate)."""
+        # Omitted axes keep the base config's value and add no grid level.
+        grids = [(axis.field, getattr(self, axis.grid)) for axis in AXES]
+        grids = [(name, grid) for name, grid in grids if grid is not None]
         cells: List[ExperimentCell] = []
-        index = 0
-        scenario_axis: Tuple[Any, ...] = (
-            self.scenarios if self.scenarios is not None else (_KEEP_SCENARIO,)
-        )
-        tenants_axis: Tuple[Any, ...] = (
-            self.tenant_mixes if self.tenant_mixes is not None else (_KEEP_TENANTS,)
-        )
-        regions_axis: Tuple[Any, ...] = (
-            self.regions if self.regions is not None else (_KEEP_REGIONS,)
-        )
-        adaptive_axis: Tuple[Any, ...] = (
-            self.adaptive if self.adaptive is not None else (_KEEP_ADAPTIVE,)
-        )
-        for regions in regions_axis:
-            for adaptive in adaptive_axis:
-                for tenants in tenants_axis:
-                    for scenario in scenario_axis:
-                        for override in self.overrides:
-                            for replicate, seed in enumerate(self.replicate_seeds()):
-                                for strategy in self.strategies:
-                                    payload = dict(self.base_config.as_dict())
-                                    payload.update(override)
-                                    payload["policy"] = strategy
-                                    payload["seed"] = seed
-                                    if scenario is not _KEEP_SCENARIO:
-                                        payload["scenario"] = scenario
-                                    if tenants is not _KEEP_TENANTS:
-                                        payload["tenants"] = tenants
-                                    if regions is not _KEEP_REGIONS:
-                                        payload["regions"] = regions
-                                    if adaptive is not _KEEP_ADAPTIVE:
-                                        payload["adaptive"] = adaptive
-                                    cells.append(
-                                        ExperimentCell(
-                                            index=index,
-                                            strategy=strategy,
-                                            seed=seed,
-                                            config=SimulationConfig(**payload),
-                                            policy_spec=self.policy_specs.get(strategy),
-                                            policy=self.policies.get(strategy),
-                                            jobs=self.jobs,
-                                            replicate=replicate,
-                                        )
-                                    )
-                                    index += 1
+        for named in itertools.product(*(grid for _, grid in grids)):
+            for override in self.overrides:
+                for replicate, seed in enumerate(self.replicate_seeds()):
+                    for strategy in self.strategies:
+                        payload = dict(self.base_config.as_dict())
+                        payload.update(override)
+                        payload["policy"] = strategy
+                        payload["seed"] = seed
+                        payload.update(zip((name for name, _ in grids), named))
+                        cells.append(
+                            ExperimentCell(
+                                index=len(cells),
+                                strategy=strategy,
+                                seed=seed,
+                                config=SimulationConfig(**payload),
+                                policy_spec=self.policy_specs.get(strategy),
+                                policy=self.policies.get(strategy),
+                                jobs=self.jobs,
+                                replicate=replicate,
+                            )
+                        )
         return cells
 
     def __len__(self) -> int:
-        scenario_count = len(self.scenarios) if self.scenarios is not None else 1
-        tenants_count = len(self.tenant_mixes) if self.tenant_mixes is not None else 1
-        regions_count = len(self.regions) if self.regions is not None else 1
-        adaptive_count = len(self.adaptive) if self.adaptive is not None else 1
-        return (
-            len(self.strategies)
-            * len(self.replicate_seeds())
-            * len(self.overrides)
-            * scenario_count
-            * tenants_count
-            * regions_count
-            * adaptive_count
-        )
+        count = len(self.strategies) * len(self.replicate_seeds()) * len(self.overrides)
+        for axis in AXES:
+            count *= len(getattr(self, axis.grid) or (None,))
+        return count

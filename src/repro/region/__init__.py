@@ -40,6 +40,7 @@ from repro.region.cloud import (
     route_jobs_to_regions,
 )
 from repro.region.presets import (
+    TOPOLOGIES,
     available_topologies,
     get_topology,
     register_topology,
@@ -49,6 +50,7 @@ from repro.region.router import ROUTING_POLICIES, RegionState, Router
 from repro.region.spec import DEFAULT_REGION_LINK, RegionLink, RegionSpec, RegionTopology
 
 __all__ = [
+    "TOPOLOGIES",
     "DEFAULT_REGION_LINK",
     "ROUTING_POLICIES",
     "RegionLink",

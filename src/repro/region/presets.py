@@ -1,8 +1,8 @@
 """Named region-topology presets and the topology registry.
 
-The registry maps topology names to
-:class:`~repro.region.spec.RegionTopology` instances so configurations,
-experiment grids and the CLI can select a sharded cloud by name
+:data:`TOPOLOGIES` (a :class:`~repro.registry.SpecRegistry`) maps topology
+names to :class:`~repro.region.spec.RegionTopology` instances so
+configurations, experiment grids and the CLI can select a sharded cloud by name
 (``SimulationConfig(regions="dual")``, ``repro simulate --regions
 follow-the-sun``).  Six presets ship built-in:
 
@@ -26,50 +26,48 @@ follow-the-sun``).  Six presets ship built-in:
 
 A region's pool lists device *models* from the hardware catalogue; the same
 model may be deployed in several regions (each shard instantiates its own
-copy).  The traffic/outage scenarios the presets reference are registered in
-the :mod:`repro.dynamics` scenario registry when this module is imported.
+copy).  The traffic/outage scenarios the presets reference
+(``region-blackout``, ``region-rush-am``/``-pm``, ``region-sun-*``) are
+built-in :mod:`repro.dynamics` presets.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Union
+from typing import List, Optional
 
-from repro.dynamics import MaintenanceWindow, Scenario, TrafficSpec, register_scenario
+from repro.dynamics import SCENARIOS
 from repro.region.spec import RegionSpec, RegionTopology
+from repro.registry import SpecRegistry
 
 __all__ = [
+    "TOPOLOGIES",
     "register_topology",
     "get_topology",
     "available_topologies",
     "resolve_topology",
 ]
 
-_REGISTRY: Dict[str, RegionTopology] = {}
+
+def _region_scenario_content(topology: RegionTopology) -> Optional[List[str]]:
+    """Fingerprints of the region scenarios *topology* names (``None`` if
+    one does not resolve): re-registering one changes the topology's world."""
+    parts: List[str] = []
+    for region in topology.regions:
+        if region.scenario is not None:
+            content = SCENARIOS.fingerprint(region.scenario)
+            if content is None:
+                return None
+            parts.append(f"{region.name}:{content}")
+    return parts
 
 
-def register_topology(topology: RegionTopology) -> None:
-    """Register *topology* under its name (overwrites existing entries)."""
-    _REGISTRY[topology.name] = topology
-
-
-def get_topology(name: str) -> RegionTopology:
-    """Look up a registered topology by name."""
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown region topology {name!r}; available: {available_topologies()}")
-    return _REGISTRY[name]
-
-
-def available_topologies() -> List[str]:
-    """Names of all registered topologies (presets first, in preset order)."""
-    return list(_REGISTRY)
-
-
-def resolve_topology(topology: Union[str, RegionTopology]) -> RegionTopology:
-    """Resolve a topology reference: a registered name or an explicit instance."""
-    if isinstance(topology, RegionTopology):
-        return topology
-    return get_topology(topology)
+TOPOLOGIES: SpecRegistry[RegionTopology] = SpecRegistry(
+    "region topology", RegionTopology, depends_on=_region_scenario_content
+)
+register_topology = TOPOLOGIES.register
+get_topology = TOPOLOGIES.get
+available_topologies = TOPOLOGIES.available
+resolve_topology = TOPOLOGIES.resolve
 
 
 #: Device pools of the multi-region presets (catalogue model names).
@@ -77,51 +75,6 @@ _EU_POOL = ("ibm_strasbourg", "ibm_brussels")
 _US_POOL = ("ibm_kyiv", "ibm_quebec", "ibm_kawasaki")
 _US_SMALL_POOL = ("ibm_kyiv", "ibm_quebec")
 _AP_POOL = ("ibm_kawasaki", "ibm_kyiv")
-
-
-def _register_region_scenarios() -> None:
-    # Region-local world dynamics, sized like the dynamics presets against
-    # the paper's case study (a 100-job batch drains in ~5-6 k simulated
-    # seconds on the full fleet; a half fleet takes roughly twice that).
-    register_scenario(
-        Scenario(
-            name="region-blackout",
-            description="whole-fleet maintenance for the first 1,800 s (region-wide outage)",
-            maintenance=(
-                MaintenanceWindow(start=0.0, duration=1800.0, device=None, kill_running=True),
-            ),
-        )
-    )
-    register_scenario(
-        Scenario(
-            name="region-rush-am",
-            description="diurnal origin traffic peaking in the morning half-period",
-            traffic=TrafficSpec(model="diurnal", rate=0.008, peak_rate=0.1,
-                                period=7200.0, phase=math.pi),
-        )
-    )
-    register_scenario(
-        Scenario(
-            name="region-rush-pm",
-            description="diurnal origin traffic peaking in the evening half-period",
-            traffic=TrafficSpec(model="diurnal", rate=0.008, peak_rate=0.1,
-                                period=7200.0, phase=0.0),
-        )
-    )
-    for hours in (0, 8, 16):
-        register_scenario(
-            Scenario(
-                name=f"region-sun-{hours:02d}",
-                description=f"diurnal origin traffic of a timezone {hours} h ahead of UTC",
-                traffic=TrafficSpec(
-                    model="diurnal",
-                    rate=0.006,
-                    peak_rate=0.08,
-                    period=10_800.0,
-                    phase=2.0 * math.pi * hours / 24.0,
-                ),
-            )
-        )
 
 
 def _register_presets() -> None:
@@ -216,5 +169,4 @@ def _register_presets() -> None:
     )
 
 
-_register_region_scenarios()
 _register_presets()

@@ -34,6 +34,7 @@ from repro.serve.accounting import (
 from repro.serve.admission import AdmissionController, AdmissionDecision
 from repro.serve.broker import ServeBroker
 from repro.serve.presets import (
+    TENANT_MIXES,
     available_tenant_mixes,
     get_tenant_mix,
     register_tenant_mix,
@@ -43,6 +44,7 @@ from repro.serve.tenant import AdmissionSpec, SLOSpec, TenantMix, TenantSpec
 from repro.serve.workload import apportion_jobs, route_jobs_to_tenants, tenant_jobs
 
 __all__ = [
+    "TENANT_MIXES",
     "AdmissionController",
     "AdmissionDecision",
     "AdmissionSpec",

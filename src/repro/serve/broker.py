@@ -60,10 +60,9 @@ class _DispatchTicket(Request):
 class _TicketQueue(list):
     """A list kept sorted by ticket key.
 
-    Unlike :class:`~repro.des.resources.resource.SortedQueue` (which re-sorts
-    on every append), insertion uses :func:`bisect.insort` — O(log n)
-    comparisons per enqueue, which matters when arrival storms keep the
-    dispatch queue hundreds of tickets deep.  ``insort`` keeps equal keys in
+    Insertion uses :func:`bisect.insort` rather than re-sorting on every
+    append — O(log n) comparisons per enqueue, which matters when arrival
+    storms keep the dispatch queue hundreds of tickets deep.  ``insort`` keeps equal keys in
     insertion order, matching a stable sort.
     """
 

@@ -1,9 +1,10 @@
 """Named tenant-mix presets and the tenant-mix registry.
 
-The registry maps mix names to :class:`~repro.serve.tenant.TenantMix`
-instances so that configurations, experiment grids and the CLI can select a
-demand mix by name (``SimulationConfig(tenants="free-tier-vs-premium")``,
-``repro serve --tenants noisy-neighbor``).  Four presets ship built-in:
+:data:`TENANT_MIXES` (a :class:`~repro.registry.SpecRegistry`) maps mix
+names to :class:`~repro.serve.tenant.TenantMix` instances so that
+configurations, experiment grids and the CLI can select a demand mix by name
+(``SimulationConfig(tenants="free-tier-vs-premium")``, ``repro serve
+--tenants noisy-neighbor``).  Four presets ship built-in:
 
 =======================  =====================================================
 ``single``               one unlimited tenant, default workload — byte-
@@ -22,43 +23,23 @@ workload (a 100-job batch drains in roughly 5-6 k simulated seconds).
 
 from __future__ import annotations
 
-from typing import Dict, List, Union
-
 from repro.dynamics.scenario import TrafficSpec
+from repro.registry import SpecRegistry
 from repro.serve.tenant import AdmissionSpec, SLOSpec, TenantMix, TenantSpec
 
 __all__ = [
+    "TENANT_MIXES",
     "register_tenant_mix",
     "get_tenant_mix",
     "available_tenant_mixes",
     "resolve_tenant_mix",
 ]
 
-_REGISTRY: Dict[str, TenantMix] = {}
-
-
-def register_tenant_mix(mix: TenantMix) -> None:
-    """Register *mix* under its name (overwrites existing entries)."""
-    _REGISTRY[mix.name] = mix
-
-
-def get_tenant_mix(name: str) -> TenantMix:
-    """Look up a registered tenant mix by name."""
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown tenant mix {name!r}; available: {available_tenant_mixes()}")
-    return _REGISTRY[name]
-
-
-def available_tenant_mixes() -> List[str]:
-    """Names of all registered tenant mixes (presets first, in preset order)."""
-    return list(_REGISTRY)
-
-
-def resolve_tenant_mix(mix: Union[str, TenantMix]) -> TenantMix:
-    """Resolve a mix reference: a registered name or an explicit instance."""
-    if isinstance(mix, TenantMix):
-        return mix
-    return get_tenant_mix(mix)
+TENANT_MIXES: SpecRegistry[TenantMix] = SpecRegistry("tenant mix", TenantMix)
+register_tenant_mix = TENANT_MIXES.register
+get_tenant_mix = TENANT_MIXES.get
+available_tenant_mixes = TENANT_MIXES.available
+resolve_tenant_mix = TENANT_MIXES.resolve
 
 
 def _register_presets() -> None:

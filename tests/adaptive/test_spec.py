@@ -6,8 +6,6 @@ from repro.adaptive import (
     AdaptivePolicySpec,
     available_adaptive_policies,
     get_adaptive_policy,
-    register_adaptive_policy,
-    resolve_adaptive_policy,
 )
 
 
@@ -73,30 +71,3 @@ class TestValidation:
         spec = get_adaptive_policy("static")
         with pytest.raises(Exception):
             spec.tick_interval = 1.0
-
-
-class TestResolve:
-    def test_none_passes_through(self):
-        assert resolve_adaptive_policy(None) is None
-
-    def test_name_resolves_to_registered_spec(self):
-        assert resolve_adaptive_policy("reactive") is get_adaptive_policy("reactive")
-
-    def test_spec_instance_passes_through(self):
-        spec = AdaptivePolicySpec(name="inline", slo_planner=True)
-        assert resolve_adaptive_policy(spec) is spec
-
-    def test_unknown_name_raises_with_catalogue(self):
-        with pytest.raises(KeyError, match="static"):
-            get_adaptive_policy("nope")
-
-    def test_register_overwrites(self):
-        try:
-            register_adaptive_policy(AdaptivePolicySpec(name="tmp", tick_interval=5.0))
-            assert get_adaptive_policy("tmp").tick_interval == 5.0
-            register_adaptive_policy(AdaptivePolicySpec(name="tmp", tick_interval=9.0))
-            assert get_adaptive_policy("tmp").tick_interval == 9.0
-        finally:
-            from repro.adaptive import spec as spec_mod
-
-            spec_mod._REGISTRY.pop("tmp", None)

@@ -12,13 +12,6 @@ class TestSimulationConfig:
     def test_defaults_to_none(self):
         assert SimulationConfig().adaptive is None
 
-    def test_with_adaptive_copies(self):
-        base = SimulationConfig(num_jobs=5, seed=3)
-        derived = base.with_adaptive("reactive")
-        assert derived.adaptive == "reactive"
-        assert base.adaptive is None
-        assert derived.num_jobs == base.num_jobs
-
     def test_round_trips_through_as_dict(self):
         from dataclasses import asdict
 

@@ -1,5 +1,7 @@
 """Unit tests for the simulation configuration."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cloud.config import SimulationConfig
@@ -47,30 +49,13 @@ class TestDerivedConfigs:
         assert small.num_jobs == 25
         assert small.device_names == cfg.device_names
 
-    def test_with_scenario_copies(self):
+    @pytest.mark.parametrize("field", ["scenario", "tenants", "regions", "adaptive"])
+    def test_named_axes_default_off_and_reject_empty_names(self, field):
         cfg = SimulationConfig(num_jobs=10)
-        drifted = cfg.with_scenario("drift")
-        assert drifted.scenario == "drift"
-        assert drifted.num_jobs == 10
-        assert cfg.scenario is None
-        assert drifted.with_scenario(None).scenario is None
-
-    def test_with_tenants_copies(self):
-        cfg = SimulationConfig(num_jobs=10)
-        served = cfg.with_tenants("free-tier-vs-premium")
-        assert served.tenants == "free-tier-vs-premium"
-        assert served.num_jobs == 10
-        assert cfg.tenants is None
-        assert served.with_tenants(None).tenants is None
-
-    def test_with_checkpointing_copies(self):
-        cfg = SimulationConfig(num_jobs=10)
-        assert cfg.checkpointing is False  # off by default
-        resumable = cfg.with_checkpointing()
-        assert resumable.checkpointing is True
-        assert resumable.num_jobs == 10
-        assert cfg.checkpointing is False
-        assert resumable.with_checkpointing(False).checkpointing is False
+        assert getattr(cfg, field) is None and cfg.checkpointing is False
+        assert getattr(replace(cfg, **{field: "x"}), field) == "x"
+        with pytest.raises(ValueError, match=field):
+            replace(cfg, **{field: ""})
 
     def test_as_dict_roundtrip(self):
         cfg = SimulationConfig(num_jobs=5, seed=9)

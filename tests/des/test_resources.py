@@ -1,9 +1,8 @@
-"""Unit tests for Resource / PriorityResource / PreemptiveResource."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.des import Environment, Interrupt, PreemptiveResource, PriorityResource, Resource
-from repro.des.resources.resource import Preempted
+from repro.des import Resource
 
 
 class TestResource:
@@ -97,91 +96,3 @@ class TestResource:
         env.run()
         assert log == ["gave up"]
         assert len(res.queue) == 0
-
-
-class TestPriorityResource:
-    def test_priority_order(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def user(env, res, name, priority, delay):
-            yield env.timeout(delay)
-            with res.request(priority=priority) as req:
-                yield req
-                order.append(name)
-                yield env.timeout(10)
-
-        env.process(user(env, res, "holder", 0, 0))
-        env.process(user(env, res, "low", 5, 1))
-        env.process(user(env, res, "high", -5, 2))
-        env.run()
-        # After the holder releases, the high-priority request (arriving later)
-        # must be served before the low-priority one.
-        assert order == ["holder", "high", "low"]
-
-    def test_equal_priority_fifo(self, env):
-        res = PriorityResource(env, capacity=1)
-        order = []
-
-        def user(env, res, name, delay):
-            yield env.timeout(delay)
-            with res.request(priority=1) as req:
-                yield req
-                order.append(name)
-                yield env.timeout(5)
-
-        env.process(user(env, res, "a", 0))
-        env.process(user(env, res, "b", 1))
-        env.process(user(env, res, "c", 2))
-        env.run()
-        assert order == ["a", "b", "c"]
-
-
-class TestPreemptiveResource:
-    def test_preemption_interrupts_lower_priority_user(self, env):
-        res = PreemptiveResource(env, capacity=1)
-        log = []
-
-        def low(env, res):
-            with res.request(priority=10) as req:
-                yield req
-                try:
-                    yield env.timeout(100)
-                except Interrupt as interrupt:
-                    cause = interrupt.cause
-                    assert isinstance(cause, Preempted)
-                    log.append(("preempted", env.now, cause.usage_since))
-
-        def high(env, res):
-            yield env.timeout(5)
-            with res.request(priority=-1) as req:
-                yield req
-                log.append(("high acquired", env.now))
-                yield env.timeout(1)
-
-        env.process(low(env, res))
-        env.process(high(env, res))
-        env.run()
-        assert ("preempted", 5, 0) in log
-        assert ("high acquired", 5) in log
-
-    def test_no_preemption_when_disabled(self, env):
-        res = PreemptiveResource(env, capacity=1)
-        log = []
-
-        def low(env, res):
-            with res.request(priority=10) as req:
-                yield req
-                yield env.timeout(20)
-                log.append(("low done", env.now))
-
-        def polite(env, res):
-            yield env.timeout(5)
-            with res.request(priority=-1, preempt=False) as req:
-                yield req
-                log.append(("polite acquired", env.now))
-
-        env.process(low(env, res))
-        env.process(polite(env, res))
-        env.run()
-        assert log == [("low done", 20), ("polite acquired", 20)]

@@ -1,5 +1,11 @@
 """Scenario spec validation, the preset registry and resolution."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.dynamics import (
@@ -11,7 +17,6 @@ from repro.dynamics import (
     WorldEvent,
     available_scenarios,
     get_scenario,
-    register_scenario,
     resolve_scenario,
 )
 
@@ -90,19 +95,27 @@ class TestRegistry:
         for preset in PRESETS:
             assert preset in names
 
-    def test_get_unknown_raises(self):
-        with pytest.raises(KeyError):
-            get_scenario("does-not-exist")
-
-    def test_register_and_resolve_custom(self):
-        scenario = Scenario(name="test-custom", drift=DriftSpec(interval=10.0))
-        register_scenario(scenario)
-        try:
-            assert resolve_scenario("test-custom") is scenario
-        finally:
-            from repro.dynamics import presets
-
-            presets._REGISTRY.pop("test-custom", None)
+    def test_presets_do_not_depend_on_import_order(self):
+        """Every built-in scenario, the region ones included, is registered
+        by ``repro.dynamics`` itself: a fresh interpreter (e.g. a process-pool
+        worker) resolves them without importing ``repro.region`` first."""
+        script = (
+            "import json\n"
+            "from repro.dynamics import available_scenarios, resolve_scenario\n"
+            "fresh = available_scenarios()\n"
+            "resolve_scenario('region-sun-00')\n"
+            "import repro.region\n"
+            "print(json.dumps([fresh, available_scenarios()]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True, capture_output=True, text=True
+        ).stdout
+        fresh, after_region = json.loads(out)
+        assert fresh == after_region
+        assert fresh[: len(PRESETS)] == list(PRESETS)
+        assert "region-sun-00" in fresh
 
     def test_resolve_trace_path_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):

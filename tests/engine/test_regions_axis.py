@@ -46,8 +46,7 @@ class TestRegionsAxis:
         """Re-registering a topology under the same name must change the
         cache key — name-only keys would let the store return stale results."""
         from repro.engine.spec import ExperimentCell
-        from repro.region import RegionSpec, RegionTopology, register_topology
-        from repro.region.presets import _REGISTRY
+        from repro.region import TOPOLOGIES, RegionSpec, RegionTopology, register_topology
 
         def key_for(regions_name):
             config = SimulationConfig(num_jobs=5, regions=regions_name)
@@ -72,7 +71,7 @@ class TestRegionsAxis:
             key_b = key_for("cache-test")
             assert key_a is not None and key_a != key_b
         finally:
-            _REGISTRY.pop("cache-test", None)
+            TOPOLOGIES.pop("cache-test")
 
         # Unresolvable topologies are uncacheable, not wrongly cached.
         assert key_for("not-a-registered-topology") is None

@@ -48,8 +48,7 @@ class TestScenarioAxis:
         the same name must change the cache key — name-only keys would let
         the result store return stale results."""
         from repro.cloud.environment import QCloudSimEnv
-        from repro.dynamics import DriftSpec, Scenario, register_scenario
-        from repro.dynamics.presets import _REGISTRY
+        from repro.dynamics import SCENARIOS, DriftSpec, Scenario, register_scenario
         from repro.engine.spec import ExperimentCell
 
         def key_for(scenario_name):
@@ -78,7 +77,7 @@ class TestScenarioAxis:
             key_d = key_for("cache-test")
             assert key_c is not None and key_c != key_d
         finally:
-            _REGISTRY.pop("cache-test", None)
+            SCENARIOS.pop("cache-test")
 
         # Unresolvable references are uncacheable, not wrongly cached.
         assert key_for(str(tmp_path / "missing.jsonl")) is None

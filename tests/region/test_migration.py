@@ -10,8 +10,7 @@ latency and fidelity penalty).
 import pytest
 
 from repro.cloud.config import SimulationConfig
-from repro.dynamics import MaintenanceWindow, Scenario, register_scenario
-from repro.dynamics.presets import _REGISTRY as _SCENARIOS
+from repro.dynamics import SCENARIOS, MaintenanceWindow, Scenario, register_scenario
 from repro.region import RegionSpec, RegionTopology, RegionalCloud
 
 KILL_SCENARIO = "spill-test-kill"
@@ -45,7 +44,7 @@ def topology():
             ),
         ),
     )
-    _SCENARIOS.pop(KILL_SCENARIO, None)
+    SCENARIOS.pop(KILL_SCENARIO)
 
 
 def _config(**overrides):

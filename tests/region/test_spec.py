@@ -10,7 +10,6 @@ from repro.region import (
     RegionTopology,
     available_topologies,
     get_topology,
-    resolve_topology,
 )
 
 PRESETS = (
@@ -122,15 +121,6 @@ class TestRegistry:
         names = available_topologies()
         for preset in PRESETS:
             assert preset in names
-
-    def test_unknown_topology_raises(self):
-        with pytest.raises(KeyError):
-            get_topology("not-a-topology")
-
-    def test_resolve_passes_instances_through(self):
-        topology = RegionTopology(name="custom", regions=(RegionSpec(name="eu"),))
-        assert resolve_topology(topology) is topology
-        assert resolve_topology("dual") is get_topology("dual")
 
     def test_single_preset_degenerates(self):
         single = get_topology("single")

@@ -44,8 +44,7 @@ class TestStreamingMerge:
         assert [row["job_id"] for row in rows] == sorted(row["job_id"] for row in rows)
 
     def test_failures_flow_into_the_event_counters(self):
-        from repro.dynamics import MaintenanceWindow, Scenario, register_scenario
-        from repro.dynamics.presets import _REGISTRY as _SCENARIOS
+        from repro.dynamics import SCENARIOS, MaintenanceWindow, Scenario, register_scenario
         from repro.region import RegionSpec, RegionTopology
 
         register_scenario(
@@ -84,7 +83,7 @@ class TestStreamingMerge:
             )
             cloud.run_until_complete()
         finally:
-            _SCENARIOS.pop("stream-test-kill", None)
+            SCENARIOS.pop("stream-test-kill")
         assert cloud.failed
         assert stream.event_counts.get("failed", 0) == len(cloud.failed)
         assert stream.completed + len(cloud.failed) == 10

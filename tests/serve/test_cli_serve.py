@@ -54,8 +54,7 @@ class TestServeRun:
 
     def test_zero_completed_jobs_exits_nonzero(self, tmp_path, capsys):
         """A run where every job fails reports counts and exits 1 (no crash)."""
-        from repro.serve import TenantMix, TenantSpec, register_tenant_mix
-        import repro.serve.presets as presets
+        from repro.serve import TENANT_MIXES, TenantMix, TenantSpec, register_tenant_mix
 
         register_tenant_mix(
             TenantMix(name="_toobig", tenants=(TenantSpec(name="t", qubit_range=(5000, 6000)),))
@@ -75,7 +74,7 @@ class TestServeRun:
             payload = json.loads(open(report).read())
             assert payload[0]["failed"] == 3
         finally:
-            presets._REGISTRY.pop("_toobig", None)
+            TENANT_MIXES.pop("_toobig")
 
 
 class TestTenantsFlagElsewhere:

@@ -10,8 +10,6 @@ from repro.serve import (
     TenantSpec,
     available_tenant_mixes,
     get_tenant_mix,
-    register_tenant_mix,
-    resolve_tenant_mix,
 )
 
 ALL_PRESETS = ("single", "free-tier-vs-premium", "batch-vs-interactive", "noisy-neighbor")
@@ -131,21 +129,3 @@ class TestRegistry:
         # admission control, not priorities.
         assert not get_tenant_mix("noisy-neighbor").is_multiclass
 
-    def test_unknown_mix_raises(self):
-        with pytest.raises(KeyError):
-            get_tenant_mix("nope")
-
-    def test_resolve_accepts_instances_and_names(self):
-        mix = TenantMix(name="custom", tenants=(TenantSpec(name="a"),))
-        assert resolve_tenant_mix(mix) is mix
-        assert resolve_tenant_mix("single").name == "single"
-
-    def test_register_custom(self):
-        mix = TenantMix(name="_test_mix", tenants=(TenantSpec(name="a"),))
-        register_tenant_mix(mix)
-        try:
-            assert get_tenant_mix("_test_mix") is mix
-        finally:
-            import repro.serve.presets as presets
-
-            presets._REGISTRY.pop("_test_mix", None)
