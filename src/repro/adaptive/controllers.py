@@ -347,8 +347,8 @@ class ElasticPooler(Controller):
 class ProactiveCheckpointer(Controller):
     """Flips checkpointing on ahead of predicted outage/rush windows.
 
-    The broker consults :meth:`~repro.cloud.broker.Broker._checkpoint_for`
-    once per execution attempt; this controller overrides it.  Risk is
+    The broker asks the adaptive engine once per execution attempt whether
+    to checkpoint, and the engine asks :meth:`decide`.  Risk is
     re-evaluated every tick: expected outages per job — ``max(observed,
     scenario-declared) outage rate × mean observed service time`` — above
     the spec threshold, or a forecast rush window (deep queues make aborted
@@ -365,9 +365,6 @@ class ProactiveCheckpointer(Controller):
         self.checkpointed = 0
         #: ``(time, active)`` for every flip.
         self.trajectory: List[Tuple[float, bool]] = []
-
-    def install(self) -> None:
-        self.broker._checkpoint_for = self._decide
 
     def tick(self, now: float) -> None:
         active = self._outage_risky(now) or (
@@ -399,7 +396,8 @@ class ProactiveCheckpointer(Controller):
         )
         return n_failable / outages.mtbf
 
-    def _decide(self, job) -> bool:
+    def decide(self, job) -> bool:
+        """Checkpoint decision for *job*'s next execution attempt."""
         self.decisions += 1
         if self.broker.checkpointing:
             return True

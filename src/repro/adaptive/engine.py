@@ -4,9 +4,11 @@
 :class:`~repro.adaptive.spec.AdaptivePolicySpec` inside one simulation.  At
 install time it
 
-1. attaches a :class:`~repro.adaptive.signals.SignalBus` to the broker
-   (instance-level hook wrapping — an adaptive-less run is byte-identical
-   because nothing is ever wrapped),
+1. attaches itself to the broker as ``broker.adaptive``: the broker reports
+   every submission, completion and failure to its
+   :class:`~repro.adaptive.signals.SignalBus` and asks it for each execution
+   attempt's checkpoint decision (an adaptive-less run is byte-identical
+   because the broker skips every call while the attribute is ``None``),
 2. builds an :class:`~repro.adaptive.forecast.OnlineArrivalForecaster`
    (with a diurnal period hint when the scenario/tenant traffic declares
    one),
@@ -78,6 +80,7 @@ class AdaptiveEngine:
         )
         self.signals = SignalBus(env, forecaster=self.forecaster)
         self.pooler: Optional[ElasticPooler] = None
+        self.checkpointer: Optional[ProactiveCheckpointer] = None
         self.controllers: List[Controller] = []
         if not spec.is_static:
             if spec.adaptive_admission:
@@ -88,7 +91,8 @@ class AdaptiveEngine:
                 self.pooler = ElasticPooler(self)
                 self.controllers.append(self.pooler)
             if spec.proactive_checkpointing:
-                self.controllers.append(ProactiveCheckpointer(self))
+                self.checkpointer = ProactiveCheckpointer(self)
+                self.controllers.append(self.checkpointer)
 
     # -- installation ---------------------------------------------------------
     @property
@@ -97,7 +101,8 @@ class AdaptiveEngine:
         return bool(self.controllers)
 
     def install(self) -> None:
-        """Attach signals, install controllers and start the control loop.
+        """Attach to the broker, install controllers and start the control
+        loop.
 
         A static spec installs nothing — the run is byte-identical to one
         with no adaptive policy at all.  Idempotent.
@@ -105,7 +110,7 @@ class AdaptiveEngine:
         if self._installed or not self.controllers:
             return
         self._installed = True
-        self.signals.install()
+        self.env.broker.adaptive = self
         for controller in self.controllers:
             controller.install()
         self.env.process(self._control_loop())
@@ -118,6 +123,13 @@ class AdaptiveEngine:
             for controller in self.controllers:
                 controller.tick(now)
             self.ticks += 1
+
+    # -- broker hook ------------------------------------------------------------
+    def checkpoint(self, job: Any) -> bool:
+        """Whether *job*'s next execution attempt should checkpoint."""
+        if self.checkpointer is None:
+            return self.env.broker.checkpointing
+        return self.checkpointer.decide(job)
 
     # -- reporting ------------------------------------------------------------
     def report(self) -> Dict[str, object]:

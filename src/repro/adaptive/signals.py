@@ -1,9 +1,10 @@
 """The SignalBus: O(1) rolling metrics feeding the adaptive controllers.
 
 Controllers never walk job lists or record managers — every signal they
-read is maintained incrementally from three broker hooks (``submit``,
-``_note_completed``, ``_note_failed``), wrapped per-instance at install
-time so an adaptive-less run pays nothing.  Per-tenant queue-latency tails
+read is maintained incrementally from the broker's submit, completion and
+failure reports, which the broker makes only while an
+:class:`~repro.adaptive.engine.AdaptiveEngine` is attached to it (so an
+adaptive-less run pays nothing).  Per-tenant queue-latency tails
 come from the PR 6 P² sketches (:class:`repro.metrics.quantiles.P2Quantile`),
 so a signal read is O(1) regardless of how many jobs have flowed through.
 
@@ -73,10 +74,8 @@ class TenantSignals:
 class SignalBus:
     """Collects broker/record signals for the control loop.
 
-    ``install()`` wraps the broker's ``submit`` / ``_note_completed`` /
-    ``_note_failed`` methods on the *instance* (the classes stay untouched),
-    which is why a run without an adaptive policy is byte-identical: no
-    wrapper exists to execute.
+    The broker calls :meth:`on_submit`, :meth:`on_completed` and
+    :meth:`on_failed` through its ``adaptive`` attachment.
     """
 
     def __init__(self, env, forecaster: Optional["OnlineArrivalForecaster"] = None) -> None:
@@ -87,39 +86,8 @@ class SignalBus:
         self.global_wait_p95 = P2Quantile(0.95)
         self._service_sum = 0.0
         self._service_count = 0
-        self._installed = False
 
-    # -- installation -------------------------------------------------------
-
-    def install(self) -> None:
-        """Wrap the broker hooks; idempotent."""
-        if self._installed:
-            return
-        self._installed = True
-        broker = self.broker
-
-        orig_submit = broker.submit
-        orig_completed = broker._note_completed
-        orig_failed = broker._note_failed
-
-        def submit(job):
-            result = orig_submit(job)
-            self._on_submit(job)
-            return result
-
-        def note_completed(job, record):
-            orig_completed(job, record)
-            self._on_completed(job, record)
-
-        def note_failed(job):
-            orig_failed(job)
-            self._on_failed(job)
-
-        broker.submit = submit
-        broker._note_completed = note_completed
-        broker._note_failed = note_failed
-
-    # -- hook bodies --------------------------------------------------------
+    # -- broker reports -----------------------------------------------------
 
     def _tenant(self, name: Optional[str]) -> TenantSignals:
         key = name if name is not None else UNTENANTED
@@ -128,7 +96,7 @@ class SignalBus:
             sig = self.tenants[key] = TenantSignals()
         return sig
 
-    def _on_submit(self, job) -> None:
+    def on_submit(self, job) -> None:
         sig = self._tenant(getattr(job, "tenant", None))
         sig.submitted += 1
         if job.status is QJobStatus.REJECTED:
@@ -138,7 +106,7 @@ class SignalBus:
         if self.forecaster is not None:
             self.forecaster.observe(self.env.now)
 
-    def _on_completed(self, job, record) -> None:
+    def on_completed(self, job, record) -> None:
         sig = self._tenant(getattr(job, "tenant", None))
         sig.completed += 1
         wait = record.wait_time
@@ -147,7 +115,7 @@ class SignalBus:
         self._service_sum += record.effective_service_time
         self._service_count += 1
 
-    def _on_failed(self, job) -> None:
+    def on_failed(self, job) -> None:
         self._tenant(getattr(job, "tenant", None)).failed += 1
 
     # -- queries ------------------------------------------------------------

@@ -126,12 +126,14 @@ def _cmd_devices(args: argparse.Namespace) -> int:
 def _cmd_scenarios(args: argparse.Namespace) -> int:
     from repro.dynamics import available_scenarios, get_scenario
 
-    print(f"{'scenario':<14} {'drift':>5} {'outage':>6} {'maint':>5} {'traffic':>8}  description")
-    for name in available_scenarios():
+    names = available_scenarios()
+    width = max(len("scenario"), *map(len, names))
+    print(f"{'scenario':<{width}} {'drift':>5} {'outage':>6} {'maint':>5} {'traffic':>8}  description")
+    for name in names:
         scenario = get_scenario(name)
         traffic = scenario.traffic.model if scenario.traffic is not None else "-"
         print(
-            f"{name:<14} {'yes' if scenario.drift else '-':>5} "
+            f"{name:<{width}} {'yes' if scenario.drift else '-':>5} "
             f"{'yes' if scenario.outages else '-':>6} "
             f"{len(scenario.maintenance) if scenario.maintenance else '-':>5} "
             f"{traffic:>8}  {scenario.description}"

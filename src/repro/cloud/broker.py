@@ -121,13 +121,21 @@ class Broker:
         self.job_processes: List[Process] = []
         #: Jobs that could never be allocated.
         self.failed_jobs: List[QJob] = []
+        #: The adaptive control plane (an ``AdaptiveEngine``, attached by its
+        #: ``install()``): fed job reports, asked for checkpoint decisions.
+        self.adaptive: Optional[Any] = None
 
     # -- public API ---------------------------------------------------------------
     def submit(self, job: QJob) -> Process:
         """Submit a job: starts its handling process and returns it."""
         job.status = QJobStatus.QUEUED
-        process = self.env.process(self._handle_job(job))
+        return self._track(job, self.env.process(self._handle_job(job)))
+
+    def _track(self, job: QJob, process: Process) -> Process:
+        """Record *process* as *job*'s submission and report it."""
         self.job_processes.append(process)
+        if self.adaptive is not None:
+            self.adaptive.signals.on_submit(job)
         return process
 
     # -- Algorithm 1 -----------------------------------------------------------------
@@ -139,10 +147,7 @@ class Broker:
         re-enters planning (counted in the completed record's ``retries``).
         """
         if not self.cloud.can_ever_fit(job.num_qubits):
-            job.status = QJobStatus.FAILED
-            self.failed_jobs.append(job)
-            self.records.log_failure(job.job_id, self.env.now, "exceeds total cloud capacity")
-            self._note_failed(job)
+            self._fail(job, "exceeds total cloud capacity")
             return None
 
         retries = 0
@@ -158,57 +163,64 @@ class Broker:
             # requeue and re-plan, up to the starvation guard.
             retries += 1
             if retries > self.max_requeues:
-                job.status = QJobStatus.FAILED
-                self.failed_jobs.append(job)
-                self.records.log_failure(
-                    job.job_id,
-                    self.env.now,
-                    f"exceeded requeue limit ({self.max_requeues}) after outages/preemptions",
+                self._fail(
+                    job, f"exceeded requeue limit ({self.max_requeues}) after outages/preemptions"
                 )
-                self._note_failed(job)
                 return None
             job.status = QJobStatus.QUEUED
             self._note_requeued(job, retries)
 
     def _plan_and_reserve(self, job: QJob) -> Generator[object, object, Optional[Any]]:
         """Plan the job over the online fleet and reserve the planned qubits
-        (FIFO admission critical section); ``None`` means the job failed."""
-        with self.cloud.admission.request() as admission:
-            yield admission
-            attempts = 0
-            while True:
-                plan = self.policy.plan(job, self.cloud.online_devices)
-                if plan is not None:
-                    if plan.total_qubits != job.num_qubits:
-                        raise RuntimeError(
-                            f"policy {self.policy.name!r} allocated {plan.total_qubits} qubits "
-                            f"for a job needing {job.num_qubits}"
-                        )
-                    if not plan.is_feasible_now():
-                        raise RuntimeError(
-                            f"policy {self.policy.name!r} returned an infeasible plan for job "
-                            f"{job.job_id}"
-                        )
-                    break
-                attempts += 1
-                if attempts >= self.max_plan_attempts:
-                    job.status = QJobStatus.FAILED
-                    self.failed_jobs.append(job)
-                    self.records.log_failure(job.job_id, self.env.now, "no feasible allocation")
-                    self._note_failed(job)
-                    return None
-                # Wait until some other job releases qubits (or a device
-                # comes back online), then re-plan.
-                yield self.cloud.capacity_released
+        while holding the dispatch floor; ``None`` means the job failed."""
+        attempts = 0
+        while True:
+            with self._dispatch_request(job) as request:
+                yield request
+                self._on_dispatch(job)
+                while True:
+                    plan = self.policy.plan(job, self.cloud.online_devices)
+                    if plan is not None:
+                        if plan.total_qubits != job.num_qubits:
+                            raise RuntimeError(
+                                f"policy {self.policy.name!r} allocated {plan.total_qubits} "
+                                f"qubits for a job needing {job.num_qubits}"
+                            )
+                        if not plan.is_feasible_now():
+                            raise RuntimeError(
+                                f"policy {self.policy.name!r} returned an infeasible plan "
+                                f"for job {job.job_id}"
+                            )
+                        # The plan is feasible right now and we still hold
+                        # the floor, so these all succeed immediately and
+                        # atomically at the current simulation time.
+                        reservations = [
+                            alloc.device.request_qubits(alloc.num_qubits)
+                            for alloc in plan.allocations
+                        ]
+                        yield self.env.all_of(reservations)
+                        return plan
+                    attempts += 1
+                    if attempts >= self.max_plan_attempts:
+                        self._fail(job, "no feasible allocation")
+                        return None
+                    blocked = self._blocked(job)
+                    if blocked is None:
+                        break  # give the floor up, then request it again
+                    yield blocked
 
-            # Reserve the planned qubits.  The plan is feasible right now and
-            # we still hold the admission token, so these all succeed
-            # immediately and atomically at the current simulation time.
-            reservations = [
-                alloc.device.request_qubits(alloc.num_qubits) for alloc in plan.allocations
-            ]
-            yield self.env.all_of(reservations)
-        return plan
+    # -- dispatch hooks (the serve broker's tenant-aware queue plugs in here) ----
+    def _dispatch_request(self, job: QJob) -> Any:
+        """The request that grants *job* the dispatch floor (FIFO here)."""
+        return self.cloud.admission.request()
+
+    def _on_dispatch(self, job: QJob) -> None:
+        """Called each time *job* is granted the dispatch floor."""
+
+    def _blocked(self, job: QJob) -> Optional[Any]:
+        """The event a floor holder with no feasible plan waits on before
+        re-planning, or ``None`` to give the floor up."""
+        return self.cloud.capacity_released
 
     def _execute_plan(
         self, job: QJob, plan: Any, retries: int, run: _JobRun
@@ -243,7 +255,9 @@ class Broker:
         ]
         # Resolved once per attempt so the decision stays consistent between
         # launch and a mid-attempt abort even if the policy flips meanwhile.
-        checkpointing = self._checkpoint_for(job)
+        checkpointing = (
+            self.checkpointing if self.adaptive is None else self.adaptive.checkpoint(job)
+        )
         sub_processes = [
             self.env.process(
                 alloc.device.execute(
@@ -331,23 +345,22 @@ class Broker:
             resumed_shots=run.completed_shots,
         )
         self.records.add_record(record)
-        self._note_completed(job, record)
+        if self.adaptive is not None:
+            self.adaptive.signals.on_completed(job, record)
         self.cloud.notify_capacity_released()
         return record
 
-    def _checkpoint_for(self, job: QJob) -> bool:
-        """Whether *job*'s next execution attempt should checkpoint.
-
-        Defaults to the configured flag; the adaptive control plane's
-        :class:`~repro.adaptive.controllers.ProactiveCheckpointer` overrides
-        this per-broker-instance to arm checkpointing ahead of predicted
-        outage/rush windows.
-        """
-        return self.checkpointing
+    def _fail(self, job: QJob, reason: str) -> None:
+        """Terminally fail *job*: log *reason* and report the failure."""
+        job.status = QJobStatus.FAILED
+        self.failed_jobs.append(job)
+        self.records.log_failure(job.job_id, self.env.now, reason)
+        self._note_failed(job)
+        if self.adaptive is not None:
+            self.adaptive.signals.on_failed(job)
 
     # -- life-cycle hooks (no-ops here; the serve broker keeps its tenant and
-    # preemption bookkeeping in sync through these without perturbing the
-    # default workflow) ----------------------------------------------------------
+    # preemption bookkeeping in sync by overriding them) ---------------------------
     def _register_running(self, job: QJob, plan: Any, sub_processes: List[Process]) -> None:
         """Called when a job's sub-jobs have been launched."""
 
@@ -360,9 +373,6 @@ class Broker:
 
     def _note_failed(self, job: QJob) -> None:
         """Called when a job terminally fails (after the failure is logged)."""
-
-    def _note_completed(self, job: QJob, record: JobRecord) -> None:
-        """Called when a job completes (after its record is stored)."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} policy={getattr(self.policy, 'name', '?')!r}>"

@@ -240,9 +240,9 @@ class QCloudSimEnv(Environment):
         self.fast_path_active = eligible if fast_path is None else bool(fast_path)
         if self.fast_path_active:
             table = job_table if job_table is not None else JobTable.from_jobs(jobs)
-            self.job_generator = FlatDispatcher(self, self.broker, table, records=self.records)
+            self.job_generator = FlatDispatcher(self, self.broker, table)
         else:
-            self.job_generator = JobGenerator(self, self.broker, jobs, records=self.records)
+            self.job_generator = JobGenerator(self, self.broker, jobs)
 
         #: The world-dynamics runtime (``None`` for plain static runs).
         self.scenario_engine = None

@@ -485,22 +485,17 @@ class FlatDispatcher:
       direct level arithmetic.
 
     The broker instance is retained for its configuration
-    (``max_plan_attempts``) and its ``failed_jobs`` list, so results read
-    the same regardless of which engine ran.
+    (``max_plan_attempts``), its records manager and its failure path
+    (``failed_jobs``), so results read the same regardless of which engine
+    ran.
     """
 
-    def __init__(
-        self,
-        env: Any,
-        broker: Any,
-        table: JobTable,
-        records: Optional[Any] = None,
-    ) -> None:
+    def __init__(self, env: Any, broker: Any, table: JobTable) -> None:
         self.env = env
         self.broker = broker
         self.cloud = broker.cloud
         self.policy = broker.policy
-        self.records = records if records is not None else broker.records
+        self.records = broker.records
         self.table = table
         #: Row indices waiting for placement, FIFO.
         self.pending: deque = deque()
@@ -539,7 +534,7 @@ class FlatDispatcher:
             device.availability_listeners.append(_refuse_kills)
         # Streaming managers discard event detail strings; skip formatting
         # them (device lists, fidelity reprs) when nobody stores them.
-        self._keep_detail = getattr(self.records, "KEEPS_EVENT_DETAIL", True)
+        self._keep_detail = self.records.KEEPS_EVENT_DETAIL
         self._log_arrival_block = self.records.log_arrival_block
         # When no job exceeds the fleet's capacity (one vectorised check),
         # the per-row can_ever_fit guard in _feed is dead code.
@@ -613,10 +608,7 @@ class FlatDispatcher:
             for row in range(start, stop):
                 if qubits[row] > total_capacity:
                     # Mirrors Broker._handle_job's can_ever_fit guard.
-                    job = table.job_for(row)
-                    job.status = QJobStatus.FAILED
-                    self.broker.failed_jobs.append(job)
-                    self.records.log_failure(job.job_id, now, "exceeds total cloud capacity")
+                    self.broker._fail(table.job_for(row), "exceeds total cloud capacity")
                 else:
                     if jobs is not None:
                         jobs[row].status = QJobStatus.QUEUED
@@ -686,10 +678,7 @@ class FlatDispatcher:
             if plan is None:
                 self._head_attempts += 1
                 if self._head_attempts >= broker.max_plan_attempts:
-                    job = table.job_for(row)
-                    job.status = QJobStatus.FAILED
-                    broker.failed_jobs.append(job)
-                    self.records.log_failure(job.job_id, env._now, "no feasible allocation")
+                    broker._fail(table.job_for(row), "no feasible allocation")
                     pending.popleft()
                     self._head_attempts = 0
                     continue

@@ -20,7 +20,6 @@ import numpy as np
 from repro.circuits.generators import random_circuit_spec
 from repro.cloud.broker import Broker
 from repro.cloud.qjob import QJob
-from repro.cloud.records import JobRecordsManager
 from repro.des.environment import Environment
 from repro.des.events import NORMAL, Event, Process
 
@@ -93,25 +92,16 @@ class JobGenerator:
         arrival-time order; jobs sharing an arrival time are submitted in
         priority order (smaller = more important, ties by job id), so the
         broker's FIFO admission honours job priority within a batch.  Jobs
-        without an arrival time arrive immediately.
-    records:
-        Optional records manager for arrival logging (defaults to the
-        broker's).
+        without an arrival time arrive immediately.  Arrivals are logged
+        to the broker's records manager.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        broker: Broker,
-        jobs: Sequence[QJob],
-        records: Optional[JobRecordsManager] = None,
-    ) -> None:
+    def __init__(self, env: Environment, broker: Broker, jobs: Sequence[QJob]) -> None:
         self.env = env
         self.broker = broker
         self.jobs: List[QJob] = sorted(
             jobs, key=lambda j: (j.arrival_time, j.priority, j.job_id)
         )
-        self.records = records if records is not None else broker.records
         #: The dispatch process (started by :meth:`start`).
         self.process: Optional[Process] = None
         #: Processes of all submitted jobs.
@@ -172,7 +162,7 @@ class JobGenerator:
         if pending:
             env.schedule_batch(pending)
 
-        log_arrival = self.records.log_arrival
+        log_arrival = self.broker.records.log_arrival
         submit = self.broker.submit
         submitted = self.submitted
         for (time, batch), marker in zip(batches, markers):

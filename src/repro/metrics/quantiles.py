@@ -47,8 +47,8 @@ class P2Quantile:
     # position 4 grows by exactly 1.0 per observation, so it always equals
     # ``float(count)``.  The desired position of marker 4 likewise equals
     # ``count`` and is never read by the adjustment step, so neither needs a
-    # slot.  The list views (``_heights``/``_positions``/``_desired``) are
-    # reconstructed on demand as read-only properties.
+    # slot.  The list views (``_heights``/``_positions``) are reconstructed
+    # on demand as read-only properties.
     __slots__ = (
         "quantile",
         "_count",
@@ -214,32 +214,6 @@ class P2Quantile:
         if self._count < 5:
             return []
         return [1.0, self._n1, self._n2, self._n3, float(self._count)]
-
-    @property
-    def _desired(self) -> List[float]:
-        """Desired marker positions (empty before five observations)."""
-        if self._count < 5:
-            return []
-        return [1.0, self._d1, self._d2, self._d3, float(self._count)]
-
-    @property
-    def _increments(self) -> tuple:
-        """Per-observation desired-position increments."""
-        return (0.0, self._i1, self._i2, self._i3, 1.0)
-
-    def _parabolic(self, i: int, d: float) -> float:
-        q = self._heights
-        n = self._positions
-        return q[i] + d / (n[i + 1] - n[i - 1]) * (
-            (n[i] - n[i - 1] + d) * (q[i + 1] - q[i]) / (n[i + 1] - n[i])
-            + (n[i + 1] - n[i] - d) * (q[i] - q[i - 1]) / (n[i] - n[i - 1])
-        )
-
-    def _linear(self, i: int, d: float) -> float:
-        q = self._heights
-        n = self._positions
-        j = i + int(d)
-        return q[i] + d * (q[j] - q[i]) / (n[j] - n[i])
 
     @property
     def value(self) -> Optional[float]:

@@ -37,7 +37,8 @@ from typing import Any, Dict, Generator, List, Optional, Tuple, Union
 from repro.cloud.broker import Broker
 from repro.cloud.qcloud import QCloud
 from repro.cloud.qjob import QJob, QJobStatus
-from repro.cloud.records import JobRecord, JobRecordsManager
+from repro.cloud.records import JobRecordsManager
+from repro.cloud.records_stream import StreamingRecordsManager
 from repro.des.environment import Environment
 from repro.des.events import Initialize, Process
 from repro.des.resources.resource import Request, Resource
@@ -80,17 +81,6 @@ class _DispatchQueue(Resource):
 
     PutQueue = _TicketQueue
     _request_cls = _DispatchTicket
-
-    def _do_put(self, event: _DispatchTicket) -> Optional[bool]:
-        if len(self.users) < self.capacity:
-            self.users.append(event)
-            event.usage_since = self.env.now
-            event.succeed()
-            return None
-        # The single slot is taken: no later ticket can be granted either, so
-        # stop the queue pump instead of probing every waiting ticket (keeps
-        # each release O(1) when arrival storms hold hundreds of tickets).
-        return False
 
 
 class _JobEntry:
@@ -141,6 +131,13 @@ class _RunningInfo:
 
 class ServeBroker(Broker):
     """A :class:`~repro.cloud.broker.Broker` serving a multi-tenant mix.
+
+    The plain broker's plan/reserve loop runs unchanged; the serve layer
+    plugs into its dispatch hooks (``_dispatch_request`` — a keyed ticket
+    on the tenant-aware dispatch queue, ``_on_dispatch`` — the fair-share
+    virtual clock, ``_blocked`` — floor yielding, preemption and the
+    capacity wait) and its life-cycle hooks (running set, requeue re-tags,
+    queue-slot release on failure).
 
     Parameters
     ----------
@@ -232,9 +229,7 @@ class ServeBroker(Broker):
             self.records.log_rejection(
                 job.job_id, self.env.now, reason=f"{job.tenant}:{decision.reason}"
             )
-            process = self.env.process(self._rejected_process(job))
-            self.job_processes.append(process)
-            return process
+            return self._track(job, self.env.process(self._rejected_process(job)))
 
         entry = _JobEntry(job, tenant, self._seq)
         self._seq += 1
@@ -255,56 +250,28 @@ class ServeBroker(Broker):
         yield  # pragma: no cover — unreachable; makes this a generator
 
     # -- tenant-aware dispatch ---------------------------------------------------------
-    def _plan_and_reserve(self, job: QJob) -> Generator[object, object, Optional[Any]]:
-        """Plan/reserve through the tenant-aware dispatch queue.
+    def _dispatch_request(self, job: QJob) -> _DispatchTicket:
+        """A ticket for the dispatch queue, ordered by the job's key."""
+        return self._dispatch.request(self._entries[job.job_id].key)
 
-        Mirrors the plain broker's plan-wait-replan loop, with two extra
-        transitions (both unreachable in single-class mixes): yielding the
-        floor to a waiting higher class, and deadline-driven preemption of
-        lower-class running jobs.
+    def _on_dispatch(self, job: QJob) -> None:
+        """Advance the fair-share virtual clock to the granted job's tag."""
+        self._vclock = max(self._vclock, self._entries[job.job_id].start_tag)
+
+    def _blocked(self, job: QJob) -> Optional[Any]:
+        """Yield the floor to a more important class, else preempt if the
+        job's deadline has passed and wait for capacity.
+
+        After yielding, the job requests its turn again at once: its fair
+        tag keeps its place in line, and waiting for a capacity signal
+        instead would idle it on free qubits until some other job completes.
+        Both transitions are unreachable in single-class mixes.
         """
         entry = self._entries[job.job_id]
-        attempts = 0
-        while True:
-            with self._dispatch.request(entry.key) as ticket:
-                yield ticket
-                self._vclock = max(self._vclock, entry.start_tag)
-                while True:
-                    plan = self.policy.plan(job, self.cloud.online_devices)
-                    if plan is not None:
-                        if plan.total_qubits != job.num_qubits:
-                            raise RuntimeError(
-                                f"policy {self.policy.name!r} allocated {plan.total_qubits} "
-                                f"qubits for a job needing {job.num_qubits}"
-                            )
-                        if not plan.is_feasible_now():
-                            raise RuntimeError(
-                                f"policy {self.policy.name!r} returned an infeasible plan "
-                                f"for job {job.job_id}"
-                            )
-                        reservations = [
-                            alloc.device.request_qubits(alloc.num_qubits)
-                            for alloc in plan.allocations
-                        ]
-                        yield self.env.all_of(reservations)
-                        return plan
-                    attempts += 1
-                    if attempts >= self.max_plan_attempts:
-                        job.status = QJobStatus.FAILED
-                        self.failed_jobs.append(job)
-                        self.records.log_failure(
-                            job.job_id, self.env.now, "no feasible allocation"
-                        )
-                        self._note_failed(job)
-                        return None
-                    if self._should_yield_floor(entry):
-                        break  # release the floor to a more important class
-                    self._maybe_preempt_for(job, entry)
-                    yield self._capacity_wait(entry)
-            # Floor yielded: the premium waiter was granted it on release.
-            # Re-request our turn immediately — our fair tag keeps our place
-            # in line, and waiting for a capacity signal instead would idle
-            # this job on free qubits until some other job completes.
+        if self._should_yield_floor(entry):
+            return None
+        self._maybe_preempt_for(job, entry)
+        return self._capacity_wait(entry)
 
     def _should_yield_floor(self, entry: _JobEntry) -> bool:
         """Whether a strictly more important class is waiting behind *entry*."""
@@ -464,9 +431,7 @@ class ServeBroker(Broker):
         from repro.serve.accounting import compute_tenant_reports
 
         records = self.records
-        if not getattr(records, "KEEPS_EVENT_DETAIL", True) and hasattr(
-            records, "latency_percentiles"
-        ):
+        if isinstance(records, StreamingRecordsManager):
             from repro.serve.accounting import compute_tenant_reports_streaming
 
             failed_by_tenant: Dict[str, int] = {t.name: 0 for t in self.mix.tenants}

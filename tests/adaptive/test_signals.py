@@ -1,16 +1,37 @@
 """The SignalBus: counters and rolling metrics maintained from broker hooks."""
 
-from repro.adaptive import AdaptivePolicySpec
+from collections import Counter
+
+import pytest
+
+from repro.adaptive import AdaptivePolicySpec, ProactiveCheckpointer
 from repro.adaptive.signals import UNTENANTED
 from repro.cloud.config import SimulationConfig
 from repro.cloud.environment import QCloudSimEnv
+from repro.hardware.backends import DEFAULT_DEVICE_NAMES
 
 # A spec that installs the signal bus (via any enabled controller) without
 # touching admission rates or checkpointing, so runs stay comparable.
 _SENSE_ONLY = AdaptivePolicySpec(name="sense-only", slo_planner=True)
 
+# Predictive control (proactive checkpointing included) with checkpointing on,
+# outages that kill running work, one requeue allowed and a fleet of three
+# 100-qubit devices: jobs are shed, killed, requeued and resumed, and fail
+# both for exceeding the fleet and at the requeue limit.
+_EVERY_PATH = dict(
+    tenants="noisy-neighbor",
+    num_jobs=300,
+    seed=3,
+    adaptive="predictive",
+    scenario="flaky-fleet",
+    checkpointing=True,
+    max_requeues=1,
+    device_names=list(DEFAULT_DEVICE_NAMES[:3]),
+    device_qubits=100,
+)
 
-def _run(tenants=None, **kwargs):
+
+def _run(tenants=None, adaptive=_SENSE_ONLY, **kwargs):
     config = SimulationConfig(
         num_jobs=kwargs.pop("num_jobs", 30),
         seed=kwargs.pop("seed", 11),
@@ -19,30 +40,51 @@ def _run(tenants=None, **kwargs):
         adaptive=None,
         **kwargs,
     )
-    env = QCloudSimEnv(config, adaptive=_SENSE_ONLY)
+    env = QCloudSimEnv(config, adaptive=adaptive)
     records = env.run_until_complete()
     return env, records
 
 
 class TestCountersMatchGroundTruth:
-    def test_serve_run_counters(self):
-        env, records = _run(tenants="noisy-neighbor", num_jobs=60)
+    @pytest.mark.parametrize(
+        "run, paths",
+        [
+            (dict(tenants="noisy-neighbor", num_jobs=60), set()),
+            (
+                _EVERY_PATH,
+                {"rejected", "requeue", "resume", "exceeds total cloud capacity",
+                 "exceeded requeue limit"},
+            ),
+        ],
+        ids=["serve", "every-lifecycle-path"],
+    )
+    def test_serve_run_counters(self, run, paths):
+        env, records = _run(**run)
         signals = env.adaptive_engine.signals
         broker = env.broker
+        events = env.records.events
+        taken = {e.event for e in events} | {
+            e.detail.split(" (")[0] for e in events if e.event == "failed"
+        }
+        assert paths <= taken
 
-        submitted = sum(s.submitted for s in signals.tenants.values())
-        shed = sum(s.shed for s in signals.tenants.values())
-        completed = sum(s.completed for s in signals.tenants.values())
-        failed = sum(s.failed for s in signals.tenants.values())
-
-        assert submitted == 60
-        assert shed == len(broker.rejected_jobs)
-        assert completed == len(records)
-        assert failed == len(broker.failed_jobs)
-        # Per-tenant attribution matches the broker's own map.
+        assert sum(s.submitted for s in signals.tenants.values()) == run["num_jobs"]
+        # Per-tenant attribution matches the broker's own map and job lists.
+        submitted = Counter(broker.tenant_of.values())
+        shed = Counter(job.tenant for job in broker.rejected_jobs)
+        completed = Counter(record.tenant for record in records)
+        failed = Counter(job.tenant for job in broker.failed_jobs)
+        assert set(signals.tenants) == set(submitted)
         for name, sig in signals.tenants.items():
-            expected = sum(1 for t in broker.tenant_of.values() if t == name)
-            assert sig.submitted == expected
+            assert sig.submitted == submitted[name] == sig.admitted + sig.shed
+            assert sig.shed == shed[name]
+            assert sig.completed == completed[name]
+            assert sig.failed == failed[name]
+        # One checkpoint decision per execution attempt.
+        starts = sum(1 for e in events if e.event == "start")
+        for controller in env.adaptive_engine.controllers:
+            if isinstance(controller, ProactiveCheckpointer):
+                assert controller.decisions == starts
 
     def test_plain_run_uses_untenanted_bucket(self):
         env, records = _run(tenants=None, num_jobs=20)

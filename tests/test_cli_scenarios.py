@@ -17,6 +17,19 @@ class TestScenariosCommand:
             assert preset in out
         assert "mmpp" in out  # black-friday's traffic model column
 
+    def test_columns_align_with_header(self, capsys):
+        from repro.dynamics import available_scenarios
+
+        assert main(["scenarios"]) == 0
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert len(rows) == len(available_scenarios())
+        # Every row's drift cell starts at the header's offset, whatever the
+        # length of the scenario name in front of it.
+        start = header.index("drift")
+        for row in rows:
+            assert row[:start].rstrip() == row.split()[0], row
+            assert row[start : start + 5] in ("  yes", "    -"), row
+
 
 class TestSimulateScenario:
     @pytest.mark.parametrize("preset", ALL_PRESETS)
