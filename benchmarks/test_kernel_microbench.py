@@ -1,7 +1,7 @@
 """Micro-benchmarks of the substrate layers.
 
 Not a paper table/figure — these track the wall-clock cost of the building
-blocks (the DES kernel, the qubit containers, the policy planners and the
+blocks (the DES kernel and its resources, the policy planners and the
 NumPy policy network) so simulator-scalability regressions are caught.
 """
 
@@ -12,7 +12,7 @@ import pytest
 
 from repro.cloud.config import SimulationConfig
 from repro.cloud.environment import QCloudSimEnv
-from repro.des import Container, Environment
+from repro.des import Environment, Resource
 from repro.gymapi.spaces import Box
 from repro.rl.policies import ActorCriticPolicy
 from repro.scheduling.registry import create_policy
@@ -77,26 +77,27 @@ def test_experiment_runner_overhead(benchmark):
     assert {r.cell.strategy for r in result} == {"speed", "fidelity", "fair"}
 
 
-def test_des_container_contention(benchmark):
-    """Cost of 200 processes contending for a shared qubit container."""
+def test_des_resource_contention(benchmark):
+    """Cost of 200 processes contending for four shared ``Resource`` slots."""
 
     def run():
         env = Environment()
-        container = Container(env, capacity=127, init=127)
+        slots = Resource(env, capacity=4)
 
-        def worker(env, container, amount):
+        def worker(env, slots):
             for _ in range(5):
-                yield container.get(amount)
-                yield env.timeout(1)
-                yield container.put(amount)
+                with slots.request() as req:
+                    yield req
+                    yield env.timeout(1)
 
-        for i in range(200):
-            env.process(worker(env, container, 10 + (i % 20)))
+        for _ in range(200):
+            env.process(worker(env, slots))
         env.run()
-        return container.level
+        return env.now, slots.count, len(slots.queue)
 
-    level = benchmark(run)
-    assert level == 127
+    now, count, waiting = benchmark(run)
+    # 1,000 unit holds on 4 slots, never idle: the last one ends at t=250.
+    assert (now, count, waiting) == (250, 0, 0)
 
 
 @pytest.mark.parametrize("policy_name", ["speed", "fidelity", "fair"])

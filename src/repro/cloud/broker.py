@@ -192,13 +192,9 @@ class Broker:
                                 f"for job {job.job_id}"
                             )
                         # The plan is feasible right now and we still hold
-                        # the floor, so these all succeed immediately and
-                        # atomically at the current simulation time.
-                        reservations = [
-                            alloc.device.request_qubits(alloc.num_qubits)
-                            for alloc in plan.allocations
-                        ]
-                        yield self.env.all_of(reservations)
+                        # the floor, so every reservation succeeds at once.
+                        for alloc in plan.allocations:
+                            alloc.device.reserve_qubits(alloc.num_qubits)
                         return plan
                     attempts += 1
                     if attempts >= self.max_plan_attempts:

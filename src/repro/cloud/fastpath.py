@@ -28,8 +28,12 @@ Byte identity
 -------------
 For every eligible configuration the flat dispatcher reproduces the per-job
 record and event streams *bit for bit* (tests/cloud/test_fastpath_identity.py
-sweeps policies × scenario presets × arrival processes).  The equivalence
-rests on three invariants of the per-job engine:
+sweeps policies × scenario presets × arrival processes).  Both engines
+reserve and release qubits through the same synchronous
+:meth:`~repro.cloud.qdevice.BaseQDevice.reserve_qubits` /
+:meth:`~repro.cloud.qdevice.BaseQDevice.release_qubits` pair, so they leave
+identical fleet states behind by construction.  The rest of the equivalence
+rests on two invariants of the per-job engine:
 
 1. Arrival markers are pre-scheduled at ``t=0`` with small sequence numbers,
    so at any timestamp arrivals are processed before every runtime event of
@@ -42,9 +46,6 @@ rests on three invariants of the per-job engine:
    event of the timestamp — including the ones the event loop already
    popped into the batch it is draining — and re-plans the head at most
    once.
-3. Reservation (``Container.get``) and release mutate the qubit level
-   synchronously at event creation, so direct level arithmetic — without
-   creating the events — leaves identical fleet states behind.
 
 Arrival at a completion
 -----------------------
@@ -737,7 +738,7 @@ class FlatDispatcher:
             # Whole job on one device: the fragment *is* the circuit
             # (``subcircuit`` at fraction 1.0 preserves every count).
             alloc = allocations[0]
-            alloc.device.reserve_qubits_now(alloc.num_qubits)
+            alloc.device.reserve_qubits(alloc.num_qubits)
             return [
                 (
                     alloc.device,
@@ -750,7 +751,7 @@ class FlatDispatcher:
         circuit = table.circuit_for(row)
         fragments = []
         for alloc in allocations:
-            alloc.device.reserve_qubits_now(alloc.num_qubits)
+            alloc.device.reserve_qubits(alloc.num_qubits)
             fragment = circuit.subcircuit(alloc.num_qubits)
             fragments.append(
                 (
@@ -900,7 +901,7 @@ class FlatDispatcher:
                 phi=cloud.communication.fidelity_penalty,
             )
         for alloc in state.allocations:
-            alloc.device.release_qubits_now(alloc.num_qubits)
+            alloc.device.release_qubits(alloc.num_qubits)
         finish = env._now
         job = table.jobs[row] if table.jobs is not None else None
         if job is not None:

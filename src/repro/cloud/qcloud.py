@@ -14,7 +14,7 @@ from repro.cloud.communication import ClassicalCommunicationModel
 from repro.cloud.qdevice import BaseQDevice, IBMQuantumDevice
 from repro.des.environment import Environment
 from repro.des.events import Event
-from repro.des.resources.resource import Resource
+from repro.des.resource import Resource
 from repro.hardware.backends import DeviceProfile
 
 __all__ = ["QCloud"]

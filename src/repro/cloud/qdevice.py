@@ -2,9 +2,12 @@
 
 Three levels of modelling detail:
 
-* :class:`BaseQDevice` — a named pool of qubits backed by a DES
-  :class:`~repro.des.resources.container.Container` (the paper's
-  ``device.container.level`` is the number of currently available qubits),
+* :class:`BaseQDevice` — a named pool of qubits.  The free qubits are a
+  plain counter (the paper's ``device.container.level``) behind one
+  synchronous pair, :meth:`~BaseQDevice.reserve_qubits` and
+  :meth:`~BaseQDevice.release_qubits`, which both engines call: the broker
+  only reserves a plan that is feasible right now, so a reservation never
+  has to wait,
 * :class:`QuantumDevice` — adds a graph-based qubit topology (coupling map)
   and utilisation accounting,
 * :class:`IBMQuantumDevice` — adds IBM-specific attributes: CLOPS, quantum
@@ -25,7 +28,6 @@ import numpy as np
 from repro.circuits.circuit import CircuitSpec
 from repro.des.environment import Environment
 from repro.des.exceptions import Interrupt
-from repro.des.resources.container import Container
 from repro.hardware.backends import DeviceProfile
 from repro.hardware.calibration import CalibrationData
 from repro.hardware.clops import DEFAULT_NUM_TEMPLATES, DEFAULT_NUM_UPDATES, log2_quantum_volume
@@ -83,8 +85,8 @@ class BaseQDevice:
         self.env = env
         self.name = name
         self.num_qubits = int(num_qubits)
-        #: Pool of free qubits; ``container.level`` is the number available.
-        self.container = Container(env, capacity=num_qubits, init=num_qubits)
+        #: Qubits not reserved by any running sub-job (always a plain int).
+        self._free_qubits = self.num_qubits
         #: Number of sub-jobs completed on this device.
         self.completed_subjobs = 0
         #: Total busy time accumulated (qubit-seconds are tracked separately).
@@ -113,67 +115,39 @@ class BaseQDevice:
     @property
     def free_qubits(self) -> int:
         """Qubits currently available (``device.container.level``)."""
-        # Reads the container's level attribute directly: policies poll this
-        # once per device per planning attempt, so the extra property hop
-        # shows up at million-job scale.
-        return int(self.container._level)
+        return self._free_qubits
 
     @property
     def used_qubits(self) -> int:
         """Qubits currently reserved by running sub-jobs."""
-        return self.num_qubits - self.free_qubits
+        return self.num_qubits - self._free_qubits
 
     @property
     def utilization(self) -> float:
         """Fraction of qubits currently in use (0..1)."""
         return self.used_qubits / self.num_qubits
 
-    def request_qubits(self, amount: int):
-        """Return a DES get-event reserving *amount* qubits."""
+    def reserve_qubits(self, amount: int) -> None:
+        """Reserve *amount* free qubits for a sub-job (Algorithm 1, line 7)."""
         if amount <= 0:
             raise ValueError("amount must be positive")
-        if amount > self.num_qubits:
-            raise ValueError(
-                f"cannot reserve {amount} qubits on {self.name} (capacity {self.num_qubits})"
-            )
-        return self.container.get(amount)
-
-    def release_qubits(self, amount: int):
-        """Return a DES put-event releasing *amount* qubits."""
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        return self.container.put(amount)
-
-    def reserve_qubits_now(self, amount: int) -> None:
-        """Immediately reserve *amount* qubits (flat-dispatcher fast path).
-
-        Equivalent to a granted :meth:`request_qubits` without creating the
-        event: ``Container.get`` mutates the level synchronously whenever
-        capacity suffices, which the flat dispatcher guarantees up front via
-        ``plan.is_feasible_now()``.  Must not be mixed with queued event-based
-        requests on the same container.
-        """
-        container = self.container
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        if amount > container._level:
+        if amount > self._free_qubits:
             raise RuntimeError(
                 f"cannot reserve {amount} qubits on {self.name} "
-                f"({container._level} free)"
+                f"({self._free_qubits} free)"
             )
-        container._level -= amount
+        self._free_qubits -= int(amount)
 
-    def release_qubits_now(self, amount: int) -> None:
-        """Immediately release *amount* qubits (flat-dispatcher fast path)."""
-        container = self.container
+    def release_qubits(self, amount: int) -> None:
+        """Return *amount* reserved qubits to the pool (Algorithm 1, line 14)."""
         if amount <= 0:
             raise ValueError("amount must be positive")
-        if container._level + amount > container.capacity:
+        if self._free_qubits + amount > self.num_qubits:
             raise RuntimeError(
                 f"releasing {amount} qubits on {self.name} would exceed "
-                f"capacity ({container._level}/{container.capacity})"
+                f"capacity ({self._free_qubits}/{self.num_qubits})"
             )
-        container._level += amount
+        self._free_qubits += int(amount)
 
     # -- availability ------------------------------------------------------------
     @property
@@ -497,7 +471,7 @@ class IBMQuantumDevice(QuantumDevice):
         """DES process executing one circuit fragment on this device.
 
         The caller must already hold the fragment's qubits (reserved through
-        :meth:`request_qubits`).  Yields a timeout for the processing time and
+        :meth:`reserve_qubits`).  Yields a timeout for the processing time and
         returns a :class:`SubJobResult` with the fidelity breakdown.
 
         If the device is offline when execution starts, or goes offline with

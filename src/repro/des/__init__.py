@@ -9,10 +9,12 @@ of SimPy that the paper's simulation framework relies on:
 * :class:`~repro.des.events.Timeout`, :class:`~repro.des.events.Event`,
   :class:`~repro.des.events.AllOf` / :class:`~repro.des.events.AnyOf`
   composite conditions,
-* shared resources: :class:`~repro.des.resources.resource.Resource` (FIFO
-  usage slots, e.g. the cloud's one-at-a-time admission turn) and
-  :class:`~repro.des.resources.container.Container` (used to model QPU qubit
-  pools).
+* :class:`~repro.des.resource.Resource` — FIFO usage slots, e.g. the
+  cloud's one-at-a-time admission turn.  It is the kernel's only shared
+  resource: a QPU's free qubits are a plain counter on the device
+  (:meth:`~repro.cloud.qdevice.BaseQDevice.reserve_qubits`), because the
+  broker only reserves plans that fit right now and nothing ever waits on
+  them.
 
 The public API mirrors SimPy's so that code written against SimPy (such as the
 quantum-cloud layer in :mod:`repro.cloud`) ports over with only the import
@@ -47,15 +49,13 @@ from repro.des.events import (
 )
 from repro.des.exceptions import Interrupt, SimulationError, StopSimulation
 from repro.des.monitoring import PeriodicSampler, trace_events
-from repro.des.resources.container import Container
-from repro.des.resources.resource import Resource
+from repro.des.resource import Resource
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Condition",
     "ConditionValue",
-    "Container",
     "Environment",
     "Event",
     "Initialize",

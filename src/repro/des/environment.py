@@ -146,12 +146,6 @@ class Environment:
         """Schedule *event* to be processed after *delay* time units."""
         heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
 
-    def schedule_at(self, event: Event, time: float, priority: int = NORMAL) -> None:
-        """Schedule *event* at absolute simulation *time* (must not be in the past)."""
-        if time < self._now:
-            raise ValueError(f"time (={time}) lies in the past (now={self._now})")
-        heappush(self._queue, (time, priority, next(self._eid), event))
-
     def schedule_batch(
         self, items: Iterable[Tuple[float, int, Event]]
     ) -> int:

@@ -1,7 +1,7 @@
 """Monitoring utilities for the DES kernel.
 
 SimPy-style monitoring: trace every event the environment processes, or
-sample a quantity (queue length, container level, device utilisation) at a
+sample a quantity (queue length, free qubits, device utilisation) at a
 fixed period.  The quantum-cloud layer uses these to record fleet-utilisation
 time series for post-simulation analysis without touching the simulation
 logic itself.

@@ -115,25 +115,9 @@ def slo_satisfied(record: JobRecord, slo: SLOSpec) -> bool:
     return True
 
 
-def _percentiles(values: List[float], method: str = "exact") -> Dict[str, Optional[float]]:
+def _percentiles(values: List[float]) -> Dict[str, Optional[float]]:
     if not values:
         return {"p50": None, "p95": None, "p99": None}
-    if method == "p2":
-        # Constant-memory streaming sketches (opt-in for million-job runs;
-        # estimates converge on the exact values as the sample grows).
-        from repro.metrics.quantiles import P2Quantile
-
-        sketches = [P2Quantile(0.5), P2Quantile(0.95), P2Quantile(0.99)]
-        for value in values:
-            for sketch in sketches:
-                sketch.add(value)
-        return {
-            "p50": sketches[0].value,
-            "p95": sketches[1].value,
-            "p99": sketches[2].value,
-        }
-    if method != "exact":
-        raise ValueError(f"percentile_method must be 'exact' or 'p2', got {method!r}")
     arr = np.asarray(values, dtype=np.float64)
     p50, p95, p99 = np.percentile(arr, [50.0, 95.0, 99.0])
     return {"p50": float(p50), "p95": float(p95), "p99": float(p99)}
@@ -146,15 +130,14 @@ def _report_for(
     rejected: int,
     failed: int,
     preemptions: int,
-    percentile_method: str = "exact",
 ) -> TenantSLOReport:
     completed = len(records)
     violated = sum(0 if slo_satisfied(r, tenant.slo) else 1 for r in records)
     attained = completed - violated
     attainment = attained / submitted if submitted else None
 
-    queue = _percentiles([r.wait_time for r in records], method=percentile_method)
-    completion = _percentiles([r.turnaround_time for r in records], method=percentile_method)
+    queue = _percentiles([r.wait_time for r in records])
+    completion = _percentiles([r.turnaround_time for r in records])
     mean_fidelity = (
         float(np.mean([r.fidelity for r in records])) if records else None
     )
@@ -184,7 +167,6 @@ def compute_tenant_reports(
     records: Sequence[JobRecord],
     events: Sequence[JobEvent],
     tenant_of: Mapping[int, str],
-    percentile_method: str = "exact",
 ) -> List[TenantSLOReport]:
     """One :class:`TenantSLOReport` per tenant of *mix*, in mix order.
 
@@ -199,10 +181,8 @@ def compute_tenant_reports(
     tenant_of:
         Tenant attribution of every submitted job id (the serve broker's
         ``tenant_of`` mapping) — needed for jobs that never completed.
-    percentile_method:
-        ``"exact"`` (default, ``np.percentile`` over all values) or ``"p2"``
-        (constant-memory streaming P² sketches — see
-        :mod:`repro.metrics.quantiles`).
+
+    Tail latencies are exact (``np.percentile`` over all values).
     """
     def tenant_name(job_id: int) -> Optional[str]:
         return tenant_of.get(job_id)
@@ -234,7 +214,6 @@ def compute_tenant_reports(
             rejected=counts[tenant.name]["rejected"],
             failed=counts[tenant.name]["failed"],
             preemptions=counts[tenant.name]["preempted"],
-            percentile_method=percentile_method,
         )
         for tenant in mix.tenants
     ]

@@ -41,7 +41,7 @@ from repro.cloud.records import JobRecordsManager
 from repro.cloud.records_stream import StreamingRecordsManager
 from repro.des.environment import Environment
 from repro.des.events import Initialize, Process
-from repro.des.resources.resource import Request, Resource
+from repro.des.resource import Request, Resource
 from repro.serve.admission import AdmissionController
 from repro.serve.tenant import TenantMix, TenantSpec
 
@@ -75,12 +75,12 @@ class _DispatchQueue(Resource):
     """A capacity-1 resource granting requests in dispatch-key order.
 
     Identical event mechanics to the plain broker's FIFO admission
-    :class:`~repro.des.resources.resource.Resource`; only the grant order of
+    :class:`~repro.des.resource.Resource`; only the grant order of
     *waiting* tickets differs (sorted by key instead of insertion order).
     """
 
-    PutQueue = _TicketQueue
-    _request_cls = _DispatchTicket
+    Queue = _TicketQueue
+    request_type = _DispatchTicket
 
 
 class _JobEntry:
@@ -416,14 +416,10 @@ class ServeBroker(Broker):
             self.admission_controller.job_left(job.tenant)
 
     # -- reporting ---------------------------------------------------------------------
-    def tenant_reports(self, percentile_method: str = "exact") -> List[Any]:
+    def tenant_reports(self) -> List[Any]:
         """Per-tenant SLO reports over everything logged so far.
 
-        ``percentile_method="p2"`` swaps the exact ``np.percentile`` tail
-        latencies for constant-memory streaming P² estimates (million-job
-        runs; see :mod:`repro.metrics.quantiles`).
-
-        With a :class:`~repro.cloud.records_stream.StreamingRecordsManager`
+        In-memory records give exact ``np.percentile`` tail latencies.  With a :class:`~repro.cloud.records_stream.StreamingRecordsManager`
         installed there are no materialised records to aggregate; reports are
         instead read straight off the manager's per-tenant P² sketches plus
         the broker's own counters (rejections, failures, preemptions).
@@ -455,7 +451,6 @@ class ServeBroker(Broker):
             self.records.completed_records,
             self.records.events,
             self.tenant_of,
-            percentile_method=percentile_method,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import CircuitSpec
-from repro.cloud.qdevice import IBMQuantumDevice
+from repro.cloud.config import SimulationConfig
+from repro.cloud.environment import QCloudSimEnv
+from repro.cloud.qdevice import BaseQDevice, IBMQuantumDevice
 from repro.des.environment import Environment
 
 
@@ -94,33 +96,62 @@ class TestFidelityKernels:
 
 
 class TestDirectQubitArithmetic:
-    """reserve/release_qubits_now must mirror the event-based container ops."""
+    """Both engines reserve through the one synchronous counter pair."""
 
     def test_reserve_then_release_round_trip(self, device):
         free = device.free_qubits
-        device.reserve_qubits_now(4)
+        device.reserve_qubits(4)
         assert device.free_qubits == free - 4
-        device.release_qubits_now(4)
+        device.release_qubits(4)
         assert device.free_qubits == free
 
-    def test_matches_event_based_reservation(self, small_profile):
-        env = Environment()
-        via_events = IBMQuantumDevice(env, small_profile)
-        direct = IBMQuantumDevice(env, small_profile)
-        via_events.request_qubits(6)  # Container.get mutates synchronously
-        direct.reserve_qubits_now(6)
-        assert via_events.free_qubits == direct.free_qubits
-        via_events.release_qubits(2)
-        env.run()  # put events apply on processing
-        direct.release_qubits_now(2)
-        assert via_events.free_qubits == direct.free_qubits
+    def test_both_engines_make_the_same_reservations(self, monkeypatch):
+        """The flat and per-job engines make the same reservations.
+
+        Both call :meth:`BaseQDevice.reserve_qubits` /
+        :meth:`BaseQDevice.release_qubits` at dispatch and completion, so the
+        logged (time, device, amount) calls agree and every device ends the
+        run with all of its qubits free.
+        """
+        reserve, release = BaseQDevice.reserve_qubits, BaseQDevice.release_qubits
+
+        def run(fast_path):
+            calls = []
+
+            def logged(method, op):
+                def wrapper(self, amount):
+                    calls.append((op, self.env.now, self.name, amount))
+                    method(self, amount)
+                return wrapper
+
+            monkeypatch.setattr(BaseQDevice, "reserve_qubits", logged(reserve, "reserve"))
+            monkeypatch.setattr(BaseQDevice, "release_qubits", logged(release, "release"))
+            sim = QCloudSimEnv(SimulationConfig(num_jobs=40, seed=3), fast_path=fast_path)
+            sim.run_until_complete()
+            assert sim.fast_path_active is fast_path
+            assert all(d.free_qubits == d.num_qubits for d in sim.cloud.devices)
+            return sorted(calls)
+
+        flat, per_job = run(True), run(False)
+        assert flat == per_job
+        assert sum(op == "reserve" for op, *_ in flat) >= 40
+
+    def test_aborted_runs_release_their_reservations(self):
+        """Outage aborts release through the same pair as completions."""
+        sim = QCloudSimEnv(
+            SimulationConfig(num_jobs=200, policy="fidelity"), scenario="flaky-fleet"
+        )
+        records = sim.run_until_complete()
+        assert len(records) == 200
+        assert sum(r.retries for r in records) > 0
+        assert all(d.free_qubits == d.num_qubits for d in sim.cloud.devices)
 
     def test_validation(self, device):
         with pytest.raises(ValueError):
-            device.reserve_qubits_now(0)
+            device.reserve_qubits(0)
         with pytest.raises(ValueError):
-            device.release_qubits_now(-1)
+            device.release_qubits(-1)
         with pytest.raises(RuntimeError, match="cannot reserve"):
-            device.reserve_qubits_now(device.free_qubits + 1)
+            device.reserve_qubits(device.free_qubits + 1)
         with pytest.raises(RuntimeError, match="exceed"):
-            device.release_qubits_now(1)  # already at capacity
+            device.release_qubits(1)  # already at capacity

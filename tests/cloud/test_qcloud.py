@@ -58,12 +58,8 @@ class TestQueries:
             cloud.device("ibm_nowhere")
         assert cloud.device_names() == ["ibm_strasbourg", "ibm_kyiv"]
 
-    def test_utilization_snapshot(self, cloud, env):
-        def proc(env, cloud):
-            yield cloud.devices[0].request_qubits(6)
-
-        env.process(proc(env, cloud))
-        env.run()
+    def test_utilization_snapshot(self, cloud):
+        cloud.devices[0].reserve_qubits(6)
         util = cloud.utilization()
         assert util["ibm_strasbourg"] == pytest.approx(0.5)
         assert util["ibm_kyiv"] == 0.0

@@ -1,6 +1,8 @@
 """Unit tests for the QDevice hierarchy."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.circuit import CircuitSpec
 from repro.cloud.qdevice import BaseQDevice, IBMQuantumDevice, QuantumDevice
@@ -26,31 +28,96 @@ class TestBaseQDevice:
         assert dev.used_qubits == 0
         assert dev.utilization == 0.0
 
-    def test_request_and_release(self, env):
+    def test_reserve_and_release(self, env):
         dev = BaseQDevice(env, "dev", 20)
+        dev.reserve_qubits(15)
+        assert (dev.free_qubits, dev.utilization) == (5, 0.75)
+        dev.release_qubits(15)
+        assert (dev.free_qubits, dev.utilization) == (20, 0.0)
 
-        def proc(env, dev, log):
-            yield dev.request_qubits(15)
-            log.append((dev.free_qubits, dev.utilization))
-            yield env.timeout(1)
-            yield dev.release_qubits(15)
-            log.append((dev.free_qubits, dev.utilization))
-
-        log = []
-        env.process(proc(env, dev, log))
-        env.run()
-        assert log == [(5, 0.75), (20, 0.0)]
-
-    def test_request_more_than_capacity_rejected(self, env):
+    def test_amount_must_be_positive(self, env):
         dev = BaseQDevice(env, "dev", 10)
         with pytest.raises(ValueError):
-            dev.request_qubits(11)
+            dev.reserve_qubits(0)
         with pytest.raises(ValueError):
-            dev.request_qubits(0)
+            dev.release_qubits(-1)
+
+    def test_over_draw_raises(self, env):
+        dev = BaseQDevice(env, "dev", 10)
+        with pytest.raises(RuntimeError, match="cannot reserve"):
+            dev.reserve_qubits(11)
+        dev.reserve_qubits(6)
+        with pytest.raises(RuntimeError, match=r"cannot reserve 5 qubits on dev \(4 free\)"):
+            dev.reserve_qubits(5)
+        assert dev.free_qubits == 4
+
+    def test_over_release_raises(self, env):
+        dev = BaseQDevice(env, "dev", 10)
+        with pytest.raises(RuntimeError, match="would exceed capacity"):
+            dev.release_qubits(3)
+        assert dev.free_qubits == 10
+        dev.reserve_qubits(2)
+        with pytest.raises(RuntimeError, match=r"exceed capacity \(8/10\)"):
+            dev.release_qubits(3)
+        assert dev.free_qubits == 8
+
+    def test_reserve_whole_device_then_release_in_parts(self, env):
+        dev = BaseQDevice(env, "dev", 12)
+        dev.reserve_qubits(12)
+        assert (dev.free_qubits, dev.used_qubits, dev.utilization) == (0, 12, 1.0)
+        for expected_free in (5, 9, 12):
+            dev.release_qubits(expected_free - dev.free_qubits)
+            assert dev.free_qubits == expected_free
+        assert type(dev.free_qubits) is int
 
     def test_invalid_capacity(self, env):
         with pytest.raises(ValueError):
             BaseQDevice(env, "dev", 0)
+
+
+@settings(max_examples=75, deadline=None)
+@given(
+    jobs=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=40),
+            st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+            st.floats(min_value=0.1, max_value=5.0, allow_nan=False),
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    capacity=st.integers(min_value=40, max_value=200),
+)
+def test_qubit_counter_conserved_under_concurrent_churn(jobs, capacity):
+    """Interleaved reserve/release keeps the level in [0, capacity]; a
+    refused over-draw leaves it unchanged; balanced churn restores it."""
+    env = Environment()
+    dev = BaseQDevice(env, "dev", capacity)
+    observed = []
+
+    def churn(env, amount, arrive, hold):
+        yield env.timeout(arrive)
+        while dev.free_qubits < amount:
+            free = dev.free_qubits
+            with pytest.raises(RuntimeError):
+                dev.reserve_qubits(amount)
+            assert dev.free_qubits == free
+            yield env.timeout(1)
+        dev.reserve_qubits(amount)
+        observed.append(dev.free_qubits)
+        yield env.timeout(hold)
+        dev.release_qubits(amount)
+        observed.append(dev.free_qubits)
+
+    for amount, arrive, hold in jobs:
+        env.process(churn(env, amount, arrive, hold))
+    env.run()
+
+    assert dev.free_qubits == capacity
+    assert len(observed) == 2 * len(jobs)
+    assert all(0 <= level <= capacity for level in observed)
+    with pytest.raises(RuntimeError):
+        dev.release_qubits(1)
 
 
 class TestQuantumDevice:

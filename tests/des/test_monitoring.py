@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Container, Environment
+from repro.des import Environment
 from repro.des.monitoring import EventLoopStats, PeriodicSampler, trace_events
 
 
@@ -38,15 +38,15 @@ class TestTraceEvents:
 
 class TestPeriodicSampler:
     def test_samples_at_fixed_period(self, env):
-        container = Container(env, capacity=100, init=100)
+        level = [100]
 
-        def worker(env, container):
-            yield container.get(40)
+        def worker(env):
+            level[0] -= 40
             yield env.timeout(5)
-            yield container.put(40)
+            level[0] += 40
 
-        env.process(worker(env, container))
-        sampler = PeriodicSampler(env, lambda: container.level, period=1.0)
+        env.process(worker(env))
+        sampler = PeriodicSampler(env, lambda: level[0], period=1.0)
         env.run(until=8)
         assert sampler.times == [0.0] + [float(t) for t in range(1, 8)]
         assert sampler.values[0] in (100, 60)

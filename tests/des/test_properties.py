@@ -4,9 +4,8 @@ The kernel's guarantees, whatever the workload:
 
 * the clock never goes backwards while processing events,
 * timeouts fire exactly at their scheduled times, in nondecreasing order,
-* container levels stay within [0, capacity] and are conserved by
-  balanced get/put sequences,
-* resources never admit more concurrent users than their capacity.
+* resources never admit more concurrent users than their capacity, grant
+  in request order and leave no slot idle while a request waits.
 """
 
 import heapq
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Container, Environment, Resource
+from repro.des import Environment, Resource
 
 
 @settings(max_examples=100, deadline=None)
@@ -61,31 +60,6 @@ def test_run_until_processes_exactly_the_events_before_the_horizon(delays, until
     assert env.now == pytest.approx(until)
 
 
-@settings(max_examples=75, deadline=None)
-@given(
-    amounts=st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=20),
-    capacity=st.integers(min_value=40, max_value=200),
-)
-def test_container_conservation_under_concurrent_churn(amounts, capacity):
-    env = Environment()
-    container = Container(env, capacity=capacity, init=capacity)
-    observed_levels = []
-
-    def churn(env, container, amount):
-        yield container.get(amount)
-        observed_levels.append(container.level)
-        yield env.timeout(1)
-        yield container.put(amount)
-        observed_levels.append(container.level)
-
-    for amount in amounts:
-        env.process(churn(env, container, amount))
-    env.run()
-
-    assert container.level == capacity
-    assert all(0 <= level <= capacity for level in observed_levels)
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     capacity=st.integers(min_value=1, max_value=5),
@@ -111,6 +85,45 @@ def test_resource_never_oversubscribed(capacity, hold_times):
     assert resource.count == 0
     assert len(resource.queue) == 0
 
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    capacity=st.integers(min_value=1, max_value=4),
+    users=st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+            st.floats(min_value=0.1, max_value=5.0, allow_nan=False),
+        ),
+        min_size=1,
+        max_size=15,
+    ),
+)
+def test_resource_grants_fifo_and_never_idles_a_slot(capacity, users):
+    """Requests are granted in the order they were made, and a request only
+    waits while every slot is taken."""
+    env = Environment()
+    resource = Resource(env, capacity=capacity)
+    requested, granted = [], []
+
+    def user(env, index, arrive, hold):
+        yield env.timeout(arrive)
+        with resource.request() as req:
+            requested.append(index)
+            if not req.triggered:
+                assert resource.count == capacity
+            yield req
+            granted.append(index)
+            assert req.usage_since == env.now
+            yield env.timeout(hold)
+
+    for index, (arrive, hold) in enumerate(users):
+        env.process(user(env, index, arrive, hold))
+    env.run()
+
+    assert granted == requested
+    assert sorted(granted) == list(range(len(users)))
+    assert resource.count == 0 and len(resource.queue) == 0
 
 @settings(max_examples=50, deadline=None)
 @given(
