@@ -1,10 +1,10 @@
 """The SignalBus: O(1) rolling metrics feeding the adaptive controllers.
 
 Controllers never walk job lists or record managers — every signal they
-read is maintained incrementally from the broker's submit, completion and
-failure reports, which the broker makes only while an
-:class:`~repro.adaptive.engine.AdaptiveEngine` is attached to it (so an
-adaptive-less run pays nothing).  Per-tenant queue-latency tails
+read is maintained incrementally from the submit, completion and failure
+reports that either dispatch engine makes only while an
+:class:`~repro.adaptive.engine.AdaptiveEngine` is attached to the broker
+(so an adaptive-less run pays nothing).  Per-tenant queue-latency tails
 come from the PR 6 P² sketches (:class:`repro.metrics.quantiles.P2Quantile`),
 so a signal read is O(1) regardless of how many jobs have flowed through.
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.cloud.qjob import QJobStatus
 from repro.metrics.quantiles import P2Quantile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -74,8 +73,11 @@ class TenantSignals:
 class SignalBus:
     """Collects broker/record signals for the control loop.
 
-    The broker calls :meth:`on_submit`, :meth:`on_completed` and
-    :meth:`on_failed` through its ``adaptive`` attachment.
+    Both engines call :meth:`on_submit`, :meth:`on_completed` and
+    :meth:`on_failed` through the broker's ``adaptive`` attachment, passing
+    only what the bus reads: the tenant, whether the job was admitted, and
+    the completed record.  The flat engine's streaming mode therefore
+    reports straight from its job table, without a job object per row.
     """
 
     def __init__(self, env, forecaster: Optional["OnlineArrivalForecaster"] = None) -> None:
@@ -96,18 +98,18 @@ class SignalBus:
             sig = self.tenants[key] = TenantSignals()
         return sig
 
-    def on_submit(self, job) -> None:
-        sig = self._tenant(getattr(job, "tenant", None))
+    def on_submit(self, tenant: Optional[str], admitted: bool) -> None:
+        sig = self._tenant(tenant)
         sig.submitted += 1
-        if job.status is QJobStatus.REJECTED:
-            sig.shed += 1
-        else:
+        if admitted:
             sig.admitted += 1
+        else:
+            sig.shed += 1
         if self.forecaster is not None:
             self.forecaster.observe(self.env.now)
 
-    def on_completed(self, job, record) -> None:
-        sig = self._tenant(getattr(job, "tenant", None))
+    def on_completed(self, record) -> None:
+        sig = self._tenant(record.tenant)
         sig.completed += 1
         wait = record.wait_time
         sig.wait_p95.add(wait)
@@ -115,8 +117,8 @@ class SignalBus:
         self._service_sum += record.effective_service_time
         self._service_count += 1
 
-    def on_failed(self, job) -> None:
-        self._tenant(getattr(job, "tenant", None)).failed += 1
+    def on_failed(self, tenant: Optional[str]) -> None:
+        self._tenant(tenant).failed += 1
 
     # -- queries ------------------------------------------------------------
 

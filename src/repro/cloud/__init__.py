@@ -6,7 +6,7 @@ This subpackage models the components of Fig. 3/Fig. 4 of the paper:
 * :class:`~repro.cloud.qdevice.BaseQDevice` /
   :class:`~repro.cloud.qdevice.QuantumDevice` /
   :class:`~repro.cloud.qdevice.IBMQuantumDevice` — simulated QPUs with qubit
-  containers, coupling maps, CLOPS and calibration-derived error scores,
+  counters, coupling maps, CLOPS and calibration-derived error scores,
 * :class:`~repro.cloud.qcloud.QCloud` — the device fleet, large-circuit
   allocation and inter-device communication,
 * :class:`~repro.cloud.broker.Broker` — mediates between job requests and
@@ -18,7 +18,7 @@ This subpackage models the components of Fig. 3/Fig. 4 of the paper:
   environment tying everything together.
 """
 
-from repro.cloud.broker import Broker, CustomBroker
+from repro.cloud.broker import Broker
 from repro.cloud.communication import ClassicalCommunicationModel
 from repro.cloud.config import SimulationConfig
 from repro.cloud.environment import QCloudSimEnv
@@ -32,7 +32,6 @@ __all__ = [
     "BaseQDevice",
     "Broker",
     "ClassicalCommunicationModel",
-    "CustomBroker",
     "IBMQuantumDevice",
     "JobEvent",
     "JobGenerator",

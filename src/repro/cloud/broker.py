@@ -46,7 +46,7 @@ from repro.des.environment import Environment
 from repro.des.events import Process
 from repro.metrics.fidelity import FidelityBreakdown, final_fidelity, merge_segment_fidelities
 
-__all__ = ["Broker", "CustomBroker"]
+__all__ = ["Broker"]
 
 
 class _JobRun:
@@ -117,8 +117,11 @@ class Broker:
         self.max_plan_attempts = int(max_plan_attempts)
         self.max_requeues = int(max_requeues)
         self.checkpointing = bool(checkpointing)
-        #: Processes of all submitted jobs (used to wait for completion).
-        self.job_processes: List[Process] = []
+        #: Jobs of the workload not yet ended (completed, failed or rejected);
+        #: set by :meth:`expect`, counted down by each job's single end point.
+        self.unended = 0
+        #: Succeeds when the last expected job ends.
+        self.all_ended = env.event()
         #: Jobs that could never be allocated.
         self.failed_jobs: List[QJob] = []
         #: The adaptive control plane (an ``AdaptiveEngine``, attached by its
@@ -129,14 +132,23 @@ class Broker:
     def submit(self, job: QJob) -> Process:
         """Submit a job: starts its handling process and returns it."""
         job.status = QJobStatus.QUEUED
-        return self._track(job, self.env.process(self._handle_job(job)))
-
-    def _track(self, job: QJob, process: Process) -> Process:
-        """Record *process* as *job*'s submission and report it."""
-        self.job_processes.append(process)
+        process = self.env.process(self._handle_job(job))
         if self.adaptive is not None:
-            self.adaptive.signals.on_submit(job)
+            self.adaptive.signals.on_submit(job.tenant, True)
         return process
+
+    def expect(self, num_jobs: int) -> None:
+        """Set the workload size: :attr:`all_ended` succeeds once *num_jobs*
+        jobs have ended (at once for an empty workload)."""
+        self.unended = num_jobs
+        if num_jobs == 0:
+            self.all_ended.succeed()
+
+    def _ended(self) -> None:
+        """Count down one job's end: its completion, failure or rejection."""
+        self.unended -= 1
+        if self.unended == 0:
+            self.all_ended.succeed()
 
     # -- Algorithm 1 -----------------------------------------------------------------
     def _handle_job(self, job: QJob) -> Generator[object, object, Optional[JobRecord]]:
@@ -342,8 +354,9 @@ class Broker:
         )
         self.records.add_record(record)
         if self.adaptive is not None:
-            self.adaptive.signals.on_completed(job, record)
+            self.adaptive.signals.on_completed(record)
         self.cloud.notify_capacity_released()
+        self._ended()
         return record
 
     def _fail(self, job: QJob, reason: str) -> None:
@@ -353,7 +366,8 @@ class Broker:
         self.records.log_failure(job.job_id, self.env.now, reason)
         self._note_failed(job)
         if self.adaptive is not None:
-            self.adaptive.signals.on_failed(job)
+            self.adaptive.signals.on_failed(job.tenant)
+        self._ended()
 
     # -- life-cycle hooks (no-ops here; the serve broker keeps its tenant and
     # preemption bookkeeping in sync by overriding them) ---------------------------
@@ -373,14 +387,3 @@ class Broker:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} policy={getattr(self.policy, 'name', '?')!r}>"
 
-
-class CustomBroker(Broker):
-    """Extension point for user-defined brokers.
-
-    Subclasses can override :meth:`_handle_job` (or smaller hooks added by the
-    user) to implement custom orchestration — e.g. batching, preemption or
-    deadline-aware admission — while reusing the device/communication
-    machinery.  The class exists mainly to mirror the framework description in
-    §3 ("Users may create a CustomBroker by extending the abstract Broker
-    class").
-    """

@@ -26,7 +26,7 @@ class SimulationConfig:
 
     The dispatch engine is not a knob: :class:`~repro.cloud.environment
     .QCloudSimEnv` runs the flat-event dispatcher whenever the configuration
-    is eligible (plain broker, no tenant mix, no world dynamics, no active
+    is eligible (no tenant mix and no world dynamics, with or without an
     adaptive policy; see :func:`~repro.cloud.fastpath.flat_path_eligible`)
     and the per-job broker processes otherwise.  Both give byte-identical
     results.

@@ -17,7 +17,7 @@ injects calibration drift, outages and traffic shaping through the
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.cloud.broker import Broker
 from repro.cloud.communication import ClassicalCommunicationModel
@@ -76,8 +76,9 @@ class QCloudSimEnv(Environment):
     fast_path:
         Engine override.  By default (``None``) the engine follows the
         configuration: the flat-event dispatcher (:mod:`repro.cloud.fastpath`)
-        drives every run that :func:`~repro.cloud.fastpath.flat_path_eligible`
-        accepts, and the per-job broker processes drive everything else.
+        drives every run without a tenant mix or world dynamics (see
+        :func:`~repro.cloud.fastpath.flat_path_eligible`; adaptive policies
+        run on it too), and the per-job broker processes drive the rest.
         ``False`` forces the per-job engine (the reference for identity tests
         and benchmark baselines); ``True`` demands the flat engine and raises
         ``ValueError`` on an ineligible configuration.  Both engines give
@@ -93,8 +94,9 @@ class QCloudSimEnv(Environment):
         :class:`~repro.adaptive.AdaptivePolicySpec` instance (overrides
         ``config.adaptive``).  A non-static policy attaches the
         closed-loop control plane (:class:`~repro.adaptive.AdaptiveEngine`)
-        to the broker; ``None`` and the ``static`` preset are byte-identical
-        to the open-loop engine.
+        to the broker, on whichever engine the rest of the configuration
+        selects; ``None`` and the ``static`` preset are byte-identical to an
+        open-loop run.
     """
 
     def __init__(
@@ -225,16 +227,13 @@ class QCloudSimEnv(Environment):
         # -- dispatch engine -----------------------------------------------------
         from repro.cloud.fastpath import FlatDispatcher, JobTable, flat_path_eligible
 
-        eligible = flat_path_eligible(
-            self.broker, self.tenant_mix, self.scenario, self.adaptive_policy
-        )
+        eligible = flat_path_eligible(self.tenant_mix, self.scenario)
         if job_table is not None and fast_path is False:
             raise ValueError("job_table runs on the flat engine; it cannot take fast_path=False")
         if (job_table is not None or fast_path) and not eligible:
             raise ValueError(
                 f"{'job_table' if job_table is not None else 'fast_path=True'} requires a "
-                "fast-path-eligible configuration (plain broker, no tenant mix, no "
-                "world dynamics, no active adaptive policy)"
+                "fast-path-eligible configuration (no tenant mix, no world dynamics)"
             )
         #: Whether the flat-event dispatcher is driving this run.
         self.fast_path_active = eligible if fast_path is None else bool(fast_path)
@@ -261,30 +260,27 @@ class QCloudSimEnv(Environment):
             self.adaptive_engine = AdaptiveEngine(self, self.adaptive_policy)
             self.adaptive_engine.install()
 
+        self.broker.expect(len(self.job_generator))
         self.job_generator.start()
 
     # -- running -----------------------------------------------------------------
-    def _jobs_complete_watcher(self) -> Generator[object, object, None]:
-        """DES process that finishes once every submitted job has finished."""
-        yield self.job_generator.process
-        yield self.job_generator.all_jobs_done()
-
     def run_until_complete(self) -> List[JobRecord]:
         """Run the simulation until every job has been processed.
 
         Returns the completed job records (failed jobs are excluded; they are
         listed in ``broker.failed_jobs``).
 
-        Scenarios with perpetual event sources (drift, stochastic outages)
-        keep the event queue populated forever, so those runs stop on an
-        all-jobs-finished event instead of queue exhaustion; plain runs keep
-        the historical drain-the-queue behaviour (byte-identical results).
+        Perpetual event sources (scenario drift and stochastic outages, the
+        adaptive control loop) keep the event queue populated forever, so
+        those runs stop on the broker's ``all_ended`` event, which succeeds
+        when the last job completes, fails or is rejected; other runs drain
+        the queue.
         """
         perpetual = (
             self.scenario_engine is not None and self.scenario_engine.perpetual
         ) or (self.adaptive_engine is not None and self.adaptive_engine.perpetual)
         if perpetual:
-            self.run(until=self.process(self._jobs_complete_watcher()))
+            self.run(until=self.broker.all_ended)
         else:
             self.run()
         return self.records.completed_records

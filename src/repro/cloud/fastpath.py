@@ -65,9 +65,18 @@ cloud's current online view, exactly like the per-job engine.  It runs
 sub-jobs without DES processes and so cannot abort them: a *killing*
 ``set_offline`` of a device with work in flight raises ``RuntimeError``.
 
-Ineligible configurations (tenant mixes, scenarios with world dynamics,
-active adaptive policies, custom brokers) run on the per-job engine;
-``fast_path=True`` on them raises ``ValueError``.
+Adaptive control
+----------------
+An attached adaptive control plane (``broker.adaptive``) sees the same
+reports on both engines: the dispatcher passes each arrival to the signal
+bus at feed, asks for one checkpoint decision per dispatch, reports each
+completion with its record, and fails jobs through ``Broker._fail``.  It
+reads ``broker.policy`` at :meth:`FlatDispatcher.start`, after the control
+plane has installed its planner wrapper.
+
+Ineligible configurations (tenant mixes, scenarios with world dynamics)
+run on the per-job engine; ``fast_path=True`` on them raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -427,34 +436,19 @@ class _FlatJob:
         self.comm_delay = 0.0
 
 
-def flat_path_eligible(
-    broker: Any, tenant_mix: Any, scenario: Any, adaptive: Any = None
-) -> bool:
+def flat_path_eligible(tenant_mix: Any, scenario: Any) -> bool:
     """Whether the flat dispatcher may replace the per-job engine.
 
-    Eligible: the plain :class:`~repro.cloud.broker.Broker` (no tenant mix /
-    serve layer, no custom subclass) in a world without runtime dynamics —
-    no scenario at all, or a scenario that injects neither drift nor
-    outages nor maintenance nor replayed events (traffic-only presets such
-    as ``rush-hour`` qualify: they only shape arrivals) — and no active
-    adaptive policy (the control plane senses arrivals in
-    ``broker.submit``, which the flat dispatcher bypasses; the ``static``
-    preset is a no-op and qualifies).  Everything else runs on the per-job
-    engine, whose behaviour is the reference.
+    Eligible: no tenant mix (the serve layer's broker has its own dispatch
+    queue) in a world without runtime dynamics — no scenario at all, or a
+    scenario that injects neither drift nor outages nor maintenance nor
+    replayed events (traffic-only presets such as ``rush-hour`` qualify:
+    they only shape arrivals).  Any adaptive policy qualifies.  Everything
+    else runs on the per-job engine, whose behaviour is the reference.
     """
-    from repro.cloud.broker import Broker
-
-    if type(broker) is not Broker:
-        return False
     if tenant_mix is not None:
         return False
-    if adaptive is not None and not adaptive.is_static:
-        return False
-    if scenario is None:
-        return True
-    if scenario.is_replay:
-        return False
-    return not scenario.has_world_dynamics
+    return scenario is None or not (scenario.is_replay or scenario.has_world_dynamics)
 
 
 def _refuse_kills(device: Any, kill_running: bool) -> None:
@@ -486,16 +480,15 @@ class FlatDispatcher:
       direct level arithmetic.
 
     The broker instance is retained for its configuration
-    (``max_plan_attempts``), its records manager and its failure path
-    (``failed_jobs``), so results read the same regardless of which engine
-    ran.
+    (``max_plan_attempts``), its records manager, its failure path
+    (``failed_jobs``), its end-of-run count and its adaptive attachment, so
+    results read the same regardless of which engine ran.
     """
 
     def __init__(self, env: Any, broker: Any, table: JobTable) -> None:
         self.env = env
         self.broker = broker
         self.cloud = broker.cloud
-        self.policy = broker.policy
         self.records = broker.records
         self.table = table
         #: Row indices waiting for placement, FIFO.
@@ -504,8 +497,6 @@ class FlatDispatcher:
         self.completed_count = 0
         #: Jobs submitted (fed) so far.
         self.submitted_count = 0
-        #: Legacy-compat attribute (the flat path runs no dispatch process).
-        self.process = None
         self._row_view = _RowView(table)
         #: Lazy arrival-group stream with a one-group prefetch (the next
         #: feed's timestamp must be known to schedule it).
@@ -526,7 +517,6 @@ class FlatDispatcher:
         self._qubits_col = table.qubits
         self._total_capacity = self.cloud.total_qubits
         self._log_event = self.records.log_event
-        self._plan = self.policy.plan
         # Eligible worlds inject no outages, but user code may still take a
         # device offline: plan over the cloud's current online view (a
         # cached list, rebuilt only on availability changes) and refuse the
@@ -567,10 +557,18 @@ class FlatDispatcher:
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
-        """Install the first arrival feed (mirrors ``JobGenerator.start``)."""
+        """Install the first arrival feed (mirrors ``JobGenerator.start``).
+
+        The policy and the adaptive attachment are read here, not at
+        construction: an adaptive planner replaces ``broker.policy`` when
+        the control plane installs, after the dispatcher is built.
+        """
         if self._started:
             raise RuntimeError("FlatDispatcher already started")
         self._started = True
+        self._policy = self.broker.policy
+        self._plan = self._policy.plan
+        self._adaptive = self.broker.adaptive
         self._schedule_next_feed()
 
     def _schedule_next_feed(self) -> None:
@@ -597,6 +595,10 @@ class FlatDispatcher:
         self._log_arrival_block(self._job_ids, start, stop, now)
         pending = self.pending
         jobs = self.table.jobs
+        if self._adaptive is not None:
+            on_submit = self._adaptive.signals.on_submit
+            for row in range(start, stop):
+                on_submit(jobs[row].tenant if jobs is not None else None, True)
         if self._all_fit:
             if jobs is not None:
                 for row in range(start, stop):
@@ -696,16 +698,20 @@ class FlatDispatcher:
                     feasible = False
             if total != num_qubits:
                 raise RuntimeError(
-                    f"policy {self.policy.name!r} allocated {total} qubits "
+                    f"policy {self._policy.name!r} allocated {total} qubits "
                     f"for a job needing {num_qubits}"
                 )
             if not feasible:
                 raise RuntimeError(
-                    f"policy {self.policy.name!r} returned an infeasible plan for job "
+                    f"policy {self._policy.name!r} returned an infeasible plan for job "
                     f"{job_view.job_id}"
                 )
             pending.popleft()
             self._head_attempts = 0
+            if self._adaptive is not None:
+                # One decision per execution attempt, as on the per-job
+                # engine; eligible worlds never abort, so it changes no record.
+                self._adaptive.checkpoint(job_view)
             state = _FlatJob(
                 row,
                 env._now,
@@ -933,8 +939,11 @@ class FlatDispatcher:
             resumed_shots=0,
         )
         records.add_record(record)
+        if self._adaptive is not None:
+            self._adaptive.signals.on_completed(record)
         cloud.jobs_completed += 1
         self.completed_count += 1
+        self.broker._ended()
         self._request_pump(signal=True)
 
 

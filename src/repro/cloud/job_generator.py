@@ -104,8 +104,6 @@ class JobGenerator:
         )
         #: The dispatch process (started by :meth:`start`).
         self.process: Optional[Process] = None
-        #: Processes of all submitted jobs.
-        self.submitted: List[Process] = []
 
     @classmethod
     def synthetic(
@@ -164,24 +162,14 @@ class JobGenerator:
 
         log_arrival = self.broker.records.log_arrival
         submit = self.broker.submit
-        submitted = self.submitted
         for (time, batch), marker in zip(batches, markers):
             if marker is not None:
                 yield marker
             now = env.now
             for job in batch:
                 log_arrival(job.job_id, now)
-                submitted.append(submit(job))
+                submit(job)
         return len(self.jobs)
-
-    def all_jobs_done(self):
-        """Return an event that triggers when every submitted job has finished.
-
-        Must be called after the dispatch process has completed (e.g. by
-        running the simulation to exhaustion, or by yielding
-        :attr:`process` first).
-        """
-        return self.env.all_of(self.submitted)
 
     def __len__(self) -> int:
         return len(self.jobs)

@@ -8,38 +8,23 @@ so this subpackage provides a drop-in substitute with the same signatures:
   ``step(action) -> (obs, reward, terminated, truncated, info)``,
 * :mod:`~repro.gymapi.spaces` with :class:`~repro.gymapi.spaces.Box`,
   :class:`~repro.gymapi.spaces.Discrete` and
-  :class:`~repro.gymapi.spaces.MultiDiscrete`,
-* common wrappers (:class:`~repro.gymapi.wrappers.TimeLimit`,
-  :class:`~repro.gymapi.wrappers.ClipAction`,
-  :class:`~repro.gymapi.wrappers.NormalizeObservation`,
-  :class:`~repro.gymapi.wrappers.RecordEpisodeStatistics`),
+  :class:`~repro.gymapi.spaces.Dict`,
 * :mod:`~repro.gymapi.vector` with the batched-environment API
   (:class:`~repro.gymapi.vector.VecEnv`,
   :class:`~repro.gymapi.vector.SyncVecEnv`) used by vectorized PPO rollout
   collection.
 """
 
-from repro.gymapi import spaces, vector, wrappers
-from repro.gymapi.core import (
-    ActionWrapper,
-    Env,
-    ObservationWrapper,
-    RewardWrapper,
-    Wrapper,
-)
+from repro.gymapi import spaces, vector
+from repro.gymapi.core import Env
 from repro.gymapi.seeding import np_random
 from repro.gymapi.vector import SyncVecEnv, VecEnv
 
 __all__ = [
-    "ActionWrapper",
     "Env",
-    "ObservationWrapper",
-    "RewardWrapper",
     "SyncVecEnv",
     "VecEnv",
-    "Wrapper",
     "np_random",
     "spaces",
     "vector",
-    "wrappers",
 ]

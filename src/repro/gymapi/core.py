@@ -1,4 +1,4 @@
-"""Environment and wrapper base classes (Gymnasium-compatible subset)."""
+"""Environment base class (Gymnasium-compatible subset)."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import numpy as np
 from repro.gymapi.seeding import np_random
 from repro.gymapi.spaces import Space
 
-__all__ = ["Env", "Wrapper", "ObservationWrapper", "ActionWrapper", "RewardWrapper"]
+__all__ = ["Env"]
 
 ObsType = TypeVar("ObsType")
 ActType = TypeVar("ActType")
@@ -89,93 +89,3 @@ class Env(Generic[ObsType, ActType]):
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} instance>"
 
-
-class Wrapper(Env[ObsType, ActType]):
-    """Wraps an environment, forwarding everything by default."""
-
-    def __init__(self, env: Env) -> None:
-        self.env = env
-
-    def __getattr__(self, name: str) -> Any:
-        if name.startswith("_"):
-            raise AttributeError(f"accessing private attribute '{name}' is prohibited")
-        return getattr(self.env, name)
-
-    @property
-    def observation_space(self) -> Space:  # type: ignore[override]
-        if "observation_space" in self.__dict__:
-            return self.__dict__["observation_space"]
-        return self.env.observation_space
-
-    @observation_space.setter
-    def observation_space(self, space: Space) -> None:
-        self.__dict__["observation_space"] = space
-
-    @property
-    def action_space(self) -> Space:  # type: ignore[override]
-        if "action_space" in self.__dict__:
-            return self.__dict__["action_space"]
-        return self.env.action_space
-
-    @action_space.setter
-    def action_space(self, space: Space) -> None:
-        self.__dict__["action_space"] = space
-
-    @property
-    def unwrapped(self) -> Env:
-        return self.env.unwrapped
-
-    @property
-    def np_random(self) -> np.random.Generator:  # type: ignore[override]
-        return self.env.np_random
-
-    def reset(self, *, seed: Optional[int] = None, options: Optional[Dict[str, Any]] = None):
-        return self.env.reset(seed=seed, options=options)
-
-    def step(self, action: ActType):
-        return self.env.step(action)
-
-    def render(self) -> Any:
-        return self.env.render()
-
-    def close(self) -> None:
-        self.env.close()
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<{type(self).__name__}{self.env}>"
-
-
-class ObservationWrapper(Wrapper):
-    """A wrapper that transforms observations via :meth:`observation`."""
-
-    def reset(self, *, seed: Optional[int] = None, options: Optional[Dict[str, Any]] = None):
-        obs, info = self.env.reset(seed=seed, options=options)
-        return self.observation(obs), info
-
-    def step(self, action: ActType):
-        obs, reward, terminated, truncated, info = self.env.step(action)
-        return self.observation(obs), reward, terminated, truncated, info
-
-    def observation(self, observation: ObsType) -> ObsType:
-        raise NotImplementedError
-
-
-class ActionWrapper(Wrapper):
-    """A wrapper that transforms actions via :meth:`action`."""
-
-    def step(self, action: ActType):
-        return self.env.step(self.action(action))
-
-    def action(self, action: ActType) -> ActType:
-        raise NotImplementedError
-
-
-class RewardWrapper(Wrapper):
-    """A wrapper that transforms rewards via :meth:`reward`."""
-
-    def step(self, action: ActType):
-        obs, reward, terminated, truncated, info = self.env.step(action)
-        return obs, self.reward(reward), terminated, truncated, info
-
-    def reward(self, reward: SupportsFloat) -> SupportsFloat:
-        raise NotImplementedError

@@ -6,9 +6,7 @@ Only the space types the reproduction needs are implemented:
   state and 5-dim action),
 * :class:`Discrete` — a finite set of integers (used by baseline policies and
   tests),
-* :class:`MultiDiscrete` — a vector of independent discrete dimensions,
-* :class:`Dict` — a dictionary of component spaces (used by diagnostic
-  wrappers).
+* :class:`Dict` — a dictionary of component spaces.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ import numpy as np
 
 from repro.gymapi.seeding import np_random
 
-__all__ = ["Space", "Box", "Discrete", "MultiDiscrete", "Dict", "flatten", "flatdim"]
+__all__ = ["Space", "Box", "Discrete", "Dict", "flatten", "flatdim"]
 
 
 class Space:
@@ -193,29 +191,6 @@ class Discrete(Space):
         return isinstance(other, Discrete) and self.n == other.n and self.start == other.start
 
 
-class MultiDiscrete(Space):
-    """A cartesian product of :class:`Discrete` spaces."""
-
-    def __init__(self, nvec: Sequence[int], seed: Optional[int] = None) -> None:
-        self.nvec = np.asarray(nvec, dtype=np.int64)
-        if np.any(self.nvec <= 0):
-            raise ValueError("all entries of nvec must be > 0")
-        super().__init__(self.nvec.shape, np.int64, seed)
-
-    def sample(self) -> np.ndarray:
-        return (self.np_random.random(self.nvec.shape) * self.nvec).astype(np.int64)
-
-    def contains(self, x: Any) -> bool:
-        x = np.asarray(x)
-        return bool(x.shape == self.shape and np.all(x >= 0) and np.all(x < self.nvec))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"MultiDiscrete({self.nvec.tolist()})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MultiDiscrete) and np.array_equal(self.nvec, other.nvec)
-
-
 class Dict(Space):
     """A dictionary of component spaces."""
 
@@ -256,8 +231,6 @@ def flatdim(space: Space) -> int:
         return int(np.prod(space.shape))
     if isinstance(space, Discrete):
         return space.n
-    if isinstance(space, MultiDiscrete):
-        return int(np.sum(space.nvec))
     if isinstance(space, Dict):
         return sum(flatdim(s) for s in space.spaces.values())
     raise NotImplementedError(f"Unsupported space {space!r}")
@@ -270,11 +243,6 @@ def flatten(space: Space, x: Any) -> np.ndarray:
     if isinstance(space, Discrete):
         onehot = np.zeros(space.n, dtype=np.float64)
         onehot[int(x) - space.start] = 1.0
-        return onehot
-    if isinstance(space, MultiDiscrete):
-        offsets = np.concatenate(([0], np.cumsum(space.nvec)[:-1]))
-        onehot = np.zeros(int(np.sum(space.nvec)), dtype=np.float64)
-        onehot[offsets + np.asarray(x, dtype=np.int64)] = 1.0
         return onehot
     if isinstance(space, Dict):
         return np.concatenate([flatten(s, x[key]) for key, s in space.spaces.items()])

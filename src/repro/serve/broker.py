@@ -32,7 +32,7 @@ broker, which the regression tests assert across all four paper policies.
 from __future__ import annotations
 
 import bisect
-from typing import Any, Dict, Generator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.cloud.broker import Broker
 from repro.cloud.qcloud import QCloud
@@ -203,14 +203,13 @@ class ServeBroker(Broker):
         self._floor_wait: Optional[Tuple[_JobEntry, Any]] = None
 
     # -- submission -----------------------------------------------------------------
-    def submit(self, job: QJob) -> Process:
+    def submit(self, job: QJob) -> Optional[Process]:
         """Admission-check *job*, enqueue it and return its process.
 
         Untagged jobs are stamped with the mix's default tenant; a job tagged
         with a tenant the mix does not know is an error (silently
-        re-attributing it would corrupt the SLO accounting).  Rejected jobs
-        return a process that terminates immediately (so callers can still
-        wait on every submission uniformly).
+        re-attributing it would corrupt the SLO accounting).  A rejected job
+        ends at once and returns ``None``.
         """
         if job.tenant is None:
             job.tenant = self.mix.default_tenant.name
@@ -229,7 +228,10 @@ class ServeBroker(Broker):
             self.records.log_rejection(
                 job.job_id, self.env.now, reason=f"{job.tenant}:{decision.reason}"
             )
-            return self._track(job, self.env.process(self._rejected_process(job)))
+            if self.adaptive is not None:
+                self.adaptive.signals.on_submit(job.tenant, False)
+            self._ended()
+            return None
 
         entry = _JobEntry(job, tenant, self._seq)
         self._seq += 1
@@ -243,11 +245,6 @@ class ServeBroker(Broker):
 
         self._nudge_floor_holder(entry)
         return super().submit(job)
-
-    def _rejected_process(self, job: QJob) -> Generator[object, object, None]:
-        """A submission process for a rejected job: terminates immediately."""
-        return None
-        yield  # pragma: no cover — unreachable; makes this a generator
 
     # -- tenant-aware dispatch ---------------------------------------------------------
     def _dispatch_request(self, job: QJob) -> _DispatchTicket:

@@ -41,19 +41,43 @@ class TestFastPathInteraction:
         env = QCloudSimEnv(config)
         assert env.fast_path_active
 
-    def test_active_policy_falls_back_to_legacy_engine(self):
-        # The control plane senses arrivals in broker.submit, which the flat
-        # dispatcher bypasses: an active policy selects the per-job engine.
+    def test_active_policy_runs_on_the_flat_engine(self):
+        # The flat dispatcher reports to the control plane like the broker
+        # does, so an active policy keeps the default engine.
         config = SimulationConfig(num_jobs=10, seed=1, adaptive="reactive")
         env = QCloudSimEnv(config)
-        assert not env.fast_path_active
+        assert env.fast_path_active
         records = env.run_until_complete()
         assert len(records) == 10
+        signals = env.adaptive_report()["signals"]["tenants"]["__untenanted__"]
+        assert signals["submitted"] == signals["completed"] == 10
 
-    def test_active_policy_refuses_explicit_fast_path(self):
-        config = SimulationConfig(num_jobs=10, seed=1, adaptive="reactive")
-        with pytest.raises(ValueError, match="no active adaptive policy"):
-            QCloudSimEnv(config, fast_path=True)
+    def test_flat_engine_plans_through_the_installed_planner(self):
+        # The SLO-aware planner replaces broker.policy after the dispatcher
+        # is built; every flat-engine plan must still go through it.
+        env = QCloudSimEnv(SimulationConfig(num_jobs=10, seed=1, adaptive="reactive"))
+        planner = env.broker.policy
+        assert planner.kind == "slo-planner"
+        inner, planned = planner.inner, []
+
+        class Recording:
+            name = inner.name
+
+            def plan(self, job, devices):
+                planned.append(job.job_id)
+                return inner.plan(job, devices)
+
+        planner.inner = Recording()
+        env.run_until_complete()
+        assert env.fast_path_active
+        assert sorted(set(planned)) == list(range(10))
+
+    @pytest.mark.parametrize("adaptive", ["reactive", "predictive"])
+    def test_active_policy_accepts_explicit_fast_path(self, adaptive):
+        config = SimulationConfig(num_jobs=10, seed=1, adaptive=adaptive)
+        env = QCloudSimEnv(config, fast_path=True)
+        assert env.fast_path_active
+        assert len(env.run_until_complete()) == 10
 
 
 class TestExperimentGrid:

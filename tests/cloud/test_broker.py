@@ -3,7 +3,7 @@
 import pytest
 
 from repro.circuits.circuit import CircuitSpec
-from repro.cloud.broker import Broker, CustomBroker
+from repro.cloud.broker import Broker
 from repro.cloud.qcloud import QCloud
 from repro.cloud.qjob import QJob, QJobStatus
 from repro.cloud.records import JobRecordsManager
@@ -158,10 +158,23 @@ class TestPolicyInteraction:
             env.run()
 
 
-class TestCustomBroker:
-    def test_custom_broker_is_a_broker(self, env):
-        cloud = small_cloud(env)
-        broker = CustomBroker(env, cloud, SpeedPolicy(), JobRecordsManager())
-        broker.submit(make_job(q=16))
-        env.run()
-        assert len(broker.records.completed_records) == 1
+class TestAllEnded:
+    def test_succeeds_when_the_last_expected_job_ends(self, env):
+        cloud, records, broker = build(env)
+        broker.expect(3)
+        broker.submit(make_job(job_id=0, q=8, shots=2_000))
+        broker.submit(make_job(job_id=1, q=8, shots=9_000))
+        broker.submit(make_job(job_id=2, q=100))  # wider than the fleet: fails
+        env.run(until=broker.all_ended)
+        assert broker.unended == 0
+        assert [job.job_id for job in broker.failed_jobs] == [2]
+        last = max(r.finish_time for r in records.completed_records)
+        assert len(records.completed_records) == 2
+        assert env.now == last
+
+    def test_empty_workload_ends_at_once(self, env):
+        cloud, records, broker = build(env)
+        broker.expect(0)
+        assert broker.all_ended.triggered
+        env.run(until=broker.all_ended)
+        assert env.now == 0.0

@@ -3,13 +3,15 @@
 The flat engine's contract (see :mod:`repro.cloud.fastpath`) is that every
 eligible configuration reproduces the per-job record and event streams *bit
 for bit*.  These tests sweep policies × arrival processes × traffic-only
-scenarios comparing the full event log, every completed record and the
-failed-job lists (the flat engine is the default; ``fast_path=False``
-forces the per-job reference), plus the engine selection rules and the
-:class:`JobTable` plumbing the dispatcher runs on.
+scenarios (× adaptive policies) comparing the full event log, every
+completed record and the failed-job lists (the flat engine is the default;
+``fast_path=False`` forces the per-job reference), plus the engine selection
+rules and the :class:`JobTable` plumbing the dispatcher runs on.
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -22,8 +24,10 @@ from repro.cloud.job_generator import generate_synthetic_jobs
 from repro.cloud.qjob import QJob
 
 
-def _run(fast, policy="speed", arrival=None, scenario=None, jobs=None, n=50, devices=None):
-    """One simulation; returns (events, records, failed, fast_path_active).
+def _run(fast, policy="speed", arrival=None, scenario=None, jobs=None, n=50, devices=None,
+         adaptive=None):
+    """One simulation; returns (events, records, failed, fast_path_active,
+    now, adaptive report as JSON or None).
 
     ``fast=None`` lets the environment choose the engine; ``False`` forces
     the per-job engine."""
@@ -40,12 +44,16 @@ def _run(fast, policy="speed", arrival=None, scenario=None, jobs=None, n=50, dev
         jobs=jobs,
         scenario=scenario,
         fast_path=fast,
+        adaptive=adaptive,
     )
-    env.run()
+    env.run_until_complete()
     events = [(e.job_id, e.event, e.time, e.detail) for e in env.records.events]
     records = [r.as_dict() for r in env.records.completed_records]
     failed = [(j.job_id, j.status.name) for j in env.broker.failed_jobs]
-    return events, records, failed, env.fast_path_active
+    report = None
+    if adaptive is not None:
+        report = json.dumps(env.adaptive_report(), sort_keys=True)
+    return events, records, failed, env.fast_path_active, env.now, report
 
 
 class TestByteIdentity:
@@ -60,6 +68,35 @@ class TestByteIdentity:
                 assert legacy[0] == fast[0], (policy, arrival, scenario, "events")
                 assert legacy[1] == fast[1], (policy, arrival, scenario, "records")
                 assert legacy[2] == fast[2], (policy, arrival, scenario, "failed")
+
+    @pytest.mark.parametrize("arrival", [None, 0.5], ids=["batch", "poisson"])
+    @pytest.mark.parametrize("scenario", [None, "rush-hour"])
+    @pytest.mark.parametrize("adaptive", ["reactive", "predictive"])
+    @pytest.mark.parametrize("policy", ["speed", "fidelity", "fair", "balanced"])
+    def test_identical_adaptive_runs(self, policy, adaptive, scenario, arrival):
+        # The control plane's signals, ticks and decisions must not depend
+        # on which engine reported to it.
+        legacy = _run(False, policy, arrival, scenario, adaptive=adaptive)
+        fast = _run(None, policy, arrival, scenario, adaptive=adaptive)
+        assert fast[3] and not legacy[3]
+        assert legacy[0] == fast[0], "events"
+        assert legacy[1] == fast[1], "records"
+        assert legacy[2] == fast[2], "failed"
+        assert legacy[4] == fast[4], "env.now"
+        assert legacy[5] == fast[5], "adaptive_report"
+
+    def test_streaming_table_with_adaptive_policy_ends_every_job(self):
+        arrivals = np.cumsum(np.full(40, 3.0)) - 3.0
+        table = JobTable.synthetic(40, seed=2, arrival_times=arrivals)
+        env = QCloudSimEnv(config=SimulationConfig(adaptive="reactive"), job_table=table)
+        assert env.fast_path_active
+        records = env.run_until_complete()
+        assert table.jobs is None
+        assert len(records) == 40 and not env.broker.failed_jobs
+        assert env.broker.unended == 0
+        assert env.now == max(r.finish_time for r in records)
+        signals = env.adaptive_report()["signals"]["tenants"]["__untenanted__"]
+        assert signals["submitted"] == signals["completed"] == 40
 
     def test_capacity_exceeding_job_fails_identically(self):
         # One job wider than the whole fleet exercises the can-ever-fit
@@ -138,8 +175,8 @@ class TestEligibility:
 
     @pytest.mark.parametrize(
         "overrides",
-        [{"scenario": "flaky-fleet"}, {"tenants": "single"}, {"adaptive": "reactive"}],
-        ids=["scenario", "tenants", "adaptive"],
+        [{"scenario": "flaky-fleet"}, {"tenants": "single"}],
+        ids=["scenario", "tenants"],
     )
     def test_explicit_fast_path_on_ineligible_config_raises(self, overrides):
         with pytest.raises(ValueError, match="fast_path=True requires a fast-path-eligible"):
@@ -152,17 +189,15 @@ class TestEligibility:
         with pytest.raises(ValueError, match="flat engine"):
             QCloudSimEnv(config=SimulationConfig(), job_table=table, fast_path=False)
 
-    def test_custom_broker_ineligible(self):
-        from repro.cloud.broker import Broker
+    def test_eligibility_rule(self):
+        # Only a tenant mix or world dynamics select the per-job engine.
+        from repro.dynamics import get_scenario
+        from repro.serve import get_tenant_mix
 
-        class CustomBroker(Broker):
-            pass
-
-        env = QCloudSimEnv(config=SimulationConfig(),
-                           jobs=generate_synthetic_jobs(num_jobs=2, seed=1))
-        assert flat_path_eligible(env.broker, None, None)
-        custom = CustomBroker.__new__(CustomBroker)
-        assert not flat_path_eligible(custom, None, None)
+        assert flat_path_eligible(None, None)
+        assert flat_path_eligible(None, get_scenario("rush-hour"))
+        assert not flat_path_eligible(None, get_scenario("drift"))
+        assert not flat_path_eligible(get_tenant_mix("single"), None)
 
     def test_job_table_requires_eligible_config(self):
         table = JobTable.synthetic(5, seed=1, qubit_range=(2, 8),

@@ -5,6 +5,8 @@ import pytest
 
 from repro.circuits.circuit import CircuitSpec
 from repro.cloud.broker import Broker
+from repro.cloud.config import SimulationConfig
+from repro.cloud.environment import QCloudSimEnv
 from repro.cloud.job_generator import JobGenerator, generate_synthetic_jobs
 from repro.cloud.qcloud import QCloud
 from repro.cloud.qjob import QJob
@@ -101,9 +103,34 @@ class TestJobGeneratorDispatch:
         env.run()
         assert len(records.completed_records) == 3
 
-    def test_all_jobs_done_event(self, env):
-        cloud, records, broker = self._build(env)
-        gen = JobGenerator(env, broker, [self._job(0, 0.0), self._job(1, 1.0)])
-        gen.start()
-        env.run()
-        assert len(gen.submitted) == 2
+
+class TestEndOfRun:
+    """Runs with perpetual event sources stop on the broker's ``all_ended``
+    event: when the last job completes, fails or is rejected."""
+
+    @pytest.mark.parametrize("fast_path", [False, None], ids=["per-job", "flat"])
+    def test_empty_adaptive_workload_returns(self, fast_path):
+        env = QCloudSimEnv(
+            SimulationConfig(adaptive="predictive"), jobs=[], fast_path=fast_path
+        )
+        assert env.fast_path_active is (fast_path is None)
+        assert env.adaptive_engine.perpetual
+        assert env.run_until_complete() == []
+        assert env.now == 0.0
+
+    def test_shedding_serve_run_stops_at_the_last_end(self):
+        env = QCloudSimEnv(
+            SimulationConfig(
+                num_jobs=60, seed=4, tenants="noisy-neighbor", scenario="flaky-fleet"
+            )
+        )
+        assert env.scenario_engine.perpetual
+        env.run_until_complete()
+        ends = [
+            e for e in env.records.events if e.event in ("finish", "failed", "rejected")
+        ]
+        assert any(e.event == "rejected" for e in ends)
+        ended = sorted(e.job_id for e in ends)
+        assert ended == sorted(job.job_id for job in env.job_generator.jobs)
+        assert env.broker.unended == 0
+        assert env.now == max(e.time for e in ends)

@@ -1,9 +1,8 @@
-"""Unit tests for the Env / Wrapper base classes."""
+"""Unit tests for the Env base class."""
 
 import numpy as np
-import pytest
 
-from repro.gymapi import ActionWrapper, Env, ObservationWrapper, RewardWrapper, Wrapper, spaces
+from repro.gymapi import Env, spaces
 
 
 class CounterEnv(Env):
@@ -64,54 +63,3 @@ class TestEnvAPI:
             pass
         assert env.closed
 
-
-class TestWrapper:
-    def test_attribute_forwarding(self):
-        env = CounterEnv()
-        wrapped = Wrapper(env)
-        assert wrapped.horizon == 5
-        assert wrapped.unwrapped is env
-        assert wrapped.observation_space is env.observation_space
-        assert wrapped.action_space is env.action_space
-
-    def test_private_attribute_forwarding_blocked(self):
-        wrapped = Wrapper(CounterEnv())
-        with pytest.raises(AttributeError):
-            _ = wrapped._some_private_attribute_of_the_inner_env
-
-    def test_space_override(self):
-        wrapped = Wrapper(CounterEnv())
-        new_space = spaces.Discrete(7)
-        wrapped.action_space = new_space
-        assert wrapped.action_space is new_space
-
-    def test_observation_wrapper(self):
-        class Doubler(ObservationWrapper):
-            def observation(self, observation):
-                return observation * 2
-
-        env = Doubler(CounterEnv())
-        obs, _ = env.reset()
-        assert obs[0] == 0.0
-        obs, *_ = env.step(0)
-        assert obs[0] == 2.0
-
-    def test_action_wrapper(self):
-        class Flip(ActionWrapper):
-            def action(self, action):
-                return 1 - action
-
-        env = Flip(CounterEnv())
-        env.reset()
-        _, reward, *_ = env.step(0)
-        assert reward == 1.0
-
-    def test_reward_wrapper(self):
-        class Scale(RewardWrapper):
-            def reward(self, reward):
-                return reward * 10
-
-        env = Scale(CounterEnv())
-        env.reset()
-        _, reward, *_ = env.step(1)
-        assert reward == 10.0

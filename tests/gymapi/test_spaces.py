@@ -79,19 +79,6 @@ class TestDiscrete:
         assert spaces.Discrete(3) != spaces.Discrete(4)
 
 
-class TestMultiDiscrete:
-    def test_nvec_positive(self):
-        with pytest.raises(ValueError):
-            spaces.MultiDiscrete([3, 0])
-
-    def test_sample_and_contains(self):
-        space = spaces.MultiDiscrete([2, 3, 4], seed=0)
-        for _ in range(20):
-            sample = space.sample()
-            assert space.contains(sample)
-        assert not space.contains([2, 0, 0])
-
-
 class TestDictSpace:
     def test_sample_and_contains(self):
         space = spaces.Dict(
@@ -108,7 +95,6 @@ class TestFlatten:
     def test_flatdim(self):
         assert spaces.flatdim(spaces.Box(0, 1, shape=(4,))) == 4
         assert spaces.flatdim(spaces.Discrete(5)) == 5
-        assert spaces.flatdim(spaces.MultiDiscrete([2, 3])) == 5
 
     def test_flatten_box(self):
         flat = spaces.flatten(spaces.Box(0, 1, shape=(2, 2)), np.array([[1, 2], [3, 4]]))
@@ -117,10 +103,6 @@ class TestFlatten:
     def test_flatten_discrete_onehot(self):
         flat = spaces.flatten(spaces.Discrete(4), 2)
         assert np.allclose(flat, [0, 0, 1, 0])
-
-    def test_flatten_multidiscrete_onehot(self):
-        flat = spaces.flatten(spaces.MultiDiscrete([2, 3]), [1, 0])
-        assert np.allclose(flat, [0, 1, 1, 0, 0])
 
     def test_flatten_dict(self):
         space = spaces.Dict({"a": spaces.Discrete(2), "b": spaces.Box(0, 1, shape=(2,))})
