@@ -65,8 +65,9 @@ def _run(scenario, checkpointing, num_jobs=NUM_JOBS):
         num_jobs=num_jobs, policy="fidelity", checkpointing=checkpointing,
     )
     start = time.perf_counter()
-    # Checkpointing lives in the per-job broker; the static-world overhead
-    # pair must time that engine on both sides.
+    # Pinned to one engine (the per-job reference), so both sides of the
+    # static-world overhead ratio run the same engine.  The default flat
+    # engine's checkpointing cost is not timed here.
     env = QCloudSimEnv(config, scenario=scenario, fast_path=False)
     records = env.run_until_complete()
     return time.perf_counter() - start, env, records

@@ -62,8 +62,9 @@ HOOKS_ONLY = Scenario(
 
 def _run_once(scenario):
     start = time.perf_counter()
-    # Every preset runs on the per-job engine (world dynamics need it), so
-    # the static and traffic-only baselines are pinned to it too.
+    # Pinned to one engine (the per-job reference), so the static baseline
+    # and each scenario of the overhead ratio run the same engine.  The
+    # default flat engine's scenario cost is not timed here.
     env = QCloudSimEnv(
         SimulationConfig(num_jobs=NUM_JOBS, policy="fidelity"),
         scenario=scenario,

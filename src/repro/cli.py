@@ -631,8 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="checkpointed preemption: aborted jobs (outages, preemptions) "
                             "resume with only their remaining shots")
     p_sim.add_argument("--stats", action="store_true",
-                       help="print which engine ran (flat events for plain static runs, "
-                            "per-job processes otherwise) and event-loop statistics "
+                       help="print which engine ran (flat events without a tenant mix, "
+                            "per-job processes with one) and event-loop statistics "
                             "(events, batches, events/s); runs in-process")
     _add_axis_options(p_sim)
     _add_engine_options(p_sim)

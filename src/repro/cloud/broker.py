@@ -52,15 +52,17 @@ __all__ = ["Broker"]
 class _JobRun:
     """Cross-attempt state of one job's plan/reserve/execute cycles.
 
-    Tracks what today's stateless attempts lose on abort: when the job first
-    started executing, how much time its attempts have consumed, and — under
-    checkpointing — the shots (with their fidelity breakdowns) completed by
-    aborted attempts.
+    Tracks what today's stateless attempts lose on abort: how often the job
+    was requeued, when it first started executing, how much time its
+    attempts have consumed, and — under checkpointing — the shots (with
+    their fidelity breakdowns) completed by aborted attempts.
     """
 
-    __slots__ = ("first_start", "service_time", "completed_shots", "segments")
+    __slots__ = ("retries", "first_start", "service_time", "completed_shots", "segments")
 
     def __init__(self) -> None:
+        #: Requeues so far (outage kills and preemptions).
+        self.retries = 0
         #: Simulation time the first execution attempt started (None = never).
         self.first_start: Optional[float] = None
         #: Cumulative time spent in execution attempts (aborted attempts'
@@ -70,6 +72,18 @@ class _JobRun:
         self.completed_shots = 0
         #: One ``(shots, breakdowns)`` pair per checkpointed attempt.
         self.segments: List[Tuple[int, List[FidelityBreakdown]]] = []
+
+    def merged_fidelity(
+        self, shots: int, breakdowns: List[FidelityBreakdown], phi: float
+    ) -> Tuple[float, List[FidelityBreakdown]]:
+        """Final fidelity and breakdowns of a job whose last attempt ran
+        *shots* shots on *breakdowns*: the shot-weighted Eq.-8 merge over
+        the checkpointed segments plus that attempt."""
+        segments = self.segments + [(shots, breakdowns)]
+        fidelity = merge_segment_fidelities(
+            [(n, [b.device for b in bds]) for n, bds in segments], phi=phi
+        )
+        return fidelity, [b for _, bds in segments for b in bds]
 
 
 class Broker:
@@ -162,25 +176,16 @@ class Broker:
             self._fail(job, "exceeds total cloud capacity")
             return None
 
-        retries = 0
         run = _JobRun()
         while True:
             plan = yield from self._plan_and_reserve(job)
             if plan is None:
                 return None  # permanently failed (logged inside)
-            record = yield from self._execute_plan(job, plan, retries, run)
+            record = yield from self._execute_plan(job, plan, run)
             if record is not None:
                 return record
-            # An outage (or a preemption) killed at least one sub-job:
-            # requeue and re-plan, up to the starvation guard.
-            retries += 1
-            if retries > self.max_requeues:
-                self._fail(
-                    job, f"exceeded requeue limit ({self.max_requeues}) after outages/preemptions"
-                )
+            if not self._requeue(job, run):
                 return None
-            job.status = QJobStatus.QUEUED
-            self._note_requeued(job, retries)
 
     def _plan_and_reserve(self, job: QJob) -> Generator[object, object, Optional[Any]]:
         """Plan the job over the online fleet and reserve the planned qubits
@@ -231,7 +236,7 @@ class Broker:
         return self.cloud.capacity_released
 
     def _execute_plan(
-        self, job: QJob, plan: Any, retries: int, run: _JobRun
+        self, job: QJob, plan: Any, run: _JobRun
     ) -> Generator[object, object, Optional[JobRecord]]:
         """Execute a reserved plan; ``None`` means an outage or preemption
         aborted it (the reservations have been released and the job should be
@@ -281,23 +286,15 @@ class Broker:
 
         if any(result.aborted for result in results):
             self._unregister_running(job)
-            run.service_time += self.env.now - start_time
-            if checkpointing:
-                # Shots are usable only once *every* fragment has executed
-                # them (lock-step semantics), so checkpoint the minimum.
-                completed = min(result.completed_shots for result in results)
-                if completed > 0:
-                    run.completed_shots += completed
-                    run.segments.append(
-                        (completed, [r.fidelity_breakdown for r in results])
-                    )
-                    self.records.log_checkpoint(
-                        job.job_id,
-                        self.env.now,
-                        detail=f"{run.completed_shots}/{job.num_shots} shots",
-                    )
-            for alloc in plan.allocations:
-                alloc.device.release_qubits(alloc.num_qubits)
+            self._abort_attempt(
+                job.job_id,
+                job.num_shots,
+                run,
+                start_time,
+                plan.allocations,
+                min(result.completed_shots for result in results),
+                [r.fidelity_breakdown for r in results],
+            )
             self.cloud.signal_capacity_change()
             return None
 
@@ -309,17 +306,11 @@ class Broker:
 
         # -- final fidelity (Eq. 8; shot-weighted across checkpoint segments) -----------
         phi = self.cloud.communication.fidelity_penalty
-        final_breakdowns = [r.fidelity_breakdown for r in results]
+        breakdowns = [r.fidelity_breakdown for r in results]
         if run.segments:
-            segments = run.segments + [(remaining_shots, final_breakdowns)]
-            fidelity = merge_segment_fidelities(
-                [(shots, [b.device for b in bds]) for shots, bds in segments], phi=phi
-            )
-            breakdowns = [b for _, bds in segments for b in bds]
+            fidelity, breakdowns = run.merged_fidelity(remaining_shots, breakdowns, phi)
         else:
-            device_fidelities = [r.fidelity_breakdown.device for r in results]
-            fidelity = final_fidelity(device_fidelities, phi=phi)
-            breakdowns = final_breakdowns
+            fidelity = final_fidelity([b.device for b in breakdowns], phi=phi)
 
         # -- release qubits & log completion --------------------------------------------
         self._unregister_running(job)
@@ -346,7 +337,7 @@ class Broker:
             allocation=plan.qubit_counts,
             processing_time=max(r.processing_time for r in results),
             breakdowns=breakdowns,
-            retries=retries,
+            retries=run.retries,
             tenant=job.tenant,
             first_start_time=run.first_start,
             service_time=run.service_time,
@@ -358,6 +349,46 @@ class Broker:
         self.cloud.notify_capacity_released()
         self._ended()
         return record
+
+    # -- aborted attempts (shared with the flat engine) ------------------------------
+    def _abort_attempt(
+        self,
+        job_id: int,
+        num_shots: int,
+        run: _JobRun,
+        start_time: float,
+        allocations: List[Any],
+        completed: int,
+        breakdowns: List[Optional[FidelityBreakdown]],
+    ) -> None:
+        """End an attempt an outage or preemption aborted: charge its time,
+        checkpoint its *completed* shots (the minimum over its sub-jobs —
+        shots are usable only once *every* fragment has executed them, in
+        lock-step; always 0 without checkpointing) with their per-fragment
+        *breakdowns*, and release its qubits."""
+        run.service_time += self.env.now - start_time
+        if completed > 0:
+            run.completed_shots += completed
+            run.segments.append((completed, breakdowns))
+            self.records.log_checkpoint(
+                job_id, self.env.now, detail=f"{run.completed_shots}/{num_shots} shots"
+            )
+        for alloc in allocations:
+            alloc.device.release_qubits(alloc.num_qubits)
+
+    def _requeue(self, job: QJob, run: _JobRun) -> bool:
+        """Count an aborted attempt against the starvation guard: fail *job*
+        at ``max_requeues`` (returns ``False``), else mark it queued for a
+        re-plan (returns ``True``)."""
+        run.retries += 1
+        if run.retries > self.max_requeues:
+            self._fail(
+                job, f"exceeded requeue limit ({self.max_requeues}) after outages/preemptions"
+            )
+            return False
+        job.status = QJobStatus.QUEUED
+        self._note_requeued(job, run.retries)
+        return True
 
     def _fail(self, job: QJob, reason: str) -> None:
         """Terminally fail *job*: log *reason* and report the failure."""

@@ -25,11 +25,9 @@ class SimulationConfig:
     10k-100k shots, λ = 0.02 s/qubit and φ = 0.95.
 
     The dispatch engine is not a knob: :class:`~repro.cloud.environment
-    .QCloudSimEnv` runs the flat-event dispatcher whenever the configuration
-    is eligible (no tenant mix and no world dynamics, with or without an
-    adaptive policy; see :func:`~repro.cloud.fastpath.flat_path_eligible`)
-    and the per-job broker processes otherwise.  Both give byte-identical
-    results.
+    .QCloudSimEnv` runs the flat-event dispatcher whenever there is no
+    tenant mix (any scenario, with or without an adaptive policy) and the
+    per-job broker processes otherwise.  Both give byte-identical results.
     """
 
     #: Allocation policy name (see :mod:`repro.scheduling.registry`).

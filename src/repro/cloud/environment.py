@@ -76,18 +76,18 @@ class QCloudSimEnv(Environment):
     fast_path:
         Engine override.  By default (``None``) the engine follows the
         configuration: the flat-event dispatcher (:mod:`repro.cloud.fastpath`)
-        drives every run without a tenant mix or world dynamics (see
-        :func:`~repro.cloud.fastpath.flat_path_eligible`; adaptive policies
-        run on it too), and the per-job broker processes drive the rest.
-        ``False`` forces the per-job engine (the reference for identity tests
-        and benchmark baselines); ``True`` demands the flat engine and raises
-        ``ValueError`` on an ineligible configuration.  Both engines give
-        byte-identical results; :attr:`fast_path_active` reports which ran.
+        drives every run without a tenant mix — scenarios (drift, outages,
+        maintenance, replayed traces) and adaptive policies included — and
+        the per-job broker processes drive tenant mixes.  ``False`` forces
+        the per-job engine (the reference for identity tests and benchmark
+        baselines); ``True`` demands the flat engine and raises
+        ``ValueError`` with a tenant mix.  Both engines give byte-identical
+        results; :attr:`fast_path_active` reports which ran.
     job_table:
         A :class:`~repro.cloud.fastpath.JobTable` as the workload — the
-        streaming bulk form that never materialises per-job objects.
-        Requires an eligible configuration (raises ``ValueError`` otherwise)
-        and the flat engine.  Mutually exclusive with ``jobs``.
+        streaming bulk form that never materialises per-job objects.  Runs
+        on the flat engine with any scenario; raises ``ValueError`` with a
+        tenant mix or ``fast_path=False``.  Mutually exclusive with ``jobs``.
     adaptive:
         Adaptive QoS policy: a registered preset name (``"static"``,
         ``"reactive"``, ``"predictive"``) or an
@@ -225,15 +225,15 @@ class QCloudSimEnv(Environment):
             )
 
         # -- dispatch engine -----------------------------------------------------
-        from repro.cloud.fastpath import FlatDispatcher, JobTable, flat_path_eligible
+        from repro.cloud.fastpath import FlatDispatcher, JobTable
 
-        eligible = flat_path_eligible(self.tenant_mix, self.scenario)
+        eligible = self.tenant_mix is None
         if job_table is not None and fast_path is False:
             raise ValueError("job_table runs on the flat engine; it cannot take fast_path=False")
         if (job_table is not None or fast_path) and not eligible:
             raise ValueError(
                 f"{'job_table' if job_table is not None else 'fast_path=True'} requires a "
-                "fast-path-eligible configuration (no tenant mix, no world dynamics)"
+                "fast-path-eligible configuration (no tenant mix)"
             )
         #: Whether the flat-event dispatcher is driving this run.
         self.fast_path_active = eligible if fast_path is None else bool(fast_path)
@@ -274,7 +274,8 @@ class QCloudSimEnv(Environment):
         adaptive control loop) keep the event queue populated forever, so
         those runs stop on the broker's ``all_ended`` event, which succeeds
         when the last job completes, fails or is rejected; other runs drain
-        the queue.
+        the queue, and raise ``RuntimeError`` if it drains while some job
+        has not ended (e.g. it waits for a device that never comes back).
         """
         perpetual = (
             self.scenario_engine is not None and self.scenario_engine.perpetual
@@ -283,6 +284,11 @@ class QCloudSimEnv(Environment):
             self.run(until=self.broker.all_ended)
         else:
             self.run()
+            if self.broker.unended:
+                raise RuntimeError(
+                    f"the event queue drained at t={self.now} with "
+                    f"{self.broker.unended} job(s) never ended"
+                )
         return self.records.completed_records
 
     # -- tracing -------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Flat-event engine: the dispatcher behind every eligible simulation.
+"""Flat-event engine: the dispatcher behind every run without a tenant mix.
 
 The per-job engine runs one generator-based DES process per job
 (:class:`~repro.cloud.broker.Broker._handle_job`), which is wonderfully
@@ -7,8 +7,8 @@ completed job.  At a million jobs that overhead dominates the run.
 
 This module provides the replacement that
 :class:`~repro.cloud.environment.QCloudSimEnv` selects for every
-configuration :func:`flat_path_eligible` accepts (``fast_path=False`` forces
-the per-job engine as a reference):
+configuration without a tenant mix (``fast_path=False`` forces the per-job
+engine as a reference):
 
 * :class:`JobTable` — the workload as NumPy column arrays (job id, arrival
   time, qubits, depth, shots, gate counts) instead of a list of
@@ -21,14 +21,14 @@ the per-job engine as a reference):
   .job_generator.JobGenerator`: arrivals are fed straight from the table,
   planning/reservation runs in a single pump loop, and each sub-job costs
   exactly one heap event (plus one communication event for split jobs).
-* :func:`flat_path_eligible` — the guard deciding when the flat dispatcher
-  may replace the per-job machinery.
 
 Byte identity
 -------------
-For every eligible configuration the flat dispatcher reproduces the per-job
-record and event streams *bit for bit* (tests/cloud/test_fastpath_identity.py
-sweeps policies × scenario presets × arrival processes).  Both engines
+For every configuration it drives, the flat dispatcher reproduces the
+per-job record and event streams *bit for bit*, outside the two
+same-instant corners described below (tests/cloud/test_fastpath_identity.py
+sweeps policies × scenario presets × arrival processes × checkpointing ×
+adaptive policies).  Both engines
 reserve and release qubits through the same synchronous
 :meth:`~repro.cloud.qdevice.BaseQDevice.reserve_qubits` /
 :meth:`~repro.cloud.qdevice.BaseQDevice.release_qubits` pair, so they leave
@@ -53,29 +53,48 @@ One corner has its own rule: a job arriving at exactly the float time T at
 which another job completes is planned after every release at T, so it sees
 the post-release fleet.  The per-job engine plans some of these arrivals
 mid-completion (before the release of a job whose last sub-job ends at T),
-so the two engines may differ here — and only here.  Continuous arrival
+so the two engines may differ here (and at a kill due at a completion, see
+"Aborts and requeues").  Continuous arrival
 processes hit this with probability zero; batch arrivals (all at ``t=0``)
 cannot collide with completions at all.
 
-Availability
-------------
-Eligible worlds inject no outages, but user code may call
-``set_offline``/``set_online`` on a device: the dispatcher plans over the
-cloud's current online view, exactly like the per-job engine.  It runs
-sub-jobs without DES processes and so cannot abort them: a *killing*
-``set_offline`` of a device with work in flight raises ``RuntimeError``.
+Aborts and requeues
+-------------------
+The dispatcher plans over the cloud's current online view, like the per-job
+engine, and runs every scenario: drift, outages, maintenance and replayed
+traces.  Each launched sub-job sits in its device's start-ordered
+``_running`` kill list: an unsplit job's :class:`_FlatJob`, a split job's
+:class:`_SubJobDone` per fragment.  Both expose the ``is_alive`` /
+``interrupt(cause)`` pair a killing ``set_offline`` calls.  A kill leaves
+the sub-job's completion event in the heap as a tombstone, ignored when
+popped, and marks the attempt aborted.  Once the attempt's last sub-job has
+ended, it is checkpointed, released and requeued at the tail of the pending
+queue (or failed at ``max_requeues``) by the per-job engine's own steps:
+:meth:`~repro.cloud.qdevice.IBMQuantumDevice.abort_subjob`,
+:meth:`~repro.cloud.broker.Broker._abort_attempt` and
+:meth:`~repro.cloud.broker.Broker._requeue`.  Only aborted rows keep a
+``_JobRun``; a resumed attempt runs only the remaining shots.  The requeue
+re-plans through a ``PUMP`` event, after every kill of the instant has
+released its qubits.  A sub-job whose device was recalibrated while it ran
+recomputes its breakdown at completion, as ``execute`` does, and a blocked
+head listens for ``cloud.capacity_released``, the signal a recovered device
+sends.  Released qubits wake a blocked head whether the aborted job was
+requeued or failed.  One more corner: a kill popped before a completion due
+at the same float time aborts that sub-job here, while the per-job engine
+lets it complete when both events are drained in one batch (its interrupt
+is only delivered after the batch).
 
 Adaptive control
 ----------------
 An attached adaptive control plane (``broker.adaptive``) sees the same
 reports on both engines: the dispatcher passes each arrival to the signal
-bus at feed, asks for one checkpoint decision per dispatch, reports each
-completion with its record, and fails jobs through ``Broker._fail``.  It
-reads ``broker.policy`` at :meth:`FlatDispatcher.start`, after the control
-plane has installed its planner wrapper.
+bus at feed, asks for one checkpoint decision per dispatch (the attempt's
+kills checkpoint by it), reports each completion with its record, and fails
+jobs through ``Broker._fail``.  It reads ``broker.policy`` at
+:meth:`FlatDispatcher.start`, after the control plane has installed its
+planner wrapper.
 
-Ineligible configurations (tenant mixes, scenarios with world dynamics)
-run on the per-job engine; ``fast_path=True`` on them raises
+Tenant mixes run on the per-job engine; ``fast_path=True`` with one raises
 ``ValueError``.
 """
 
@@ -89,12 +108,13 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.circuits.circuit import CircuitSpec
+from repro.cloud.broker import _JobRun
 from repro.cloud.qjob import QJob, QJobStatus
 from repro.cloud.records import JobRecord
 from repro.des.events import NORMAL, URGENT, Event
 from repro.metrics.fidelity import final_fidelity
 
-__all__ = ["JobTable", "FlatDispatcher", "flat_path_eligible", "PUMP"]
+__all__ = ["JobTable", "FlatDispatcher", "PUMP"]
 
 #: Scheduling priority of the dispatcher's pump event: after every NORMAL
 #: event of the timestamp (completions release qubits at NORMAL), mirroring
@@ -380,10 +400,18 @@ class _RowView:
 
 
 class _FlatJob:
-    """In-flight state of one dispatched job (replaces the legacy per-job
-    generator frame)."""
+    """In-flight state of one execution attempt of a dispatched job
+    (replaces the legacy per-job generator frame).
+
+    An unsplit attempt is its own kill-list entry in its device's
+    ``_running``: ``is_alive`` and :meth:`interrupt` are what a killing
+    ``set_offline`` calls.  ``is_alive`` turns ``False`` once any sub-job
+    of the attempt has been killed; the attempt's pending completion
+    events then become tombstones, ignored when popped.
+    """
 
     __slots__ = (
+        "dispatcher",
         "row",
         "start",
         "job_id",
@@ -398,10 +426,15 @@ class _FlatJob:
         "breakdowns",
         "remaining",
         "comm_delay",
+        "run",
+        "checkpoint",
+        "is_alive",
+        "checkpointed_shots",
     )
 
     def __init__(
         self,
+        dispatcher: "FlatDispatcher",
         row: int,
         start: float,
         plan: Any,
@@ -410,7 +443,10 @@ class _FlatJob:
         depth: int,
         shots: int,
         arrival: float,
+        run: Optional[_JobRun],
+        checkpoint: bool,
     ) -> None:
+        self.dispatcher = dispatcher
         self.row = row
         self.start = start
         #: Row scalars, cast from the table columns once at dispatch time.
@@ -434,32 +470,24 @@ class _FlatJob:
         self.breakdowns: List[Any] = [None] * k
         self.remaining = k
         self.comm_delay = 0.0
+        #: Cross-attempt state; ``None`` until the job's first abort.
+        self.run = run
+        #: This attempt's checkpoint decision.
+        self.checkpoint = checkpoint
+        self.is_alive = True
+        #: Shots checkpointed by the attempt's killed sub-jobs (their
+        #: minimum).
+        self.checkpointed_shots = 0
 
+    @property
+    def attempt_shots(self) -> int:
+        """Shots this attempt executes (a resume runs only the remainder)."""
+        run = self.run
+        return self.shots if run is None else self.shots - run.completed_shots
 
-def flat_path_eligible(tenant_mix: Any, scenario: Any) -> bool:
-    """Whether the flat dispatcher may replace the per-job engine.
-
-    Eligible: no tenant mix (the serve layer's broker has its own dispatch
-    queue) in a world without runtime dynamics — no scenario at all, or a
-    scenario that injects neither drift nor outages nor maintenance nor
-    replayed events (traffic-only presets such as ``rush-hour`` qualify:
-    they only shape arrivals).  Any adaptive policy qualifies.  Everything
-    else runs on the per-job engine, whose behaviour is the reference.
-    """
-    if tenant_mix is not None:
-        return False
-    return scenario is None or not (scenario.is_replay or scenario.has_world_dynamics)
-
-
-def _refuse_kills(device: Any, kill_running: bool) -> None:
-    """Availability listener of flat-engine devices: the flat dispatcher
-    runs sub-jobs without DES processes, so it cannot abort them."""
-    if kill_running and device.free_qubits < device.num_qubits:
-        raise RuntimeError(
-            f"{device.name} went offline with kill_running=True while the flat-event "
-            "engine had work on it; the flat engine cannot abort sub-jobs — build the "
-            "environment with fast_path=False or inject outages through a scenario"
-        )
+    def interrupt(self, cause: Any = None) -> None:
+        """Kill the attempt's only sub-job (a killing ``set_offline``)."""
+        self.dispatcher._kill(self, 0, self)
 
 
 class FlatDispatcher:
@@ -480,9 +508,10 @@ class FlatDispatcher:
       direct level arithmetic.
 
     The broker instance is retained for its configuration
-    (``max_plan_attempts``), its records manager, its failure path
-    (``failed_jobs``), its end-of-run count and its adaptive attachment, so
-    results read the same regardless of which engine ran.
+    (``max_plan_attempts``, ``max_requeues``, ``checkpointing``), its
+    records manager, its abort, requeue and failure steps, its end-of-run
+    count and its adaptive attachment, so results read the same regardless
+    of which engine ran.
     """
 
     def __init__(self, env: Any, broker: Any, table: JobTable) -> None:
@@ -505,24 +534,22 @@ class FlatDispatcher:
         self._feed_seq = count(_FEED_SEQ_START)
         self._head_attempts = 0
         self._waiting = False
+        #: Whether the blocked head listens for ``cloud.capacity_released``.
+        self._listening = False
         self._pump_scheduled = False
         self._started = False
+        #: Cross-attempt state of the rows an abort has requeued (only those).
+        self._runs: Dict[int, _JobRun] = {}
         # Hot-path bindings, hoisted once: the columns, the capacity (the
-        # fleet is fixed in every fast-path-eligible world), and the two
-        # reusable tick events.  At most one feed and one pump can sit in
-        # the heap at any moment, so a single pre-triggered event object per
+        # fleet never changes size; outages only take devices offline), and
+        # the two reusable tick events.  At most one feed and one pump can
+        # sit in the heap at any moment, so a single pre-triggered event object per
         # kind (with a persistent callback list re-attached before each
         # push) replaces an allocation per arrival group.
         self._job_ids = table.job_id
         self._qubits_col = table.qubits
         self._total_capacity = self.cloud.total_qubits
         self._log_event = self.records.log_event
-        # Eligible worlds inject no outages, but user code may still take a
-        # device offline: plan over the cloud's current online view (a
-        # cached list, rebuilt only on availability changes) and refuse the
-        # one change this engine cannot reproduce — a kill of in-flight work.
-        for device in self.cloud.devices:
-            device.availability_listeners.append(_refuse_kills)
         # Streaming managers discard event detail strings; skip formatting
         # them (device lists, fidelity reprs) when nobody stores them.
         self._keep_detail = self.records.KEEPS_EVENT_DETAIL
@@ -569,6 +596,7 @@ class FlatDispatcher:
         self._policy = self.broker.policy
         self._plan = self._policy.plan
         self._adaptive = self.broker.adaptive
+        self._checkpointing = self.broker.checkpointing
         self._schedule_next_feed()
 
     def _schedule_next_feed(self) -> None:
@@ -649,10 +677,24 @@ class FlatDispatcher:
             # with distinct arrival/completion times.
             self._pump(None)
             return
+        self._schedule_pump()
+
+    def _schedule_pump(self) -> None:
+        """Schedule the pump as a PUMP-priority event at the current
+        timestamp (unless one is already scheduled)."""
+        if self._pump_scheduled:
+            return
         self._pump_scheduled = True
+        env = self.env
         tick = self._pump_tick
         tick.callbacks = self._pump_callbacks
-        heappush(queue, (env._now, PUMP, next(env._eid), tick))
+        heappush(env._queue, (env._now, PUMP, next(env._eid), tick))
+
+    def _capacity_signal(self, event: Event) -> None:
+        """``cloud.capacity_released`` fired (a device came back online, or
+        user code signalled): wake the blocked head."""
+        self._listening = False
+        self._request_pump(signal=True)
 
     def _pump(self, event: Event) -> None:
         self._pump_scheduled = False
@@ -668,6 +710,8 @@ class FlatDispatcher:
         jobs = table.jobs
         view = self._row_view
         online_devices = self.cloud.online_devices
+        runs = self._runs
+        adaptive = self._adaptive
         dispatched: List[Tuple[_FlatJob, List[Tuple[Any, int, int, int, int]]]] = []
         fragment_count = 0
         while pending:
@@ -684,8 +728,15 @@ class FlatDispatcher:
                     broker._fail(table.job_for(row), "no feasible allocation")
                     pending.popleft()
                     self._head_attempts = 0
+                    runs.pop(row, None)
                     continue
                 self._waiting = True
+                if not self._listening:
+                    # Capacity the dispatcher does not release itself (a
+                    # recovered device) arrives through the cloud's signal,
+                    # which the per-job engine's blocked head waits on too.
+                    self._listening = True
+                    self.cloud.capacity_released.callbacks.append(self._capacity_signal)
                 break
             num_qubits = job_view.num_qubits
             # One fused pass over the allocations replaces the separate
@@ -708,11 +759,8 @@ class FlatDispatcher:
                 )
             pending.popleft()
             self._head_attempts = 0
-            if self._adaptive is not None:
-                # One decision per execution attempt, as on the per-job
-                # engine; eligible worlds never abort, so it changes no record.
-                self._adaptive.checkpoint(job_view)
             state = _FlatJob(
+                self,
                 row,
                 env._now,
                 plan,
@@ -721,6 +769,11 @@ class FlatDispatcher:
                 depth=job_view.depth,
                 shots=job_view.num_shots,
                 arrival=job_view.arrival_time,
+                run=runs.get(row) if runs else None,
+                # One decision per execution attempt, as on the per-job engine.
+                checkpoint=(
+                    self._checkpointing if adaptive is None else adaptive.checkpoint(job_view)
+                ),
             )
             fragments = self._reserve_and_log(state, plan)
             dispatched.append((state, fragments))
@@ -739,6 +792,13 @@ class FlatDispatcher:
             table.jobs[row].status = QJobStatus.RUNNING
         detail = ",".join(state.device_names) if self._keep_detail else None
         self.records.log_event(state.job_id, "start", state.start, detail)
+        shots = state.shots
+        if state.run is not None and state.run.completed_shots:
+            # A checkpointed job resumes with only its remaining shots.
+            shots = state.attempt_shots
+            self.records.log_resume(
+                state.job_id, state.start, detail=f"{shots}/{state.shots} shots remaining"
+            )
         allocations = plan.allocations
         if len(allocations) == 1:
             # Whole job on one device: the fragment *is* the circuit
@@ -750,11 +810,13 @@ class FlatDispatcher:
                     alloc.device,
                     alloc.num_qubits,
                     state.depth,
-                    state.shots,
+                    shots,
                     int(table.two_qubit_gates[row]),
                 )
             ]
         circuit = table.circuit_for(row)
+        if shots != state.shots:
+            circuit = circuit.with_shots(shots)
         fragments = []
         for alloc in allocations:
             alloc.device.reserve_qubits(alloc.num_qubits)
@@ -819,7 +881,8 @@ class FlatDispatcher:
                         q, depth, t2, total_q, k
                     )
         # Schedule completion events in dispatch order (sequence numbers
-        # mirror the legacy per-chain allocation order).
+        # mirror the legacy per-chain allocation order), and register each
+        # sub-job in its device's start-ordered kill list.
         env = self.env
         queue = env._queue
         eid = env._eid
@@ -832,15 +895,18 @@ class FlatDispatcher:
                 # completion into one pooled callback event (no
                 # remaining-counter round trip, no zero communication delay
                 # to compute, no per-job Event allocation).
+                fragments[0][0]._running[state] = None
                 event = pool.pop() if pool else Event(env)
                 event._value = state
                 event.callbacks = single_callbacks
                 heappush(queue, (now + state.durations[0], NORMAL, next(eid), event))
                 continue
             for index in range(len(fragments)):
+                entry = _SubJobDone(self, state, index)
+                fragments[index][0]._running[entry] = None
                 event = Event(env)
                 event._value = None
-                event.callbacks.append(_SubJobDone(self, state, index))
+                event.callbacks.append(entry)
                 heappush(queue, (now + state.durations[index], NORMAL, next(eid), event))
 
     # -- completion ----------------------------------------------------------
@@ -850,7 +916,8 @@ class FlatDispatcher:
         state = event._value
         event._value = None
         self._done_pool.append(event)
-        self._single_done(state)
+        if state.is_alive:  # else the tombstone of a killed attempt
+            self._single_done(state)
 
     def _single_done(self, state: _FlatJob) -> None:
         """Completion of an unsplit job: fragment accounting plus
@@ -859,23 +926,35 @@ class FlatDispatcher:
         as :meth:`_subjob_done` would compute it."""
         alloc = state.allocations[0]
         device = alloc.device
+        del device._running[state]
         elapsed = self.env._now - state.start
         device.completed_subjobs += 1
         device.busy_time += elapsed
         device.qubit_seconds += alloc.num_qubits * elapsed
+        if device.calibrated_at >= state.start:
+            self._refresh_breakdown(state, 0)
         self._complete(state)
 
-    def _subjob_done(self, state: _FlatJob, index: int) -> None:
+    def _subjob_done(self, entry: "_SubJobDone") -> None:
         env = self.env
         now = env._now
+        state = entry.state
+        index = entry.index
         alloc = state.allocations[index]
         device = alloc.device
+        del device._running[entry]
         elapsed = now - state.start
         device.completed_subjobs += 1
         device.busy_time += elapsed
         device.qubit_seconds += alloc.num_qubits * elapsed
+        if device.calibrated_at >= state.start:
+            self._refresh_breakdown(state, index)
         state.remaining -= 1
         if state.remaining:
+            return
+        if not state.is_alive:
+            # A sibling was killed: this was the attempt's last sub-job.
+            self._end_aborted(state)
             return
         comm_delay = self.cloud.communication.communication_delay(state.qubit_counts)
         state.comm_delay = comm_delay
@@ -889,13 +968,94 @@ class FlatDispatcher:
         else:
             self._complete(state)
 
+    def _fragment(self, state: _FlatJob, index: int) -> CircuitSpec:
+        """The circuit fragment sub-job *index* of *state* executes."""
+        circuit = self.table.circuit_for(state.row)
+        shots = state.attempt_shots
+        if shots != circuit.num_shots:
+            circuit = circuit.with_shots(shots)
+        return circuit.subcircuit(state.allocations[index].num_qubits)
+
+    def _refresh_breakdown(self, state: _FlatJob, index: int) -> None:
+        """Recompute a sub-job's breakdown on its device's current
+        calibration (which changed while it ran), as ``execute`` computes
+        it at completion."""
+        device = state.allocations[index].device
+        state.breakdowns[index] = device.compute_fidelity_breakdown(
+            self._fragment(state, index), len(state.allocations), state.qubits
+        )
+
+    # -- aborts ----------------------------------------------------------------
+    def _kill(self, state: _FlatJob, index: int, entry: Any) -> None:
+        """A killing ``set_offline`` ended sub-job *index* of *state* early.
+
+        Its completion event stays in the heap as a tombstone.  The device
+        accounts the abort; once the attempt's last sub-job has ended, the
+        attempt ends too (:meth:`_end_aborted`).
+        """
+        device = state.allocations[index].device
+        del device._running[entry]
+        completed, breakdown = device.abort_subjob(
+            self._fragment(state, index),
+            self.env._now - state.start,
+            state.durations[index],
+            state.checkpoint,
+            len(state.allocations),
+            state.qubits,
+        )
+        state.breakdowns[index] = breakdown
+        if state.is_alive:
+            state.is_alive = False
+            state.checkpointed_shots = completed
+        else:
+            state.checkpointed_shots = min(state.checkpointed_shots, completed)
+        state.remaining -= 1
+        if not state.remaining:
+            self._end_aborted(state)
+
+    def _end_aborted(self, state: _FlatJob) -> None:
+        """Checkpoint an aborted attempt, release its qubits and requeue its
+        job at the tail of :attr:`pending` (or fail it at ``max_requeues``),
+        through the per-job engine's own steps."""
+        row = state.row
+        run = state.run
+        if run is None:
+            run = self._runs[row] = _JobRun()
+            run.first_start = state.start
+        broker = self.broker
+        broker._abort_attempt(
+            state.job_id,
+            state.shots,
+            run,
+            state.start,
+            state.allocations,
+            state.checkpointed_shots,
+            state.breakdowns,
+        )
+        if broker._requeue(self.table.job_for(row), run):
+            self.pending.append(row)
+        else:
+            del self._runs[row]
+        # The released qubits wake a blocked head whether the job requeued
+        # or failed, as the per-job engine's capacity signal does.  Always
+        # an event: planning inside ``set_offline`` would run before the
+        # other kills of this instant released their qubits.
+        self._waiting = False
+        if self.pending:
+            self._schedule_pump()
+
     def _complete(self, state: _FlatJob) -> None:
         env = self.env
         cloud = self.cloud
         table = self.table
         row = state.row
+        run = state.run
         breakdowns = state.breakdowns
-        if len(breakdowns) == 1:
+        if run is not None and run.segments:
+            fidelity, breakdowns = run.merged_fidelity(
+                state.attempt_shots, breakdowns, cloud.communication.fidelity_penalty
+            )
+        elif len(breakdowns) == 1:
             # Single device: Eq. 8 collapses to the device fidelity itself
             # (``mean([f]) == 0.0 + f`` and ``phi**0 == 1.0`` are both exact),
             # so skip the general kernel on the hot path.
@@ -917,6 +1077,16 @@ class FlatDispatcher:
         detail = f"{fidelity:.6f}" if self._keep_detail else None
         records.log_event(job_id, "fidelity", finish, detail)
         records.log_event(job_id, "finish", finish)
+        if run is None:
+            retries, first_start, service_time, resumed_shots = (
+                0, state.start, finish - state.start, 0
+            )
+        else:
+            del self._runs[row]
+            run.service_time += finish - state.start
+            retries, first_start, service_time, resumed_shots = (
+                run.retries, run.first_start, run.service_time, run.completed_shots
+            )
         record = JobRecord(
             job_id=job_id,
             num_qubits=state.qubits,
@@ -931,12 +1101,12 @@ class FlatDispatcher:
             devices=state.device_names,
             allocation=state.qubit_counts,
             processing_time=max(state.durations),
-            breakdowns=state.breakdowns,
-            retries=0,
+            breakdowns=breakdowns,
+            retries=retries,
             tenant=job.tenant if job is not None else None,
-            first_start_time=state.start,
-            service_time=finish - state.start,
-            resumed_shots=0,
+            first_start_time=first_start,
+            service_time=service_time,
+            resumed_shots=resumed_shots,
         )
         records.add_record(record)
         if self._adaptive is not None:
@@ -949,17 +1119,25 @@ class FlatDispatcher:
 
 class _SubJobDone:
     """Bound completion callback for one fragment (cheaper than a closure
-    capturing three cells per event)."""
+    capturing three cells per event), and that fragment's kill-list entry
+    in its device's ``_running``."""
 
-    __slots__ = ("dispatcher", "state", "index")
+    __slots__ = ("dispatcher", "state", "index", "is_alive")
 
     def __init__(self, dispatcher: FlatDispatcher, state: _FlatJob, index: int) -> None:
         self.dispatcher = dispatcher
         self.state = state
         self.index = index
+        self.is_alive = True
 
     def __call__(self, event: Event) -> None:
-        self.dispatcher._subjob_done(self.state, self.index)
+        if self.is_alive:  # else the tombstone of a killed fragment
+            self.dispatcher._subjob_done(self)
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Kill this fragment (a killing ``set_offline``)."""
+        self.is_alive = False
+        self.dispatcher._kill(self.state, self.index, self)
 
 
 class _Complete:

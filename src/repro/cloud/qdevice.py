@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional
+from typing import Callable, Dict, Generator, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -97,8 +97,10 @@ class BaseQDevice:
         self.outage_count = 0
         #: Number of sub-jobs aborted by outages.
         self.aborted_subjobs = 0
-        #: In-flight execution processes (interrupted on a killing outage),
-        #: kept in start order so kills are deterministic.
+        #: In-flight sub-jobs, in start order so kills are deterministic:
+        #: the per-job engine's execution processes and the flat engine's
+        #: sub-job entries.  Each exposes ``is_alive`` and
+        #: ``interrupt(cause)``, which a killing outage calls.
         self._running: Dict[object, None] = {}
         #: Active offline causes; the device is online iff this is empty.
         #: Tracked per cause so overlapping outage and maintenance windows
@@ -162,10 +164,10 @@ class BaseQDevice:
         window adds a second cause, and the device only comes back online
         once :meth:`set_online` has cleared every one of them.
 
-        With ``kill_running`` every in-flight execution process is
-        interrupted (its sub-job aborts and the broker requeues the owning
-        job); otherwise running sub-jobs drain gracefully while no new work
-        is planned onto the device.
+        With ``kill_running`` every in-flight sub-job is interrupted in
+        start order, on either engine (it aborts and the owning job is
+        requeued, or fails at ``max_requeues``); otherwise running sub-jobs
+        drain gracefully while no new work is planned onto the device.
         """
         was_online = not self._offline_causes
         if cause in self._offline_causes:
@@ -236,6 +238,9 @@ class IBMQuantumDevice(QuantumDevice):
         self.clops = float(profile.clops)
         self.quantum_volume = float(profile.quantum_volume)
         self._calibration = profile.calibration
+        #: Simulation time of the last calibration change (the flat engine
+        #: recomputes the breakdown of a sub-job that ran across one).
+        self.calibrated_at = -math.inf
         #: Snapshot the average aggregates were computed from (identity check).
         self._aggregates_for: Optional[object] = None
         #: Fast-path caches: ``log2(QV)`` keyed on the QV value, fidelity
@@ -271,6 +276,7 @@ class IBMQuantumDevice(QuantumDevice):
                 f"{self.name} has {self.num_qubits}"
             )
         self._calibration = snapshot
+        self.calibrated_at = self.env.now
 
     def _refresh_aggregates(self) -> None:
         calibration = self._calibration
@@ -461,6 +467,38 @@ class IBMQuantumDevice(QuantumDevice):
             for q, d, t, r in zip(qubits, depths, two_exponents, readout_exponents)
         ]
 
+    def abort_subjob(
+        self,
+        fragment: CircuitSpec,
+        elapsed: float,
+        duration: float,
+        checkpoint: bool,
+        num_devices: int = 1,
+        total_qubits: Optional[int] = None,
+    ) -> Tuple[int, Optional[FidelityBreakdown]]:
+        """Account a sub-job that ended *elapsed* into its *duration*.
+
+        Charges the elapsed busy time and qubit-seconds and counts the abort.
+        Returns ``(completed_shots, breakdown)``: with *checkpoint*, the
+        completed shots are the elapsed fraction of the CLOPS-model
+        duration, floored, and capped one shot short of the fragment so a
+        resume always has a shot left to re-execute (the in-flight shot's
+        results are never persisted); when positive, they come with the
+        fidelity breakdown of those shots.  Both engines end every killed
+        sub-job here.
+        """
+        self.busy_time += elapsed
+        self.qubit_seconds += fragment.num_qubits * elapsed
+        self.aborted_subjobs += 1
+        completed = 0
+        breakdown = None
+        if checkpoint and duration > 0:
+            completed = int(fragment.num_shots * (elapsed / duration))
+            completed = max(0, min(completed, fragment.num_shots - 1))
+            if completed > 0:
+                breakdown = self.compute_fidelity_breakdown(fragment, num_devices, total_qubits)
+        return completed, breakdown
+
     def execute(
         self,
         fragment: CircuitSpec,
@@ -477,12 +515,10 @@ class IBMQuantumDevice(QuantumDevice):
         If the device is offline when execution starts, or goes offline with
         ``kill_running`` mid-execution, the result comes back ``aborted`` and
         the broker requeues the owning job.  With ``checkpoint`` the aborted
-        result also reports the shots completed before the kill — the
-        elapsed fraction of the CLOPS-model duration, floored, and capped at
-        ``num_shots - 1`` so a resume always has at least one shot left to
-        re-execute (the in-flight shot's results are never persisted) —
-        along with their fidelity breakdown, so the broker can resume the
-        job from where it died instead of re-executing everything.
+        result also reports the shots completed before the kill, along with
+        their fidelity breakdown (see :meth:`abort_subjob`), so the broker
+        can resume the job from where it died instead of re-executing
+        everything.
         """
         if not self.online:
             self.aborted_subjobs += 1
@@ -502,18 +538,9 @@ class IBMQuantumDevice(QuantumDevice):
             yield self.env.timeout(duration)
         except Interrupt:
             elapsed = self.env.now - start
-            self.busy_time += elapsed
-            self.qubit_seconds += fragment.num_qubits * elapsed
-            self.aborted_subjobs += 1
-            completed = 0
-            breakdown = None
-            if checkpoint and duration > 0:
-                completed = int(fragment.num_shots * (elapsed / duration))
-                completed = max(0, min(completed, fragment.num_shots - 1))
-                if completed > 0:
-                    breakdown = self.compute_fidelity_breakdown(
-                        fragment, num_devices, total_qubits
-                    )
+            completed, breakdown = self.abort_subjob(
+                fragment, elapsed, duration, checkpoint, num_devices, total_qubits
+            )
             return SubJobResult(
                 device_name=self.name,
                 qubits_allocated=fragment.num_qubits,

@@ -1,12 +1,13 @@
 """Byte-identity of the flat-event engine against the per-job engine.
 
 The flat engine's contract (see :mod:`repro.cloud.fastpath`) is that every
-eligible configuration reproduces the per-job record and event streams *bit
-for bit*.  These tests sweep policies × arrival processes × traffic-only
-scenarios (× adaptive policies) comparing the full event log, every
-completed record and the failed-job lists (the flat engine is the default;
-``fast_path=False`` forces the per-job reference), plus the engine selection
-rules and the :class:`JobTable` plumbing the dispatcher runs on.
+configuration without a tenant mix reproduces the per-job record and event
+streams *bit for bit*.  These tests sweep policies × arrival processes ×
+scenario presets (× checkpointing × adaptive policies) comparing the full
+event log, every completed record, the failed-job lists, the end time and
+the device statistics (the flat engine is the default; ``fast_path=False``
+forces the per-job reference), plus the engine selection rule and the
+:class:`JobTable` plumbing the dispatcher runs on.
 """
 
 from __future__ import annotations
@@ -19,9 +20,10 @@ import pytest
 from repro.circuits.circuit import CircuitSpec
 from repro.cloud.config import SimulationConfig
 from repro.cloud.environment import QCloudSimEnv
-from repro.cloud.fastpath import JobTable, flat_path_eligible
+from repro.cloud.fastpath import JobTable
 from repro.cloud.job_generator import generate_synthetic_jobs
 from repro.cloud.qjob import QJob
+from repro.dynamics import available_scenarios
 
 
 def _run(fast, policy="speed", arrival=None, scenario=None, jobs=None, n=50, devices=None,
@@ -153,17 +155,16 @@ class TestEligibility:
                            fast_path=False)
         assert not env.fast_path_active
 
-    def test_dynamic_scenario_falls_back(self):
-        # flaky-fleet injects outages — world dynamics select the per-job
-        # engine.  (Engagement is decided at construction; don't run —
-        # dynamic scenarios keep scheduling world events, so a bare run()
-        # never drains the queue.)
+    def test_dynamic_scenario_runs_flat(self):
+        # flaky-fleet injects drift, outages and maintenance; the flat
+        # engine aborts and requeues sub-jobs itself.
         env = QCloudSimEnv(
             config=SimulationConfig(policy="speed"),
             jobs=generate_synthetic_jobs(num_jobs=5, seed=11),
             scenario="flaky-fleet",
         )
-        assert not env.fast_path_active
+        assert env.fast_path_active
+        assert len(env.run_until_complete()) == 5
 
     def test_tenant_mix_falls_back(self):
         env = QCloudSimEnv(
@@ -173,11 +174,7 @@ class TestEligibility:
         env.run()
         assert not env.fast_path_active
 
-    @pytest.mark.parametrize(
-        "overrides",
-        [{"scenario": "flaky-fleet"}, {"tenants": "single"}],
-        ids=["scenario", "tenants"],
-    )
+    @pytest.mark.parametrize("overrides", [{"tenants": "single"}], ids=["tenants"])
     def test_explicit_fast_path_on_ineligible_config_raises(self, overrides):
         with pytest.raises(ValueError, match="fast_path=True requires a fast-path-eligible"):
             QCloudSimEnv(config=SimulationConfig(num_jobs=5, seed=1, **overrides),
@@ -189,15 +186,32 @@ class TestEligibility:
         with pytest.raises(ValueError, match="flat engine"):
             QCloudSimEnv(config=SimulationConfig(), job_table=table, fast_path=False)
 
-    def test_eligibility_rule(self):
-        # Only a tenant mix or world dynamics select the per-job engine.
-        from repro.dynamics import get_scenario
-        from repro.serve import get_tenant_mix
+    def test_eligibility_rule(self, tmp_path):
+        # Only a tenant mix selects the per-job engine: every scenario
+        # preset and a replayed trace run flat, also when fast_path=True
+        # asks for the flat engine explicitly.
+        from repro.dynamics import load_trace
 
-        assert flat_path_eligible(None, None)
-        assert flat_path_eligible(None, get_scenario("rush-hour"))
-        assert not flat_path_eligible(None, get_scenario("drift"))
-        assert not flat_path_eligible(get_tenant_mix("single"), None)
+        def engine(**kwargs):
+            return QCloudSimEnv(config=SimulationConfig(num_jobs=3, seed=1),
+                                **kwargs).fast_path_active
+
+        assert engine()
+        assert engine(scenario="flaky-fleet", fast_path=True)
+        for scenario in available_scenarios():
+            assert engine(scenario=scenario), scenario
+        recorded = QCloudSimEnv(SimulationConfig(num_jobs=3, seed=1, scenario="flaky-fleet"))
+        recorded.run_until_complete()
+        trace = recorded.save_trace(str(tmp_path / "trace.jsonl"))
+        assert engine(scenario=load_trace(trace))
+        assert not engine(tenants="single")
+        assert not engine(tenants="single", scenario="flaky-fleet")
+
+    def test_job_table_accepts_any_scenario(self):
+        for scenario in available_scenarios():
+            table = JobTable.synthetic(3, seed=1)
+            env = QCloudSimEnv(config=SimulationConfig(scenario=scenario), job_table=table)
+            assert env.fast_path_active, scenario
 
     def test_job_table_requires_eligible_config(self):
         table = JobTable.synthetic(5, seed=1, qubit_range=(2, 8),
@@ -295,10 +309,11 @@ class TestArrivalGroups:
 
 class TestFallbackIdentity:
     """The engine the environment picks by default must never change the
-    output: eligible configs run the flat dispatcher bit-identically to the
-    per-job engine, ineligible ones run the per-job engine itself.
-    Together with TestByteIdentity this covers every scenario preset, tenant
-    mix and checkpointing setting."""
+    output: configs without a tenant mix run the flat dispatcher
+    bit-identically to the per-job engine, tenant mixes run the per-job
+    engine itself.  Together with TestByteIdentity and
+    TestWorldDynamicsIdentity this covers every scenario preset, tenant mix
+    and checkpointing setting."""
 
     @staticmethod
     def _run_config(fast, **overrides):
@@ -314,8 +329,8 @@ class TestFallbackIdentity:
     def test_scenario_presets(self, scenario):
         legacy = self._run_config(False, scenario=scenario)
         default = self._run_config(None, scenario=scenario)
-        # Traffic-only presets engage; world dynamics keep the per-job engine.
-        assert default[2] == (scenario in ("static", "rush-hour"))
+        # Every scenario runs on the flat engine.
+        assert default[2] and not legacy[2]
         assert default[:2] == legacy[:2]
         assert default[3] == legacy[3]
 
@@ -333,8 +348,115 @@ class TestFallbackIdentity:
                                   checkpointing=checkpointing)
         default = self._run_config(None, scenario="flaky-fleet",
                                    checkpointing=checkpointing)
-        assert not default[2]
-        assert default == legacy
+        assert default[2] and not legacy[2]
+        assert default[:2] == legacy[:2]
+        assert default[3] == legacy[3]
+
+
+def _world_run(fast, config, **kwargs):
+    """One run compared in full: events, records, failed jobs, end time,
+    device statistics and the adaptive report (JSON, or ``None``)."""
+    env = QCloudSimEnv(config, fast_path=fast, **kwargs)
+    env.run_until_complete()
+    assert env.fast_path_active == (fast is None)
+    report = None
+    if env.adaptive_engine is not None:
+        report = json.dumps(env.adaptive_report(), sort_keys=True)
+    return {
+        "events": [(e.job_id, e.event, e.time, e.detail) for e in env.records.events],
+        "records": [r.as_dict() for r in env.records.completed_records],
+        "failed": [(j.job_id, j.status.name) for j in env.broker.failed_jobs],
+        "now": env.now,
+        "devices": env.device_utilization_report(),
+        "adaptive": report,
+    }
+
+
+def _assert_identical(config, **kwargs):
+    legacy = _world_run(False, config, **kwargs)
+    flat = _world_run(None, config, **kwargs)
+    for key in legacy:
+        assert flat[key] == legacy[key], key
+    return flat
+
+
+def _count(run, event):
+    return sum(1 for e in run["events"] if e[1] == event)
+
+
+class TestWorldDynamicsIdentity:
+    """Drift, outages, maintenance and replayed traces on the flat engine:
+    killed sub-jobs are tombstoned, their attempts checkpointed, released
+    and requeued exactly as the per-job engine does it."""
+
+    @pytest.mark.parametrize("adaptive", [None, "predictive"])
+    @pytest.mark.parametrize("checkpointing", [False, True], ids=["restart", "checkpoint"])
+    @pytest.mark.parametrize("scenario", sorted(available_scenarios()))
+    def test_scenario_presets(self, scenario, checkpointing, adaptive):
+        config = SimulationConfig(num_jobs=30, seed=9, scenario=scenario, arrival="poisson",
+                                  arrival_rate=0.05, checkpointing=checkpointing,
+                                  adaptive=adaptive)
+        _assert_identical(config)
+
+    @pytest.mark.parametrize("checkpointing", [False, True], ids=["restart", "checkpoint"])
+    def test_kills_requeue_and_resume(self, checkpointing):
+        # A busy fleet under flaky-fleet: many kills, several at one instant.
+        config = SimulationConfig(num_jobs=120, seed=1, scenario="flaky-fleet",
+                                  qubit_range=(20, 90), checkpointing=checkpointing)
+        run = _assert_identical(config)
+        assert _count(run, "requeue") >= 10
+        assert (_count(run, "resume") > 0) == checkpointing
+
+    @pytest.mark.parametrize("max_requeues", [0, 1])
+    def test_requeue_limit_with_blocked_heads(self, max_requeues):
+        # Wide jobs block the queue head; a job failing at the requeue
+        # limit releases qubits that must wake that head on both engines.
+        config = SimulationConfig(num_jobs=80, seed=1, scenario="flaky-fleet",
+                                  arrival="poisson", arrival_rate=0.05,
+                                  qubit_range=(60, 250), max_requeues=max_requeues)
+        run = _assert_identical(config)
+        assert run["failed"]
+
+    def test_requeue_limit(self):
+        config = SimulationConfig(num_jobs=120, seed=1, scenario="flaky-fleet",
+                                  qubit_range=(20, 90), max_requeues=1)
+        run = _assert_identical(config)
+        assert run["failed"] and all(status == "FAILED" for _, status in run["failed"])
+        assert _count(run, "failed") == len(run["failed"])
+
+    def test_replayed_trace(self, tmp_path):
+        from repro.dynamics import load_trace
+
+        config = SimulationConfig(num_jobs=60, seed=3, scenario="flaky-fleet",
+                                  arrival="poisson", arrival_rate=0.05, checkpointing=True)
+        recorded = QCloudSimEnv(config, fast_path=False)
+        recorded.run_until_complete()
+        trace = load_trace(recorded.save_trace(str(tmp_path / "flaky.jsonl")))
+        run = _assert_identical(config, scenario=trace)
+        assert _count(run, "requeue") > 0
+
+    def test_drift_with_split_jobs(self):
+        # 130-250-qubit jobs on 127-qubit devices all split; drift steps
+        # the calibration while fragments run, so completion-time
+        # breakdowns differ from launch-time ones.
+        config = SimulationConfig(num_jobs=40, seed=4, scenario="drift",
+                                  arrival="poisson", arrival_rate=0.05)
+        run = _assert_identical(config)
+        assert all(r["num_devices"] > 1 for r in run["records"])
+
+    def test_streaming_table_with_outages_ends_every_job_once(self):
+        arrivals = np.cumsum(np.full(200, 2.0))
+        table = JobTable.synthetic(200, seed=5, qubit_range=(20, 90), arrival_times=arrivals)
+        env = QCloudSimEnv(SimulationConfig(scenario="flaky-fleet", checkpointing=True),
+                           job_table=table)
+        assert env.fast_path_active
+        records = env.run_until_complete()
+        assert table.jobs is None
+        assert env.broker.unended == 0
+        ended = [r.job_id for r in records] + [j.job_id for j in env.broker.failed_jobs]
+        assert sorted(ended) == list(range(200))
+        assert all(device.used_qubits == 0 for device in env.cloud.devices)
+        assert sum(device.aborted_subjobs for device in env.cloud.devices) > 0
 
 
 class _FleetStateAtPlan:
@@ -405,3 +527,55 @@ class TestArrivalAtCompletion:
         # timestamp: a traced (one event per step) run agrees.
         _, traced = self._run(policy, jobs(), traced=True)
         assert [r.as_dict() for r in traced.values()] == [r.as_dict() for r in records.values()]
+
+
+class TestKillAtCompletion:
+    """The flat engine's rule for a kill popped before a completion due at
+    the same float time T: the kill aborts that sub-job, and the job is
+    requeued.  The per-job engine delivers its interrupt only after the
+    batch that completes the sub-job, so there the job completes at T.
+    This is the second corner where the engines differ; both sides are
+    pinned so the divergence stays visible."""
+
+    @staticmethod
+    def _run(fast, kill_at=None, checkpointing=False):
+        from repro.hardware.backends import get_device_profile
+
+        env = QCloudSimEnv(
+            config=SimulationConfig(num_jobs=1, policy="speed", checkpointing=checkpointing),
+            devices=[get_device_profile("ibm_strasbourg"), get_device_profile("ibm_kyiv")],
+            jobs=[TestArrivalAtCompletion._job(0, 100, 0.0)],
+            fast_path=fast,
+        )
+        if kill_at is not None:
+            # Created before the run, so the kill's timeout is scheduled
+            # before the job launches and pops first at T.
+            def outage():
+                yield env.timeout(kill_at)
+                env.cloud.device("ibm_strasbourg").set_offline(kill_running=True)
+                yield env.timeout(10.0)
+                env.cloud.device("ibm_strasbourg").set_online()
+                env.cloud.signal_capacity_change()
+
+            env.process(outage())
+        (record,) = env.run_until_complete()
+        return record, [e.event for e in env.records.events]
+
+    @pytest.mark.parametrize("checkpointing", [False, True], ids=["restart", "checkpoint"])
+    def test_kill_at_completion_time(self, checkpointing):
+        alone, _ = self._run(None)
+        assert alone.devices == ["ibm_strasbourg"] and alone.communication_time == 0.0
+        collide_at = alone.finish_time
+
+        flat, flat_events = self._run(None, collide_at, checkpointing)
+        assert flat.retries == 1
+        assert "requeue" in flat_events
+        # The requeued attempt re-plans at T onto the surviving device.
+        assert flat.first_start_time == 0.0 and flat.start_time == collide_at
+        assert flat.devices == ["ibm_kyiv"]
+        # The checkpoint floor keeps one shot for the resumed attempt.
+        assert flat.resumed_shots == (alone.num_shots - 1 if checkpointing else 0)
+
+        per_job, per_job_events = self._run(False, collide_at, checkpointing)
+        assert per_job.retries == 0 and "requeue" not in per_job_events
+        assert per_job.finish_time == collide_at

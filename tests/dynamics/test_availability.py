@@ -16,13 +16,16 @@ def _job(job_id, num_qubits, arrival_time=0.0):
     return QJob(job_id=job_id, circuit=circuit, arrival_time=arrival_time)
 
 
-def _two_device_env(scenario, jobs, policy="speed", fast_path=None):
+def _profiles():
     from repro.hardware.backends import get_device_profile
 
-    profiles = [get_device_profile("ibm_strasbourg"), get_device_profile("ibm_kyiv")]
+    return [get_device_profile("ibm_strasbourg"), get_device_profile("ibm_kyiv")]
+
+
+def _two_device_env(scenario, jobs, policy="speed", fast_path=None):
     return QCloudSimEnv(
         SimulationConfig(num_jobs=len(jobs), policy=policy),
-        devices=profiles,
+        devices=_profiles(),
         jobs=jobs,
         scenario=scenario,
         fast_path=fast_path,
@@ -269,14 +272,115 @@ class TestFlatEngineAvailability:
         devices = {r["job_id"]: r["devices"] for r in flat[1]}
         assert devices == {0: "ibm_strasbourg", 1: "ibm_kyiv", 2: "ibm_strasbourg"}
 
-    def test_kill_of_in_flight_work_is_refused(self):
-        env = _two_device_env(None, [_job(0, 100)])
-        assert env.fast_path_active
+    @pytest.mark.parametrize("checkpointing", [False, True], ids=["restart", "checkpoint"])
+    @pytest.mark.parametrize("num_qubits", [100, 200], ids=["unsplit", "split"])
+    def test_flat_kill_requeues_like_per_job_engine(self, num_qubits, checkpointing):
+        # 100 qubits run on ibm_strasbourg alone; 200 split over both
+        # devices.  A user-code kill mid-run aborts the attempt, which
+        # requeues the job exactly as the per-job engine does.
+        def run(fast_path):
+            jobs = [_job(0, num_qubits), _job(1, 60, arrival_time=0.5)]
+            env = QCloudSimEnv(
+                SimulationConfig(num_jobs=len(jobs), checkpointing=checkpointing),
+                devices=_profiles(), jobs=jobs, fast_path=fast_path,
+            )
+            strasbourg = env.cloud.device("ibm_strasbourg")
 
-        def outage():
-            yield env.timeout(1.0)
-            env.cloud.device("ibm_strasbourg").set_offline(kill_running=True)
+            def outage():
+                yield env.timeout(1.0)
+                strasbourg.set_offline(kill_running=True)
+                yield env.timeout(50.0)
+                strasbourg.set_online()
+                env.cloud.signal_capacity_change()
 
-        env.process(outage())
-        with pytest.raises(RuntimeError, match="fast_path=False"):
+            env.process(outage())
+            records = env.run_until_complete()
+            events = [(e.job_id, e.event, e.time, e.detail) for e in env.records.events]
+            return (env.fast_path_active, [r.as_dict() for r in records], events,
+                    env.device_utilization_report(), env.now)
+
+        flat, per_job = run(None), run(False)
+        assert flat[0] and not per_job[0]
+        assert flat[1:] == per_job[1:]
+        job0 = next(r for r in flat[1] if r["job_id"] == 0)
+        assert job0["retries"] == 1
+        assert flat[3]["ibm_strasbourg"]["aborted_subjobs"] >= 1
+        assert all(stats["free_qubits"] == 127 for stats in flat[3].values())
+        kinds = [e[1] for e in flat[2] if e[0] == 0]
+        assert "requeue" in kinds
+        assert ("resume" in kinds) == checkpointing
+
+    def test_failed_attempt_wakes_blocked_head(self):
+        # A 200-qubit job splits over both devices; a 100-qubit job arrives
+        # behind it and is blocked (54 qubits free).  A kill on one device
+        # aborts the split job, which fails at max_requeues=0 once its
+        # surviving fragment ends.  The released qubits must wake the
+        # blocked head on both engines, not only on a requeue.
+        def run(fast_path):
+            jobs = [_job(0, 200), _job(1, 100, arrival_time=0.5)]
+            env = QCloudSimEnv(
+                SimulationConfig(num_jobs=len(jobs), max_requeues=0),
+                devices=_profiles(), jobs=jobs, fast_path=fast_path,
+            )
+
+            def outage():
+                yield env.timeout(1.0)
+                env.cloud.device("ibm_strasbourg").set_offline(kill_running=True)
+
+            env.process(outage())
+            records = env.run_until_complete()
+            events = [(e.job_id, e.event, e.time, e.detail) for e in env.records.events]
+            failed = [j.job_id for j in env.broker.failed_jobs]
+            return (env.fast_path_active, [r.as_dict() for r in records], events, failed,
+                    env.device_utilization_report(), env.now)
+
+        flat, per_job = run(None), run(False)
+        assert flat[0] and not per_job[0]
+        assert flat[1:] == per_job[1:]
+        assert flat[3] == [0]
+        assert [r["job_id"] for r in flat[1]] == [1]
+        assert flat[1][0]["devices"] == "ibm_kyiv"
+
+    def test_blocked_head_wakes_on_capacity_signal(self):
+        # A device is offline when three jobs too wide for the remaining
+        # fleet arrive; it returns at t=100 through set_online() plus the
+        # capacity signal ScenarioEngine.apply sends.  The blocked head
+        # must re-plan on that signal on both engines.
+        def run(fast_path):
+            jobs = [_job(i, 560 + 20 * i, arrival_time=10.0) for i in range(3)]
+            env = QCloudSimEnv(SimulationConfig(num_jobs=3), jobs=jobs, fast_path=fast_path)
+            device = env.cloud.devices[0]
+            device.set_offline(kill_running=False)
+
+            def recover():
+                yield env.timeout(100.0)
+                device.set_online()
+                env.cloud.signal_capacity_change()
+
+            env.process(recover())
+            records = env.run_until_complete()
+            return env.fast_path_active, [r.as_dict() for r in records], env.broker.unended
+
+        flat, per_job = run(None), run(False)
+        assert flat[0] and not per_job[0]
+        assert len(flat[1]) == 3 and flat[2] == 0
+        assert flat[1:] == per_job[1:]
+        assert all(r["start_time"] >= 100.0 for r in flat[1])
+
+    @pytest.mark.parametrize("fast_path", [None, False], ids=["flat", "per_job"])
+    def test_run_until_complete_reports_jobs_that_never_end(self, fast_path):
+        # Two devices leave for good while three of four wide jobs wait:
+        # the queue drains with those three never ended.
+        jobs = [_job(i, 400 + 30 * i) for i in range(4)]
+        env = QCloudSimEnv(SimulationConfig(num_jobs=4, policy="speed"), jobs=jobs,
+                           fast_path=fast_path)
+
+        def leave():
+            yield env.timeout(0.5)
+            env.cloud.devices[0].set_offline(kill_running=False)
+            env.cloud.devices[1].set_offline(kill_running=False)
+
+        env.process(leave())
+        with pytest.raises(RuntimeError, match="3 job"):
             env.run_until_complete()
+        assert env.broker.unended == 3
