@@ -631,9 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="checkpointed preemption: aborted jobs (outages, preemptions) "
                             "resume with only their remaining shots")
     p_sim.add_argument("--stats", action="store_true",
-                       help="print which engine ran (flat events without a tenant mix, "
-                            "per-job processes with one) and event-loop statistics "
-                            "(events, batches, events/s); runs in-process")
+                       help="print which engine ran (flat events) and event-loop "
+                            "statistics (events, batches, events/s); runs in-process")
     _add_axis_options(p_sim)
     _add_engine_options(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)

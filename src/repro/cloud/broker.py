@@ -36,14 +36,13 @@ every path is byte-identical to full re-execution.
 
 from __future__ import annotations
 
-from typing import Any, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.cloud.qcloud import QCloud
 from repro.cloud.qdevice import IBMQuantumDevice, SubJobResult
 from repro.cloud.qjob import QJob, QJobStatus
 from repro.cloud.records import JobRecord, JobRecordsManager
 from repro.des.environment import Environment
-from repro.des.events import Process
 from repro.metrics.fidelity import FidelityBreakdown, final_fidelity, merge_segment_fidelities
 
 __all__ = ["Broker"]
@@ -112,6 +111,11 @@ class Broker:
         byte-identical to the historical behaviour.
     """
 
+    #: Order of the jobs waiting for the dispatch floor: ``None`` is FIFO; a
+    #: broker with its own order defines ``dispatch_key(job)``, the job's
+    #: sort key (unique per job), and reads :attr:`waiting_line`.
+    dispatch_key: Optional[Callable[[QJob], Any]] = None
+
     def __init__(
         self,
         env: Environment,
@@ -141,15 +145,24 @@ class Broker:
         #: The adaptive control plane (an ``AdaptiveEngine``, attached by its
         #: ``install()``): fed job reports, asked for checkpoint decisions.
         self.adaptive: Optional[Any] = None
+        #: For a broker with a :attr:`dispatch_key`: the engine's line of
+        #: jobs waiting for the dispatch floor, set by the engine that runs
+        #: the broker.  Its ``best_waiting_key`` is the smallest key behind
+        #: the floor holder (``None`` when nobody waits).
+        self.waiting_line: Optional[Any] = None
 
     # -- public API ---------------------------------------------------------------
-    def submit(self, job: QJob) -> Process:
-        """Submit a job: starts its handling process and returns it."""
+    def submit(self, job: QJob) -> bool:
+        """Admit an arriving job: the one admission step of both engines.
+
+        Marks *job* queued and reports it; returns whether it was admitted
+        (always, here).  The engine then queues an admitted job for
+        dispatch: the per-job engine starts its :meth:`_handle_job` process.
+        """
         job.status = QJobStatus.QUEUED
-        process = self.env.process(self._handle_job(job))
         if self.adaptive is not None:
             self.adaptive.signals.on_submit(job.tenant, True)
-        return process
+        return True
 
     def expect(self, num_jobs: int) -> None:
         """Set the workload size: :attr:`all_ended` succeeds once *num_jobs*
@@ -222,7 +235,8 @@ class Broker:
                         break  # give the floor up, then request it again
                     yield blocked
 
-    # -- dispatch hooks (the serve broker's tenant-aware queue plugs in here) ----
+    # -- dispatch hooks (the serve broker's tenant-aware queue plugs in here;
+    # the flat engine calls _on_dispatch and _blocked too) ------------------------
     def _dispatch_request(self, job: QJob) -> Any:
         """The request that grants *job* the dispatch floor (FIFO here)."""
         return self.cloud.admission.request()
@@ -401,9 +415,12 @@ class Broker:
         self._ended()
 
     # -- life-cycle hooks (no-ops here; the serve broker keeps its tenant and
-    # preemption bookkeeping in sync by overriding them) ---------------------------
-    def _register_running(self, job: QJob, plan: Any, sub_processes: List[Process]) -> None:
-        """Called when a job's sub-jobs have been launched."""
+    # preemption bookkeeping in sync by overriding them; both engines call them) ---
+    def _register_running(self, job: QJob, plan: Any, sub_processes: List[Any]) -> None:
+        """Called when a job's sub-jobs have been launched.  Each entry of
+        *sub_processes* exposes ``is_alive`` and ``interrupt(cause)``: a
+        :class:`~repro.des.events.Process` here, a kill-list entry on the
+        flat engine."""
 
     def _unregister_running(self, job: QJob) -> None:
         """Called when a job's sub-jobs have finished or aborted."""

@@ -25,9 +25,10 @@ class SimulationConfig:
     10k-100k shots, λ = 0.02 s/qubit and φ = 0.95.
 
     The dispatch engine is not a knob: :class:`~repro.cloud.environment
-    .QCloudSimEnv` runs the flat-event dispatcher whenever there is no
-    tenant mix (any scenario, with or without an adaptive policy) and the
-    per-job broker processes otherwise.  Both give byte-identical results.
+    .QCloudSimEnv` runs the flat-event dispatcher for every configuration
+    (any tenant mix, scenario or adaptive policy); only its ``fast_path=False``
+    argument selects the per-job reference engine.  Both give byte-identical
+    results.
     """
 
     #: Allocation policy name (see :mod:`repro.scheduling.registry`).

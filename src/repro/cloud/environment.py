@@ -67,27 +67,29 @@ class QCloudSimEnv(Environment):
         :class:`~repro.serve.ServeBroker` (admission control, fair-share
         dispatch, preemption) and shapes the workload from the tenants'
         traffic specs; the ``single`` preset stays byte-identical to a plain
-        run.
+        run.  Tenant mixes run on the flat engine like every other
+        configuration.
     records:
         Records manager (overrides the default in-memory
         :class:`~repro.cloud.records.JobRecordsManager`).  Pass a
         :class:`~repro.cloud.records_stream.StreamingRecordsManager` for
         O(1)-memory million-job runs.
     fast_path:
-        Engine override.  By default (``None``) the engine follows the
-        configuration: the flat-event dispatcher (:mod:`repro.cloud.fastpath`)
-        drives every run without a tenant mix — scenarios (drift, outages,
-        maintenance, replayed traces) and adaptive policies included — and
-        the per-job broker processes drive tenant mixes.  ``False`` forces
-        the per-job engine (the reference for identity tests and benchmark
-        baselines); ``True`` demands the flat engine and raises
-        ``ValueError`` with a tenant mix.  Both engines give byte-identical
-        results; :attr:`fast_path_active` reports which ran.
+        Engine override.  By default (``None``, or ``True``) the flat-event
+        dispatcher (:mod:`repro.cloud.fastpath`) drives every run: tenant
+        mixes, scenarios (drift, outages, maintenance, replayed traces) and
+        adaptive policies included.  ``False`` forces the per-job broker
+        processes (the reference for identity tests and benchmark
+        baselines).  Both engines give byte-identical results;
+        :attr:`fast_path_active` reports which ran.
     job_table:
-        A :class:`~repro.cloud.fastpath.JobTable` as the workload — the
-        streaming bulk form that never materialises per-job objects.  Runs
-        on the flat engine with any scenario; raises ``ValueError`` with a
-        tenant mix or ``fast_path=False``.  Mutually exclusive with ``jobs``.
+        A :class:`~repro.cloud.fastpath.JobTable` as the workload.  Runs on
+        the flat engine with any scenario; raises ``ValueError`` with
+        ``fast_path=False``.  With a tenant mix the table must carry its
+        jobs (:meth:`~repro.cloud.fastpath.JobTable.from_jobs`), whose
+        tenant tags it needs: a streaming table (the bulk form that never
+        materialises per-job objects) raises ``ValueError``.  Mutually
+        exclusive with ``jobs``.
     adaptive:
         Adaptive QoS policy: a registered preset name (``"static"``,
         ``"reactive"``, ``"predictive"``) or an
@@ -178,6 +180,16 @@ class QCloudSimEnv(Environment):
 
         if job_table is not None and jobs is not None:
             raise ValueError("pass either jobs or job_table, not both")
+        if job_table is not None and fast_path is False:
+            raise ValueError("job_table runs on the flat engine; it cannot take fast_path=False")
+        if job_table is not None and self.tenant_mix is not None:
+            if job_table.jobs is None:
+                raise ValueError(
+                    "a tenant mix needs each job's tenant tag, and a streaming JobTable "
+                    "has no jobs; build the table with JobTable.from_jobs(...)"
+                )
+            # The table's jobs carry the tenant tags: run them as a job list.
+            jobs, job_table = job_table.jobs, None
 
         explicit_jobs = jobs is not None
         if jobs is None and job_table is None:
@@ -227,16 +239,8 @@ class QCloudSimEnv(Environment):
         # -- dispatch engine -----------------------------------------------------
         from repro.cloud.fastpath import FlatDispatcher, JobTable
 
-        eligible = self.tenant_mix is None
-        if job_table is not None and fast_path is False:
-            raise ValueError("job_table runs on the flat engine; it cannot take fast_path=False")
-        if (job_table is not None or fast_path) and not eligible:
-            raise ValueError(
-                f"{'job_table' if job_table is not None else 'fast_path=True'} requires a "
-                "fast-path-eligible configuration (no tenant mix)"
-            )
         #: Whether the flat-event dispatcher is driving this run.
-        self.fast_path_active = eligible if fast_path is None else bool(fast_path)
+        self.fast_path_active = fast_path is not False
         if self.fast_path_active:
             table = job_table if job_table is not None else JobTable.from_jobs(jobs)
             self.job_generator = FlatDispatcher(self, self.broker, table)

@@ -1,4 +1,4 @@
-"""Flat-event engine: the dispatcher behind every run without a tenant mix.
+"""Flat-event engine: the dispatcher behind every run.
 
 The per-job engine runs one generator-based DES process per job
 (:class:`~repro.cloud.broker.Broker._handle_job`), which is wonderfully
@@ -7,8 +7,8 @@ completed job.  At a million jobs that overhead dominates the run.
 
 This module provides the replacement that
 :class:`~repro.cloud.environment.QCloudSimEnv` selects for every
-configuration without a tenant mix (``fast_path=False`` forces the per-job
-engine as a reference):
+configuration (``fast_path=False`` forces the per-job engine as a
+reference):
 
 * :class:`JobTable` — the workload as NumPy column arrays (job id, arrival
   time, qubits, depth, shots, gate counts) instead of a list of
@@ -28,7 +28,7 @@ For every configuration it drives, the flat dispatcher reproduces the
 per-job record and event streams *bit for bit*, outside the two
 same-instant corners described below (tests/cloud/test_fastpath_identity.py
 sweeps policies × scenario presets × arrival processes × checkpointing ×
-adaptive policies).  Both engines
+adaptive policies × tenant mixes).  Both engines
 reserve and release qubits through the same synchronous
 :meth:`~repro.cloud.qdevice.BaseQDevice.reserve_qubits` /
 :meth:`~repro.cloud.qdevice.BaseQDevice.release_qubits` pair, so they leave
@@ -68,8 +68,9 @@ traces.  Each launched sub-job sits in its device's start-ordered
 ``interrupt(cause)`` pair a killing ``set_offline`` calls.  A kill leaves
 the sub-job's completion event in the heap as a tombstone, ignored when
 popped, and marks the attempt aborted.  Once the attempt's last sub-job has
-ended, it is checkpointed, released and requeued at the tail of the pending
-queue (or failed at ``max_requeues``) by the per-job engine's own steps:
+ended, it is checkpointed, released and requeued into the pending queue
+(at its tail, or by its key) or failed at ``max_requeues``, by the per-job
+engine's own steps:
 :meth:`~repro.cloud.qdevice.IBMQuantumDevice.abort_subjob`,
 :meth:`~repro.cloud.broker.Broker._abort_attempt` and
 :meth:`~repro.cloud.broker.Broker._requeue`.  Only aborted rows keep a
@@ -77,9 +78,9 @@ queue (or failed at ``max_requeues``) by the per-job engine's own steps:
 re-plans through a ``PUMP`` event, after every kill of the instant has
 released its qubits.  A sub-job whose device was recalibrated while it ran
 recomputes its breakdown at completion, as ``execute`` does, and a blocked
-head listens for ``cloud.capacity_released``, the signal a recovered device
-sends.  Released qubits wake a blocked head whether the aborted job was
-requeued or failed.  One more corner: a kill popped before a completion due
+plain head listens for ``cloud.capacity_released``, the signal a recovered
+device sends.  Released qubits wake a blocked head whether the aborted job
+was requeued or failed.  One more corner: a kill popped before a completion due
 at the same float time aborts that sub-job here, while the per-job engine
 lets it complete when both events are drained in one batch (its interrupt
 is only delivered after the batch).
@@ -94,16 +95,41 @@ jobs through ``Broker._fail``.  It reads ``broker.policy`` at
 :meth:`FlatDispatcher.start`, after the control plane has installed its
 planner wrapper.
 
-Tenant mixes run on the per-job engine; ``fast_path=True`` with one raises
-``ValueError``.
+Brokers and tenant mixes
+------------------------
+The dispatcher drives any broker through the hooks the per-job loop calls,
+so a tenant mix's :class:`~repro.serve.ServeBroker` is a configuration, not
+an engine; its tenant policy (fair-share tags, token buckets, floor
+yielding, victim choice) stays in :mod:`repro.serve`.
+
+* Admission: a broker with a ``dispatch_key`` admits each arrival through
+  ``submit`` (the per-job engine's order: each arrival logged right before
+  its submission), and only after the whole group are the admitted rows
+  checked against the fleet's capacity and queued.  The plain broker's
+  ``submit`` runs in bulk.
+* Order: such a broker's pending rows wait in key order behind the head
+  (:class:`_KeyedPending`), which the broker reads as its
+  ``waiting_line``.
+* Blocked head: before each plan the pump calls ``broker._on_dispatch``;
+  with no plan it calls ``broker._blocked``.  ``None`` means the head gives
+  the floor up and re-enters by its key; an event is what the head waits
+  on (the plain broker's ``cloud.capacity_released``).  Plan attempts are
+  counted per row, across yields, as in ``_plan_and_reserve``.
+* Running set: each launched attempt is registered through
+  ``broker._register_running`` with its kill-list entries, and the pump
+  launches what it already dispatched before asking ``_blocked``: a
+  blocked head may preempt a job dispatched earlier in the same pump.  A
+  finished fragment is not alive.  A preemption kills synchronously, so
+  the broker logs every preemption before the first kill.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from heapq import heappush
 from itertools import count
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -421,6 +447,7 @@ class _FlatJob:
         "arrival",
         "device_names",
         "qubit_counts",
+        "plan",
         "allocations",
         "durations",
         "breakdowns",
@@ -455,6 +482,7 @@ class _FlatJob:
         self.depth = depth
         self.shots = shots
         self.arrival = arrival
+        self.plan = plan
         allocations = plan.allocations
         self.allocations = allocations
         k = len(allocations)
@@ -490,6 +518,44 @@ class _FlatJob:
         self.dispatcher._kill(self, 0, self)
 
 
+class _KeyedPending(list):
+    """Pending rows in a broker's dispatch order (``Broker.dispatch_key``).
+
+    The head, the row holding the dispatch floor, stays first whatever its
+    key: a row entering an empty line takes the floor at once, as the
+    per-job engine's dispatch resource grants a request when nothing holds
+    it, and a later row never goes ahead of it.  The rows behind the head
+    wait sorted by key (keys are unique).  Offers the deque operations the
+    dispatcher uses, plus :meth:`yield_head` and :attr:`best_waiting_key`.
+    """
+
+    __slots__ = ("_key_of",)
+
+    def __init__(self, key_of: Callable[[int], Any]) -> None:
+        super().__init__()
+        self._key_of = key_of
+
+    def append(self, row: int) -> None:
+        insort(self, row, 1 if self else 0, key=self._key_of)
+
+    def extend(self, rows: Sequence[int]) -> None:
+        for row in rows:
+            self.append(row)
+
+    def popleft(self) -> int:
+        return self.pop(0)
+
+    def yield_head(self) -> None:
+        """The head gives the floor up: it re-enters by its key, and the
+        row with the smallest key becomes the head."""
+        insort(self, self.pop(0), key=self._key_of)
+
+    @property
+    def best_waiting_key(self) -> Optional[Any]:
+        """The smallest key behind the head (``None`` if nobody waits)."""
+        return self._key_of(self[1]) if len(self) > 1 else None
+
+
 class FlatDispatcher:
     """Flat pending-table dispatcher: the replacement for the per-job
     broker processes plus the :class:`JobGenerator`.
@@ -500,9 +566,11 @@ class FlatDispatcher:
 
     * arrivals: one pre-triggered feed event per distinct arrival time
       (negative sequence numbers — see the module docstring), appending row
-      indices to a deque,
+      indices to the pending line: a deque, or a :class:`_KeyedPending`
+      for a broker with a ``dispatch_key``,
     * planning: a pump event at priority :data:`PUMP` that plans and
-      dispatches pending heads FIFO until the head cannot be placed,
+      dispatches pending heads in order until the head cannot be placed
+      (and does not give the floor up),
     * execution: one completion event per sub-job, one optional
       communication event per split job; qubit reservation/release is
       direct level arithmetic.
@@ -510,8 +578,9 @@ class FlatDispatcher:
     The broker instance is retained for its configuration
     (``max_plan_attempts``, ``max_requeues``, ``checkpointing``), its
     records manager, its abort, requeue and failure steps, its end-of-run
-    count and its adaptive attachment, so results read the same regardless
-    of which engine ran.
+    count, its adaptive attachment and the hooks the per-job loop calls
+    (admission, dispatch, blocked head, running set), so results read the
+    same regardless of which engine ran.
     """
 
     def __init__(self, env: Any, broker: Any, table: JobTable) -> None:
@@ -520,8 +589,16 @@ class FlatDispatcher:
         self.cloud = broker.cloud
         self.records = broker.records
         self.table = table
-        #: Row indices waiting for placement, FIFO.
-        self.pending: deque = deque()
+        key = broker.dispatch_key
+        #: Whether the broker orders the waiting jobs itself; such a broker
+        #: also admits each arrival through its ``submit``.
+        self._keyed = key is not None
+        #: Row indices waiting for placement: FIFO, or in the broker's order.
+        self.pending: Any = deque()
+        if self._keyed:
+            self.pending = broker.waiting_line = _KeyedPending(
+                lambda row: key(table.jobs[row])
+            )
         #: Jobs completed by this dispatcher.
         self.completed_count = 0
         #: Jobs submitted (fed) so far.
@@ -532,10 +609,12 @@ class FlatDispatcher:
         self._group_iter = table.iter_arrival_groups()
         self._next_arrival = next(self._group_iter, None)
         self._feed_seq = count(_FEED_SEQ_START)
-        self._head_attempts = 0
+        #: Failed plans per pending row since its dispatch attempt began
+        #: (a head that gives the floor up keeps its count).
+        self._attempts: Dict[int, int] = {}
         self._waiting = False
-        #: Whether the blocked head listens for ``cloud.capacity_released``.
-        self._listening = False
+        #: The event the blocked head waits on (from ``broker._blocked``).
+        self._blocked_on: Optional[Event] = None
         self._pump_scheduled = False
         self._started = False
         #: Cross-attempt state of the rows an abort has requeued (only those).
@@ -620,29 +699,44 @@ class FlatDispatcher:
         _, start, stop = self._next_arrival
         self._next_arrival = next(self._group_iter, None)
         now = self.env._now
-        self._log_arrival_block(self._job_ids, start, stop, now)
         pending = self.pending
         jobs = self.table.jobs
-        if self._adaptive is not None:
-            on_submit = self._adaptive.signals.on_submit
+        rows: Sequence[int] = range(start, stop)
+        if self._keyed:
+            # The broker admits each arrival (it may reject some), logging
+            # in the per-job engine's order: each arrival right before its
+            # submission, so rejections interleave with arrivals.
+            log_arrival = self.records.log_arrival
+            submit = self.broker.submit
+            rows = []
             for row in range(start, stop):
-                on_submit(jobs[row].tenant if jobs is not None else None, True)
-        if self._all_fit:
+                job = jobs[row]
+                log_arrival(job.job_id, now)
+                if submit(job):
+                    rows.append(row)
+        else:
+            # Broker.submit in bulk.
+            self._log_arrival_block(self._job_ids, start, stop, now)
             if jobs is not None:
-                for row in range(start, stop):
+                for row in rows:
                     jobs[row].status = QJobStatus.QUEUED
-            pending.extend(range(start, stop))
+            if self._adaptive is not None:
+                on_submit = self._adaptive.signals.on_submit
+                for row in rows:
+                    on_submit(jobs[row].tenant if jobs is not None else None, True)
+        # After the whole group, as the per-job engine's processes start
+        # after the arrival batch: the can-ever-fit guard and the queue.
+        if self._all_fit:
+            pending.extend(rows)
         else:
             table = self.table
             qubits = self._qubits_col
             total_capacity = self._total_capacity
-            for row in range(start, stop):
+            for row in rows:
                 if qubits[row] > total_capacity:
                     # Mirrors Broker._handle_job's can_ever_fit guard.
                     self.broker._fail(table.job_for(row), "exceeds total cloud capacity")
                 else:
-                    if jobs is not None:
-                        jobs[row].status = QJobStatus.QUEUED
                     pending.append(row)
         self.submitted_count += stop - start
         self._schedule_next_feed()
@@ -690,11 +784,14 @@ class FlatDispatcher:
         tick.callbacks = self._pump_callbacks
         heappush(env._queue, (env._now, PUMP, next(env._eid), tick))
 
-    def _capacity_signal(self, event: Event) -> None:
-        """``cloud.capacity_released`` fired (a device came back online, or
-        user code signalled): wake the blocked head."""
-        self._listening = False
-        self._request_pump(signal=True)
+    def _unblock(self, event: Event) -> None:
+        """The event the blocked head waits on fired (for the plain broker,
+        ``cloud.capacity_released``: a device came back online, or user code
+        signalled): re-plan the head.  An event an earlier block returned
+        is stale and ignored."""
+        if event is self._blocked_on:
+            self._blocked_on = None
+            self._request_pump(signal=True)
 
     def _pump(self, event: Event) -> None:
         self._pump_scheduled = False
@@ -711,7 +808,9 @@ class FlatDispatcher:
         view = self._row_view
         online_devices = self.cloud.online_devices
         runs = self._runs
+        attempts = self._attempts
         adaptive = self._adaptive
+        on_dispatch = broker._on_dispatch
         dispatched: List[Tuple[_FlatJob, List[Tuple[Any, int, int, int, int]]]] = []
         fragment_count = 0
         while pending:
@@ -721,22 +820,38 @@ class FlatDispatcher:
             else:
                 view._row = row
                 job_view = view
+            on_dispatch(job_view)
             plan = policy_plan(job_view, online_devices)
             if plan is None:
-                self._head_attempts += 1
-                if self._head_attempts >= broker.max_plan_attempts:
+                tries = attempts.get(row, 0) + 1
+                if tries >= broker.max_plan_attempts:
                     broker._fail(table.job_for(row), "no feasible allocation")
                     pending.popleft()
-                    self._head_attempts = 0
+                    attempts.pop(row, None)
                     runs.pop(row, None)
                     continue
+                attempts[row] = tries
+                if dispatched:
+                    # The blocked head may preempt a job this pump already
+                    # dispatched: launch and register those first.
+                    self._launch(dispatched, fragment_count)
+                    dispatched = []
+                    fragment_count = 0
+                # Set before asking the broker: a preemption ends its victims
+                # at once, and their released qubits clear it again.
                 self._waiting = True
-                if not self._listening:
+                blocked = broker._blocked(job_view)
+                if blocked is None:
+                    # The head gives the floor up to a better-keyed row.
+                    self._waiting = False
+                    pending.yield_head()
+                    continue
+                if blocked is not self._blocked_on:
                     # Capacity the dispatcher does not release itself (a
-                    # recovered device) arrives through the cloud's signal,
-                    # which the per-job engine's blocked head waits on too.
-                    self._listening = True
-                    self.cloud.capacity_released.callbacks.append(self._capacity_signal)
+                    # recovered device) arrives through this event, which
+                    # the per-job engine's blocked head waits on too.
+                    self._blocked_on = blocked
+                    blocked.callbacks.append(self._unblock)
                 break
             num_qubits = job_view.num_qubits
             # One fused pass over the allocations replaces the separate
@@ -758,7 +873,8 @@ class FlatDispatcher:
                     f"{job_view.job_id}"
                 )
             pending.popleft()
-            self._head_attempts = 0
+            if attempts:
+                attempts.pop(row, None)
             state = _FlatJob(
                 self,
                 row,
@@ -882,13 +998,17 @@ class FlatDispatcher:
                     )
         # Schedule completion events in dispatch order (sequence numbers
         # mirror the legacy per-chain allocation order), and register each
-        # sub-job in its device's start-ordered kill list.
+        # sub-job in its device's start-ordered kill list and with the
+        # broker.  (A streaming table has no jobs; its plain broker's
+        # running-set hooks are no-ops.)
         env = self.env
         queue = env._queue
         eid = env._eid
         now = env._now
         pool = self._done_pool
         single_callbacks = self._single_done_callbacks
+        jobs = table.jobs
+        register = self.broker._register_running
         for state, fragments in dispatched:
             if len(fragments) == 1:
                 # Whole job on one device: fuse fragment accounting and job
@@ -900,14 +1020,19 @@ class FlatDispatcher:
                 event._value = state
                 event.callbacks = single_callbacks
                 heappush(queue, (now + state.durations[0], NORMAL, next(eid), event))
-                continue
-            for index in range(len(fragments)):
-                entry = _SubJobDone(self, state, index)
-                fragments[index][0]._running[entry] = None
-                event = Event(env)
-                event._value = None
-                event.callbacks.append(entry)
-                heappush(queue, (now + state.durations[index], NORMAL, next(eid), event))
+                entries: List[Any] = [state]
+            else:
+                entries = []
+                for index in range(len(fragments)):
+                    entry = _SubJobDone(self, state, index)
+                    fragments[index][0]._running[entry] = None
+                    entries.append(entry)
+                    event = Event(env)
+                    event._value = None
+                    event.callbacks.append(entry)
+                    heappush(queue, (now + state.durations[index], NORMAL, next(eid), event))
+            if jobs is not None:
+                register(jobs[state.row], state.plan, entries)
 
     # -- completion ----------------------------------------------------------
     def _single_done_ev(self, event: Event) -> None:
@@ -943,6 +1068,8 @@ class FlatDispatcher:
         alloc = state.allocations[index]
         device = alloc.device
         del device._running[entry]
+        # Finished: not a kill target any more (a preemption scans it).
+        entry.is_alive = False
         elapsed = now - state.start
         device.completed_subjobs += 1
         device.busy_time += elapsed
@@ -1015,7 +1142,7 @@ class FlatDispatcher:
 
     def _end_aborted(self, state: _FlatJob) -> None:
         """Checkpoint an aborted attempt, release its qubits and requeue its
-        job at the tail of :attr:`pending` (or fail it at ``max_requeues``),
+        job into :attr:`pending` (or fail it at ``max_requeues``),
         through the per-job engine's own steps."""
         row = state.row
         run = state.run
@@ -1023,6 +1150,8 @@ class FlatDispatcher:
             run = self._runs[row] = _JobRun()
             run.first_start = state.start
         broker = self.broker
+        job = self.table.job_for(row)
+        broker._unregister_running(job)
         broker._abort_attempt(
             state.job_id,
             state.shots,
@@ -1032,7 +1161,7 @@ class FlatDispatcher:
             state.checkpointed_shots,
             state.breakdowns,
         )
-        if broker._requeue(self.table.job_for(row), run):
+        if broker._requeue(job, run):
             self.pending.append(row)
         else:
             del self._runs[row]
@@ -1066,10 +1195,12 @@ class FlatDispatcher:
                 [b.device for b in breakdowns],
                 phi=cloud.communication.fidelity_penalty,
             )
+        job = table.jobs[row] if table.jobs is not None else None
+        if job is not None:
+            self.broker._unregister_running(job)
         for alloc in state.allocations:
             alloc.device.release_qubits(alloc.num_qubits)
         finish = env._now
-        job = table.jobs[row] if table.jobs is not None else None
         if job is not None:
             job.status = QJobStatus.COMPLETED
         job_id = state.job_id

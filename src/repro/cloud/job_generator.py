@@ -162,13 +162,15 @@ class JobGenerator:
 
         log_arrival = self.broker.records.log_arrival
         submit = self.broker.submit
+        handle = self.broker._handle_job
         for (time, batch), marker in zip(batches, markers):
             if marker is not None:
                 yield marker
             now = env.now
             for job in batch:
                 log_arrival(job.job_id, now)
-                submit(job)
+                if submit(job):
+                    env.process(handle(job))
         return len(self.jobs)
 
     def __len__(self) -> int:

@@ -22,6 +22,11 @@ with the demand-side machinery of a multi-tenant cloud:
   Victims are requeued and count the preemption against the shared
   ``max_requeues`` starvation guard.
 
+All of it is tenant policy plugged into the plain broker's hooks, so both
+dispatch engines run it unchanged: the per-job engine through this broker's
+keyed dispatch queue, the flat engine (:mod:`repro.cloud.fastpath`) through
+its own pending line in the same key order.
+
 With a single-class mix every one of these paths degenerates to the plain
 broker's behaviour: the dispatch keys are monotone in submission order, the
 floor is never yielded, nothing is preempted and (with the ``single``
@@ -40,7 +45,6 @@ from repro.cloud.qjob import QJob, QJobStatus
 from repro.cloud.records import JobRecordsManager
 from repro.cloud.records_stream import StreamingRecordsManager
 from repro.des.environment import Environment
-from repro.des.events import Initialize, Process
 from repro.des.resource import Request, Resource
 from repro.serve.admission import AdmissionController
 from repro.serve.tenant import TenantMix, TenantSpec
@@ -82,6 +86,13 @@ class _DispatchQueue(Resource):
     Queue = _TicketQueue
     request_type = _DispatchTicket
 
+    @property
+    def best_waiting_key(self) -> Optional[Tuple]:
+        """The smallest key waiting behind the floor holder (``None`` if
+        nobody waits)."""
+        queue = self.queue
+        return queue[0].key if queue else None
+
 
 class _JobEntry:
     """Per-job dispatch state tracked by the serve broker."""
@@ -115,12 +126,17 @@ class _JobEntry:
 
 
 class _RunningInfo:
-    """A running job's plan and sub-processes (the preemption target set)."""
+    """A running job's plan and sub-jobs (the preemption target set).
+
+    *processes* are the sub-jobs' kill entries, each with ``is_alive`` and
+    ``interrupt(cause)``: per-job engine processes, or the flat engine's
+    kill-list entries.
+    """
 
     __slots__ = ("job", "plan", "processes", "class_rank", "started_at")
 
     def __init__(
-        self, job: QJob, plan: Any, processes: List[Process], class_rank: int, started_at: float
+        self, job: QJob, plan: Any, processes: List[Any], class_rank: int, started_at: float
     ) -> None:
         self.job = job
         self.plan = plan
@@ -132,12 +148,15 @@ class _RunningInfo:
 class ServeBroker(Broker):
     """A :class:`~repro.cloud.broker.Broker` serving a multi-tenant mix.
 
-    The plain broker's plan/reserve loop runs unchanged; the serve layer
-    plugs into its dispatch hooks (``_dispatch_request`` — a keyed ticket
-    on the tenant-aware dispatch queue, ``_on_dispatch`` — the fair-share
-    virtual clock, ``_blocked`` — floor yielding, preemption and the
-    capacity wait) and its life-cycle hooks (running set, requeue re-tags,
-    queue-slot release on failure).
+    The serve layer is a configuration of the plain broker, not an engine:
+    it plugs into the hooks both engines call — admission in ``submit``,
+    the dispatch order (``dispatch_key``, read by the engine's waiting
+    line), ``_on_dispatch`` (the fair-share virtual clock), ``_blocked``
+    (floor yielding, preemption and the capacity wait) and the life-cycle
+    hooks (running set, requeue re-tags, queue-slot release on failure).
+    On the per-job engine the waiting line is this broker's own keyed
+    dispatch queue (``_dispatch_request`` hands out its tickets); the flat
+    engine keeps its pending rows in the same order.
 
     Parameters
     ----------
@@ -190,6 +209,7 @@ class ServeBroker(Broker):
         self.tenant_of: Dict[int, str] = {}
 
         self._dispatch = _DispatchQueue(env, capacity=1)
+        self.waiting_line = self._dispatch
         self._entries: Dict[int, _JobEntry] = {}
         self._running: Dict[int, _RunningInfo] = {}
         self._multiclass = self.mix.is_multiclass
@@ -203,13 +223,14 @@ class ServeBroker(Broker):
         self._floor_wait: Optional[Tuple[_JobEntry, Any]] = None
 
     # -- submission -----------------------------------------------------------------
-    def submit(self, job: QJob) -> Optional[Process]:
-        """Admission-check *job*, enqueue it and return its process.
+    def submit(self, job: QJob) -> bool:
+        """Admission-check *job*, give it its dispatch key and report
+        whether it was admitted.
 
         Untagged jobs are stamped with the mix's default tenant; a job tagged
         with a tenant the mix does not know is an error (silently
         re-attributing it would corrupt the SLO accounting).  A rejected job
-        ends at once and returns ``None``.
+        ends at once and returns ``False``.
         """
         if job.tenant is None:
             job.tenant = self.mix.default_tenant.name
@@ -231,7 +252,7 @@ class ServeBroker(Broker):
             if self.adaptive is not None:
                 self.adaptive.signals.on_submit(job.tenant, False)
             self._ended()
-            return None
+            return False
 
         entry = _JobEntry(job, tenant, self._seq)
         self._seq += 1
@@ -247,9 +268,13 @@ class ServeBroker(Broker):
         return super().submit(job)
 
     # -- tenant-aware dispatch ---------------------------------------------------------
+    def dispatch_key(self, job: QJob) -> Tuple[int, float, int, int]:
+        """The order of *job* in the waiting line (see :attr:`_JobEntry.key`)."""
+        return self._entries[job.job_id].key
+
     def _dispatch_request(self, job: QJob) -> _DispatchTicket:
         """A ticket for the dispatch queue, ordered by the job's key."""
-        return self._dispatch.request(self._entries[job.job_id].key)
+        return self._dispatch.request(self.dispatch_key(job))
 
     def _on_dispatch(self, job: QJob) -> None:
         """Advance the fair-share virtual clock to the granted job's tag."""
@@ -274,8 +299,8 @@ class ServeBroker(Broker):
         """Whether a strictly more important class is waiting behind *entry*."""
         if not self._multiclass:
             return False
-        queue = self._dispatch.queue
-        return bool(queue) and queue[0].key[0] < entry.class_rank
+        key = self.waiting_line.best_waiting_key
+        return key is not None and key[0] < entry.class_rank
 
     def _capacity_wait(self, entry: _JobEntry) -> Any:
         """The event a blocked floor holder waits on before re-planning.
@@ -324,7 +349,9 @@ class ServeBroker(Broker):
         set of strictly lower-priority running jobs would actually free
         enough online qubits for *job* to fit.  Victims' sub-jobs are
         interrupted; the outage machinery releases their reservations and
-        requeues them.
+        requeues them.  Every preemption is logged before the first
+        interrupt: the flat engine ends a victim at once, while the per-job
+        engine delivers interrupts later, and both log in this order.
         """
         deadline = entry.tenant.slo.queue_deadline
         if not self._multiclass or deadline is None:
@@ -340,11 +367,8 @@ class ServeBroker(Broker):
         for info in self._running.values():
             if info.class_rank <= entry.class_rank:
                 continue
-            alive = [p for p in info.processes if p.is_alive]
-            if not alive or any(isinstance(p.target, Initialize) for p in alive):
-                # Nothing left to reclaim, or sub-jobs not yet started
-                # (interrupting an unstarted process is not supported).
-                continue
+            if not any(p.is_alive for p in info.processes):
+                continue  # nothing left to reclaim
             reclaim = sum(
                 alloc.num_qubits for alloc in info.plan.allocations if alloc.device.online
             )
@@ -372,12 +396,13 @@ class ServeBroker(Broker):
                 self.env.now,
                 detail=f"by job {job.job_id} ({job.tenant})",
             )
+        for info in chosen:
             for process in info.processes:
                 if process.is_alive:
                     process.interrupt("preempted")
 
     # -- life-cycle hooks --------------------------------------------------------------
-    def _register_running(self, job: QJob, plan: Any, sub_processes: List[Process]) -> None:
+    def _register_running(self, job: QJob, plan: Any, sub_processes: List[Any]) -> None:
         entry = self._entries[job.job_id]
         self._running[job.job_id] = _RunningInfo(
             job, plan, sub_processes, entry.class_rank, self.env.now

@@ -27,6 +27,12 @@ def make_job(job_id=0, q=16, depth=6, shots=5_000, t2=20, arrival=0.0):
     return QJob(job_id=job_id, circuit=circuit, arrival_time=arrival)
 
 
+def submit(broker, job):
+    """Admit *job* and start its per-job process, as the job generator does."""
+    if broker.submit(job):
+        broker.env.process(broker._handle_job(job))
+
+
 def build(env, policy=None):
     cloud = small_cloud(env)
     records = JobRecordsManager()
@@ -45,7 +51,7 @@ class TestSingleJob:
     def test_split_job_completes_with_penalised_fidelity(self, env):
         cloud, records, broker = build(env)
         job = make_job(q=16)
-        broker.submit(job)
+        submit(broker, job)
         env.run()
 
         assert job.status is QJobStatus.COMPLETED
@@ -62,7 +68,7 @@ class TestSingleJob:
     def test_single_device_job_has_no_communication(self, env):
         cloud, records, broker = build(env)
         job = make_job(q=8)
-        broker.submit(job)
+        submit(broker, job)
         env.run()
         record = records.record_for(0)
         assert record.num_devices == 1
@@ -70,7 +76,7 @@ class TestSingleJob:
 
     def test_qubits_released_after_completion(self, env):
         cloud, records, broker = build(env)
-        broker.submit(make_job(q=16))
+        submit(broker, make_job(q=16))
         env.run()
         assert cloud.free_qubits == cloud.total_qubits
         assert cloud.jobs_completed == 1
@@ -78,7 +84,7 @@ class TestSingleJob:
     def test_oversized_job_fails_gracefully(self, env):
         cloud, records, broker = build(env)
         job = make_job(q=100)
-        broker.submit(job)
+        submit(broker, job)
         env.run()
         assert job.status is QJobStatus.FAILED
         assert broker.failed_jobs == [job]
@@ -88,7 +94,7 @@ class TestSingleJob:
     def test_events_logged_in_order(self, env):
         cloud, records, broker = build(env)
         records.log_arrival(0, 0.0)
-        broker.submit(make_job(q=16))
+        submit(broker, make_job(q=16))
         env.run()
         names = [e.event for e in records.events_for(0)]
         assert names == ["arrival", "start", "fidelity", "finish"]
@@ -97,8 +103,8 @@ class TestSingleJob:
 class TestContention:
     def test_jobs_queue_when_capacity_exhausted(self, env):
         cloud, records, broker = build(env)
-        broker.submit(make_job(job_id=0, q=20))
-        broker.submit(make_job(job_id=1, q=20))
+        submit(broker, make_job(job_id=0, q=20))
+        submit(broker, make_job(job_id=1, q=20))
         env.run()
         r0, r1 = records.record_for(0), records.record_for(1)
         # The second job cannot start before the first finishes (20 + 20 > 24).
@@ -107,8 +113,8 @@ class TestContention:
 
     def test_small_jobs_run_concurrently(self, env):
         cloud, records, broker = build(env)
-        broker.submit(make_job(job_id=0, q=8))
-        broker.submit(make_job(job_id=1, q=8))
+        submit(broker, make_job(job_id=0, q=8))
+        submit(broker, make_job(job_id=1, q=8))
         env.run()
         r0, r1 = records.record_for(0), records.record_for(1)
         assert r0.start_time == r1.start_time == 0.0
@@ -116,15 +122,15 @@ class TestContention:
     def test_fifo_admission_order(self, env):
         cloud, records, broker = build(env)
         for job_id in range(4):
-            broker.submit(make_job(job_id=job_id, q=20))
+            submit(broker, make_job(job_id=job_id, q=20))
         env.run()
         starts = [records.record_for(i).start_time for i in range(4)]
         assert starts == sorted(starts)
 
     def test_makespan_reflects_serialisation(self, env):
         cloud, records, broker = build(env)
-        broker.submit(make_job(job_id=0, q=20, shots=5_000))
-        broker.submit(make_job(job_id=1, q=20, shots=5_000))
+        submit(broker, make_job(job_id=0, q=20, shots=5_000))
+        submit(broker, make_job(job_id=1, q=20, shots=5_000))
         env.run()
         single = records.record_for(0).finish_time
         total = max(records.record_for(i).finish_time for i in range(2))
@@ -135,7 +141,7 @@ class TestContention:
 class TestPolicyInteraction:
     def test_error_aware_policy_prefers_low_error_device(self, env):
         cloud, records, broker = build(env, policy=ErrorAwarePolicy())
-        broker.submit(make_job(q=8))
+        submit(broker, make_job(q=8))
         env.run()
         record = records.record_for(0)
         scores = {d.name: d.error_score() for d in cloud.devices}
@@ -153,7 +159,7 @@ class TestPolicyInteraction:
 
         cloud = small_cloud(env)
         broker = Broker(env, cloud, BrokenPolicy(), JobRecordsManager())
-        broker.submit(make_job(q=16))
+        submit(broker, make_job(q=16))
         with pytest.raises(RuntimeError):
             env.run()
 
@@ -162,9 +168,9 @@ class TestAllEnded:
     def test_succeeds_when_the_last_expected_job_ends(self, env):
         cloud, records, broker = build(env)
         broker.expect(3)
-        broker.submit(make_job(job_id=0, q=8, shots=2_000))
-        broker.submit(make_job(job_id=1, q=8, shots=9_000))
-        broker.submit(make_job(job_id=2, q=100))  # wider than the fleet: fails
+        submit(broker, make_job(job_id=0, q=8, shots=2_000))
+        submit(broker, make_job(job_id=1, q=8, shots=9_000))
+        submit(broker, make_job(job_id=2, q=100))  # wider than the fleet: fails
         env.run(until=broker.all_ended)
         assert broker.unended == 0
         assert [job.job_id for job in broker.failed_jobs] == [2]

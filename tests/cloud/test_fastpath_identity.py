@@ -1,9 +1,9 @@
 """Byte-identity of the flat-event engine against the per-job engine.
 
 The flat engine's contract (see :mod:`repro.cloud.fastpath`) is that every
-configuration without a tenant mix reproduces the per-job record and event
-streams *bit for bit*.  These tests sweep policies × arrival processes ×
-scenario presets (× checkpointing × adaptive policies) comparing the full
+configuration reproduces the per-job record and event streams *bit for
+bit*.  These tests sweep policies × arrival processes × scenario presets
+(× checkpointing × adaptive policies × tenant mixes) comparing the full
 event log, every completed record, the failed-job lists, the end time and
 the device statistics (the flat engine is the default; ``fast_path=False``
 forces the per-job reference), plus the engine selection rule and the
@@ -24,6 +24,8 @@ from repro.cloud.fastpath import JobTable
 from repro.cloud.job_generator import generate_synthetic_jobs
 from repro.cloud.qjob import QJob
 from repro.dynamics import available_scenarios
+from repro.dynamics.scenario import TrafficSpec
+from repro.serve import AdmissionSpec, SLOSpec, TenantMix, TenantSpec
 
 
 def _run(fast, policy="speed", arrival=None, scenario=None, jobs=None, n=50, devices=None,
@@ -166,19 +168,23 @@ class TestEligibility:
         assert env.fast_path_active
         assert len(env.run_until_complete()) == 5
 
-    def test_tenant_mix_falls_back(self):
+    def test_tenant_mix_runs_flat(self):
         env = QCloudSimEnv(
             config=SimulationConfig(tenants="free-tier-vs-premium"),
             jobs=generate_synthetic_jobs(num_jobs=5, seed=1),
         )
-        env.run()
-        assert not env.fast_path_active
+        env.run_until_complete()
+        assert env.fast_path_active
+        assert env.broker.unended == 0
 
-    @pytest.mark.parametrize("overrides", [{"tenants": "single"}], ids=["tenants"])
-    def test_explicit_fast_path_on_ineligible_config_raises(self, overrides):
-        with pytest.raises(ValueError, match="fast_path=True requires a fast-path-eligible"):
-            QCloudSimEnv(config=SimulationConfig(num_jobs=5, seed=1, **overrides),
-                         fast_path=True)
+    @pytest.mark.parametrize("overrides", [{}, {"tenants": "single"},
+                                           {"tenants": "noisy-neighbor",
+                                            "scenario": "flaky-fleet"}],
+                             ids=["plain", "tenants", "tenants-scenario"])
+    def test_explicit_fast_path_never_raises(self, overrides):
+        env = QCloudSimEnv(config=SimulationConfig(num_jobs=5, seed=1, **overrides),
+                           fast_path=True)
+        assert env.fast_path_active
 
     def test_job_table_refuses_per_job_engine(self):
         table = JobTable.synthetic(5, seed=1, qubit_range=(2, 8),
@@ -186,11 +192,12 @@ class TestEligibility:
         with pytest.raises(ValueError, match="flat engine"):
             QCloudSimEnv(config=SimulationConfig(), job_table=table, fast_path=False)
 
-    def test_eligibility_rule(self, tmp_path):
-        # Only a tenant mix selects the per-job engine: every scenario
-        # preset and a replayed trace run flat, also when fast_path=True
-        # asks for the flat engine explicitly.
+    def test_engine_rule(self, tmp_path):
+        # Every configuration runs flat: every scenario preset, a replayed
+        # trace and every tenant mix, alone or with a scenario; only
+        # fast_path=False selects the per-job engine.
         from repro.dynamics import load_trace
+        from repro.serve import available_tenant_mixes
 
         def engine(**kwargs):
             return QCloudSimEnv(config=SimulationConfig(num_jobs=3, seed=1),
@@ -204,8 +211,10 @@ class TestEligibility:
         recorded.run_until_complete()
         trace = recorded.save_trace(str(tmp_path / "trace.jsonl"))
         assert engine(scenario=load_trace(trace))
-        assert not engine(tenants="single")
-        assert not engine(tenants="single", scenario="flaky-fleet")
+        for tenants in available_tenant_mixes():
+            assert engine(tenants=tenants), tenants
+        assert engine(tenants="single", scenario="flaky-fleet", adaptive="predictive")
+        assert not engine(tenants="noisy-neighbor", fast_path=False)
 
     def test_job_table_accepts_any_scenario(self):
         for scenario in available_scenarios():
@@ -213,10 +222,17 @@ class TestEligibility:
             env = QCloudSimEnv(config=SimulationConfig(scenario=scenario), job_table=table)
             assert env.fast_path_active, scenario
 
-    def test_job_table_requires_eligible_config(self):
+    def test_job_table_with_tenant_mix_needs_jobs(self):
+        # A tenant mix reads each job's tenant tag: a table built from jobs
+        # runs flat, a streaming table (no jobs) is refused at build.
+        jobs = generate_synthetic_jobs(num_jobs=5, seed=1)
+        env = QCloudSimEnv(config=SimulationConfig(tenants="free-tier-vs-premium"),
+                           job_table=JobTable.from_jobs(jobs))
+        assert env.fast_path_active
+        assert len(env.run_until_complete()) == 5
         table = JobTable.synthetic(5, seed=1, qubit_range=(2, 8),
                                    depth_range=(5, 10), shots_range=(100, 200))
-        with pytest.raises(ValueError, match="fast-path-eligible"):
+        with pytest.raises(ValueError, match="streaming JobTable has no jobs"):
             QCloudSimEnv(
                 config=SimulationConfig(tenants="free-tier-vs-premium"),
                 job_table=table,
@@ -309,11 +325,10 @@ class TestArrivalGroups:
 
 class TestFallbackIdentity:
     """The engine the environment picks by default must never change the
-    output: configs without a tenant mix run the flat dispatcher
-    bit-identically to the per-job engine, tenant mixes run the per-job
-    engine itself.  Together with TestByteIdentity and
-    TestWorldDynamicsIdentity this covers every scenario preset, tenant mix
-    and checkpointing setting."""
+    output: every config runs the flat dispatcher bit-identically to the
+    per-job engine.  Together with TestByteIdentity,
+    TestWorldDynamicsIdentity and TestTenantIdentity this covers every
+    scenario preset, tenant mix and checkpointing setting."""
 
     @staticmethod
     def _run_config(fast, **overrides):
@@ -339,8 +354,10 @@ class TestFallbackIdentity:
     def test_tenant_mixes(self, tenants):
         legacy = self._run_config(False, tenants=tenants)
         default = self._run_config(None, tenants=tenants)
-        assert not default[2]  # the serve layer always runs the per-job engine
-        assert default == legacy
+        # Tenant mixes run on the flat engine.
+        assert default[2] and not legacy[2]
+        assert default[:2] == legacy[:2]
+        assert default[3] == legacy[3]
 
     @pytest.mark.parametrize("checkpointing", [False, True])
     def test_checkpointing(self, checkpointing):
@@ -353,22 +370,30 @@ class TestFallbackIdentity:
         assert default[3] == legacy[3]
 
 
-def _world_run(fast, config, **kwargs):
-    """One run compared in full: events, records, failed jobs, end time,
-    device statistics and the adaptive report (JSON, or ``None``)."""
+def _world_run(fast, config, setup=None, **kwargs):
+    """One run compared in full: events, records, failed and rejected jobs,
+    end time, device statistics, the adaptive report (JSON, or ``None``),
+    the tenant reports and the preemption count (``None`` without a tenant
+    mix).  *setup* is called with the environment before the run."""
     env = QCloudSimEnv(config, fast_path=fast, **kwargs)
+    if setup is not None:
+        setup(env)
     env.run_until_complete()
     assert env.fast_path_active == (fast is None)
     report = None
     if env.adaptive_engine is not None:
         report = json.dumps(env.adaptive_report(), sort_keys=True)
+    serve = env.tenant_mix is not None
     return {
         "events": [(e.job_id, e.event, e.time, e.detail) for e in env.records.events],
         "records": [r.as_dict() for r in env.records.completed_records],
         "failed": [(j.job_id, j.status.name) for j in env.broker.failed_jobs],
+        "rejected": [j.job_id for j in env.broker.rejected_jobs] if serve else None,
         "now": env.now,
         "devices": env.device_utilization_report(),
         "adaptive": report,
+        "tenants": repr(env.tenant_reports()) if serve else None,
+        "preempted": env.broker.preempted_total if serve else None,
     }
 
 
@@ -459,6 +484,208 @@ class TestWorldDynamicsIdentity:
         assert sum(device.aborted_subjobs for device in env.cloud.devices) > 0
 
 
+#: Three priority classes under pressure: interactive jobs with a short
+#: queueing deadline preempt a best-effort batch backlog queued at t=0, and
+#: a bursty middle class is held back by a token bucket and a queue cap.
+_STRESS_MIX = TenantMix(
+    name="identity-stress",
+    tenants=(
+        TenantSpec(name="interactive", priority_class=0, weight=2.0, share=0.3,
+                   traffic=TrafficSpec(model="poisson", rate=0.02),
+                   qubit_range=(20, 120), shots_range=(10_000, 40_000),
+                   slo=SLOSpec(queue_deadline=10.0)),
+        TenantSpec(name="bursty", priority_class=1, share=0.1,
+                   traffic=TrafficSpec(model="mmpp", rate=0.005, burst_rate=0.1,
+                                       dwell_normal=200.0, dwell_burst=50.0),
+                   qubit_range=(20, 160),
+                   admission=AdmissionSpec(rate=0.01, burst=3.0, max_queued=5),
+                   slo=SLOSpec(queue_deadline=300.0)),
+        TenantSpec(name="batch", priority_class=3, share=0.6, qubit_range=(130, 250),
+                   shots_range=(10_000, 40_000), job_priority=5),
+    ),
+)
+
+
+class TestTenantIdentity:
+    """Tenant mixes on the flat engine: the serve broker's admission, fair
+    share, floor yielding and deadline preemption, driven through the
+    broker hooks, reproduce the per-job engine exactly."""
+
+    @pytest.mark.parametrize("adaptive", [None, "reactive"])
+    @pytest.mark.parametrize("scenario", [None, "flaky-fleet", "black-friday"])
+    @pytest.mark.parametrize("tenants", ["single", "free-tier-vs-premium",
+                                         "batch-vs-interactive", "noisy-neighbor"])
+    def test_presets(self, tenants, scenario, adaptive):
+        for policy in ("speed", "fidelity", "fair"):
+            for checkpointing in (False, True):
+                config = SimulationConfig(num_jobs=60, seed=9, tenants=tenants, policy=policy,
+                                          scenario=scenario, checkpointing=checkpointing,
+                                          adaptive=adaptive)
+                _assert_identical(config)
+
+    @pytest.mark.parametrize("checkpointing", [False, True], ids=["restart", "checkpoint"])
+    def test_preemptions_kills_and_requeue_limit(self, checkpointing):
+        # Killing outages and deadline preemptions against a requeue limit
+        # of one: victims re-run, or fail on their second abort.
+        preempted = failed = rejected = 0
+        for policy in ("speed", "fidelity", "fair", "balanced"):
+            config = SimulationConfig(num_jobs=200, seed=1, policy=policy, scenario="flaky-fleet",
+                                      checkpointing=checkpointing, adaptive="predictive",
+                                      max_requeues=1)
+            run = _assert_identical(config, tenants=_STRESS_MIX)
+            preempted += run["preempted"]
+            failed += len(run["failed"])
+            rejected += len(run["rejected"])
+        assert preempted >= 20 and failed > 0 and rejected > 0
+
+    def test_plan_attempt_limit_with_floor_yields(self):
+        # A yielding head keeps its failed-plan count; with three attempts
+        # allowed, wide jobs fail on both engines alike.
+        def limit(env):
+            env.broker.max_plan_attempts = 3
+
+        config = SimulationConfig(num_jobs=150, seed=1, policy="speed")
+        run = _assert_identical(config, setup=limit, tenants=_STRESS_MIX)
+        reasons = [e[3] for e in run["events"] if e[1] == "failed"]
+        assert "no feasible allocation" in reasons
+
+    def test_streaming_records_reports(self):
+        from repro.cloud.records_stream import StreamingRecordsManager
+
+        def run(fast):
+            env = QCloudSimEnv(SimulationConfig(num_jobs=150, seed=2, scenario="flaky-fleet"),
+                               tenants=_STRESS_MIX, records=StreamingRecordsManager(),
+                               fast_path=fast)
+            env.run_until_complete()
+            return (repr(env.tenant_reports()), env.now, env.device_utilization_report(),
+                    env.broker.preempted_total, len(env.broker.failed_jobs))
+
+        flat, legacy = run(None), run(False)
+        assert flat == legacy
+        assert flat[3] > 0
+
+    def test_job_table_from_jobs_matches_job_list(self):
+        from repro.serve import tenant_jobs
+
+        config = SimulationConfig(num_jobs=150, seed=3, scenario="flaky-fleet",
+                                  checkpointing=True)
+        jobs = tenant_jobs(_STRESS_MIX, config)
+        listed = _world_run(None, config, tenants=_STRESS_MIX,
+                            jobs=[job.clone() for job in jobs])
+        tabled = _world_run(None, config, tenants=_STRESS_MIX,
+                            job_table=JobTable.from_jobs([job.clone() for job in jobs]))
+        assert tabled == listed
+        assert listed["preempted"] > 0
+
+    def test_head_preempts_job_dispatched_in_same_pump(self):
+        # At t=5 a kill-and-restore of the premium job's device requeues it
+        # behind the parked batch job 2.  One pump then dispatches job 2 on
+        # the freed qubits and plans the premium job, which is past its
+        # deadline and does not fit: it must preempt job 2, started in that
+        # same pump (the latest-started victim), not job 0.
+        from repro.hardware.backends import get_device_profile
+
+        mix = TenantMix(name="two-class", tenants=(
+            TenantSpec(name="premium", priority_class=0, slo=SLOSpec(queue_deadline=2.0)),
+            TenantSpec(name="batch", priority_class=3),
+        ))
+
+        def jobs():
+            return [TestArrivalAtCompletion._job(0, 127, 0.0, "batch"),
+                    TestArrivalAtCompletion._job(1, 100, 0.0, "premium"),
+                    TestArrivalAtCompletion._job(2, 100, 1.0, "batch")]
+
+        def kill_and_restore(env):
+            def outage():
+                yield env.timeout(5.0)
+                start = next(e for e in env.records.events
+                             if e.job_id == 1 and e.event == "start")
+                device = env.cloud.device(start.detail)
+                device.set_offline(kill_running=True)
+                device.set_online()
+                env.cloud.signal_capacity_change()
+
+            env.process(outage())
+
+        config = SimulationConfig(num_jobs=3, policy="speed")
+        devices = [get_device_profile("ibm_strasbourg"), get_device_profile("ibm_kyiv")]
+        legacy = _world_run(False, config, setup=kill_and_restore, tenants=mix,
+                            jobs=jobs(), devices=devices)
+        flat = _world_run(None, config, setup=kill_and_restore, tenants=mix,
+                          jobs=jobs(), devices=devices)
+        assert flat == legacy
+        assert [e for e in flat["events"] if e[1] == "preempted"] == [
+            (2, "preempted", 5.0, "by job 1 (premium)")
+        ]
+        starts = [e[:3] for e in flat["events"] if e[1] == "start" and e[2] == 5.0]
+        assert starts == [(2, "start", 5.0), (1, "start", 5.0)]
+
+
+    def test_preemptions_logged_before_kills(self):
+        # The premium job parks at t=1; its deadline at t=3 wakes it, and it
+        # needs both running batch jobs preempted.  The flat engine kills a
+        # victim at once, so both preemptions must be logged before the
+        # first victim's requeue, as on the per-job engine.
+        from repro.hardware.backends import get_device_profile
+
+        mix = TenantMix(name="two-class", tenants=(
+            TenantSpec(name="premium", priority_class=0, slo=SLOSpec(queue_deadline=2.0)),
+            TenantSpec(name="batch", priority_class=3),
+        ))
+        jobs = [TestArrivalAtCompletion._job(0, 127, 0.0, "batch"),
+                TestArrivalAtCompletion._job(1, 100, 0.0, "batch"),
+                TestArrivalAtCompletion._job(2, 200, 1.0, "premium")]
+        devices = [get_device_profile("ibm_strasbourg"), get_device_profile("ibm_kyiv")]
+        config = SimulationConfig(num_jobs=3, policy="speed")
+        run = _assert_identical(config, tenants=mix, jobs=jobs, devices=devices)
+        at_deadline = [e[:2] for e in run["events"] if e[2] == 3.0]
+        assert at_deadline == [(1, "preempted"), (0, "preempted"), (1, "requeue"),
+                               (0, "requeue"), (2, "start")]
+
+
+class TestTenantConservation:
+    """Every mix under perpetual flaky-fleet with the predictive control
+    plane, on the flat engine: each submitted job ends exactly once
+    (completed, failed or rejected) and nothing is left held."""
+
+    @pytest.mark.parametrize("tenants", ["single", "free-tier-vs-premium",
+                                         "batch-vs-interactive", "noisy-neighbor",
+                                         _STRESS_MIX], ids=lambda t: getattr(t, "name", t))
+    def test_every_job_ends_once(self, tenants):
+        from collections import Counter
+
+        env = QCloudSimEnv(SimulationConfig(num_jobs=150, seed=4, scenario="flaky-fleet",
+                                            adaptive="predictive", checkpointing=True,
+                                            max_requeues=2),
+                           tenants=tenants)
+        assert env.fast_path_active
+        records = env.run_until_complete()
+        broker = env.broker
+        ends = Counter([r.job_id for r in records]
+                       + [j.job_id for j in broker.failed_jobs]
+                       + [j.job_id for j in broker.rejected_jobs])
+        submitted = [job.job_id for job in env.job_generator.jobs]
+        assert sorted(ends) == sorted(submitted)
+        assert set(ends.values()) == {1}
+        assert broker.unended == 0
+        assert all(device.used_qubits == 0 for device in env.cloud.devices)
+        for tenant in broker.mix.tenants:
+            assert broker.admission_controller.queued(tenant.name) == 0, tenant.name
+
+    def test_unknown_tenant_raises_the_same_error(self):
+        def error(fast):
+            jobs = generate_synthetic_jobs(num_jobs=3, seed=1)
+            jobs[1].tenant = "nobody"
+            env = QCloudSimEnv(SimulationConfig(tenants="free-tier-vs-premium"), jobs=jobs,
+                               fast_path=fast)
+            with pytest.raises(KeyError) as info:
+                env.run_until_complete()
+            return str(info.value)
+
+        assert error(None) == error(False)
+        assert "unknown tenant 'nobody'" in error(None)
+
+
 class _FleetStateAtPlan:
     """Policy wrapper recording, per plan, whether every device was idle."""
 
@@ -501,12 +728,12 @@ class TestArrivalAtCompletion:
         return recorder, {r.job_id: r for r in env.records.completed_records}
 
     @staticmethod
-    def _job(job_id, num_qubits, arrival_time):
+    def _job(job_id, num_qubits, arrival_time, tenant=None):
         from repro.circuits.generators import random_circuit_spec
 
         rng = np.random.default_rng(job_id + 7 * num_qubits)
         circuit = random_circuit_spec(rng, qubit_range=(num_qubits, num_qubits))
-        return QJob(job_id=job_id, circuit=circuit, arrival_time=arrival_time)
+        return QJob(job_id=job_id, circuit=circuit, arrival_time=arrival_time, tenant=tenant)
 
     @pytest.mark.parametrize("policy", ["speed", "fidelity", "fair"])
     @pytest.mark.parametrize("first", [60, 127, 180, 250])

@@ -197,11 +197,11 @@ class TestSimulateFastPath:
         assert open(fast_path).read() == open(legacy_path).read()
 
     def test_stats_reports_engine_and_counters(self, capsys):
-        # A tenant mix is ineligible for the flat engine.
+        # A tenant mix runs on the flat engine like every configuration.
         assert main(["simulate", "-n", "5", "--seed", "2", "--stats",
                      "--tenants", "single"]) == 0
         out = capsys.readouterr().out
-        assert "engine        : per-job processes" in out
+        assert "engine        : flat events" in out
         assert "events        :" in out
         assert "batches" in out
         assert "peak queue    :" in out
