@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Deterministic workloads from CSV/JSON files (benchmarking & debugging mode).
 
-The framework's JobGenerator supports deterministic job flow from external
-data formats (§3).  This example:
+The simulator runs deterministic job flows read from external data formats
+(§3): ``QCloudSimEnv`` takes the loaded job list and its flat-event
+dispatcher feeds the jobs to the broker in arrival order.  This example:
 
 1. builds two domain workloads — a GHZ-state width sweep and a batch of QAOA
    portfolio-optimisation circuits — and writes them to CSV/JSON,

@@ -10,7 +10,8 @@ The package is organised bottom-up:
   partitioning), :mod:`repro.metrics` (error score, timing, fidelity,
   aggregation).
 * **Framework** — :mod:`repro.cloud` (QCloudSimEnv, QCloud, QDevice, Broker,
-  JobGenerator, JobRecordsManager), :mod:`repro.scheduling` (the four
+  the FlatDispatcher that feeds every run, JobRecordsManager),
+  :mod:`repro.scheduling` (the four
   allocation strategies plus baselines), :mod:`repro.dynamics`
   (non-stationary scenarios: calibration drift, outages/maintenance, traffic
   shaping, deterministic trace record/replay) and :mod:`repro.serve` (the
@@ -19,7 +20,8 @@ The package is organised bottom-up:
 * **Experiments** — :mod:`repro.engine` (the parallel experiment engine:
   declarative strategy × seed × config grids, serial/process-pool execution,
   content-keyed result caching), :mod:`repro.rlenv` (the allocation MDP and
-  PPO training), :mod:`repro.workloads` (named workloads) and
+  PPO training), :mod:`repro.workloads` (named workloads, arrival models
+  and the builder that splits one workload over tenants or regions) and
   :mod:`repro.analysis` (case-study runners, tables, histograms, training
   curves — all thin fronts over the engine).
 

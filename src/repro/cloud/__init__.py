@@ -11,8 +11,12 @@ This subpackage models the components of Fig. 3/Fig. 4 of the paper:
   allocation and inter-device communication,
 * :class:`~repro.cloud.broker.Broker` — mediates between job requests and
   devices, executing the unified allocation workflow (Algorithm 1),
-* :class:`~repro.cloud.job_generator.JobGenerator` — synthetic / CSV / JSON
-  job sources,
+* :class:`~repro.cloud.fastpath.FlatDispatcher` — the flat-event engine
+  that feeds every run's jobs (synthetic, from a list, or read from CSV/JSON
+  by :mod:`repro.cloud.io`) to the broker at their arrival times;
+  :class:`~repro.cloud.job_generator.JobGenerator` is the per-job engine kept
+  as the reference the identity tests compare against
+  (``QCloudSimEnv(..., fast_path=False)``),
 * :class:`~repro.cloud.records.JobRecordsManager` — job life-cycle tracking,
 * :class:`~repro.cloud.environment.QCloudSimEnv` — the top-level simulation
   environment tying everything together.

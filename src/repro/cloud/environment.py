@@ -22,7 +22,7 @@ from typing import Any, List, Optional, Sequence
 from repro.cloud.broker import Broker
 from repro.cloud.communication import ClassicalCommunicationModel
 from repro.cloud.config import SimulationConfig
-from repro.cloud.job_generator import JobGenerator, generate_synthetic_jobs
+from repro.cloud.job_generator import JobGenerator
 from repro.cloud.qcloud import QCloud
 from repro.cloud.qjob import QJob
 from repro.cloud.records import JobRecord, JobRecordsManager
@@ -30,6 +30,7 @@ from repro.des.environment import Environment
 from repro.hardware.backends import build_default_fleet, get_device_profile
 from repro.metrics.aggregate import StrategySummary, summarize_records
 from repro.registry import AXES_BY_FIELD
+from repro.workloads.split import config_jobs
 
 __all__ = ["QCloudSimEnv"]
 
@@ -193,31 +194,7 @@ class QCloudSimEnv(Environment):
 
         explicit_jobs = jobs is not None
         if jobs is None and job_table is None:
-            if self.scenario is not None:
-                from repro.dynamics import scenario_jobs
-
-                jobs = scenario_jobs(self.scenario, self.config)
-                if jobs is not None and self.tenant_mix is not None:
-                    # Scenario traffic shaped the arrivals; the mix decides
-                    # whose jobs they are.
-                    from repro.serve import route_jobs_to_tenants
-
-                    jobs = route_jobs_to_tenants(jobs, self.tenant_mix, self.config.seed)
-            if jobs is None and self.tenant_mix is not None:
-                from repro.serve import tenant_jobs
-
-                jobs = tenant_jobs(self.tenant_mix, self.config)
-            if jobs is None:
-                jobs = generate_synthetic_jobs(
-                    num_jobs=self.config.num_jobs,
-                    seed=self.config.seed,
-                    qubit_range=self.config.qubit_range,
-                    depth_range=self.config.depth_range,
-                    shots_range=self.config.shots_range,
-                    two_qubit_density=self.config.two_qubit_density,
-                    arrival=self.config.arrival,
-                    arrival_rate=self.config.arrival_rate,
-                )
+            jobs = self._default_jobs()
         if (
             explicit_jobs
             and self.tenant_mix is not None
@@ -266,6 +243,34 @@ class QCloudSimEnv(Environment):
 
         self.broker.expect(len(self.job_generator))
         self.job_generator.start()
+
+    def _default_jobs(self) -> List[QJob]:
+        """The workload the config, scenario and tenant mix describe.
+
+        A replay scenario brings its recorded jobs and a traffic scenario
+        generates them from its arrival model; a tenant mix then decides
+        whose jobs they are.  Without scenario jobs, a tenant mix that shapes
+        the workload builds its own, and every other run gets the config's
+        default workload.
+        """
+        config, scenario, mix = self.config, self.scenario, self.tenant_mix
+        jobs = None
+        if scenario is not None and scenario.replay_jobs is not None:
+            jobs = [job.clone() for job in scenario.replay_jobs]
+        elif scenario is not None and scenario.traffic is not None:
+            from repro.engine.spec import derive_seed
+
+            seed = derive_seed(config.seed, "scenario-traffic", scenario.name, scenario.seed)
+            jobs = config_jobs(config, config.num_jobs, seed, traffic=scenario.traffic)
+        if mix is not None:
+            from repro.serve import route_jobs_to_tenants, tenant_jobs
+
+            if jobs is not None:
+                return route_jobs_to_tenants(jobs, mix, config.seed)
+            jobs = tenant_jobs(mix, config)
+        if jobs is None:
+            jobs = config_jobs(config, config.num_jobs, config.seed)
+        return jobs
 
     # -- running -----------------------------------------------------------------
     def run_until_complete(self) -> List[JobRecord]:

@@ -45,7 +45,6 @@ from repro.dynamics.scenario import (
     WorldEvent,
 )
 from repro.dynamics.trace import TRACE_VERSION, load_trace, save_trace
-from repro.dynamics.workload import scenario_jobs
 
 __all__ = [
     "SCENARIOS",
@@ -64,5 +63,4 @@ __all__ = [
     "register_scenario",
     "resolve_scenario",
     "save_trace",
-    "scenario_jobs",
 ]

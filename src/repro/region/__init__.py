@@ -33,12 +33,7 @@ and process-parallel shard execution is byte-identical to serial shard
 execution (both regression-tested in ``tests/region/``).
 """
 
-from repro.region.cloud import (
-    RegionalCloud,
-    apportion_regional_jobs,
-    regional_jobs,
-    route_jobs_to_regions,
-)
+from repro.region.cloud import RegionalCloud, regional_jobs, route_jobs_to_regions
 from repro.region.presets import (
     TOPOLOGIES,
     available_topologies,
@@ -59,7 +54,6 @@ __all__ = [
     "RegionTopology",
     "RegionalCloud",
     "Router",
-    "apportion_regional_jobs",
     "available_topologies",
     "get_topology",
     "register_topology",

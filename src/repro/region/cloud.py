@@ -33,8 +33,9 @@ byte-identical to the plain single-broker cloud — the regression tested in
 
 Multi-region runs generate each region's origin workload from the region's
 own scenario traffic model (or the config's default arrival process) on an
-independent seed sub-stream, split over regions by workload share (largest
-remainder) — mirroring how :mod:`repro.serve` builds tenant workloads.
+independent seed sub-stream, split over regions by workload share with the
+share-split builder of :mod:`repro.workloads.split` that tenant mixes use
+too.
 Multi-tenant mixes and a global ``config.scenario`` are rejected for
 multi-region runs: tenancy lives inside a shard, world dynamics live in the
 per-region scenarios.
@@ -45,8 +46,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from repro.cloud.config import SimulationConfig
 from repro.cloud.qjob import QJob
 from repro.cloud.records import JobRecord, JobRecordsManager
@@ -56,68 +55,16 @@ from repro.metrics.aggregate import StrategySummary, empty_summary, summarize_re
 from repro.region.presets import resolve_topology
 from repro.region.router import Router
 from repro.region.spec import RegionSpec, RegionTopology
+from repro.workloads.split import config_jobs, draw_parts, split_workload
 
 __all__ = [
     "RegionalCloud",
-    "apportion_regional_jobs",
     "regional_jobs",
     "route_jobs_to_regions",
 ]
 
 
 # -- regional workloads ----------------------------------------------------------
-def apportion_regional_jobs(topology: RegionTopology, num_jobs: int) -> List[int]:
-    """Split *num_jobs* over regions by workload share (largest remainder).
-
-    Deterministic: quotas are floored, then leftover jobs go to the largest
-    fractional remainders (ties broken by topology order).
-    """
-    if num_jobs <= 0:
-        raise ValueError("num_jobs must be positive")
-    shares = topology.workload_shares()
-    quotas = [num_jobs * shares[region.name] for region in topology.regions]
-    counts = [int(q) for q in quotas]
-    remainders = [q - c for q, c in zip(quotas, counts)]
-    leftover = num_jobs - sum(counts)
-    for index in sorted(range(len(counts)), key=lambda i: (-remainders[i], i))[:leftover]:
-        counts[index] += 1
-    return counts
-
-
-def _generate_for_region(
-    region: RegionSpec, count: int, seed: int, config: SimulationConfig
-) -> List[QJob]:
-    traffic = None
-    if region.scenario is not None:
-        from repro.dynamics import resolve_scenario
-
-        traffic = resolve_scenario(region.scenario).traffic
-    if traffic is not None:
-        from repro.workloads.arrivals import generate_traffic_jobs
-
-        return generate_traffic_jobs(
-            traffic,
-            num_jobs=count,
-            seed=seed,
-            qubit_range=config.qubit_range,
-            depth_range=config.depth_range,
-            shots_range=config.shots_range,
-            two_qubit_density=config.two_qubit_density,
-        )
-    from repro.cloud.job_generator import generate_synthetic_jobs
-
-    return generate_synthetic_jobs(
-        num_jobs=count,
-        seed=seed,
-        qubit_range=config.qubit_range,
-        depth_range=config.depth_range,
-        shots_range=config.shots_range,
-        two_qubit_density=config.two_qubit_density,
-        arrival=config.arrival,
-        arrival_rate=config.arrival_rate,
-    )
-
-
 def regional_jobs(
     topology: RegionTopology, config: SimulationConfig
 ) -> Optional[Tuple[List[QJob], Dict[int, str]]]:
@@ -135,25 +82,18 @@ def regional_jobs(
     if topology.is_single_region:
         return None
 
-    counts = apportion_regional_jobs(topology, config.num_jobs)
-    merged: List[Tuple[QJob, str]] = []
-    for region_index, (region, count) in enumerate(zip(topology.regions, counts)):
-        if count == 0:
-            continue
-        seed = derive_seed(config.seed, "region-workload", topology.name, region.name)
-        for job in _generate_for_region(region, count, seed, config):
-            # Offset ids per region so the pre-renumber sort key is unique.
-            job.job_id = region_index * config.num_jobs + job.job_id
-            merged.append((job, region.name))
+    def generate(index: int, count: int) -> List[QJob]:
+        region = topology.regions[index]
+        traffic = None
+        if region.scenario is not None:
+            from repro.dynamics import resolve_scenario
 
-    merged.sort(key=lambda pair: (pair[0].arrival_time, pair[0].job_id))
-    origin: Dict[int, str] = {}
-    jobs: List[QJob] = []
-    for new_id, (job, region_name) in enumerate(merged):
-        job.job_id = new_id
-        origin[new_id] = region_name
-        jobs.append(job)
-    return jobs, origin
+            traffic = resolve_scenario(region.scenario).traffic
+        seed = derive_seed(config.seed, "region-workload", topology.name, region.name)
+        return config_jobs(config, count, seed, traffic=traffic)
+
+    jobs, parts = split_workload(_shares(topology), config.num_jobs, generate)
+    return jobs, _origins(jobs, topology, parts)
 
 
 def route_jobs_to_regions(
@@ -162,20 +102,23 @@ def route_jobs_to_regions(
     """Attribute an *existing* workload to origin regions by workload share.
 
     One deterministic weighted draw per job from a dedicated seed sub-stream
-    (mirrors :func:`repro.serve.route_jobs_to_tenants`); arrival times and
+    (like :func:`repro.serve.route_jobs_to_tenants`); arrival times and
     circuits are untouched.  Returns job id → origin region name.
     """
     jobs = list(jobs)
-    if topology.is_single_region:
-        only = topology.regions[0].name
-        return {job.job_id: only for job in jobs}
-    rng = np.random.default_rng(derive_seed(seed, "region-routing", topology.name))
-    shares = topology.workload_shares()
+    seed = derive_seed(seed, "region-routing", topology.name)
+    return _origins(jobs, topology, draw_parts(_shares(topology), len(jobs), seed))
+
+
+def _shares(topology: RegionTopology) -> List[float]:
+    return [region.workload_share for region in topology.regions]
+
+
+def _origins(
+    jobs: Sequence[QJob], topology: RegionTopology, parts: Sequence[int]
+) -> Dict[int, str]:
     names = topology.region_names
-    weights = np.array([shares[name] for name in names], dtype=np.float64)
-    weights /= weights.sum()
-    choices = rng.choice(len(names), size=len(jobs), p=weights)
-    return {job.job_id: names[int(index)] for job, index in zip(jobs, choices)}
+    return {job.job_id: names[index] for job, index in zip(jobs, parts)}
 
 
 # -- the shard worker ------------------------------------------------------------

@@ -22,6 +22,7 @@ plain single-broker cloud — byte-identically (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -68,8 +69,11 @@ class RegionSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("region name must be non-empty")
-        if self.workload_share <= 0:
-            raise ValueError("workload_share must be positive")
+        # Written so that NaN fails too: every comparison with NaN is False.
+        if not 0 < self.workload_share < math.inf:
+            raise ValueError(
+                f"workload_share must be positive and finite, got {self.workload_share}"
+            )
         if self.scenario is not None and not self.scenario:
             raise ValueError("scenario must be None or a non-empty name")
         # Tolerate lists from hand-built specs; store a hashable tuple.

@@ -41,7 +41,7 @@ from repro.serve.presets import (
     resolve_tenant_mix,
 )
 from repro.serve.tenant import AdmissionSpec, SLOSpec, TenantMix, TenantSpec
-from repro.serve.workload import apportion_jobs, route_jobs_to_tenants, tenant_jobs
+from repro.serve.workload import route_jobs_to_tenants, tenant_jobs
 
 __all__ = [
     "TENANT_MIXES",
@@ -53,7 +53,6 @@ __all__ = [
     "TenantMix",
     "TenantSLOReport",
     "TenantSpec",
-    "apportion_jobs",
     "available_tenant_mixes",
     "compute_tenant_reports",
     "compute_tenant_reports_streaming",

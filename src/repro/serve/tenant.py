@@ -24,6 +24,7 @@ stable content fingerprint for result caching.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -133,10 +134,11 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant name must be non-empty")
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
-        if self.share <= 0:
-            raise ValueError("share must be positive")
+        # Written so that NaN fails too: every comparison with NaN is False.
+        if not 0 < self.weight < math.inf:
+            raise ValueError(f"weight must be positive and finite, got {self.weight}")
+        if not 0 < self.share < math.inf:
+            raise ValueError(f"share must be positive and finite, got {self.share}")
         for attr in ("qubit_range", "depth_range", "shots_range"):
             bounds = getattr(self, attr)
             if bounds is not None and bounds[0] > bounds[1]:

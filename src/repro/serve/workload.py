@@ -1,15 +1,14 @@
 """Multi-tenant workload construction and traffic routing.
 
-Two entry points, both deterministic in the config seed:
+Two entry points, both deterministic in the config seed, both built on the
+share-split helpers of :mod:`repro.workloads.split`:
 
 * :func:`tenant_jobs` — build the merged workload a tenant mix imposes.
   Every tenant contributes its share of the configured job count, generated
   from its own arrival model (a per-tenant
-  :class:`~repro.dynamics.scenario.TrafficSpec` reusing
-  :mod:`repro.workloads.arrivals`, or the config's default arrival process)
-  and its own size/depth/shot ranges, on an independent seed sub-stream.
-  The per-tenant streams are merged in arrival order and renumbered so job
-  ids stay globally unique.
+  :class:`~repro.dynamics.scenario.TrafficSpec`, or the config's default
+  arrival process) and its own size/depth/shot ranges, on an independent
+  seed sub-stream.
 
 * :func:`route_jobs_to_tenants` — attribute an *existing* workload (e.g. the
   one a :mod:`repro.dynamics` scenario's traffic model generated) to tenants
@@ -20,67 +19,24 @@ Two entry points, both deterministic in the config seed:
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
-import numpy as np
+from itertools import repeat
+from typing import Iterable, List, Optional, Sequence
 
 from repro.cloud.qjob import QJob
 from repro.engine.spec import derive_seed
 from repro.serve.tenant import TenantMix, TenantSpec
+from repro.workloads.split import config_jobs, draw_parts, split_workload
 
-__all__ = ["apportion_jobs", "tenant_jobs", "route_jobs_to_tenants"]
-
-
-def apportion_jobs(mix: TenantMix, num_jobs: int) -> List[int]:
-    """Split *num_jobs* over the mix's tenants by share (largest remainder).
-
-    Deterministic: quotas are floored, then leftover jobs go to the largest
-    fractional remainders (ties broken by mix order).
-    """
-    if num_jobs <= 0:
-        raise ValueError("num_jobs must be positive")
-    total_share = sum(t.share for t in mix.tenants)
-    quotas = [num_jobs * t.share / total_share for t in mix.tenants]
-    counts = [int(q) for q in quotas]
-    remainders = [q - c for q, c in zip(quotas, counts)]
-    leftover = num_jobs - sum(counts)
-    for index in sorted(range(len(counts)), key=lambda i: (-remainders[i], i))[:leftover]:
-        counts[index] += 1
-    return counts
+__all__ = ["tenant_jobs", "route_jobs_to_tenants"]
 
 
-def _generate_for_tenant(tenant: TenantSpec, count: int, seed: int, config) -> List[QJob]:
-    qubit_range = tenant.qubit_range or config.qubit_range
-    depth_range = tenant.depth_range or config.depth_range
-    shots_range = tenant.shots_range or config.shots_range
-    if tenant.traffic is not None:
-        from repro.workloads.arrivals import generate_traffic_jobs
-
-        jobs = generate_traffic_jobs(
-            tenant.traffic,
-            num_jobs=count,
-            seed=seed,
-            qubit_range=qubit_range,
-            depth_range=depth_range,
-            shots_range=shots_range,
-            two_qubit_density=config.two_qubit_density,
-        )
-    else:
-        from repro.cloud.job_generator import generate_synthetic_jobs
-
-        jobs = generate_synthetic_jobs(
-            num_jobs=count,
-            seed=seed,
-            qubit_range=qubit_range,
-            depth_range=depth_range,
-            shots_range=shots_range,
-            two_qubit_density=config.two_qubit_density,
-            arrival=config.arrival,
-            arrival_rate=config.arrival_rate,
-        )
-    for job in jobs:
+def _stamp(jobs: List[QJob], tenants: Iterable[TenantSpec]) -> List[QJob]:
+    """Tag each job with its tenant; default-priority jobs take the
+    tenant's ``job_priority``, explicitly prioritised jobs keep their own."""
+    for job, tenant in zip(jobs, tenants):
         job.tenant = tenant.name
-        job.priority = tenant.job_priority
+        if job.priority == 0:
+            job.priority = tenant.job_priority
     return jobs
 
 
@@ -103,21 +59,22 @@ def tenant_jobs(mix: TenantMix, config) -> Optional[List[QJob]]:
     if mix.is_passthrough:
         return None
 
-    counts = apportion_jobs(mix, config.num_jobs)
-    merged: List[QJob] = []
-    for tenant_index, (tenant, count) in enumerate(zip(mix.tenants, counts)):
-        if count == 0:
-            continue
+    def generate(index: int, count: int) -> List[QJob]:
+        tenant = mix.tenants[index]
         seed = derive_seed(config.seed, "tenant-workload", mix.name, tenant.name)
-        for job in _generate_for_tenant(tenant, count, seed, config):
-            # Offset ids per tenant so the pre-renumber sort key is unique.
-            job.job_id = tenant_index * config.num_jobs + job.job_id
-            merged.append(job)
+        jobs = config_jobs(
+            config,
+            count,
+            seed,
+            traffic=tenant.traffic,
+            qubit_range=tenant.qubit_range,
+            depth_range=tenant.depth_range,
+            shots_range=tenant.shots_range,
+        )
+        return _stamp(jobs, repeat(tenant))
 
-    merged.sort(key=lambda j: (j.arrival_time, j.job_id))
-    for new_id, job in enumerate(merged):
-        job.job_id = new_id
-    return merged
+    jobs, _ = split_workload([t.share for t in mix.tenants], config.num_jobs, generate)
+    return jobs
 
 
 def route_jobs_to_tenants(
@@ -133,21 +90,6 @@ def route_jobs_to_tenants(
     times and circuits are left untouched.
     """
     jobs = list(jobs)
-
-    def stamp(job: QJob, tenant: TenantSpec) -> None:
-        job.tenant = tenant.name
-        if job.priority == 0:
-            job.priority = tenant.job_priority
-
-    if len(mix.tenants) == 1:
-        for job in jobs:
-            stamp(job, mix.tenants[0])
-        return jobs
-
-    rng = np.random.default_rng(derive_seed(seed, "serve-routing", mix.name))
-    shares = np.array([t.share for t in mix.tenants], dtype=np.float64)
-    shares /= shares.sum()
-    choices = rng.choice(len(mix.tenants), size=len(jobs), p=shares)
-    for job, index in zip(jobs, choices):
-        stamp(job, mix.tenants[int(index)])
-    return jobs
+    seed = derive_seed(seed, "serve-routing", mix.name)
+    parts = draw_parts([t.share for t in mix.tenants], len(jobs), seed)
+    return _stamp(jobs, map(mix.tenants.__getitem__, parts))

@@ -24,6 +24,19 @@ scenario subsystem's traffic shaping — see :mod:`repro.dynamics`):
   job sizes,
 * :func:`~repro.workloads.arrivals.generate_traffic_jobs` — a full workload
   from a :class:`~repro.dynamics.TrafficSpec`.
+
+Share-split workloads (:mod:`repro.workloads.split`, the one builder behind
+tenant mixes, region topologies and scenario traffic):
+
+* :func:`~repro.workloads.split.apportion` — a job count split over weights
+  (largest remainder),
+* :func:`~repro.workloads.split.split_workload` — each part's jobs generated,
+  merged in arrival order and renumbered,
+* :func:`~repro.workloads.split.draw_parts` — an existing workload attributed
+  to parts by one seeded weighted draw per job,
+* :func:`~repro.workloads.split.config_jobs` — the jobs a
+  :class:`~repro.cloud.config.SimulationConfig` describes, optionally shaped
+  by a traffic spec and range overrides.
 """
 
 from repro.workloads.arrivals import (

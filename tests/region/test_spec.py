@@ -31,6 +31,11 @@ class TestRegionSpec:
         with pytest.raises(ValueError):
             RegionSpec(name="eu", workload_share=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_share(self, value):
+        with pytest.raises(ValueError, match="workload_share must be positive and finite"):
+            RegionSpec(name="eu", workload_share=value)
+
     def test_rejects_empty_scenario_name(self):
         with pytest.raises(ValueError):
             RegionSpec(name="eu", scenario="")

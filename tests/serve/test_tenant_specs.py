@@ -61,6 +61,18 @@ class TestTenantSpec:
         with pytest.raises(ValueError):
             TenantSpec(name="t", qubit_range=(10, 5))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_weight(self, value):
+        # A NaN weight once ran silently and gave jobs NaN fair-share tags.
+        with pytest.raises(ValueError, match="weight must be positive and finite"):
+            TenantSpec(name="t", weight=value)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_share(self, value):
+        # A NaN share once failed late, inside apportioning.
+        with pytest.raises(ValueError, match="share must be positive and finite"):
+            TenantSpec(name="t", share=value)
+
     def test_shapes_workload(self):
         assert not TenantSpec(name="t").shapes_workload
         assert TenantSpec(name="t", traffic=TrafficSpec()).shapes_workload
