@@ -32,6 +32,27 @@ becomes the shot-weighted merge of the per-segment Eq.-8 values, each
 segment evaluated on its own device allocation (a resumed attempt may land
 on entirely different devices).  With checkpointing off — the default —
 every path is byte-identical to full re-execution.
+
+Byte identity
+-------------
+Two engines run this workflow: :meth:`Broker._handle_job`, one DES process
+per job (the per-job reference, ``fast_path=False``), and the flat-event
+:class:`~repro.cloud.fastpath.FlatDispatcher` that every other run uses.
+Each transition is written once, here or on the device, and both engines
+call it, so they differ only in their event plumbing:
+
+* an :class:`_Attempt` is built from the policy's plan before its qubits
+  are reserved: it refuses a misallocated or infeasible plan and takes the
+  attempt's one checkpoint decision;
+* :meth:`Broker._start_attempt` marks the job ``RUNNING`` and logs
+  ``start`` (and ``resume`` for a checkpointed job);
+* each sub-job ends in ``IBMQuantumDevice.complete_subjob`` or
+  ``IBMQuantumDevice.abort_subjob``;
+* :meth:`Broker._complete_attempt` computes the Eq. 8 fidelity, releases
+  the qubits, logs ``fidelity`` and ``finish``, and stores and reports the
+  :class:`~repro.cloud.records.JobRecord`;
+* an aborted attempt ends in :meth:`Broker._abort_attempt`, then
+  :meth:`Broker._requeue` or :meth:`Broker._fail`.
 """
 
 from __future__ import annotations
@@ -49,7 +70,8 @@ __all__ = ["Broker"]
 
 
 class _JobRun:
-    """Cross-attempt state of one job's plan/reserve/execute cycles.
+    """Cross-attempt state of one job's plan/reserve/execute cycles, created
+    at its first aborted attempt (:meth:`Broker._abort_attempt`).
 
     Tracks what today's stateless attempts lose on abort: how often the job
     was requeued, when it first started executing, how much time its
@@ -59,11 +81,11 @@ class _JobRun:
 
     __slots__ = ("retries", "first_start", "service_time", "completed_shots", "segments")
 
-    def __init__(self) -> None:
+    def __init__(self, first_start: float) -> None:
         #: Requeues so far (outage kills and preemptions).
         self.retries = 0
-        #: Simulation time the first execution attempt started (None = never).
-        self.first_start: Optional[float] = None
+        #: Simulation time the first execution attempt started.
+        self.first_start = first_start
         #: Cumulative time spent in execution attempts (aborted attempts'
         #: elapsed wall-clock plus the completing attempt, comm included).
         self.service_time = 0.0
@@ -83,6 +105,93 @@ class _JobRun:
             [(n, [b.device for b in bds]) for n, bds in segments], phi=phi
         )
         return fidelity, [b for _, bds in segments for b in bds]
+
+
+class _Attempt:
+    """One execution attempt of a dispatched job: what both engines start,
+    abort and complete through the broker's lifecycle steps.
+
+    Built from the job (a :class:`QJob`, or the flat engine's row view of a
+    streaming table) and its policy's plan, before the plan's qubits are
+    reserved: the constructor refuses a plan that does not allocate exactly
+    the job's qubits or does not fit the fleet right now (a policy bug), and
+    takes the attempt's one checkpoint decision.  The engine fills in
+    :attr:`durations` and :attr:`breakdowns` as the sub-jobs run, and
+    :attr:`comm_delay` once they have all finished.
+    """
+
+    __slots__ = (
+        "job_id",
+        "qubits",
+        "depth",
+        "shots",
+        "arrival",
+        "start",
+        "plan",
+        "allocations",
+        "device_names",
+        "qubit_counts",
+        "durations",
+        "breakdowns",
+        "comm_delay",
+        "run",
+        "attempt_shots",
+        "checkpoint",
+    )
+
+    def __init__(self, broker: "Broker", job: Any, plan: Any, run: Optional[_JobRun]) -> None:
+        qubits = job.num_qubits
+        allocations = plan.allocations
+        # One pass over the allocations checks the plan and collects its
+        # device names and qubit counts.
+        names = []
+        counts = []
+        total = 0
+        feasible = True
+        for a in allocations:
+            device = a.device
+            n = a.num_qubits
+            names.append(device.name)
+            counts.append(n)
+            total += n
+            if device.free_qubits < n:
+                feasible = False
+        if total != qubits:
+            raise RuntimeError(
+                f"policy {broker.policy.name!r} allocated {total} qubits "
+                f"for a job needing {qubits}"
+            )
+        if not feasible:
+            raise RuntimeError(
+                f"policy {broker.policy.name!r} returned an infeasible plan for job {job.job_id}"
+            )
+        self.job_id = job.job_id
+        self.qubits = qubits
+        self.depth = job.depth
+        self.shots = shots = job.num_shots
+        self.arrival = job.arrival_time
+        # ``_now`` rather than the ``now`` property: both engines build one
+        # attempt per dispatch.
+        self.start = broker.env._now
+        self.plan = plan
+        self.allocations = allocations
+        self.device_names = names
+        self.qubit_counts = counts
+        k = len(allocations)
+        #: Per-sub-job durations and fidelity breakdowns, by allocation.
+        self.durations: List[float] = [0.0] * k
+        self.breakdowns: List[Any] = [None] * k
+        self.comm_delay = 0.0
+        #: Cross-attempt state; ``None`` until the job's first abort.
+        self.run = run
+        #: Shots this attempt executes (a resume runs only the remainder).
+        self.attempt_shots = shots if run is None else shots - run.completed_shots
+        # Resolved once per attempt so the decision stays consistent between
+        # launch and a mid-attempt abort even if the policy flips meanwhile.
+        adaptive = broker.adaptive
+        self.checkpoint = (
+            broker.checkpointing if adaptive is None else adaptive.checkpoint(job)
+        )
 
 
 class Broker:
@@ -189,20 +298,24 @@ class Broker:
             self._fail(job, "exceeds total cloud capacity")
             return None
 
-        run = _JobRun()
+        run: Optional[_JobRun] = None
         while True:
-            plan = yield from self._plan_and_reserve(job)
-            if plan is None:
+            attempt = yield from self._plan_and_reserve(job, run)
+            if attempt is None:
                 return None  # permanently failed (logged inside)
-            record = yield from self._execute_plan(job, plan, run)
+            record = yield from self._execute_plan(job, attempt)
             if record is not None:
                 return record
+            run = attempt.run
             if not self._requeue(job, run):
                 return None
 
-    def _plan_and_reserve(self, job: QJob) -> Generator[object, object, Optional[Any]]:
-        """Plan the job over the online fleet and reserve the planned qubits
-        while holding the dispatch floor; ``None`` means the job failed."""
+    def _plan_and_reserve(
+        self, job: QJob, run: Optional[_JobRun]
+    ) -> Generator[object, object, Optional[_Attempt]]:
+        """Plan the job over the online fleet, build the attempt (*run* is
+        the job's cross-attempt state) and reserve the planned qubits while
+        holding the dispatch floor; ``None`` means the job failed."""
         attempts = 0
         while True:
             with self._dispatch_request(job) as request:
@@ -211,21 +324,12 @@ class Broker:
                 while True:
                     plan = self.policy.plan(job, self.cloud.online_devices)
                     if plan is not None:
-                        if plan.total_qubits != job.num_qubits:
-                            raise RuntimeError(
-                                f"policy {self.policy.name!r} allocated {plan.total_qubits} "
-                                f"qubits for a job needing {job.num_qubits}"
-                            )
-                        if not plan.is_feasible_now():
-                            raise RuntimeError(
-                                f"policy {self.policy.name!r} returned an infeasible plan "
-                                f"for job {job.job_id}"
-                            )
+                        attempt = _Attempt(self, job, plan, run)
                         # The plan is feasible right now and we still hold
                         # the floor, so every reservation succeeds at once.
                         for alloc in plan.allocations:
                             alloc.device.reserve_qubits(alloc.num_qubits)
-                        return plan
+                        return attempt
                     attempts += 1
                     if attempts >= self.max_plan_attempts:
                         self._fail(job, "no feasible allocation")
@@ -250,145 +354,170 @@ class Broker:
         return self.cloud.capacity_released
 
     def _execute_plan(
-        self, job: QJob, plan: Any, run: _JobRun
+        self, job: QJob, attempt: _Attempt
     ) -> Generator[object, object, Optional[JobRecord]]:
-        """Execute a reserved plan; ``None`` means an outage or preemption
-        aborted it (the reservations have been released and the job should be
-        requeued).  *run* carries the job's cross-attempt state: timing
-        attribution always, checkpointed shots when checkpointing is on."""
-        start_time = self.env.now
-        if run.first_start is None:
-            run.first_start = start_time
-        job.status = QJobStatus.RUNNING
-        self.records.log_start(
-            job.job_id, start_time, detail=",".join(plan.device_names)
-        )
-
+        """Execute an attempt's reserved plan; ``None`` means an outage or
+        preemption aborted it (the reservations have been released and the
+        job should be requeued, carrying ``attempt.run``)."""
+        self._start_attempt(job, attempt)
         # Under checkpointing a resumed attempt executes only the shots its
         # aborted predecessors did not complete.
-        remaining_shots = job.num_shots - run.completed_shots
         circuit = job.circuit
-        if run.completed_shots > 0:
-            self.records.log_resume(
-                job.job_id,
-                start_time,
-                detail=f"{remaining_shots}/{job.num_shots} shots remaining",
-            )
-            circuit = circuit.with_shots(remaining_shots)
-
-        fragments = [
-            circuit.subcircuit(alloc.num_qubits, name=f"{job.circuit.name}@{alloc.device.name}")
-            for alloc in plan.allocations
-        ]
-        # Resolved once per attempt so the decision stays consistent between
-        # launch and a mid-attempt abort even if the policy flips meanwhile.
-        checkpointing = (
-            self.checkpointing if self.adaptive is None else self.adaptive.checkpoint(job)
-        )
+        shots = attempt.attempt_shots
+        if shots != job.num_shots:
+            circuit = circuit.with_shots(shots)
+        allocations = attempt.allocations
         sub_processes = [
             self.env.process(
                 alloc.device.execute(
-                    fragment, plan.num_devices, job.num_qubits,
-                    checkpoint=checkpointing,
+                    circuit.subcircuit(
+                        alloc.num_qubits, name=f"{job.circuit.name}@{alloc.device.name}"
+                    ),
+                    len(allocations),
+                    job.num_qubits,
+                    checkpoint=attempt.checkpoint,
                 )
             )
-            for alloc, fragment in zip(plan.allocations, fragments)
+            for alloc in allocations
         ]
-        self._register_running(job, plan, sub_processes)
+        self._register_running(job, attempt.plan, sub_processes)
         results_map = yield self.env.all_of(sub_processes)
         results: List[SubJobResult] = [results_map[p] for p in sub_processes]
+        attempt.breakdowns = [r.fidelity_breakdown for r in results]
 
         if any(result.aborted for result in results):
             self._unregister_running(job)
-            self._abort_attempt(
-                job.job_id,
-                job.num_shots,
-                run,
-                start_time,
-                plan.allocations,
-                min(result.completed_shots for result in results),
-                [r.fidelity_breakdown for r in results],
-            )
+            self._abort_attempt(attempt, min(result.completed_shots for result in results))
             self.cloud.signal_capacity_change()
             return None
 
         # -- inter-device classical communication ------------------------------------
-        comm_delay = self.cloud.communication.communication_delay(plan.qubit_counts)
-        if comm_delay > 0:
+        attempt.durations = [r.processing_time for r in results]
+        attempt.comm_delay = self.cloud.communication.communication_delay(attempt.qubit_counts)
+        if attempt.comm_delay > 0:
             job.status = QJobStatus.COMMUNICATING
-            yield self.env.timeout(comm_delay)
+            yield self.env.timeout(attempt.comm_delay)
 
-        # -- final fidelity (Eq. 8; shot-weighted across checkpoint segments) -----------
-        phi = self.cloud.communication.fidelity_penalty
-        breakdowns = [r.fidelity_breakdown for r in results]
-        if run.segments:
-            fidelity, breakdowns = run.merged_fidelity(remaining_shots, breakdowns, phi)
-        else:
-            fidelity = final_fidelity([b.device for b in breakdowns], phi=phi)
-
-        # -- release qubits & log completion --------------------------------------------
-        self._unregister_running(job)
-        for alloc in plan.allocations:
-            alloc.device.release_qubits(alloc.num_qubits)
-        finish_time = self.env.now
-        run.service_time += finish_time - start_time
-        job.status = QJobStatus.COMPLETED
-        self.records.log_fidelity(job.job_id, finish_time, fidelity)
-        self.records.log_finish(job.job_id, finish_time)
-
-        record = JobRecord(
-            job_id=job.job_id,
-            num_qubits=job.num_qubits,
-            depth=job.depth,
-            num_shots=job.num_shots,
-            arrival_time=job.arrival_time,
-            start_time=start_time,
-            finish_time=finish_time,
-            fidelity=fidelity,
-            communication_time=comm_delay,
-            num_devices=plan.num_devices,
-            devices=plan.device_names,
-            allocation=plan.qubit_counts,
-            processing_time=max(r.processing_time for r in results),
-            breakdowns=breakdowns,
-            retries=run.retries,
-            tenant=job.tenant,
-            first_start_time=run.first_start,
-            service_time=run.service_time,
-            resumed_shots=run.completed_shots,
-        )
-        self.records.add_record(record)
-        if self.adaptive is not None:
-            self.adaptive.signals.on_completed(record)
-        self.cloud.notify_capacity_released()
+        record = self._complete_attempt(job, attempt)
+        self.cloud.signal_capacity_change()
         self._ended()
         return record
 
-    # -- aborted attempts (shared with the flat engine) ------------------------------
-    def _abort_attempt(
-        self,
-        job_id: int,
-        num_shots: int,
-        run: _JobRun,
-        start_time: float,
-        allocations: List[Any],
-        completed: int,
-        breakdowns: List[Optional[FidelityBreakdown]],
-    ) -> None:
+    # -- attempt lifecycle (shared with the flat engine, which passes job=None
+    # for a streaming table's rows) ------------------------------------------------
+    def _start_attempt(self, job: Optional[QJob], attempt: _Attempt) -> None:
+        """Mark *job* running and log the attempt's start, plus its resume
+        when earlier attempts checkpointed shots."""
+        if job is not None:
+            job.status = QJobStatus.RUNNING
+        records = self.records
+        # Streaming managers discard event details: skip formatting them.
+        keep = records.KEEPS_EVENT_DETAIL
+        records.log_event(
+            attempt.job_id, "start", attempt.start,
+            ",".join(attempt.device_names) if keep else None,
+        )
+        run = attempt.run
+        if run is not None and run.completed_shots:
+            records.log_resume(
+                attempt.job_id,
+                attempt.start,
+                f"{attempt.attempt_shots}/{attempt.shots} shots remaining" if keep else None,
+            )
+
+    def _complete_attempt(self, job: Optional[QJob], attempt: _Attempt) -> JobRecord:
+        """Complete the job of an attempt whose sub-jobs (and communication)
+        have all finished: Eq. 8 fidelity, shot-weighted across checkpoint
+        segments, then release its qubits, log the completion, store and
+        report its record.  The engine then signals the released capacity
+        and counts the job's end."""
+        run = attempt.run
+        breakdowns = attempt.breakdowns
+        if run is not None and run.segments:
+            fidelity, breakdowns = run.merged_fidelity(
+                attempt.attempt_shots, breakdowns, self.cloud.communication.fidelity_penalty
+            )
+        elif len(breakdowns) == 1:
+            # Single device: Eq. 8 collapses to the device fidelity itself
+            # (``mean([f]) == 0.0 + f`` and ``phi**0 == 1.0`` are both exact),
+            # so skip the general kernel on the hot path.
+            b = breakdowns[0]
+            fidelity = b.single_qubit * b.two_qubit * b.readout
+        else:
+            fidelity = final_fidelity(
+                [b.device for b in breakdowns], phi=self.cloud.communication.fidelity_penalty
+            )
+
+        if job is not None:
+            self._unregister_running(job)
+        for alloc in attempt.allocations:
+            alloc.device.release_qubits(alloc.num_qubits)
+        finish = self.env._now
+        if job is not None:
+            job.status = QJobStatus.COMPLETED
+        job_id = attempt.job_id
+        records = self.records
+        records.log_event(
+            job_id, "fidelity", finish, f"{fidelity:.6f}" if records.KEEPS_EVENT_DETAIL else None
+        )
+        records.log_event(job_id, "finish", finish)
+        start = attempt.start
+        if run is None:
+            retries, first_start, service_time, resumed_shots = 0, start, finish - start, 0
+        else:
+            run.service_time += finish - start
+            retries, first_start, service_time, resumed_shots = (
+                run.retries, run.first_start, run.service_time, run.completed_shots
+            )
+        record = JobRecord(
+            job_id=job_id,
+            num_qubits=attempt.qubits,
+            depth=attempt.depth,
+            num_shots=attempt.shots,
+            arrival_time=attempt.arrival,
+            start_time=start,
+            finish_time=finish,
+            fidelity=fidelity,
+            communication_time=attempt.comm_delay,
+            num_devices=len(attempt.allocations),
+            devices=attempt.device_names,
+            allocation=attempt.qubit_counts,
+            processing_time=max(attempt.durations),
+            breakdowns=breakdowns,
+            retries=retries,
+            tenant=job.tenant if job is not None else None,
+            first_start_time=first_start,
+            service_time=service_time,
+            resumed_shots=resumed_shots,
+        )
+        records.add_record(record)
+        if self.adaptive is not None:
+            self.adaptive.signals.on_completed(record)
+        self.cloud.jobs_completed += 1
+        return record
+
+    def _abort_attempt(self, attempt: _Attempt, completed: int) -> _JobRun:
         """End an attempt an outage or preemption aborted: charge its time,
         checkpoint its *completed* shots (the minimum over its sub-jobs —
         shots are usable only once *every* fragment has executed them, in
-        lock-step; always 0 without checkpointing) with their per-fragment
-        *breakdowns*, and release its qubits."""
-        run.service_time += self.env.now - start_time
+        lock-step; always 0 without checkpointing) with the attempt's
+        per-fragment breakdowns, and release its qubits.  Returns the job's
+        cross-attempt state, created (as ``attempt.run``) at its first abort."""
+        run = attempt.run
+        if run is None:
+            run = attempt.run = _JobRun(attempt.start)
+        run.service_time += self.env.now - attempt.start
         if completed > 0:
             run.completed_shots += completed
-            run.segments.append((completed, breakdowns))
+            run.segments.append((completed, attempt.breakdowns))
             self.records.log_checkpoint(
-                job_id, self.env.now, detail=f"{run.completed_shots}/{num_shots} shots"
+                attempt.job_id,
+                self.env.now,
+                detail=f"{run.completed_shots}/{attempt.shots} shots",
             )
-        for alloc in allocations:
+        for alloc in attempt.allocations:
             alloc.device.release_qubits(alloc.num_qubits)
+        return run
 
     def _requeue(self, job: QJob, run: _JobRun) -> bool:
         """Count an aborted attempt against the starvation guard: fail *job*

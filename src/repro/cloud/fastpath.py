@@ -28,12 +28,21 @@ For every configuration it drives, the flat dispatcher reproduces the
 per-job record and event streams *bit for bit*, outside the two
 same-instant corners described below (tests/cloud/test_fastpath_identity.py
 sweeps policies × scenario presets × arrival processes × checkpointing ×
-adaptive policies × tenant mixes).  Both engines
-reserve and release qubits through the same synchronous
+adaptive policies × tenant mixes).  Every job and sub-job transition is
+written once and called by both engines (see :mod:`repro.cloud.broker`,
+"Byte identity"): the attempt record, which checks the plan and takes the
+attempt's one checkpoint decision (``broker._Attempt``), its start
+(``Broker._start_attempt``), each sub-job's end
+(``IBMQuantumDevice.complete_subjob`` / ``abort_subjob``), and the
+attempt's end (``Broker._complete_attempt``, or ``Broker._abort_attempt``
+then ``_requeue`` or ``_fail``).  Qubits move through the synchronous
 :meth:`~repro.cloud.qdevice.BaseQDevice.reserve_qubits` /
-:meth:`~repro.cloud.qdevice.BaseQDevice.release_qubits` pair, so they leave
-identical fleet states behind by construction.  The rest of the equivalence
-rests on two invariants of the per-job engine:
+:meth:`~repro.cloud.qdevice.BaseQDevice.release_qubits` pair, so both
+engines leave identical fleet states behind by construction.  This module
+keeps only the event plumbing: the feed, the pump, pooled completion
+events and tombstones.
+
+The rest of the equivalence rests on two invariants of the per-job engine:
 
 1. Arrival markers are pre-scheduled at ``t=0`` with small sequence numbers,
    so at any timestamp arrivals are processed before every runtime event of
@@ -73,15 +82,16 @@ ended, it is checkpointed, released and requeued into the pending queue
 engine's own steps:
 :meth:`~repro.cloud.qdevice.IBMQuantumDevice.abort_subjob`,
 :meth:`~repro.cloud.broker.Broker._abort_attempt` and
-:meth:`~repro.cloud.broker.Broker._requeue`.  Only aborted rows keep a
-``_JobRun``; a resumed attempt runs only the remaining shots.  The requeue
-re-plans through a ``PUMP`` event, after every kill of the instant has
-released its qubits.  A sub-job whose device was recalibrated while it ran
-recomputes its breakdown at completion, as ``execute`` does, and a blocked
-plain head listens for ``cloud.capacity_released``, the signal a recovered
-device sends.  Released qubits wake a blocked head whether the aborted job
-was requeued or failed.  One more corner: a kill popped before a completion due
-at the same float time aborts that sub-job here, while the per-job engine
+:meth:`~repro.cloud.broker.Broker._requeue`.  Only requeued rows keep a
+``_JobRun`` while they wait; a resumed attempt runs only the remaining
+shots.  The requeue re-plans through a ``PUMP`` event, after every kill of
+the instant has released its qubits.  A sub-job whose device was
+recalibrated while it ran recomputes its breakdown at completion, as
+``execute`` does, and a blocked plain head listens for
+``cloud.capacity_released``, the signal a recovered device sends.  Released
+qubits wake a blocked head whether the aborted job was requeued or failed.
+One more corner: a kill popped before a completion due at the same float
+time aborts that sub-job here, while the per-job engine
 lets it complete when both events are drained in one batch (its interrupt
 is only delivered after the batch).
 
@@ -89,9 +99,9 @@ Adaptive control
 ----------------
 An attached adaptive control plane (``broker.adaptive``) sees the same
 reports on both engines: the dispatcher passes each arrival to the signal
-bus at feed, asks for one checkpoint decision per dispatch (the attempt's
-kills checkpoint by it), reports each completion with its record, and fails
-jobs through ``Broker._fail``.  It reads ``broker.policy`` at
+bus at feed, takes one checkpoint decision per dispatched attempt (the
+attempt's kills checkpoint by it), and reports completions and failures
+through the broker's own steps.  It reads ``broker.policy`` at
 :meth:`FlatDispatcher.start`, after the control plane has installed its
 planner wrapper.
 
@@ -134,11 +144,9 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.circuits.circuit import CircuitSpec
-from repro.cloud.broker import _JobRun
+from repro.cloud.broker import _Attempt, _JobRun
 from repro.cloud.qjob import QJob, QJobStatus
-from repro.cloud.records import JobRecord
 from repro.des.events import NORMAL, URGENT, Event
-from repro.metrics.fidelity import final_fidelity
 
 __all__ = ["JobTable", "FlatDispatcher", "PUMP"]
 
@@ -232,8 +240,8 @@ class JobTable:
             priority = np.zeros(n, dtype=np.int64)
         else:
             priority = np.asarray(priority, dtype=np.int64)
-        if np.any(arrival < 0):
-            raise ValueError("arrival times must be non-negative")
+        if not np.all((arrival >= 0) & (arrival < np.inf)):
+            raise ValueError("arrival times must be finite and non-negative")
 
         order = np.lexsort((job_id, priority, arrival))
         self.job_id = job_id[order]
@@ -425,9 +433,9 @@ class _RowView:
         return self._table.circuit_for(self._row)
 
 
-class _FlatJob:
-    """In-flight state of one execution attempt of a dispatched job
-    (replaces the legacy per-job generator frame).
+class _FlatJob(_Attempt):
+    """A dispatched attempt's flat-engine half: its kill-list entry (the
+    attempt's data lives in :class:`~repro.cloud.broker._Attempt`).
 
     An unsplit attempt is its own kill-list entry in its device's
     ``_running``: ``is_alive`` and :meth:`interrupt` are what a killing
@@ -436,82 +444,20 @@ class _FlatJob:
     events then become tombstones, ignored when popped.
     """
 
-    __slots__ = (
-        "dispatcher",
-        "row",
-        "start",
-        "job_id",
-        "qubits",
-        "depth",
-        "shots",
-        "arrival",
-        "device_names",
-        "qubit_counts",
-        "plan",
-        "allocations",
-        "durations",
-        "breakdowns",
-        "remaining",
-        "comm_delay",
-        "run",
-        "checkpoint",
-        "is_alive",
-        "checkpointed_shots",
-    )
+    __slots__ = ("dispatcher", "row", "remaining", "is_alive", "checkpointed_shots")
 
     def __init__(
-        self,
-        dispatcher: "FlatDispatcher",
-        row: int,
-        start: float,
-        plan: Any,
-        job_id: int,
-        qubits: int,
-        depth: int,
-        shots: int,
-        arrival: float,
-        run: Optional[_JobRun],
-        checkpoint: bool,
+        self, dispatcher: "FlatDispatcher", row: int, job: Any, plan: Any, run: Optional[_JobRun]
     ) -> None:
+        _Attempt.__init__(self, dispatcher.broker, job, plan, run)
         self.dispatcher = dispatcher
         self.row = row
-        self.start = start
-        #: Row scalars, cast from the table columns once at dispatch time.
-        self.job_id = job_id
-        self.qubits = qubits
-        self.depth = depth
-        self.shots = shots
-        self.arrival = arrival
-        self.plan = plan
-        allocations = plan.allocations
-        self.allocations = allocations
-        k = len(allocations)
-        if k == 1:
-            a0 = allocations[0]
-            self.device_names = [a0.device.name]
-            self.qubit_counts = [a0.num_qubits]
-        else:
-            self.device_names = plan.device_names
-            self.qubit_counts = plan.qubit_counts
-        #: Indexed by allocation position (filled by the launch pass).
-        self.durations: List[float] = [0.0] * k
-        self.breakdowns: List[Any] = [None] * k
-        self.remaining = k
-        self.comm_delay = 0.0
-        #: Cross-attempt state; ``None`` until the job's first abort.
-        self.run = run
-        #: This attempt's checkpoint decision.
-        self.checkpoint = checkpoint
+        #: Sub-jobs still running.
+        self.remaining = len(self.allocations)
         self.is_alive = True
         #: Shots checkpointed by the attempt's killed sub-jobs (their
         #: minimum).
         self.checkpointed_shots = 0
-
-    @property
-    def attempt_shots(self) -> int:
-        """Shots this attempt executes (a resume runs only the remainder)."""
-        run = self.run
-        return self.shots if run is None else self.shots - run.completed_shots
 
     def interrupt(self, cause: Any = None) -> None:
         """Kill the attempt's only sub-job (a killing ``set_offline``)."""
@@ -576,11 +522,11 @@ class FlatDispatcher:
       direct level arithmetic.
 
     The broker instance is retained for its configuration
-    (``max_plan_attempts``, ``max_requeues``, ``checkpointing``), its
-    records manager, its abort, requeue and failure steps, its end-of-run
-    count, its adaptive attachment and the hooks the per-job loop calls
-    (admission, dispatch, blocked head, running set), so results read the
-    same regardless of which engine ran.
+    (``max_plan_attempts``, ``max_requeues``), its records manager, its
+    lifecycle steps (plan check, attempt start and completion, abort,
+    requeue and failure), its end-of-run count, its adaptive attachment and
+    the hooks the per-job loop calls (admission, dispatch, blocked head,
+    running set), so results read the same regardless of which engine ran.
     """
 
     def __init__(self, env: Any, broker: Any, table: JobTable) -> None:
@@ -599,10 +545,6 @@ class FlatDispatcher:
             self.pending = broker.waiting_line = _KeyedPending(
                 lambda row: key(table.jobs[row])
             )
-        #: Jobs completed by this dispatcher.
-        self.completed_count = 0
-        #: Jobs submitted (fed) so far.
-        self.submitted_count = 0
         self._row_view = _RowView(table)
         #: Lazy arrival-group stream with a one-group prefetch (the next
         #: feed's timestamp must be known to schedule it).
@@ -617,7 +559,7 @@ class FlatDispatcher:
         self._blocked_on: Optional[Event] = None
         self._pump_scheduled = False
         self._started = False
-        #: Cross-attempt state of the rows an abort has requeued (only those).
+        #: Cross-attempt state of the pending rows an abort has requeued.
         self._runs: Dict[int, _JobRun] = {}
         # Hot-path bindings, hoisted once: the columns, the capacity (the
         # fleet never changes size; outages only take devices offline), and
@@ -628,10 +570,6 @@ class FlatDispatcher:
         self._job_ids = table.job_id
         self._qubits_col = table.qubits
         self._total_capacity = self.cloud.total_qubits
-        self._log_event = self.records.log_event
-        # Streaming managers discard event detail strings; skip formatting
-        # them (device lists, fidelity reprs) when nobody stores them.
-        self._keep_detail = self.records.KEEPS_EVENT_DETAIL
         self._log_arrival_block = self.records.log_arrival_block
         # When no job exceeds the fleet's capacity (one vectorised check),
         # the per-row can_ever_fit guard in _feed is dead code.
@@ -672,10 +610,8 @@ class FlatDispatcher:
         if self._started:
             raise RuntimeError("FlatDispatcher already started")
         self._started = True
-        self._policy = self.broker.policy
-        self._plan = self._policy.plan
+        self._plan = self.broker.policy.plan
         self._adaptive = self.broker.adaptive
-        self._checkpointing = self.broker.checkpointing
         self._schedule_next_feed()
 
     def _schedule_next_feed(self) -> None:
@@ -738,7 +674,6 @@ class FlatDispatcher:
                     self.broker._fail(table.job_for(row), "exceeds total cloud capacity")
                 else:
                     pending.append(row)
-        self.submitted_count += stop - start
         self._schedule_next_feed()
         self._request_pump(signal=False)
 
@@ -800,7 +735,6 @@ class FlatDispatcher:
         pending = self.pending
         if not pending:
             return
-        env = self.env
         policy_plan = self._plan
         broker = self.broker
         table = self.table
@@ -809,7 +743,6 @@ class FlatDispatcher:
         online_devices = self.cloud.online_devices
         runs = self._runs
         attempts = self._attempts
-        adaptive = self._adaptive
         on_dispatch = broker._on_dispatch
         dispatched: List[Tuple[_FlatJob, List[Tuple[Any, int, int, int, int]]]] = []
         fragment_count = 0
@@ -853,69 +786,26 @@ class FlatDispatcher:
                     self._blocked_on = blocked
                     blocked.callbacks.append(self._unblock)
                 break
-            num_qubits = job_view.num_qubits
-            # One fused pass over the allocations replaces the separate
-            # ``total_qubits``/``is_feasible_now`` property sweeps.
-            total = 0
-            feasible = True
-            for a in plan.allocations:
-                total += a.num_qubits
-                if a.device.free_qubits < a.num_qubits:
-                    feasible = False
-            if total != num_qubits:
-                raise RuntimeError(
-                    f"policy {self._policy.name!r} allocated {total} qubits "
-                    f"for a job needing {num_qubits}"
-                )
-            if not feasible:
-                raise RuntimeError(
-                    f"policy {self._policy.name!r} returned an infeasible plan for job "
-                    f"{job_view.job_id}"
-                )
+            state = _FlatJob(self, row, job_view, plan, runs.pop(row, None) if runs else None)
             pending.popleft()
             if attempts:
                 attempts.pop(row, None)
-            state = _FlatJob(
-                self,
-                row,
-                env._now,
-                plan,
-                job_id=job_view.job_id,
-                qubits=num_qubits,
-                depth=job_view.depth,
-                shots=job_view.num_shots,
-                arrival=job_view.arrival_time,
-                run=runs.get(row) if runs else None,
-                # One decision per execution attempt, as on the per-job engine.
-                checkpoint=(
-                    self._checkpointing if adaptive is None else adaptive.checkpoint(job_view)
-                ),
-            )
-            fragments = self._reserve_and_log(state, plan)
+            fragments = self._start(state)
             dispatched.append((state, fragments))
             fragment_count += len(fragments)
         if dispatched:
             self._launch(dispatched, fragment_count)
 
-    def _reserve_and_log(
-        self, state: _FlatJob, plan: Any
-    ) -> List[Tuple[Any, int, int, int, int]]:
-        """Reserve the planned qubits and log the start; returns per-fragment
-        ``(device, qubits, depth, shots, two_qubit_gates)`` work items."""
+    def _start(self, state: _FlatJob) -> List[Tuple[Any, int, int, int, int]]:
+        """Start a dispatched attempt (the broker's start step) and reserve
+        its qubits; returns per-fragment ``(device, qubits, depth, shots,
+        two_qubit_gates)`` work items."""
         table = self.table
         row = state.row
-        if table.jobs is not None:
-            table.jobs[row].status = QJobStatus.RUNNING
-        detail = ",".join(state.device_names) if self._keep_detail else None
-        self.records.log_event(state.job_id, "start", state.start, detail)
-        shots = state.shots
-        if state.run is not None and state.run.completed_shots:
-            # A checkpointed job resumes with only its remaining shots.
-            shots = state.attempt_shots
-            self.records.log_resume(
-                state.job_id, state.start, detail=f"{shots}/{state.shots} shots remaining"
-            )
-        allocations = plan.allocations
+        self.broker._start_attempt(table.jobs[row] if table.jobs is not None else None, state)
+        # A checkpointed job resumes with only its remaining shots.
+        shots = state.attempt_shots
+        allocations = state.allocations
         if len(allocations) == 1:
             # Whole job on one device: the fragment *is* the circuit
             # (``subcircuit`` at fraction 1.0 preserves every count).
@@ -1036,26 +926,20 @@ class FlatDispatcher:
 
     # -- completion ----------------------------------------------------------
     def _single_done_ev(self, event: Event) -> None:
-        """Pooled-event completion callback: unpack the job state from the
-        event payload, recycle the event, and finish the job."""
+        """Pooled-event completion callback of an unsplit job: unpack the
+        job state from the event payload and recycle the event, then do the
+        fragment accounting and :meth:`_complete` in one step.  A one-entry
+        allocation communicates zero qubits, so ``comm_delay`` keeps its 0.0
+        initial value exactly as :meth:`_subjob_done` would compute it."""
         state = event._value
         event._value = None
         self._done_pool.append(event)
-        if state.is_alive:  # else the tombstone of a killed attempt
-            self._single_done(state)
-
-    def _single_done(self, state: _FlatJob) -> None:
-        """Completion of an unsplit job: fragment accounting plus
-        :meth:`_complete` in one step.  A one-entry allocation communicates
-        zero qubits, so ``comm_delay`` keeps its 0.0 initial value exactly
-        as :meth:`_subjob_done` would compute it."""
+        if not state.is_alive:
+            return  # the tombstone of a killed attempt
         alloc = state.allocations[0]
         device = alloc.device
         del device._running[state]
-        elapsed = self.env._now - state.start
-        device.completed_subjobs += 1
-        device.busy_time += elapsed
-        device.qubit_seconds += alloc.num_qubits * elapsed
+        device.complete_subjob(alloc.num_qubits, self.env._now - state.start)
         if device.calibrated_at >= state.start:
             self._refresh_breakdown(state, 0)
         self._complete(state)
@@ -1070,10 +954,7 @@ class FlatDispatcher:
         del device._running[entry]
         # Finished: not a kill target any more (a preemption scans it).
         entry.is_alive = False
-        elapsed = now - state.start
-        device.completed_subjobs += 1
-        device.busy_time += elapsed
-        device.qubit_seconds += alloc.num_qubits * elapsed
+        device.complete_subjob(alloc.num_qubits, now - state.start)
         if device.calibrated_at >= state.start:
             self._refresh_breakdown(state, index)
         state.remaining -= 1
@@ -1145,26 +1026,13 @@ class FlatDispatcher:
         job into :attr:`pending` (or fail it at ``max_requeues``),
         through the per-job engine's own steps."""
         row = state.row
-        run = state.run
-        if run is None:
-            run = self._runs[row] = _JobRun()
-            run.first_start = state.start
         broker = self.broker
         job = self.table.job_for(row)
         broker._unregister_running(job)
-        broker._abort_attempt(
-            state.job_id,
-            state.shots,
-            run,
-            state.start,
-            state.allocations,
-            state.checkpointed_shots,
-            state.breakdowns,
-        )
+        run = broker._abort_attempt(state, state.checkpointed_shots)
         if broker._requeue(job, run):
+            self._runs[row] = run
             self.pending.append(row)
-        else:
-            del self._runs[row]
         # The released qubits wake a blocked head whether the job requeued
         # or failed, as the per-job engine's capacity signal does.  Always
         # an event: planning inside ``set_offline`` would run before the
@@ -1174,76 +1042,10 @@ class FlatDispatcher:
             self._schedule_pump()
 
     def _complete(self, state: _FlatJob) -> None:
-        env = self.env
-        cloud = self.cloud
-        table = self.table
-        row = state.row
-        run = state.run
-        breakdowns = state.breakdowns
-        if run is not None and run.segments:
-            fidelity, breakdowns = run.merged_fidelity(
-                state.attempt_shots, breakdowns, cloud.communication.fidelity_penalty
-            )
-        elif len(breakdowns) == 1:
-            # Single device: Eq. 8 collapses to the device fidelity itself
-            # (``mean([f]) == 0.0 + f`` and ``phi**0 == 1.0`` are both exact),
-            # so skip the general kernel on the hot path.
-            b = breakdowns[0]
-            fidelity = b.single_qubit * b.two_qubit * b.readout
-        else:
-            fidelity = final_fidelity(
-                [b.device for b in breakdowns],
-                phi=cloud.communication.fidelity_penalty,
-            )
-        job = table.jobs[row] if table.jobs is not None else None
-        if job is not None:
-            self.broker._unregister_running(job)
-        for alloc in state.allocations:
-            alloc.device.release_qubits(alloc.num_qubits)
-        finish = env._now
-        if job is not None:
-            job.status = QJobStatus.COMPLETED
-        job_id = state.job_id
-        records = self.records
-        detail = f"{fidelity:.6f}" if self._keep_detail else None
-        records.log_event(job_id, "fidelity", finish, detail)
-        records.log_event(job_id, "finish", finish)
-        if run is None:
-            retries, first_start, service_time, resumed_shots = (
-                0, state.start, finish - state.start, 0
-            )
-        else:
-            del self._runs[row]
-            run.service_time += finish - state.start
-            retries, first_start, service_time, resumed_shots = (
-                run.retries, run.first_start, run.service_time, run.completed_shots
-            )
-        record = JobRecord(
-            job_id=job_id,
-            num_qubits=state.qubits,
-            depth=state.depth,
-            num_shots=state.shots,
-            arrival_time=state.arrival,
-            start_time=state.start,
-            finish_time=finish,
-            fidelity=fidelity,
-            communication_time=state.comm_delay,
-            num_devices=len(state.allocations),
-            devices=state.device_names,
-            allocation=state.qubit_counts,
-            processing_time=max(state.durations),
-            breakdowns=breakdowns,
-            retries=retries,
-            tenant=job.tenant if job is not None else None,
-            first_start_time=first_start,
-            service_time=service_time,
-            resumed_shots=resumed_shots,
-        )
-        records.add_record(record)
-        if self._adaptive is not None:
-            self._adaptive.signals.on_completed(record)
-        cloud.jobs_completed += 1
-        self.completed_count += 1
+        """Complete the job of an attempt through the broker's completion
+        step, then count its end and wake the pump."""
+        jobs = self.table.jobs
+        self.broker._complete_attempt(jobs[state.row] if jobs is not None else None, state)
         self.broker._ended()
         self._request_pump(signal=True)
 

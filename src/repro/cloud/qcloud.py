@@ -65,7 +65,8 @@ class QCloud:
         #: Serialises the plan-and-reserve critical section (FIFO admission).
         self.admission = Resource(env, capacity=1)
         self._capacity_released: Event = env.event()
-        #: Total number of jobs completed by the cloud.
+        #: Total number of jobs completed by the cloud (counted by the
+        #: broker's completion step).
         self.jobs_completed = 0
 
     # -- fleet queries -----------------------------------------------------------
@@ -138,20 +139,15 @@ class QCloud:
         return self._capacity_released
 
     def signal_capacity_change(self) -> None:
-        """Fire the capacity-released signal without counting a completion.
+        """Fire the capacity-released signal so waiting brokers re-plan.
 
-        Used when capacity appears for reasons other than a job finishing —
-        a device coming back online after an outage, or a requeued job
-        releasing its reservations — so waiting brokers re-plan.
+        Sent when capacity appears: a job finishing or a requeued job
+        releasing its reservations, or a device coming back online after an
+        outage.
         """
         event, self._capacity_released = self._capacity_released, self.env.event()
         if not event.triggered:
             event.succeed()
-
-    def notify_capacity_released(self) -> None:
-        """Fire the capacity-released signal (called by the broker on job completion)."""
-        self.signal_capacity_change()
-        self.jobs_completed += 1
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<QCloud devices={len(self.devices)} free={self.free_qubits}/{self.total_qubits}>"

@@ -467,6 +467,14 @@ class IBMQuantumDevice(QuantumDevice):
             for q, d, t, r in zip(qubits, depths, two_exponents, readout_exponents)
         ]
 
+    def complete_subjob(self, num_qubits: int, elapsed: float) -> None:
+        """Account a sub-job of *num_qubits* qubits that ran to completion
+        in *elapsed*: count it and charge its busy time and qubit-seconds.
+        Both engines end every completed sub-job here."""
+        self.completed_subjobs += 1
+        self.busy_time += elapsed
+        self.qubit_seconds += num_qubits * elapsed
+
     def abort_subjob(
         self,
         fragment: CircuitSpec,
@@ -552,9 +560,7 @@ class IBMQuantumDevice(QuantumDevice):
         finally:
             if process is not None:
                 self._running.pop(process, None)
-        self.completed_subjobs += 1
-        self.busy_time += self.env.now - start
-        self.qubit_seconds += fragment.num_qubits * (self.env.now - start)
+        self.complete_subjob(fragment.num_qubits, self.env.now - start)
         breakdown = self.compute_fidelity_breakdown(fragment, num_devices, total_qubits)
         return SubJobResult(
             device_name=self.name,

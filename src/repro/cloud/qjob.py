@@ -8,6 +8,7 @@ arrival time.  In this work each job contains exactly one circuit.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -66,8 +67,8 @@ class QJob:
     status: QJobStatus = field(default=QJobStatus.PENDING, compare=False)
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0:
-            raise ValueError("arrival_time must be non-negative")
+        if not 0 <= self.arrival_time < math.inf:
+            raise ValueError("arrival_time must be finite and non-negative")
         if isinstance(self.priority, bool) or not isinstance(self.priority, int):
             raise TypeError(
                 f"priority must be an int (smaller = more important), got {self.priority!r}"

@@ -13,7 +13,10 @@ additionally append each record to a chunked JSONL file so nothing is lost
 when a post-hoc analysis does want per-job data.
 
 The exact in-memory path stays the default everywhere; this manager is
-selected explicitly (the scale benchmark, ``fast_path`` bulk runs).
+selected explicitly: ``QCloudSimEnv(records=StreamingRecordsManager(...))``
+(or ``RegionalCloud(records=...)`` for a merged multi-region stream),
+``repro serve --stream`` and the scale benchmark
+(``benchmarks/test_scale_bench.py``).
 """
 
 from __future__ import annotations

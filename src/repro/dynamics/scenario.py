@@ -27,6 +27,7 @@ specs; replaying it reproduces the original run exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
@@ -223,10 +224,12 @@ class TrafficSpec:
         if self.qubit_dist not in ("uniform", "heavy_tail"):
             raise ValueError("qubit_dist must be 'uniform' or 'heavy_tail'")
         for name in ("rate", "burst_rate", "dwell_normal", "dwell_burst", "peak_rate", "period"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.tail_alpha <= 1.0:
-            raise ValueError("tail_alpha must be > 1 (finite mean)")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not 1.0 < self.tail_alpha < math.inf:
+            raise ValueError("tail_alpha must be finite and > 1 (finite mean)")
+        if not math.isfinite(self.phase):
+            raise ValueError("phase must be finite")
         if self.max_qubits is not None and self.max_qubits <= 0:
             raise ValueError("max_qubits must be positive when given")
 

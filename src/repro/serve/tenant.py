@@ -51,10 +51,10 @@ class SLOSpec:
     fidelity_floor: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.queue_deadline is not None and self.queue_deadline <= 0:
-            raise ValueError("queue_deadline must be positive when given")
-        if self.completion_deadline is not None and self.completion_deadline <= 0:
-            raise ValueError("completion_deadline must be positive when given")
+        if self.queue_deadline is not None and not 0 < self.queue_deadline < math.inf:
+            raise ValueError("queue_deadline must be positive and finite when given")
+        if self.completion_deadline is not None and not 0 < self.completion_deadline < math.inf:
+            raise ValueError("completion_deadline must be positive and finite when given")
         if self.fidelity_floor is not None and not 0.0 < self.fidelity_floor <= 1.0:
             raise ValueError("fidelity_floor must be in (0, 1] when given")
 
@@ -89,10 +89,10 @@ class AdmissionSpec:
     max_queued: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.rate is not None and self.rate <= 0:
-            raise ValueError("rate must be positive when given")
-        if self.burst < 1.0:
-            raise ValueError("burst must be at least 1 (one admissible job)")
+        if self.rate is not None and not 0 < self.rate < math.inf:
+            raise ValueError("rate must be positive and finite when given")
+        if not 1.0 <= self.burst < math.inf:
+            raise ValueError("burst must be finite and at least 1 (one admissible job)")
         if self.max_queued is not None and self.max_queued <= 0:
             raise ValueError("max_queued must be positive when given")
 

@@ -4,12 +4,15 @@ import pytest
 
 from repro.circuits.circuit import CircuitSpec
 from repro.cloud.broker import Broker
+from repro.cloud.config import SimulationConfig
+from repro.cloud.environment import QCloudSimEnv
 from repro.cloud.qcloud import QCloud
 from repro.cloud.qjob import QJob, QJobStatus
 from repro.cloud.records import JobRecordsManager
 from repro.des.environment import Environment
 from repro.hardware.backends import get_device_profile
 from repro.metrics.fidelity import final_fidelity
+from repro.scheduling.base import AllocationPlan
 from repro.scheduling.error_aware import ErrorAwarePolicy
 from repro.scheduling.speed import SpeedPolicy
 
@@ -162,6 +165,66 @@ class TestPolicyInteraction:
         submit(broker, make_job(q=16))
         with pytest.raises(RuntimeError):
             env.run()
+
+
+class _ShortPlanPolicy(SpeedPolicy):
+    """Places one qubit too few on the first planned device."""
+
+    def plan(self, job, devices):
+        plan = super().plan(job, devices)
+        first = plan.allocations[0]
+        return AllocationPlan.from_pairs(
+            [(first.device, first.num_qubits - 1)]
+            + [(a.device, a.num_qubits) for a in plan.allocations[1:]]
+        )
+
+
+class _OverfullPlanPolicy(SpeedPolicy):
+    """Places the whole job on the first device, wider than it is."""
+
+    name = "overfull"
+
+    def plan(self, job, devices):
+        return AllocationPlan.from_pairs([(devices[0], job.num_qubits)])
+
+
+class TestPlanCheck:
+    """A policy bug stops the run with the same error on both engines."""
+
+    @pytest.mark.parametrize("fast_path", [None, False], ids=["flat", "per-job"])
+    @pytest.mark.parametrize(
+        "policy, message",
+        [
+            (_ShortPlanPolicy(), "allocated 15 qubits for a job needing 16"),
+            (_OverfullPlanPolicy(), "returned an infeasible plan for job 0"),
+        ],
+        ids=["qubit-total", "infeasible"],
+    )
+    def test_broken_policy_raises(self, policy, message, fast_path):
+        profiles = [
+            get_device_profile("ibm_strasbourg", num_qubits=12, quantum_volume=32),
+            get_device_profile("ibm_kyiv", num_qubits=12, quantum_volume=32),
+        ]
+        env = QCloudSimEnv(
+            devices=profiles, jobs=[make_job(q=16)], policy=policy, fast_path=fast_path
+        )
+        assert env.fast_path_active is (fast_path is None)
+        with pytest.raises(RuntimeError, match=f"policy {policy.name!r} {message}"):
+            env.run_until_complete()
+
+
+class TestCompletionStep:
+    @pytest.mark.parametrize("fast_path", [None, False], ids=["flat", "per-job"])
+    def test_counts_each_completed_job_once(self, fast_path):
+        # Kills, requeues and resumes: only the completing attempt counts.
+        config = SimulationConfig(num_jobs=120, seed=1, scenario="flaky-fleet",
+                                  qubit_range=(20, 90), checkpointing=True)
+        env = QCloudSimEnv(config, fast_path=fast_path)
+        env.run_until_complete()
+        records = env.records.completed_records
+        assert any(r.retries for r in records)
+        assert any(r.resumed_shots for r in records)
+        assert env.cloud.jobs_completed == len(records)
 
 
 class TestAllEnded:

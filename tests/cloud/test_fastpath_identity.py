@@ -271,6 +271,12 @@ class TestJobTable:
             JobTable(job_id=[0], arrival=[-1.0], qubits=[2], depth=[5],
                      shots=[10], two_qubit_gates=[1])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_arrival_raises(self, value):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            JobTable(job_id=[0, 1], arrival=[0.0, value], qubits=[2, 2], depth=[5, 5],
+                     shots=[10, 10], two_qubit_gates=[1, 1])
+
     def test_synthetic_validation(self):
         with pytest.raises(ValueError):
             JobTable.synthetic(0)

@@ -91,14 +91,13 @@ class TestCapacityReleasedSignal:
 
         def releaser(env, cloud):
             yield env.timeout(4)
-            cloud.notify_capacity_released()
+            cloud.signal_capacity_change()
 
         env.process(waiter(env, cloud, "w1"))
         env.process(waiter(env, cloud, "w2"))
         env.process(releaser(env, cloud))
         env.run()
         assert sorted(log) == [("w1", 4), ("w2", 4)]
-        assert cloud.jobs_completed == 1
 
     def test_signal_is_renewed_after_firing(self, cloud, env):
         log = []
@@ -111,9 +110,9 @@ class TestCapacityReleasedSignal:
 
         def releaser(env, cloud):
             yield env.timeout(1)
-            cloud.notify_capacity_released()
+            cloud.signal_capacity_change()
             yield env.timeout(2)
-            cloud.notify_capacity_released()
+            cloud.signal_capacity_change()
 
         env.process(waiter(env, cloud))
         env.process(releaser(env, cloud))

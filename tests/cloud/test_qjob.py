@@ -29,6 +29,11 @@ class TestQJob:
         with pytest.raises(ValueError):
             make_job(arrival=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_arrival_rejected(self, value):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            make_job(arrival=value)
+
     def test_dict_roundtrip(self):
         job = make_job(job_id=7, arrival=3.5)
         rebuilt = QJob.from_dict(job.as_dict())

@@ -56,6 +56,22 @@ class TestSpecs:
         with pytest.raises(ValueError):
             TrafficSpec(tail_alpha=1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "name",
+        ["rate", "burst_rate", "dwell_normal", "dwell_burst", "peak_rate", "period", "tail_alpha"],
+    )
+    def test_traffic_spec_rejects_non_finite(self, name, value):
+        # A NaN rate once generated NaN arrival times; an infinite one put
+        # every job at t=0.
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            TrafficSpec(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_traffic_spec_rejects_non_finite_phase(self, value):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            TrafficSpec(phase=value)
+
     def test_scenario_needs_name(self):
         with pytest.raises(ValueError):
             Scenario(name="")

@@ -29,6 +29,12 @@ class TestSLOSpec:
         with pytest.raises(ValueError):
             SLOSpec(fidelity_floor=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["queue_deadline", "completion_deadline"])
+    def test_rejects_non_finite_deadline(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+            SLOSpec(**{name: value})
+
     def test_bounded(self):
         assert not SLOSpec(queue_deadline=10.0).is_unbounded
 
@@ -44,6 +50,12 @@ class TestAdmissionSpec:
             AdmissionSpec(rate=1.0, burst=0.5)
         with pytest.raises(ValueError):
             AdmissionSpec(max_queued=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["rate", "burst"])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            AdmissionSpec(**{name: value})
 
     def test_limited(self):
         assert not AdmissionSpec(rate=0.1).is_unlimited
