@@ -119,9 +119,14 @@ def partition_proportional(total: int, weights: Sequence[float], capacities: Seq
     """Split proportionally to non-negative *weights*, respecting capacities.
 
     This is the deterministic core of the RL allocation (§4.1): weights are
-    normalised, multiplied by the demand, rounded, and the rounding error is
-    corrected by adjusting the devices with the largest remaining headroom
-    (or largest allocations when shrinking).
+    normalised, multiplied by the demand and floored (never above a
+    device's capacity).  The qubits the floor left over are then handed out
+    in rounds over the devices in order of largest fractional part (ties
+    broken by headroom), skipping full devices: each round gives every open
+    device ``min(remaining // open devices, smallest open headroom)`` qubits,
+    and once that share is zero the first ``remaining`` open devices get one
+    qubit each.  This is the result of visiting the devices cyclically one
+    qubit at a time, in O(devices) rounds instead of O(remaining) steps.
     """
     if total <= 0:
         raise ValueError("total must be positive")
@@ -141,32 +146,33 @@ def partition_proportional(total: int, weights: Sequence[float], capacities: Seq
 
     fractions = weights_arr / weight_sum
     raw = fractions * total
-    allocation = np.minimum(np.floor(raw), capacities_list).astype(int)
+    floored = np.floor(raw)
+    allocation = [min(int(f), c) for f, c in zip(floored.tolist(), capacities_list)]
 
-    # Distribute the remainder one qubit at a time, visiting devices in order
-    # of largest fractional part (ties broken by headroom), never exceeding
-    # capacity.  One-at-a-time keeps the final allocation as close to the
-    # ideal proportional split as the integer/capacity constraints allow.
-    remaining = total - int(allocation.sum())
+    remaining = int(total) - sum(allocation)
     if remaining > 0:
-        frac_part = raw - np.floor(raw)
-        order = np.argsort(-(frac_part + 1e-9 * np.asarray(capacities_list)))
-        max_rounds = (remaining + 10) * len(order)
-        idx = 0
+        frac_part = raw - floored
+        order = np.argsort(-(frac_part + 1e-9 * np.asarray(capacities_list))).tolist()
         while remaining > 0:
-            i = order[idx % len(order)]
-            if capacities_list[i] - allocation[i] > 0:
-                allocation[i] += 1
-                remaining -= 1
-            idx += 1
-            if idx > max_rounds and remaining > 0:  # pragma: no cover - capacity-checked
+            open_devices = [i for i in order if capacities_list[i] > allocation[i]]
+            if not open_devices:  # pragma: no cover - capacity-checked
                 raise RuntimeError("proportional partition failed to converge")
+            share = min(
+                remaining // len(open_devices),
+                min(capacities_list[i] - allocation[i] for i in open_devices),
+            )
+            if share == 0:
+                for i in open_devices[:remaining]:
+                    allocation[i] += 1
+                break
+            for i in open_devices:
+                allocation[i] += share
+            remaining -= share * len(open_devices)
     elif remaining < 0:  # pragma: no cover - floor() can only under-allocate
         raise RuntimeError("proportional partition over-allocated")
 
-    result = allocation.tolist()
-    validate_allocation(result, total, capacities_list)
-    return result
+    validate_allocation(allocation, total, capacities_list)
+    return allocation
 
 
 def allocation_from_weights(

@@ -160,12 +160,6 @@ PUMP = 2
 #: priority) — exactly like the legacy generator's pre-scheduled markers.
 _FEED_SEQ_START = -(1 << 62)
 
-#: Below this many fragments a pump dispatch uses the scalar per-fragment
-#: duration/fidelity path; at or above it, per-device NumPy batches.
-#: Both paths are bit-identical (see ``IBMQuantumDevice.batch_*``).
-_VECTOR_THRESHOLD = 4
-
-
 class JobTable:
     """A workload as sorted column arrays.
 
@@ -745,7 +739,6 @@ class FlatDispatcher:
         attempts = self._attempts
         on_dispatch = broker._on_dispatch
         dispatched: List[Tuple[_FlatJob, List[Tuple[Any, int, int, int, int]]]] = []
-        fragment_count = 0
         while pending:
             row = pending[0]
             if jobs is not None:
@@ -767,9 +760,8 @@ class FlatDispatcher:
                 if dispatched:
                     # The blocked head may preempt a job this pump already
                     # dispatched: launch and register those first.
-                    self._launch(dispatched, fragment_count)
+                    self._launch(dispatched)
                     dispatched = []
-                    fragment_count = 0
                 # Set before asking the broker: a preemption ends its victims
                 # at once, and their released qubits clear it again.
                 self._waiting = True
@@ -790,102 +782,51 @@ class FlatDispatcher:
             pending.popleft()
             if attempts:
                 attempts.pop(row, None)
-            fragments = self._start(state)
-            dispatched.append((state, fragments))
-            fragment_count += len(fragments)
+            dispatched.append((state, self._start(state)))
         if dispatched:
-            self._launch(dispatched, fragment_count)
+            self._launch(dispatched)
 
     def _start(self, state: _FlatJob) -> List[Tuple[Any, int, int, int, int]]:
         """Start a dispatched attempt (the broker's start step) and reserve
         its qubits; returns per-fragment ``(device, qubits, depth, shots,
-        two_qubit_gates)`` work items."""
+        two_qubit_gates)`` work items.
+
+        The columns are those of ``circuit.with_shots(shots).subcircuit(q)``
+        (a checkpointed job resumes with only its remaining shots), with the
+        gate count apportioned in the same operations.  ``subcircuit``'s
+        width check needs no repeat here: :class:`DeviceAllocation` refuses
+        ``q <= 0``, and the attempt refused a plan whose parts do not sum to
+        the job's width.
+        """
         table = self.table
         row = state.row
         self.broker._start_attempt(table.jobs[row] if table.jobs is not None else None, state)
-        # A checkpointed job resumes with only its remaining shots.
         shots = state.attempt_shots
-        allocations = state.allocations
-        if len(allocations) == 1:
-            # Whole job on one device: the fragment *is* the circuit
-            # (``subcircuit`` at fraction 1.0 preserves every count).
-            alloc = allocations[0]
-            alloc.device.reserve_qubits(alloc.num_qubits)
-            return [
-                (
-                    alloc.device,
-                    alloc.num_qubits,
-                    state.depth,
-                    shots,
-                    int(table.two_qubit_gates[row]),
-                )
-            ]
-        circuit = table.circuit_for(row)
-        if shots != state.shots:
-            circuit = circuit.with_shots(shots)
+        depth = state.depth
+        width = state.qubits
+        gates = int(table.two_qubit_gates[row])
         fragments = []
-        for alloc in allocations:
-            alloc.device.reserve_qubits(alloc.num_qubits)
-            fragment = circuit.subcircuit(alloc.num_qubits)
-            fragments.append(
-                (
-                    alloc.device,
-                    fragment.num_qubits,
-                    fragment.depth,
-                    fragment.num_shots,
-                    fragment.num_two_qubit_gates,
-                )
-            )
+        for alloc in state.allocations:
+            q = alloc.num_qubits
+            alloc.device.reserve_qubits(q)
+            fragments.append((alloc.device, q, depth, shots, int(round(gates * (q / width)))))
         return fragments
 
     def _launch(
-        self,
-        dispatched: List[Tuple[_FlatJob, List[Tuple[Any, int, int, int, int]]]],
-        fragment_count: int,
+        self, dispatched: List[Tuple[_FlatJob, List[Tuple[Any, int, int, int, int]]]]
     ) -> None:
-        """Compute durations/fidelity breakdowns for every fragment dispatched
-        by this pump and schedule their completion events.
-
-        Small pumps take the scalar per-fragment path; large ones (the
-        ``t=0`` batch workload) group fragments per device and use the
-        bit-identical NumPy batch helpers of
-        :class:`~repro.cloud.qdevice.IBMQuantumDevice`.
-        """
+        """Compute the duration and fidelity breakdown of every fragment
+        dispatched by this pump, through the scalar device kernels, and
+        schedule their completion events."""
         table = self.table
-        if fragment_count >= _VECTOR_THRESHOLD:
-            # Group fragment work items by device, batch-compute, scatter the
-            # results back to each job's allocation slot.
-            by_device: Dict[str, Tuple[Any, List[Tuple[_FlatJob, int, int, int, int, int, int, int]]]] = {}
-            for state, fragments in dispatched:
-                total_q = state.qubits
-                k = len(fragments)
-                for index, (device, q, depth, shots, t2) in enumerate(fragments):
-                    group = by_device.get(device.name)
-                    if group is None:
-                        group = by_device[device.name] = (device, [])
-                    group[1].append((state, index, q, depth, shots, t2, total_q, k))
-            for device, items in by_device.values():
-                durations = device.batch_process_times([it[4] for it in items])
-                breakdowns = device.batch_fidelity_breakdowns(
-                    qubits=[it[2] for it in items],
-                    depths=[it[3] for it in items],
-                    two_qubit_gates=[it[5] for it in items],
-                    total_qubits=[it[6] for it in items],
-                    num_devices=[it[7] for it in items],
+        for state, fragments in dispatched:
+            total_q = state.qubits
+            k = len(fragments)
+            for index, (device, q, depth, shots, t2) in enumerate(fragments):
+                state.durations[index] = device.scalar_process_time(shots)
+                state.breakdowns[index] = device.scalar_fidelity_breakdown(
+                    q, depth, t2, total_q, k
                 )
-                for item, duration, breakdown in zip(items, durations, breakdowns):
-                    state, index = item[0], item[1]
-                    state.durations[index] = float(duration)
-                    state.breakdowns[index] = breakdown
-        else:
-            for state, fragments in dispatched:
-                total_q = state.qubits
-                k = len(fragments)
-                for index, (device, q, depth, shots, t2) in enumerate(fragments):
-                    state.durations[index] = device.scalar_process_time(shots)
-                    state.breakdowns[index] = device.scalar_fidelity_breakdown(
-                        q, depth, t2, total_q, k
-                    )
         # Schedule completion events in dispatch order (sequence numbers
         # mirror the legacy per-chain allocation order), and register each
         # sub-job in its device's start-ordered kill list and with the

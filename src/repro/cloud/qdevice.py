@@ -249,6 +249,10 @@ class IBMQuantumDevice(QuantumDevice):
         self._l2qv = 0.0
         self._fid_bases_for: Optional[object] = None
         self._fid_bases = (0.0, 0.0, 0.0)
+        #: Eq. 2 scores by ``(alpha, theta, gamma)``, for the current
+        #: ``(readout, single, two-qubit)`` error means ``_averages``.
+        self._averages: Optional[Tuple[float, float, float]] = None
+        self._scores: Dict[Tuple[float, float, float], float] = {}
         self._refresh_aggregates()
 
     @classmethod
@@ -280,11 +284,17 @@ class IBMQuantumDevice(QuantumDevice):
 
     def _refresh_aggregates(self) -> None:
         calibration = self._calibration
+        averages = calibration.average_error_rates()
+        if averages != self._averages:
+            # Eq. 2 reads the calibration only through these three means,
+            # so a snapshot that leaves them equal keeps the cached scores.
+            self._scores = {}
+            self._averages = averages
         (
             self._avg_readout_error,
             self._avg_single_qubit_error,
             self._avg_two_qubit_error,
-        ) = calibration.average_error_rates()
+        ) = averages
         self._aggregates_for = calibration
 
     @property
@@ -309,15 +319,28 @@ class IBMQuantumDevice(QuantumDevice):
         return self._avg_two_qubit_error
 
     def error_score(self, alpha: float = 0.5, theta: float = 0.3, gamma: float = 0.2) -> float:
-        """Calibration-derived error score ``E_i`` (Eq. 2)."""
-        return error_score_from_averages(
-            self.avg_readout_error,
-            self.avg_single_qubit_error,
-            self.avg_two_qubit_error,
-            alpha=alpha,
-            theta=theta,
-            gamma=gamma,
-        )
+        """Calibration-derived error score ``E_i`` (Eq. 2).
+
+        Cached per weight triple.  A new calibration snapshot refreshes the
+        error means (the same ``is``-snapshot rule as the ``avg_*``
+        aggregates), and the cache is dropped when they change, so
+        calibration drift gives a fresh score.  Only a computed score is
+        cached: invalid weights raise on every call.
+        """
+        if self._aggregates_for is not self._calibration:
+            self._refresh_aggregates()
+        key = (alpha, theta, gamma)
+        score = self._scores.get(key)
+        if score is None:
+            score = self._scores[key] = error_score_from_averages(
+                self._avg_readout_error,
+                self._avg_single_qubit_error,
+                self._avg_two_qubit_error,
+                alpha=alpha,
+                theta=theta,
+                gamma=gamma,
+            )
+        return score
 
     # -- execution ---------------------------------------------------------------
     def calculate_process_time(self, circuit: CircuitSpec) -> float:
@@ -422,6 +445,11 @@ class IBMQuantumDevice(QuantumDevice):
     def batch_process_times(self, shots) -> "np.ndarray":
         """Vectorised :meth:`calculate_process_time` over an array of shot counts.
 
+        No dispatch path calls it: the flat engine's per-pump batches were
+        smaller than NumPy's per-call cost, so it uses
+        :meth:`scalar_process_time`.  Kept as a tested helper, and because
+        the perfbench tracer patches it by name.
+
         Bit-identical to the scalar path: the same chain of IEEE operations in
         the same order (``M*K*s`` stays exact in int64, then one float multiply
         and two divides), so each element equals
@@ -441,6 +469,10 @@ class IBMQuantumDevice(QuantumDevice):
         num_devices,
     ) -> list:
         """Vectorised :meth:`compute_fidelity_breakdown` over parallel columns.
+
+        Like :meth:`batch_process_times`, no dispatch path calls it (the
+        flat engine uses :meth:`scalar_fidelity_breakdown`); kept as a
+        tested helper and a perfbench-traced name.
 
         NumPy handles the exactly-rounded steps (int conversion, division,
         ``sqrt``); the final powers run through Python's ``**`` elementwise

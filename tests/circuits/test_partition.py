@@ -89,6 +89,92 @@ class TestProportional:
             partition_proportional(10, [-1.0, 2.0], [20, 20])
 
 
+def _one_at_a_time_partition_proportional(total, weights, capacities):
+    """The one-qubit-per-step remainder loop :func:`partition_proportional`
+    used before its round-based fill (over Python ints rather than NumPy
+    scalars, the same steps); kept as the oracle that fill must match
+    exactly."""
+    if total <= 0:
+        raise ValueError("total must be positive")
+    weights_arr = np.asarray(weights, dtype=np.float64)
+    capacities_list = [int(c) for c in capacities]
+    if weights_arr.shape[0] != len(capacities_list):
+        raise ValueError("weights and capacities must have the same length")
+    if np.any(weights_arr < 0):
+        raise ValueError("weights must be non-negative")
+    if sum(capacities_list) < total:
+        raise ValueError(f"insufficient capacity: need {total}, have {sum(capacities_list)}")
+    weight_sum = float(weights_arr.sum())
+    if weight_sum <= 0:
+        return partition_even(total, capacities_list)
+    raw = weights_arr / weight_sum * total
+    allocation = np.minimum(np.floor(raw), capacities_list).astype(int).tolist()
+    remaining = total - sum(allocation)
+    if remaining > 0:
+        frac_part = raw - np.floor(raw)
+        order = np.argsort(-(frac_part + 1e-9 * np.asarray(capacities_list))).tolist()
+        idx = 0
+        while remaining > 0:
+            i = order[idx % len(order)]
+            if capacities_list[i] - allocation[i] > 0:
+                allocation[i] += 1
+                remaining -= 1
+            idx += 1
+    validate_allocation(allocation, total, capacities_list)
+    return allocation
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestRemainderFillMatchesOneAtATime:
+    """The round-based remainder fill gives exactly the allocations (and
+    errors) of the one-qubit-at-a-time loop it replaced."""
+
+    CASES_PER_SEED = 25_000
+
+    @staticmethod
+    def _case(rng):
+        n = int(rng.integers(1, 9))
+        capacities = rng.integers(0, 128, n)
+        capacities[rng.random(n) < 0.25] = 0
+        # Weights of 0, the §4.1 epsilon, moderate values, and values large
+        # enough that their sum overflows to inf.
+        kind = rng.integers(0, 4, n)
+        weights = np.select(
+            [kind == 0, kind == 1, kind == 2],
+            [0.0, 1e-8, rng.uniform(0.0, 10.0, n)],
+            10.0 ** rng.uniform(100.0, 308.0, n),
+        )
+        if rng.random() < 0.01:
+            weights[int(rng.integers(n))] = -1.0
+        # Up to one past the combined capacity: full fleets and shortfalls.
+        total = int(rng.integers(1, int(capacities.sum()) + 2))
+        return total, weights.tolist(), capacities.tolist()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_cases(self, seed):
+        rng = np.random.default_rng(seed)
+        with np.errstate(over="ignore"):
+            for _ in range(self.CASES_PER_SEED):
+                case = self._case(rng)
+                got = _outcome(partition_proportional, *case)
+                assert got == _outcome(_one_at_a_time_partition_proportional, *case), case
+                if isinstance(got, list):
+                    assert all(type(a) is int for a in got), case
+
+    def test_large_remainder_on_full_devices(self):
+        """The rlbase regime: the weight sits on devices with no headroom,
+        so almost the whole demand is left to the remainder fill."""
+        case = (250, [5.0, 3.0, 1e-8, 1e-8, 1e-8], [0, 0, 127, 100, 60])
+        assert partition_proportional(*case) == _one_at_a_time_partition_proportional(*case)
+        assert partition_proportional(*case) == [0, 0, 95, 95, 60]
+
+
 class TestAllocationFromWeights:
     def test_clips_negative_weights(self):
         allocation = allocation_from_weights([-5.0, 1.0, 1.0], 100, [127, 127, 127])

@@ -1,10 +1,12 @@
 """Bit-identity of the fast-path device kernels against the legacy methods.
 
-The flat dispatcher computes durations and fidelities through the scalar and
-batch kernels on :class:`~repro.cloud.qdevice.IBMQuantumDevice`; byte
-identity of the engines rests on these being *exactly* the legacy
-``calculate_process_time`` / ``compute_fidelity_breakdown`` results — same
-IEEE operations in the same order, not merely close.
+The flat dispatcher computes durations and fidelities through the scalar
+kernels on :class:`~repro.cloud.qdevice.IBMQuantumDevice`, from fragment
+columns it derives without building a :class:`CircuitSpec`; byte identity of
+the engines rests on both being *exactly* the legacy
+``subcircuit`` / ``calculate_process_time`` / ``compute_fidelity_breakdown``
+results — same IEEE operations in the same order, not merely close.  The
+batch kernels are checked against the scalar ones too.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import pytest
 from repro.circuits.circuit import CircuitSpec
 from repro.cloud.config import SimulationConfig
 from repro.cloud.environment import QCloudSimEnv
+from repro.cloud.fastpath import FlatDispatcher
 from repro.cloud.qdevice import BaseQDevice, IBMQuantumDevice
 from repro.des.environment import Environment
 
@@ -93,6 +96,40 @@ class TestFidelityKernels:
             assert got.single_qubit == want.single_qubit
             assert got.two_qubit == want.two_qubit
             assert got.readout == want.readout
+
+
+class TestFragmentColumns:
+    def test_start_matches_subcircuit(self, monkeypatch):
+        """``_start``'s ``(device, qubits, depth, shots, two_qubit_gates)``
+        equal ``circuit.with_shots(s).subcircuit(q)`` field by field, for
+        jobs split over three devices and for checkpointed resumes that run
+        fewer shots."""
+        started = []
+        start = FlatDispatcher._start
+
+        def recording(self, state):
+            fragments = start(self, state)
+            started.append((self.table.circuit_for(state.row), state, fragments))
+            return fragments
+
+        monkeypatch.setattr(FlatDispatcher, "_start", recording)
+        sim = QCloudSimEnv(SimulationConfig(num_jobs=60, seed=1, scenario="flaky-fleet",
+                                            checkpointing=True))
+        sim.run_until_complete()
+        assert sim.fast_path_active
+        for circuit, state, fragments in started:
+            circuit = circuit.with_shots(state.attempt_shots)
+            assert len(fragments) == len(state.allocations)
+            for alloc, (device, q, depth, shots, t2) in zip(state.allocations, fragments):
+                want = circuit.subcircuit(alloc.num_qubits)
+                assert device is alloc.device
+                assert (q, depth, shots, t2) == (
+                    want.num_qubits, want.depth, want.num_shots, want.num_two_qubit_gates
+                )
+                assert all(type(v) is int for v in (q, depth, shots, t2))
+        three_way = [state for _, state, fragments in started if len(fragments) == 3]
+        assert len(three_way) >= 10
+        assert any(state.attempt_shots < state.shots for state in three_way)
 
 
 class TestDirectQubitArithmetic:

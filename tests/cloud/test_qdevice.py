@@ -9,6 +9,7 @@ from repro.cloud.qdevice import BaseQDevice, IBMQuantumDevice, QuantumDevice
 from repro.des.environment import Environment
 from repro.hardware.backends import get_device_profile
 from repro.hardware.coupling import ibm_eagle_coupling
+from repro.metrics.error_score import error_score_from_averages
 from repro.metrics.timing import processing_time_minutes
 
 
@@ -166,3 +167,65 @@ class TestIBMQuantumDevice:
     def test_from_profile_constructor(self, env, small_profile):
         device = IBMQuantumDevice.from_profile(env, small_profile)
         assert isinstance(device, IBMQuantumDevice)
+
+
+class TestErrorScoreCache:
+    """``error_score`` is computed once per calibration snapshot and weight
+    triple."""
+
+    @staticmethod
+    def _expected(device, alpha=0.5, theta=0.3, gamma=0.2):
+        return error_score_from_averages(
+            device.avg_readout_error, device.avg_single_qubit_error,
+            device.avg_two_qubit_error, alpha=alpha, theta=theta, gamma=gamma,
+        )
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import repro.cloud.qdevice as qdevice
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return error_score_from_averages(*args, **kwargs)
+
+        monkeypatch.setattr(qdevice, "error_score_from_averages", counting)
+        return calls
+
+    def test_repeated_call_computes_once(self, device, calls):
+        first = device.error_score()
+        assert device.error_score() == first == self._expected(device)
+        assert len(calls) == 1
+
+    def test_new_snapshot_gives_new_score(self, device, calls):
+        before = device.error_score()
+        # A drift step: the scenario engine assigns a fresh scaled snapshot.
+        device.calibration = device.calibration.scaled(readout=1.5, two_qubit=0.5)
+        after = device.error_score()
+        assert after != before
+        assert after == self._expected(device)
+        assert len(calls) == 2
+
+    def test_snapshot_with_equal_means_keeps_the_score(self, device, calls):
+        before = device.error_score()
+        # A zero-volatility drift step: a new snapshot object, same means.
+        device.calibration = device.calibration.scaled()
+        assert device.error_score() == before
+        assert len(calls) == 1
+
+    def test_weight_triples_are_separate_entries(self, device):
+        default = device.error_score()
+        readout_only = device.error_score(alpha=1.0, theta=0.0, gamma=0.0)
+        assert readout_only == device.avg_readout_error
+        assert readout_only != default
+        assert device.error_score() == default
+        assert device.error_score(alpha=1.0, theta=0.0, gamma=0.0) == readout_only
+
+    def test_invalid_weights_raise_on_every_call(self, device):
+        device.error_score()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="alpha"):
+                device.error_score(alpha=-0.5)
+            with pytest.raises(ValueError, match="positive"):
+                device.error_score(alpha=0.0, theta=0.0, gamma=0.0)
