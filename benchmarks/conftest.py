@@ -38,9 +38,9 @@ CASE_STUDY_JOBS = 1000 if FULL_SCALE else 120
 TRAINING_TIMESTEPS = 100_000 if FULL_SCALE else 16_384
 #: PPO rollout length used by the training benchmarks.
 TRAINING_N_STEPS = 2048 if FULL_SCALE else 1024
-#: Parallel rollout environments for the Fig. 5 / training-curve harness.
-#: The vectorized stack (PR 2) makes rollout collection severalfold faster;
-#: set ``REPRO_N_ENVS=1`` to reproduce the bit-exact serial training curve.
+#: Rows of the allocation environment the Fig. 5 / training-curve harness
+#: collects rollouts from; several rows make rollout collection severalfold
+#: faster.  Set ``REPRO_N_ENVS=1`` to train serially on a one-row environment.
 TRAINING_N_ENVS = int(os.environ.get("REPRO_N_ENVS", "8"))
 #: Workload/calibration seed shared by all benchmarks.
 BENCHMARK_SEED = 2025

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.training_curve import downsample_curve, summarize_training_curve
-from repro.rlenv.qcloud_env import QCloudGymEnv
+from repro.rlenv.batched_env import BatchedQCloudEnv
 from repro.rlenv.train import evaluate_policy
 
 from benchmarks.conftest import TRAINING_N_ENVS, TRAINING_TIMESTEPS
@@ -61,7 +61,7 @@ def test_fig5_training_curve(benchmark, trained_rl_model):
     assert 0.55 < stats["final_reward"] < 0.95
 
     # The trained policy beats a random policy on held-out jobs.
-    eval_env = QCloudGymEnv(seed=999)
+    eval_env = BatchedQCloudEnv(n_envs=1, seed=999)
     trained_stats = evaluate_policy(model, eval_env, n_episodes=100, seed=11)
 
     class RandomModel:
@@ -71,7 +71,9 @@ def test_fig5_training_curve(benchmark, trained_rl_model):
         def predict(self, obs, deterministic=True):
             return self.rng.random(5), {}
 
-    random_stats = evaluate_policy(RandomModel(), QCloudGymEnv(seed=999), n_episodes=100, seed=11)
+    random_stats = evaluate_policy(
+        RandomModel(), BatchedQCloudEnv(n_envs=1, seed=999), n_episodes=100, seed=11
+    )
     benchmark.extra_info["trained_eval_reward"] = round(trained_stats["mean_reward"], 4)
     benchmark.extra_info["random_eval_reward"] = round(random_stats["mean_reward"], 4)
     assert trained_stats["mean_reward"] >= random_stats["mean_reward"] - 0.01
@@ -81,7 +83,7 @@ def test_fig5_ppo_update_throughput(benchmark):
     """Micro-benchmark: wall-clock cost of one PPO rollout + update cycle."""
     from repro.rl.ppo import PPO
 
-    env = QCloudGymEnv(seed=3)
+    env = BatchedQCloudEnv(n_envs=1, seed=3)
     model = PPO("MlpPolicy", env, n_steps=256, batch_size=64, n_epochs=5, seed=3)
 
     def one_cycle():

@@ -20,7 +20,6 @@ from pathlib import Path
 from benchmarks.conftest import write_artifact
 from repro.rl.ppo import PPO
 from repro.rlenv.batched_env import BatchedQCloudEnv
-from repro.rlenv.qcloud_env import QCloudGymEnv
 from repro.rlenv.train import train_allocation_policy
 
 TINY = os.environ.get("REPRO_RL_BENCH_TINY", "0") not in ("0", "", "false", "False")
@@ -45,10 +44,7 @@ RESULTS_PATH = Path(__file__).resolve().parents[1] / "BENCH_rl_train.json"
 
 
 def _make_model(n_envs: int, n_steps: int) -> PPO:
-    if n_envs == 1:
-        env = QCloudGymEnv(seed=0)
-    else:
-        env = BatchedQCloudEnv(n_envs=n_envs, seed=0)
+    env = BatchedQCloudEnv(n_envs=n_envs, seed=0)
     return PPO("MlpPolicy", env, n_steps=n_steps, batch_size=64, seed=0)
 
 

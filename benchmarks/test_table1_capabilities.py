@@ -35,7 +35,7 @@ def test_table1_capability_row(benchmark):
 
     env, records = benchmark.pedantic(run, rounds=1, iterations=1)
 
-    # Discrete-event simulation: the simulated clock advanced and events were logged.
+    # The discrete-event simulation: the simulated clock advanced and events were logged.
     assert env.now > 0
     assert any(e.event == "start" for e in env.records.events)
     benchmark.extra_info["discrete_event_simulation"] = True

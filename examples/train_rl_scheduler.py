@@ -3,7 +3,7 @@
 
 Reproduces the paper's RL pipeline end to end:
 
-1. build the QCloudGymEnv allocation MDP over the five-device fleet,
+1. build the BatchedQCloudEnv allocation MDP over the five-device fleet,
 2. train PPO (MLP policy, default hyperparameters) — the paper uses 100,000
    timesteps; pass a smaller budget for a quick demo,
 3. print the Fig.-5-style training curve (mean episode reward and entropy
@@ -15,9 +15,9 @@ Reproduces the paper's RL pipeline end to end:
 Run:
     python examples/train_rl_scheduler.py [TOTAL_TIMESTEPS] [MODEL_PATH] [N_ENVS]
 
-``N_ENVS`` (default 16) collects rollouts from a vectorized
-``BatchedQCloudEnv`` — several times faster than serial training; pass 1 for
-the bit-reproducible serial path.
+``N_ENVS`` (default 16) is the number of ``BatchedQCloudEnv`` rows that
+rollouts are collected from — several times faster than serial training;
+pass 1 to train serially on a one-row environment.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import sys
 
 from repro.analysis.training_curve import downsample_curve, summarize_training_curve
 from repro.cloud import QCloudSimEnv, SimulationConfig
-from repro.rlenv import QCloudGymEnv, evaluate_policy, train_allocation_policy
+from repro.rlenv import BatchedQCloudEnv, evaluate_policy, train_allocation_policy
 from repro.scheduling import RLAllocationPolicy
 
 
@@ -54,7 +54,7 @@ def main(
     print(f"\nSaved trained policy to {model_path}")
 
     print("\n=== Held-out evaluation of the allocation policy ===")
-    eval_env = QCloudGymEnv(seed=1234)
+    eval_env = BatchedQCloudEnv(n_envs=1, seed=1234)
     eval_stats = evaluate_policy(model, eval_env, n_episodes=200, seed=77)
     print(f"mean reward (mean device fidelity): {eval_stats['mean_reward']:.4f} "
           f"± {eval_stats['std_reward']:.4f}")

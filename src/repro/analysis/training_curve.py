@@ -59,9 +59,9 @@ def run_training_replicates(
         derived deterministically from *base_seed* via
         :func:`repro.engine.derive_seed`.
     n_envs:
-        Parallel rollout environments *within* each replicate (vectorized
-        PPO); 1 keeps each replicate bit-identical to serial training, while
-        e.g. 16 makes every replicate severalfold faster.  Composes with the
+        Rows of the batched rollout environment *within* each replicate
+        (vectorized PPO); 1 is serial training, while e.g. 16 makes every
+        replicate severalfold faster.  Composes with the
         process backend, which parallelises *across* replicates.
     runner:
         Experiment runner to execute on (default serial); with

@@ -187,9 +187,12 @@ def allocation_from_weights(
     allocation is ``a_i / (sum_j a_j + eps) * q`` followed by rounding and
     adjustment so the parts sum to ``q`` and respect device capacities.
     Negative weights (possible for an unbounded Gaussian policy) are clipped
-    to zero before normalisation.
+    to zero before normalisation; a NaN or ``+inf`` weight raises
+    ``ValueError``.
     """
     weights_arr = np.clip(np.asarray(weights, dtype=np.float64), 0.0, None) + epsilon
+    if not np.isfinite(weights_arr).all():
+        raise ValueError(f"weights must be finite, got {np.asarray(weights).tolist()}")
     return partition_proportional(total, weights_arr, capacities)
 
 
@@ -225,10 +228,17 @@ def allocation_from_weights_batch(
     -------
     Integer allocation matrix of shape ``(B, k)`` with each row summing to its
     demand and respecting its capacities.
+
+    Raises ``ValueError``, naming the first offending row, for a NaN or
+    ``+inf`` weight, as :func:`allocation_from_weights` does for that row.
     """
     weights_arr = np.clip(np.asarray(weights, dtype=np.float64), 0.0, None) + epsilon
     if weights_arr.ndim != 2:
         raise ValueError(f"weights must be 2-D (B, k), got shape {weights_arr.shape}")
+    finite = np.isfinite(weights_arr).all(axis=1)
+    if not finite.all():
+        b = int(np.flatnonzero(~finite)[0])
+        raise ValueError(f"non-finite weight in row {b}: {np.asarray(weights)[b].tolist()}")
     batch, k = weights_arr.shape
     totals_arr = np.asarray(totals, dtype=np.int64).reshape(-1)
     if totals_arr.shape[0] != batch:

@@ -695,7 +695,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--comm-aware", action="store_true",
                          help="fold the communication penalty into the reward (paper future work)")
     p_train.add_argument("--n-envs", type=int, default=1,
-                         help="parallel rollout environments (1 = bit-reproducible serial "
+                         help="rows of the batched rollout environment (1 = serial "
                               "training; 16 trains several times faster)")
     p_train.set_defaults(func=_cmd_train)
 

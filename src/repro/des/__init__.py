@@ -1,4 +1,4 @@
-"""Discrete-event simulation kernel.
+"""The discrete-event simulation kernel.
 
 This subpackage is a from-scratch, dependency-free replacement for the subset
 of SimPy that the paper's simulation framework relies on:
@@ -48,7 +48,7 @@ from repro.des.events import (
     Timeout,
 )
 from repro.des.exceptions import Interrupt, SimulationError, StopSimulation
-from repro.des.monitoring import PeriodicSampler, trace_events
+from repro.des.monitoring import trace_events
 from repro.des.resource import Resource
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "Initialize",
     "Interrupt",
     "Interruption",
-    "PeriodicSampler",
     "Process",
     "Resource",
     "SimulationError",

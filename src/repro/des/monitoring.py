@@ -1,21 +1,19 @@
 """Monitoring utilities for the DES kernel.
 
-SimPy-style monitoring: trace every event the environment processes, or
-sample a quantity (queue length, free qubits, device utilisation) at a
-fixed period.  The quantum-cloud layer uses these to record fleet-utilisation
-time series for post-simulation analysis without touching the simulation
-logic itself.
+SimPy-style monitoring: trace every event the environment processes
+(:func:`trace_events`) and count what the event loop did
+(:class:`EventLoopStats`), without touching the simulation logic itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.des.environment import Environment
 from repro.des.events import Event
 
-__all__ = ["trace_events", "EventLoopStats", "PeriodicSampler"]
+__all__ = ["trace_events", "EventLoopStats"]
 
 
 def trace_events(
@@ -115,67 +113,3 @@ class EventLoopStats:
         if self.events_per_second is not None:
             payload["events_per_second"] = self.events_per_second
         return payload
-
-
-class PeriodicSampler:
-    """Samples a callable at a fixed simulated period.
-
-    Parameters
-    ----------
-    env:
-        The environment to run in.
-    probe:
-        Zero-argument callable returning the value to record (e.g.
-        ``lambda: cloud.free_qubits``).
-    period:
-        Sampling period in simulated time units.
-    start_immediately:
-        Take the first sample at the current time (default) rather than after
-        one period.
-
-    The collected ``(time, value)`` pairs are available as :attr:`samples`.
-    The sampler stops automatically when the simulation runs out of events
-    only if other processes are still scheduled; call :meth:`stop` to end it
-    explicitly (otherwise ``env.run()`` without an ``until`` would never
-    terminate).
-    """
-
-    def __init__(
-        self,
-        env: Environment,
-        probe: Callable[[], Any],
-        period: float,
-        start_immediately: bool = True,
-    ) -> None:
-        if period <= 0:
-            raise ValueError("period must be positive")
-        self.env = env
-        self.probe = probe
-        self.period = float(period)
-        self.samples: List[Tuple[float, Any]] = []
-        self._running = True
-        self._start_immediately = bool(start_immediately)
-        self.process = env.process(self._run())
-
-    def _run(self):
-        if self._start_immediately:
-            self.samples.append((self.env.now, self.probe()))
-        while self._running:
-            yield self.env.timeout(self.period)
-            if not self._running:
-                break
-            self.samples.append((self.env.now, self.probe()))
-
-    def stop(self) -> None:
-        """Stop sampling after the current period elapses."""
-        self._running = False
-
-    @property
-    def times(self) -> List[float]:
-        """Sample timestamps."""
-        return [t for t, _ in self.samples]
-
-    @property
-    def values(self) -> List[Any]:
-        """Sampled values."""
-        return [v for _, v in self.samples]

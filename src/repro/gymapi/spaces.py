@@ -1,24 +1,19 @@
 """Observation/action spaces (Gymnasium-compatible subset).
 
-Only the space types the reproduction needs are implemented:
-
-* :class:`Box` — bounded/unbounded continuous vectors (the paper's 16-dim
-  state and 5-dim action),
-* :class:`Discrete` — a finite set of integers (used by baseline policies and
-  tests),
-* :class:`Dict` — a dictionary of component spaces.
+Only the space type the reproduction needs is implemented: :class:`Box`,
+bounded/unbounded continuous vectors (the paper's 16-dim state and 5-dim
+action).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Any, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.gymapi.seeding import np_random
 
-__all__ = ["Space", "Box", "Discrete", "Dict", "flatten", "flatdim"]
+__all__ = ["Space", "Box"]
 
 
 class Space:
@@ -160,90 +155,3 @@ class Box(Space):
             and np.allclose(self.low, other.low)
             and np.allclose(self.high, other.high)
         )
-
-
-class Discrete(Space):
-    """A space of ``n`` integers ``{start, ..., start + n - 1}``."""
-
-    def __init__(self, n: int, seed: Optional[int] = None, start: int = 0) -> None:
-        if n <= 0:
-            raise ValueError("n must be > 0")
-        super().__init__((), np.int64, seed)
-        self.n = int(n)
-        self.start = int(start)
-
-    def sample(self) -> int:
-        return int(self.start + self.np_random.integers(self.n))
-
-    def contains(self, x: Any) -> bool:
-        if isinstance(x, np.ndarray):
-            if x.shape != () or not np.issubdtype(x.dtype, np.integer):
-                return False
-            x = int(x)
-        if not isinstance(x, (int, np.integer)):
-            return False
-        return self.start <= int(x) < self.start + self.n
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Discrete({self.n})" if self.start == 0 else f"Discrete({self.n}, start={self.start})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Discrete) and self.n == other.n and self.start == other.start
-
-
-class Dict(Space):
-    """A dictionary of component spaces."""
-
-    def __init__(self, spaces: Mapping[str, Space], seed: Optional[int] = None) -> None:
-        self.spaces = OrderedDict(spaces)
-        super().__init__(None, None, seed)
-
-    def seed(self, seed: Optional[int] = None) -> int:
-        used = super().seed(seed)
-        for i, space in enumerate(self.spaces.values()):
-            space.seed(None if seed is None else seed + i + 1)
-        return used
-
-    def sample(self) -> "OrderedDict[str, Any]":
-        return OrderedDict((key, space.sample()) for key, space in self.spaces.items())
-
-    def contains(self, x: Any) -> bool:
-        if not isinstance(x, Mapping) or set(x.keys()) != set(self.spaces.keys()):
-            return False
-        return all(space.contains(x[key]) for key, space in self.spaces.items())
-
-    def __getitem__(self, key: str) -> Space:
-        return self.spaces[key]
-
-    def __iter__(self):
-        return iter(self.spaces)
-
-    def __len__(self) -> int:
-        return len(self.spaces)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Dict({dict(self.spaces)!r})"
-
-
-def flatdim(space: Space) -> int:
-    """Number of scalar entries when flattening an element of *space*."""
-    if isinstance(space, Box):
-        return int(np.prod(space.shape))
-    if isinstance(space, Discrete):
-        return space.n
-    if isinstance(space, Dict):
-        return sum(flatdim(s) for s in space.spaces.values())
-    raise NotImplementedError(f"Unsupported space {space!r}")
-
-
-def flatten(space: Space, x: Any) -> np.ndarray:
-    """Flatten an element *x* of *space* into a 1-D float64 array."""
-    if isinstance(space, Box):
-        return np.asarray(x, dtype=np.float64).flatten()
-    if isinstance(space, Discrete):
-        onehot = np.zeros(space.n, dtype=np.float64)
-        onehot[int(x) - space.start] = 1.0
-        return onehot
-    if isinstance(space, Dict):
-        return np.concatenate([flatten(s, x[key]) for key, s in space.spaces.items()])
-    raise NotImplementedError(f"Unsupported space {space!r}")

@@ -6,16 +6,9 @@ batch-size-1 policy forward plus a Python-level environment step.  A
 ``(num_envs, obs_dim)`` array, actions go in as one ``(num_envs, act_dim)``
 array, and the policy runs a single large matmul per vector step.
 
-Two implementations are provided:
-
-* :class:`SyncVecEnv` — a generic wrapper that lifts any number of scalar
-  :class:`~repro.gymapi.core.Env` instances (or factories) into the batched
-  API by stepping them sequentially in-process.  It removes the per-step
-  policy-forward overhead but still pays one Python ``step()`` per
-  sub-environment.
-* Native vectorized environments (e.g.
-  :class:`repro.rlenv.batched_env.BatchedQCloudEnv`) subclass :class:`VecEnv`
-  directly and batch the environment dynamics themselves with NumPy.
+Environments subclass :class:`VecEnv` and batch their dynamics themselves
+with NumPy (e.g. :class:`repro.rlenv.batched_env.BatchedQCloudEnv`); one row
+is a serial environment.
 
 Auto-reset semantics follow Stable-Baselines3 / Gymnasium's ``SyncVectorEnv``:
 when a sub-environment's episode ends, it is reset immediately and the *new*
@@ -25,17 +18,14 @@ preserved under ``info["final_observation"]`` / ``info["final_info"]``.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.gymapi.core import Env
 from repro.gymapi.seeding import np_random
 from repro.gymapi.spaces import Space
 
-__all__ = ["VecEnv", "SyncVecEnv"]
-
-SeedLike = Union[None, int, Sequence[int]]
+__all__ = ["VecEnv"]
 
 
 class VecEnv:
@@ -68,7 +58,7 @@ class VecEnv:
 
     @property
     def np_random(self) -> np.random.Generator:
-        """Shared random generator for natively-batched subclasses."""
+        """Random generator shared by all rows (lazily seeded)."""
         if self._np_random is None:
             self._np_random, self._np_random_seed = np_random()
         return self._np_random
@@ -82,7 +72,7 @@ class VecEnv:
         return self
 
     def reset(
-        self, *, seed: SeedLike = None, options: Optional[Dict[str, Any]] = None
+        self, *, seed: Optional[int] = None, options: Optional[Dict[str, Any]] = None
     ) -> Tuple[np.ndarray, List[Dict[str, Any]]]:
         raise NotImplementedError
 
@@ -94,23 +84,6 @@ class VecEnv:
     def close(self) -> None:
         """Release any resources held by the environments."""
 
-    def _per_env_seeds(self, seed: SeedLike) -> List[Optional[int]]:
-        """Expand a reset seed into one seed per sub-environment.
-
-        An integer seed ``s`` becomes ``[s, s + 1, ..., s + num_envs - 1]``
-        (the Gymnasium convention, so env 0 of a 1-env vector matches a scalar
-        environment reset with the same seed bit-for-bit); a sequence is used
-        as-is; ``None`` leaves every environment unseeded.
-        """
-        if seed is None:
-            return [None] * self.num_envs
-        if isinstance(seed, (int, np.integer)):
-            return [int(seed) + i for i in range(self.num_envs)]
-        seeds = [int(s) for s in seed]
-        if len(seeds) != self.num_envs:
-            raise ValueError(f"got {len(seeds)} seeds for {self.num_envs} environments")
-        return seeds
-
     def __enter__(self) -> "VecEnv":
         return self
 
@@ -120,79 +93,3 @@ class VecEnv:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} num_envs={getattr(self, 'num_envs', '?')}>"
-
-
-class SyncVecEnv(VecEnv):
-    """Step a list of scalar environments sequentially behind the batched API.
-
-    Parameters
-    ----------
-    env_fns:
-        A sequence of :class:`~repro.gymapi.core.Env` instances or zero-arg
-        factories returning them.  All environments must share the same
-        observation and action space shapes.
-    """
-
-    def __init__(self, env_fns: Sequence[Union[Env, Callable[[], Env]]]) -> None:
-        if not env_fns:
-            raise ValueError("SyncVecEnv requires at least one environment")
-        self.envs: List[Env] = [fn() if callable(fn) else fn for fn in env_fns]
-        self.num_envs = len(self.envs)
-        first = self.envs[0]
-        self.observation_space = first.observation_space
-        self.action_space = first.action_space
-        for env in self.envs[1:]:
-            if tuple(env.observation_space.shape) != tuple(first.observation_space.shape):
-                raise ValueError("all environments must share the same observation shape")
-            if type(env.action_space) is not type(first.action_space) or tuple(
-                getattr(env.action_space, "shape", ()) or ()
-            ) != tuple(getattr(first.action_space, "shape", ()) or ()):
-                raise ValueError("all environments must share the same action space shape")
-        self._obs_shape = tuple(self.observation_space.shape)
-
-    def reset(
-        self, *, seed: SeedLike = None, options: Optional[Dict[str, Any]] = None
-    ) -> Tuple[np.ndarray, List[Dict[str, Any]]]:
-        seeds = self._per_env_seeds(seed)
-        observations = np.zeros((self.num_envs, *self._obs_shape), dtype=np.float64)
-        infos: List[Dict[str, Any]] = []
-        for i, (env, env_seed) in enumerate(zip(self.envs, seeds)):
-            obs, info = env.reset(seed=env_seed, options=options)
-            observations[i] = np.asarray(obs, dtype=np.float64)
-            infos.append(info)
-        return observations, infos
-
-    def step(
-        self, actions: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[Dict[str, Any]]]:
-        actions_arr = np.asarray(actions)
-        if actions_arr.shape[0] != self.num_envs:
-            raise ValueError(
-                f"expected {self.num_envs} actions, got leading dimension {actions_arr.shape[0]}"
-            )
-        observations = np.zeros((self.num_envs, *self._obs_shape), dtype=np.float64)
-        rewards = np.zeros(self.num_envs, dtype=np.float64)
-        terminated = np.zeros(self.num_envs, dtype=bool)
-        truncated = np.zeros(self.num_envs, dtype=bool)
-        infos: List[Dict[str, Any]] = []
-        for i, env in enumerate(self.envs):
-            obs, reward, term, trunc, info = env.step(actions_arr[i])
-            if term or trunc:
-                terminal_info = info
-                info = dict(terminal_info)
-                info["final_observation"] = obs
-                info["final_info"] = terminal_info
-                obs, _reset_info = env.reset()
-            observations[i] = np.asarray(obs, dtype=np.float64)
-            rewards[i] = float(reward)
-            terminated[i] = bool(term)
-            truncated[i] = bool(trunc)
-            infos.append(info)
-        return observations, rewards, terminated, truncated, infos
-
-    def close(self) -> None:
-        for env in self.envs:
-            env.close()
-
-    def render(self) -> List[Any]:  # pragma: no cover - diagnostic helper
-        return [env.render() for env in self.envs]

@@ -9,11 +9,11 @@ subpackage implements the full stack from scratch on top of NumPy:
   activations, :class:`~repro.rl.nn.layers.Sequential`) with explicit
   forward/backward passes, orthogonal initialisation and the
   :class:`~repro.rl.nn.optim.Adam` optimizer,
-* :mod:`repro.rl.distributions` — diagonal Gaussian and categorical action
-  distributions,
+* :mod:`repro.rl.distributions` — the diagonal-Gaussian action
+  distribution,
 * :mod:`repro.rl.policies` — the actor-critic MLP policy,
-* :mod:`repro.rl.buffers` — rollout storage with GAE(λ) advantage estimation
-  and an optional ``n_envs`` batch axis,
+* :mod:`repro.rl.buffers` — ``(time, env)`` rollout storage with GAE(λ)
+  advantage estimation,
 * :mod:`repro.rl.ppo` — the clipped-surrogate PPO algorithm with the same
   default hyperparameters as Stable-Baselines3 and vectorized rollout
   collection over :mod:`repro.gymapi.vector` environments,
@@ -24,7 +24,7 @@ subpackage implements the full stack from scratch on top of NumPy:
 from repro.rl import nn
 from repro.rl.buffers import RolloutBuffer
 from repro.rl.callbacks import BaseCallback, CallbackList, TrainingCurveCallback
-from repro.rl.distributions import Categorical, DiagGaussian
+from repro.rl.distributions import DiagGaussian
 from repro.rl.logger import TrainingLogger
 from repro.rl.policies import ActorCriticPolicy
 from repro.rl.ppo import PPO
@@ -33,7 +33,6 @@ __all__ = [
     "ActorCriticPolicy",
     "BaseCallback",
     "CallbackList",
-    "Categorical",
     "DiagGaussian",
     "PPO",
     "RolloutBuffer",

@@ -1,29 +1,18 @@
 """Rollout storage with Generalised Advantage Estimation (GAE).
 
-The buffer supports an optional environment batch axis (``n_envs``): with the
-default ``n_envs=1`` every array keeps its historical 1-environment shape
-(``(buffer_size,)`` / ``(buffer_size, dim)``) and all results are bit-for-bit
-identical to the original single-environment implementation; with
-``n_envs > 1`` the storage grows a batch axis (``(buffer_size, n_envs, ...)``)
-filled by vectorized rollout collection, GAE runs once over ``(n_envs,)``
+Every array has a ``(buffer_size, n_envs, ...)`` layout, filled one vector
+step at a time by rollout collection.  GAE runs once over ``(n_envs,)``
 vectors per time step, and mini-batches are served from the
-``buffer_size * n_envs`` flattened transitions.
+``buffer_size * n_envs`` transitions, flattened env-major.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional, Union
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
 __all__ = ["RolloutBuffer"]
-
-FloatOrArray = Union[float, np.ndarray]
-
-
-def _as_float(value: Union[bool, float, np.ndarray]) -> float:
-    """Convert a scalar or size-1 array to a Python float."""
-    return float(np.asarray(value, dtype=np.float64).reshape(()))
 
 
 class RolloutBuffer:
@@ -41,13 +30,11 @@ class RolloutBuffer:
         ``n_steps // n_envs``.  Total stored transitions are
         ``buffer_size * n_envs``.
     obs_dim, action_dim:
-        Dimensionality of observations and (continuous) actions.  For
-        discrete actions, ``action_dim`` should be 1.
+        Dimensionality of observations and (continuous) actions.
     gamma, gae_lambda:
         Discount factor and GAE smoothing factor.
     n_envs:
-        Number of parallel environments feeding the buffer (default 1, which
-        preserves the original single-environment array shapes exactly).
+        Number of parallel environments feeding the buffer.
     """
 
     def __init__(
@@ -80,21 +67,17 @@ class RolloutBuffer:
         """Number of transitions held by a full buffer."""
         return self.buffer_size * self.n_envs
 
-    def _batch_shape(self, *trailing: int) -> tuple:
-        if self.n_envs == 1:
-            return (self.buffer_size, *trailing)
-        return (self.buffer_size, self.n_envs, *trailing)
-
     def reset(self) -> None:
         """Clear the buffer and reallocate storage."""
-        self.observations = np.zeros(self._batch_shape(self.obs_dim), dtype=np.float64)
-        self.actions = np.zeros(self._batch_shape(self.action_dim), dtype=np.float64)
-        self.rewards = np.zeros(self._batch_shape(), dtype=np.float64)
-        self.episode_starts = np.zeros(self._batch_shape(), dtype=np.float64)
-        self.values = np.zeros(self._batch_shape(), dtype=np.float64)
-        self.log_probs = np.zeros(self._batch_shape(), dtype=np.float64)
-        self.advantages = np.zeros(self._batch_shape(), dtype=np.float64)
-        self.returns = np.zeros(self._batch_shape(), dtype=np.float64)
+        steps = (self.buffer_size, self.n_envs)
+        self.observations = np.zeros((*steps, self.obs_dim), dtype=np.float64)
+        self.actions = np.zeros((*steps, self.action_dim), dtype=np.float64)
+        self.rewards = np.zeros(steps, dtype=np.float64)
+        self.episode_starts = np.zeros(steps, dtype=np.float64)
+        self.values = np.zeros(steps, dtype=np.float64)
+        self.log_probs = np.zeros(steps, dtype=np.float64)
+        self.advantages = np.zeros(steps, dtype=np.float64)
+        self.returns = np.zeros(steps, dtype=np.float64)
         self.pos = 0
         self.full = False
         self._flat_cache: Optional[Dict[str, np.ndarray]] = None
@@ -103,62 +86,51 @@ class RolloutBuffer:
         self,
         obs: np.ndarray,
         action: np.ndarray,
-        reward: FloatOrArray,
-        episode_start: Union[bool, np.ndarray],
-        value: FloatOrArray,
-        log_prob: FloatOrArray,
+        reward: np.ndarray,
+        episode_start: np.ndarray,
+        value: np.ndarray,
+        log_prob: np.ndarray,
     ) -> None:
-        """Append one transition per environment (a whole vector step)."""
+        """Append one transition per environment (a whole vector step).
+
+        Each argument holds one entry per environment: ``obs`` and ``action``
+        have shape ``(n_envs, dim)``, the others ``(n_envs,)``.
+        """
         if self.full:
             raise RuntimeError("RolloutBuffer is full; call reset() before adding more data")
-        if self.n_envs == 1:
-            self.observations[self.pos] = np.asarray(obs, dtype=np.float64).reshape(-1)
-            self.actions[self.pos] = np.asarray(action, dtype=np.float64).reshape(-1)
-            self.rewards[self.pos] = _as_float(reward)
-            self.episode_starts[self.pos] = _as_float(episode_start)
-            self.values[self.pos] = _as_float(value)
-            self.log_probs[self.pos] = _as_float(log_prob)
-        else:
-            self.observations[self.pos] = np.asarray(obs, dtype=np.float64).reshape(
-                self.n_envs, self.obs_dim
-            )
-            self.actions[self.pos] = np.asarray(action, dtype=np.float64).reshape(
-                self.n_envs, self.action_dim
-            )
-            self.rewards[self.pos] = np.asarray(reward, dtype=np.float64).reshape(self.n_envs)
-            self.episode_starts[self.pos] = np.asarray(episode_start, dtype=np.float64).reshape(
-                self.n_envs
-            )
-            self.values[self.pos] = np.asarray(value, dtype=np.float64).reshape(self.n_envs)
-            self.log_probs[self.pos] = np.asarray(log_prob, dtype=np.float64).reshape(self.n_envs)
+        self.observations[self.pos] = np.asarray(obs, dtype=np.float64).reshape(
+            self.n_envs, self.obs_dim
+        )
+        self.actions[self.pos] = np.asarray(action, dtype=np.float64).reshape(
+            self.n_envs, self.action_dim
+        )
+        self.rewards[self.pos] = np.asarray(reward, dtype=np.float64).reshape(self.n_envs)
+        self.episode_starts[self.pos] = np.asarray(episode_start, dtype=np.float64).reshape(
+            self.n_envs
+        )
+        self.values[self.pos] = np.asarray(value, dtype=np.float64).reshape(self.n_envs)
+        self.log_probs[self.pos] = np.asarray(log_prob, dtype=np.float64).reshape(self.n_envs)
         self.pos += 1
         if self.pos == self.buffer_size:
             self.full = True
 
-    def compute_returns_and_advantage(
-        self, last_value: FloatOrArray, done: Union[bool, np.ndarray]
-    ) -> None:
+    def compute_returns_and_advantage(self, last_value: np.ndarray, done: np.ndarray) -> None:
         """Compute GAE(λ) advantages and discounted returns.
 
         Parameters
         ----------
         last_value:
-            Value estimate of the state following each environment's final
-            transition — a float (``n_envs == 1``) or an ``(n_envs,)`` array.
+            ``(n_envs,)`` value estimates of the state following each
+            environment's final transition.
         done:
-            Whether each environment's final transition terminated its
-            episode — a bool or an ``(n_envs,)`` array.
+            ``(n_envs,)`` flags: whether each environment's final transition
+            terminated its episode.
         """
         if not self.full:
             raise RuntimeError("Rollout is not complete")
-        if self.n_envs == 1:
-            last_values: FloatOrArray = _as_float(last_value)
-            next_episode_start: FloatOrArray = _as_float(done)
-            last_gae: FloatOrArray = 0.0
-        else:
-            last_values = np.asarray(last_value, dtype=np.float64).reshape(self.n_envs)
-            next_episode_start = np.asarray(done, dtype=np.float64).reshape(self.n_envs)
-            last_gae = np.zeros(self.n_envs, dtype=np.float64)
+        last_values = np.asarray(last_value, dtype=np.float64).reshape(self.n_envs)
+        next_episode_start = np.asarray(done, dtype=np.float64).reshape(self.n_envs)
+        last_gae = np.zeros(self.n_envs, dtype=np.float64)
         for step in reversed(range(self.buffer_size)):
             if step == self.buffer_size - 1:
                 next_non_terminal = 1.0 - next_episode_start
@@ -174,8 +146,6 @@ class RolloutBuffer:
 
     def _flatten(self, array: np.ndarray) -> np.ndarray:
         """Collapse the (time, env) axes into one transition axis (env-major)."""
-        if self.n_envs == 1:
-            return array
         return array.swapaxes(0, 1).reshape(self.total_transitions, *array.shape[2:])
 
     def get(
@@ -190,9 +160,9 @@ class RolloutBuffer:
         if batch_size is None or batch_size >= total:
             batch_size = total
         if self._flat_cache is None:
-            # Flatten once per rollout, not once per epoch: for n_envs > 1 the
-            # swap-and-flatten copies all six arrays, and PPO calls get() once
-            # per training epoch over the same completed rollout.
+            # Flatten once per rollout, not once per epoch: the swap-and-flatten
+            # copies all six arrays, and PPO calls get() once per training
+            # epoch over the same completed rollout.
             self._flat_cache = {
                 "observations": self._flatten(self.observations),
                 "actions": self._flatten(self.actions),

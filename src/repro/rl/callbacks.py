@@ -1,15 +1,17 @@
 """Training callbacks.
 
 Callbacks receive the PPO instance and are invoked at rollout and update
-boundaries.  They are used by the benchmark harness to collect the training
-curve of the paper's Fig. 5 and to stop training early in smoke tests.
+boundaries; any of them can stop training by returning ``False``.
+:func:`repro.rlenv.train.train_allocation_policy` uses
+:class:`TrainingCurveCallback` to collect the training curve of the paper's
+Fig. 5.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-__all__ = ["BaseCallback", "CallbackList", "TrainingCurveCallback", "StopOnRewardCallback"]
+__all__ = ["BaseCallback", "CallbackList", "TrainingCurveCallback"]
 
 
 class BaseCallback:
@@ -90,21 +92,4 @@ class TrainingCurveCallback(BaseCallback):
                 "approx_kl": logger.latest("train/approx_kl", float("nan")),
             }
         )
-        return True
-
-
-class StopOnRewardCallback(BaseCallback):
-    """Stop training once the rolling mean episode reward reaches a threshold."""
-
-    def __init__(self, reward_threshold: float) -> None:
-        super().__init__()
-        self.reward_threshold = float(reward_threshold)
-        self.triggered_at: Optional[int] = None
-
-    def on_update_end(self) -> bool:
-        assert self.model is not None
-        mean_reward = self.model.logger.latest("rollout/ep_rew_mean")
-        if mean_reward is not None and mean_reward >= self.reward_threshold:
-            self.triggered_at = self.model.num_timesteps
-            return False
         return True

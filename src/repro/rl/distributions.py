@@ -1,26 +1,21 @@
-"""Action distributions used by the actor-critic policy.
+"""The action distribution of the actor-critic policy.
 
-Two distributions are provided:
-
-* :class:`DiagGaussian` — a diagonal Gaussian over continuous actions whose
-  mean comes from the policy network and whose (state-independent) log
-  standard deviation is a trainable parameter.  This is what the paper's
-  5-dimensional continuous allocation action uses.
-* :class:`Categorical` — a softmax distribution over discrete actions, used
-  by auxiliary baselines and tests.
-
-Both expose ``sample``, ``log_prob``, ``entropy`` and the gradients of the
-log-probability / entropy with respect to their inputs, so the PPO update can
-backpropagate without an autodiff framework.
+:class:`DiagGaussian` is a diagonal Gaussian over continuous actions whose
+mean comes from the policy network and whose (state-independent) log
+standard deviation is a trainable parameter.  This is what the paper's
+5-dimensional continuous allocation action uses.  It exposes ``sample``,
+``log_prob``, ``entropy`` and the gradients of the log-probability / entropy
+with respect to its inputs, so the PPO update can backpropagate without an
+autodiff framework.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-__all__ = ["DiagGaussian", "Categorical"]
+__all__ = ["DiagGaussian"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -99,52 +94,3 @@ class DiagGaussian:
         mean_term = ((self.mean - other.mean) / other.std) ** 2
         per_dim = 0.5 * (var_ratio + mean_term - 1.0) + (other.log_std - self.log_std)
         return per_dim.sum(axis=1)
-
-
-class Categorical:
-    """Categorical distribution parameterised by unnormalised logits."""
-
-    def __init__(self, logits: np.ndarray) -> None:
-        logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-        # Stable log-softmax.
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        self.logits = logits
-        self.log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        self.probs = np.exp(self.log_probs)
-
-    @property
-    def dim(self) -> int:
-        """Number of categories."""
-        return self.logits.shape[1]
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw one category index per batch row."""
-        cum = np.cumsum(self.probs, axis=1)
-        u = rng.random((self.probs.shape[0], 1))
-        return (u > cum).sum(axis=1)
-
-    def mode(self) -> np.ndarray:
-        """Most likely category per batch row."""
-        return self.probs.argmax(axis=1)
-
-    def log_prob(self, actions: np.ndarray) -> np.ndarray:
-        """Log probability of the given category indices."""
-        actions = np.asarray(actions, dtype=np.int64).reshape(-1)
-        return self.log_probs[np.arange(self.log_probs.shape[0]), actions]
-
-    def entropy(self) -> np.ndarray:
-        """Shannon entropy per batch row."""
-        return -(self.probs * self.log_probs).sum(axis=1)
-
-    def log_prob_grad_logits(self, actions: np.ndarray) -> np.ndarray:
-        """Gradient of ``log_prob`` w.r.t. the logits (shape ``(batch, dim)``)."""
-        actions = np.asarray(actions, dtype=np.int64).reshape(-1)
-        grad = -self.probs.copy()
-        grad[np.arange(grad.shape[0]), actions] += 1.0
-        return grad
-
-    def entropy_grad_logits(self) -> np.ndarray:
-        """Gradient of the entropy w.r.t. the logits (shape ``(batch, dim)``)."""
-        # dH/dlogit_j = -p_j * (log p_j + H)
-        ent = self.entropy()[:, None]
-        return -self.probs * (self.log_probs + ent)

@@ -3,37 +3,36 @@
 The architecture mirrors Stable-Baselines3's ``MlpPolicy`` default for PPO:
 two separate MLP towers (policy and value) with two hidden layers of 64 tanh
 units each, a linear action head initialised with small gain, a linear value
-head, and a state-independent trainable log standard deviation for continuous
-action spaces.
+head, and a state-independent trainable log standard deviation for the
+diagonal-Gaussian action distribution.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.gymapi.spaces import Box, Discrete, Space
-from repro.rl.distributions import Categorical, DiagGaussian
+from repro.gymapi.spaces import Box, Space
+from repro.rl.distributions import DiagGaussian
 from repro.rl.nn.layers import MLP, Module, Parameter, Sequential
 
 __all__ = ["ActorCriticPolicy"]
 
 
 class ActorCriticPolicy(Module):
-    """MLP actor-critic with a diagonal-Gaussian or categorical action head.
+    """MLP actor-critic with a diagonal-Gaussian action head.
 
     Parameters
     ----------
     observation_space:
         A :class:`~repro.gymapi.spaces.Box` observation space (1-D).
     action_space:
-        A :class:`~repro.gymapi.spaces.Box` (continuous) or
-        :class:`~repro.gymapi.spaces.Discrete` action space.
+        A :class:`~repro.gymapi.spaces.Box` action space (1-D).
     net_arch:
         Hidden layer sizes shared by the policy and value towers.
     log_std_init:
-        Initial value of the log standard deviation (continuous actions only).
+        Initial value of the log standard deviation.
     seed:
         Seed for weight initialisation and action sampling.
     """
@@ -49,22 +48,15 @@ class ActorCriticPolicy(Module):
     ) -> None:
         if not isinstance(observation_space, Box) or len(observation_space.shape) != 1:
             raise TypeError("ActorCriticPolicy requires a 1-D Box observation space")
+        if not isinstance(action_space, Box) or len(action_space.shape) != 1:
+            raise TypeError("ActorCriticPolicy requires a 1-D Box action space")
         self.observation_space = observation_space
         self.action_space = action_space
         self.net_arch = tuple(int(x) for x in net_arch)
         self.rng = np.random.default_rng(seed)
 
         obs_dim = observation_space.shape[0]
-        if isinstance(action_space, Box):
-            if len(action_space.shape) != 1:
-                raise TypeError("continuous action spaces must be 1-D")
-            self.action_dim = action_space.shape[0]
-            self.is_continuous = True
-        elif isinstance(action_space, Discrete):
-            self.action_dim = action_space.n
-            self.is_continuous = False
-        else:
-            raise TypeError(f"Unsupported action space {action_space!r}")
+        self.action_dim = action_space.shape[0]
 
         # Separate towers for policy and value (SB3 default net_arch for PPO).
         self.pi_net: Sequential = MLP(
@@ -73,19 +65,13 @@ class ActorCriticPolicy(Module):
         self.vf_net: Sequential = MLP(
             obs_dim, self.net_arch, 1, activation=activation, out_gain=1.0, rng=self.rng
         )
-        if self.is_continuous:
-            self.log_std = Parameter(np.full(self.action_dim, float(log_std_init)), "log_std")
-        else:
-            self.log_std = None  # type: ignore[assignment]
+        self.log_std = Parameter(np.full(self.action_dim, float(log_std_init)), "log_std")
 
     # -- forward passes -----------------------------------------------------
-    def distribution(self, obs: np.ndarray) -> Union[DiagGaussian, Categorical]:
+    def distribution(self, obs: np.ndarray) -> DiagGaussian:
         """Run the policy tower and return the action distribution."""
         obs = np.atleast_2d(np.asarray(obs, dtype=np.float64))
-        out = self.pi_net.forward(obs)
-        if self.is_continuous:
-            return DiagGaussian(out, self.log_std.data)
-        return Categorical(out)
+        return DiagGaussian(self.pi_net.forward(obs), self.log_std.data)
 
     def value(self, obs: np.ndarray) -> np.ndarray:
         """Run the value tower and return state values of shape ``(batch,)``."""
@@ -107,7 +93,7 @@ class ActorCriticPolicy(Module):
 
     def evaluate_actions(
         self, obs: np.ndarray, actions: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Union[DiagGaussian, Categorical]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, DiagGaussian]:
         """Return ``(values, log_probs, entropies, distribution)`` for given actions.
 
         The forward caches left in the towers allow the caller to immediately
@@ -126,13 +112,12 @@ class ActorCriticPolicy(Module):
 
         Mirrors SB3's ``model.predict``: accepts a single observation (1-D)
         or a batch, returns actions with matching leading shape, clipped into
-        the action space if it is a bounded :class:`Box`.
+        the action space.
         """
         obs_arr = np.asarray(obs, dtype=np.float64)
         single = obs_arr.ndim == 1
         actions, values, _ = self.forward(obs_arr, deterministic=deterministic)
-        if self.is_continuous and isinstance(self.action_space, Box):
-            actions = np.clip(actions, self.action_space.low, self.action_space.high)
+        actions = np.clip(actions, self.action_space.low, self.action_space.high)
         if single:
             return actions[0], {"value": values[0]}
         return actions, {"value": values}
@@ -155,13 +140,17 @@ class ActorCriticPolicy(Module):
 
     # -- persistence ----------------------------------------------------------
     def save(self, path: str) -> None:
-        """Save all parameters (including log_std) to a ``.npz`` file."""
+        """Save all parameters (including log_std) to a ``.npz`` file.
+
+        The ``__meta_is_continuous`` key is always 1; it is kept so the file
+        layout stays that of earlier saved models.
+        """
         arrays = self.state_dict()
         meta = {
             "obs_dim": np.asarray(self.observation_space.shape[0]),
             "net_arch": np.asarray(self.net_arch),
             "action_dim": np.asarray(self.action_dim),
-            "is_continuous": np.asarray(int(self.is_continuous)),
+            "is_continuous": np.asarray(1),
         }
         np.savez(path, **arrays, **{f"__meta_{k}": v for k, v in meta.items()})
 

@@ -7,15 +7,13 @@ Stable-Baselines3 (``n_steps=2048``, ``batch_size=64``, ``n_epochs=10``,
 paper reports training its allocation agent with "default hyperparameters"
 (§6.6).
 
-Rollout collection is vectorized: the algorithm accepts either a scalar
-:class:`~repro.gymapi.core.Env` (wrapped in a 1-environment
-:class:`~repro.gymapi.vector.SyncVecEnv`) or any
-:class:`~repro.gymapi.vector.VecEnv`, and steps the vector
-``n_steps // n_envs`` times per rollout with ``(n_envs, obs_dim)`` policy
-forwards.  With a single environment every array op, RNG draw and update is
-identical to the historical serial implementation — same seeds produce
-bit-identical training curves — while ``n_envs > 1`` amortises rollout
-collection into a handful of large matmuls per vector step.
+Rollout collection is vectorized: the algorithm trains on a
+:class:`~repro.gymapi.vector.VecEnv` with a 1-D :class:`~repro.gymapi.spaces.Box`
+action space and steps it ``n_steps // n_envs`` times per rollout with
+``(n_envs, obs_dim)`` policy forwards.  Serial training is a one-row
+environment; ``n_envs > 1`` amortises rollout collection into a handful of
+large matmuls per vector step.  The update is one clipped loss over one
+flattened trajectory batch, whatever the number of rows.
 
 The gradient of the clipped surrogate, the entropy bonus and the value loss
 are derived analytically and pushed through the policy's MLP towers with the
@@ -31,12 +29,9 @@ from typing import Any, Callable, Dict, Optional, Union
 
 import numpy as np
 
-from repro.gymapi.core import Env
-from repro.gymapi.spaces import Box, Discrete
-from repro.gymapi.vector import SyncVecEnv, VecEnv
+from repro.gymapi.vector import VecEnv
 from repro.rl.buffers import RolloutBuffer
 from repro.rl.callbacks import BaseCallback, CallbackList
-from repro.rl.distributions import Categorical, DiagGaussian
 from repro.rl.logger import TrainingLogger
 from repro.rl.nn.optim import Adam, clip_grad_norm_
 from repro.rl.policies import ActorCriticPolicy
@@ -54,7 +49,7 @@ def _as_schedule(value: ScheduleOrFloat) -> Callable[[float], float]:
 
 
 class PPO:
-    """Proximal Policy Optimization over a (possibly vectorized) environment.
+    """Proximal Policy Optimization over a vectorized environment.
 
     Parameters
     ----------
@@ -62,17 +57,14 @@ class PPO:
         Either the string ``"MlpPolicy"`` or an :class:`ActorCriticPolicy`
         instance.
     env:
-        A scalar environment following the :class:`repro.gymapi.core.Env` API
-        (stepped through a 1-environment
-        :class:`~repro.gymapi.vector.SyncVecEnv`, bit-identical to the
-        historical serial implementation) or a
-        :class:`~repro.gymapi.vector.VecEnv` whose ``num_envs`` sets the
-        rollout batch width.
+        A :class:`~repro.gymapi.vector.VecEnv` whose ``num_envs`` sets the
+        rollout batch width (1 for serial training).
     learning_rate, n_steps, batch_size, n_epochs, gamma, gae_lambda,
     clip_range, ent_coef, vf_coef, max_grad_norm, target_kl:
         Standard PPO hyperparameters (SB3 defaults).  ``n_steps`` counts
         *total* transitions per rollout across all environments and must be
-        divisible by ``num_envs``.
+        divisible by ``num_envs``; ``batch_size`` and ``n_epochs`` must be
+        at least 1.
     seed:
         Seed for policy initialisation, action sampling, environment seeding
         and mini-batch shuffling.
@@ -81,7 +73,7 @@ class PPO:
     def __init__(
         self,
         policy: Union[str, ActorCriticPolicy],
-        env: Union[Env, VecEnv],
+        env: VecEnv,
         learning_rate: ScheduleOrFloat = 3e-4,
         n_steps: int = 2048,
         batch_size: int = 64,
@@ -98,9 +90,10 @@ class PPO:
         seed: Optional[int] = None,
         verbose: int = 0,
     ) -> None:
+        if not isinstance(env, VecEnv):
+            raise TypeError(f"PPO trains on a VecEnv, got {type(env).__name__}")
         self.env = env
-        self.vec_env: VecEnv = env if isinstance(env, VecEnv) else SyncVecEnv([env])
-        self.n_envs = int(self.vec_env.num_envs)
+        self.n_envs = int(env.num_envs)
         self.n_steps = int(n_steps)
         self.batch_size = int(batch_size)
         self.n_epochs = int(n_epochs)
@@ -117,6 +110,10 @@ class PPO:
         self.seed = seed
         self.rng = np.random.default_rng(seed)
 
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.n_epochs < 1:
+            raise ValueError(f"n_epochs must be >= 1, got {self.n_epochs}")
         if self.n_steps % self.n_envs != 0:
             raise ValueError(
                 f"n_steps={self.n_steps} must be divisible by the number of "
@@ -130,8 +127,8 @@ class PPO:
                 stacklevel=2,
             )
 
-        observation_space = self.vec_env.observation_space
-        action_space = self.vec_env.action_space
+        observation_space = env.observation_space
+        action_space = env.action_space
         if isinstance(policy, str):
             if policy != "MlpPolicy":
                 raise ValueError(f"Unknown policy {policy!r}; only 'MlpPolicy' is supported")
@@ -141,18 +138,10 @@ class PPO:
         else:
             self.policy = policy
 
-        obs_dim = observation_space.shape[0]
-        if isinstance(action_space, Box):
-            action_dim = action_space.shape[0]
-        elif isinstance(action_space, Discrete):
-            action_dim = 1
-        else:
-            raise TypeError(f"Unsupported action space {action_space!r}")
-
         self.rollout_buffer = RolloutBuffer(
             self.n_steps // self.n_envs,
-            obs_dim,
-            action_dim,
+            observation_space.shape[0],
+            action_space.shape[0],
             gamma=self.gamma,
             gae_lambda=self.gae_lambda,
             n_envs=self.n_envs,
@@ -184,9 +173,9 @@ class PPO:
         # training runs are fully reproducible; later resets must not re-seed
         # (that would make every episode identical).
         if not self._env_seeded and self.seed is not None:
-            obs, _infos = self.vec_env.reset(seed=self.seed)
+            obs, _infos = self.env.reset(seed=self.seed)
         else:
-            obs, _infos = self.vec_env.reset()
+            obs, _infos = self.env.reset()
         self._env_seeded = True
         self._last_obs = np.asarray(obs, dtype=np.float64)
         self._last_episode_starts = np.ones(self.n_envs, dtype=bool)
@@ -205,25 +194,19 @@ class PPO:
         if self._last_obs is None:
             self._reset_env()
         self.rollout_buffer.reset()
-        action_space = self.vec_env.action_space
-        is_box = isinstance(action_space, Box)
+        action_space = self.env.action_space
 
         for _ in range(self.n_steps // self.n_envs):
             assert self._last_obs is not None
             actions, values, log_probs = self.policy.forward(self._last_obs)
-            if is_box:
-                clipped_actions = np.clip(actions, action_space.low, action_space.high)
-                buffer_actions = actions
-            else:
-                clipped_actions = actions
-                buffer_actions = np.asarray(actions, dtype=np.float64).reshape(self.n_envs, 1)
+            clipped_actions = np.clip(actions, action_space.low, action_space.high)
 
-            obs, rewards, terminated, truncated, _infos = self.vec_env.step(clipped_actions)
+            obs, rewards, terminated, truncated, _infos = self.env.step(clipped_actions)
             dones = np.logical_or(terminated, truncated)
 
             self.rollout_buffer.add(
                 self._last_obs,
-                buffer_actions,
+                actions,
                 rewards,
                 self._last_episode_starts,
                 values,
@@ -273,12 +256,7 @@ class PPO:
                 if self.normalize_advantage and n > 1:
                     advantages = (advantages - advantages.mean()) / (advantages.std() + 1e-8)
 
-                if not self.policy.is_continuous:
-                    actions_eval = actions[:, 0].astype(np.int64)
-                else:
-                    actions_eval = actions
-
-                values, log_probs, entropies, dist = self.policy.evaluate_actions(obs, actions_eval)
+                values, log_probs, entropies, dist = self.policy.evaluate_actions(obs, actions)
 
                 # --- losses (for logging) ---------------------------------
                 ratio = np.exp(log_probs - old_log_probs)
@@ -311,21 +289,13 @@ class PPO:
 
                 self.policy.zero_grad()
 
-                if self.policy.is_continuous:
-                    assert isinstance(dist, DiagGaussian)
-                    d_mean, d_log_std = dist.log_prob_grads(actions_eval)
-                    grad_policy_out = d_loss_d_logp[:, None] * d_mean
-                    # log_std gradient: surrogate term + entropy bonus term.
-                    grad_log_std = (d_loss_d_logp[:, None] * d_log_std).sum(axis=0)
-                    grad_log_std += self.ent_coef * (-1.0) * dist.entropy_grad_log_std()
-                    self.policy.backward_policy(grad_policy_out)
-                    self.policy.log_std.grad += grad_log_std
-                else:
-                    assert isinstance(dist, Categorical)
-                    d_logits = dist.log_prob_grad_logits(actions_eval)
-                    grad_policy_out = d_loss_d_logp[:, None] * d_logits
-                    grad_policy_out += self.ent_coef * (-1.0 / n) * dist.entropy_grad_logits()
-                    self.policy.backward_policy(grad_policy_out)
+                d_mean, d_log_std = dist.log_prob_grads(actions)
+                grad_policy_out = d_loss_d_logp[:, None] * d_mean
+                # log_std gradient: surrogate term + entropy bonus term.
+                grad_log_std = (d_loss_d_logp[:, None] * d_log_std).sum(axis=0)
+                grad_log_std += self.ent_coef * (-1.0) * dist.entropy_grad_log_std()
+                self.policy.backward_policy(grad_policy_out)
+                self.policy.log_std.grad += grad_log_std
 
                 # Value loss: vf_coef * mean((returns - V)^2)
                 grad_values = self.vf_coef * 2.0 * (values - returns) / n
@@ -348,8 +318,7 @@ class PPO:
         self.logger.record(
             "train/explained_variance", float(self.rollout_buffer.explained_variance()), step
         )
-        if self.policy.is_continuous:
-            self.logger.record("train/std", float(np.mean(np.exp(self.policy.log_std.data))), step)
+        self.logger.record("train/std", float(np.mean(np.exp(self.policy.log_std.data))), step)
 
     # ------------------------------------------------------------------ #
     # Main loop

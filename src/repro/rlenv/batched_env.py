@@ -1,29 +1,32 @@
-"""BatchedQCloudEnv — ``B`` independent allocation MDPs stepped as arrays.
+"""BatchedQCloudEnv — the allocation MDP of the paper (§4.1), ``B`` rows at once.
 
-The paper's environment (§4.1) has single-step episodes: every ``step``
-scores one allocation and every ``reset`` samples a fresh job.  That
-structure makes the environment trivially vectorizable — there is no
-cross-step state to carry per sub-environment — so instead of wrapping ``B``
-scalar :class:`~repro.rlenv.qcloud_env.QCloudGymEnv` copies in a
-:class:`~repro.gymapi.vector.SyncVecEnv`, this native
-:class:`~repro.gymapi.vector.VecEnv` batches the dynamics themselves:
+Each episode is a *single* allocation decision:
+
+* **State** (dimension ``1 + 3k`` = 16 for ``k = 5`` devices): the job's
+  normalised qubit demand, then for each device its normalised free-qubit
+  level, its error score and its normalised CLOPS.
+* **Action**: a continuous vector of ``k`` unnormalised allocation weights.
+  The environment normalises them, scales by the demand, rounds and adjusts
+  so the parts sum to the demand and respect per-device free capacity
+  (:func:`repro.circuits.partition.allocation_from_weights_batch`).
+* **Reward**: the mean per-device fidelity ``(1/k') Σ F_i`` over the ``k'``
+  devices actually used, where each ``F_i`` combines gate, readout and
+  (optionally) two-qubit errors (Eqs. 4-7).  Optionally the inter-device
+  communication penalty (Eq. 8) can be folded into the reward
+  (``communication_aware=True``), which the paper lists as future work.
+
+Single-step episodes carry no state from one step to the next, so the
+environment is a native :class:`~repro.gymapi.vector.VecEnv` that steps
+``B = n_envs`` independent episodes with array operations:
 
 * job sampling draws all ``B`` demands/depths in single ``Generator`` calls
   and rejection-samples the fleet free levels for the whole batch at once,
 * observation assembly writes one ``(B, 1 + 3k)`` array (static error-score /
   CLOPS columns are pre-filled once),
 * rewards come from the array-form fidelity kernels of
-  :mod:`repro.metrics.fidelity` applied to a ``(B, k)`` allocation matrix
-  produced by :func:`repro.circuits.partition.allocation_from_weights_batch`.
+  :mod:`repro.metrics.fidelity` applied to a ``(B, k)`` allocation matrix.
 
-Per-row dynamics are equivalent to the scalar environment: given the same job
-(qubits, depth, two-qubit gates, free levels) and the same action, the
-allocation matches :class:`QCloudGymEnv` exactly and the reward matches to
-within one ulp (NumPy's vectorized ``pow`` may differ from libm's scalar
-``pow`` in the last bit).  The batched
-environment draws from its own RNG stream, so *sampled* jobs differ from a
-scalar environment seeded identically — use the scalar env (``n_envs=1``)
-when bit-identical training curves against the serial baseline are required.
+Serial training is the same environment with ``n_envs=1``: a one-row batch.
 """
 
 from __future__ import annotations
@@ -35,16 +38,17 @@ import numpy as np
 from repro.circuits.partition import allocation_from_weights_batch
 from repro.gymapi.seeding import np_random
 from repro.gymapi.spaces import Box
-from repro.gymapi.vector import SeedLike, VecEnv
-from repro.hardware.backends import DeviceProfile
+from repro.gymapi.vector import VecEnv
+from repro.hardware.backends import DeviceProfile, build_default_fleet
+from repro.metrics.error_score import error_score
 from repro.metrics.fidelity import (
     communication_penalty,
     readout_fidelity,
     single_qubit_fidelity,
     two_qubit_fidelity,
 )
-from repro.rlenv.fleet import prepare_fleet
 from repro.scheduling.rl_policy import (
+    CLOPS_NORM,
     DEFAULT_MAX_DEVICES,
     DEFAULT_MAX_QUBITS,
     DEVICE_LEVEL_NORM,
@@ -56,17 +60,33 @@ __all__ = ["BatchedQCloudEnv"]
 class BatchedQCloudEnv(VecEnv):
     """Vectorized single-step allocation environment over a device fleet.
 
-    Parameters mirror :class:`~repro.rlenv.qcloud_env.QCloudGymEnv` plus
-    ``n_envs``; all ``B`` sub-environments share the fleet and one RNG stream.
+    All ``B`` sub-environments share the fleet and one RNG stream.
 
     Parameters
     ----------
     n_envs:
-        Number of parallel sub-environments ``B``.
-    devices, qubit_range, depth_range, two_qubit_density,
-    randomize_utilization, include_two_qubit_errors, communication_aware,
-    max_qubits, max_devices:
-        As in :class:`QCloudGymEnv`.
+        Number of parallel sub-environments ``B`` (1 for serial training).
+    devices:
+        Device profiles (defaults to the paper's five-device fleet).
+    qubit_range, depth_range:
+        Inclusive ranges for the randomised training jobs.
+    two_qubit_density:
+        Two-qubit gate density of the training jobs, in ``[0, 1]`` (matches
+        the synthetic workload generator).
+    randomize_utilization:
+        If ``True`` (default) device free levels are randomised for every job
+        so the agent sees partially busy fleets; if ``False`` all devices
+        start fully free.
+    include_two_qubit_errors:
+        The paper notes two-qubit error can be "optionally suppressed" in the
+        reward; keep it on by default.
+    communication_aware:
+        Fold the φ^(k-1) communication penalty into the reward (future-work
+        reward shaping; off by default to match the paper).
+    max_qubits:
+        Normalisation constant for the job-demand feature.
+    max_devices:
+        Device slots in the observation.
     seed:
         Seeds the shared RNG and samples the first batch of jobs.
     """
@@ -89,10 +109,28 @@ class BatchedQCloudEnv(VecEnv):
     ) -> None:
         if n_envs < 1:
             raise ValueError(f"n_envs must be >= 1, got {n_envs}")
-        self.num_envs = int(n_envs)
-        fleet = prepare_fleet(devices, qubit_range, max_devices)
-        self.devices: List[DeviceProfile] = list(fleet.devices)
+        self.devices: List[DeviceProfile] = (
+            list(devices) if devices is not None else build_default_fleet()
+        )
+        if len(self.devices) > max_devices:
+            raise ValueError(
+                f"{len(self.devices)} devices exceed the observation's {max_devices} slots"
+            )
+        if qubit_range[0] > qubit_range[1] or qubit_range[0] <= 0:
+            raise ValueError(f"invalid qubit_range {qubit_range}")
+        total_capacity = sum(d.num_qubits for d in self.devices)
+        if qubit_range[1] > total_capacity:
+            raise ValueError(
+                f"qubit_range upper bound {qubit_range[1]} exceeds fleet capacity {total_capacity}"
+            )
+        if depth_range[0] > depth_range[1] or depth_range[0] < 0:
+            raise ValueError(f"invalid depth_range {depth_range}")
+        if not 0.0 <= two_qubit_density <= 1.0:
+            raise ValueError(f"two_qubit_density must be in [0, 1], got {two_qubit_density}")
+        if max_qubits < 1:
+            raise ValueError(f"max_qubits must be >= 1, got {max_qubits}")
 
+        self.num_envs = int(n_envs)
         self.qubit_range = qubit_range
         self.depth_range = depth_range
         self.two_qubit_density = float(two_qubit_density)
@@ -102,8 +140,10 @@ class BatchedQCloudEnv(VecEnv):
         self.max_qubits = int(max_qubits)
         self.max_devices = int(max_devices)
 
-        self._capacities = fleet.capacities
-        self._error_scores = fleet.error_scores
+        self._capacities = np.array([d.num_qubits for d in self.devices], dtype=np.int64)
+        self._error_scores = np.array(
+            [error_score(d.calibration) for d in self.devices], dtype=np.float64
+        )
         self._eps_1q = np.array([d.avg_single_qubit_error for d in self.devices], dtype=np.float64)
         self._eps_2q = np.array([d.avg_two_qubit_error for d in self.devices], dtype=np.float64)
         self._eps_ro = np.array([d.avg_readout_error for d in self.devices], dtype=np.float64)
@@ -112,9 +152,15 @@ class BatchedQCloudEnv(VecEnv):
         self.observation_space = Box(low=0.0, high=np.inf, shape=(obs_dim,), dtype=np.float64)
         self.action_space = Box(low=0.0, high=1.0, shape=(self.max_devices,), dtype=np.float64)
 
-        # Static observation columns (error score, CLOPS), broadcast over B.
-        self._obs_template = np.tile(fleet.obs_template, (self.num_envs, 1))
-        self._free_slots = fleet.free_slots
+        # Static observation columns: slot 0 (demand) and 1 + 3i (free level)
+        # are rewritten per job; 2 + 3i (error score) and 3 + 3i (CLOPS) never
+        # change, so they are filled once and broadcast over B.
+        self._free_slots = 1 + 3 * np.arange(len(self.devices))
+        self._obs_template = np.zeros((self.num_envs, obs_dim), dtype=np.float64)
+        self._obs_template[:, self._free_slots + 1] = self._error_scores
+        self._obs_template[:, self._free_slots + 2] = (
+            np.array([float(d.clops) for d in self.devices]) / CLOPS_NORM
+        )
 
         self._job_qubits = np.zeros(self.num_envs, dtype=np.int64)
         self._job_depths = np.zeros(self.num_envs, dtype=np.int64)
@@ -146,8 +192,7 @@ class BatchedQCloudEnv(VecEnv):
             return
         # Batched rejection sampling: draw one candidate row per environment,
         # then redraw only the rows whose free capacity cannot fit their job
-        # (the same per-row retry rule as the scalar environment, capped at
-        # 100 attempts with a full-capacity fallback).
+        # (capped at 100 attempts per row, with a full-capacity fallback).
         free = np.floor(
             capacities * rng.uniform(0.4, 1.0, size=(batch, num_devices))
         ).astype(np.int64)
@@ -180,7 +225,7 @@ class BatchedQCloudEnv(VecEnv):
         ]
 
     def reset(
-        self, *, seed: SeedLike = None, options: Optional[Dict[str, Any]] = None
+        self, *, seed: Optional[int] = None, options: Optional[Dict[str, Any]] = None
     ) -> Tuple[np.ndarray, List[Dict[str, Any]]]:
         if seed is not None:
             if not isinstance(seed, (int, np.integer)):
@@ -193,19 +238,31 @@ class BatchedQCloudEnv(VecEnv):
     def step(
         self, actions: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, List[Dict[str, Any]]]:
+        """Score one allocation per row.
+
+        *actions* has shape ``(n_envs, max_devices)``; a one-row env also
+        takes a flat ``(max_devices,)`` vector.  Weights for slots beyond the
+        fleet are ignored.
+        """
         if np.any(self._job_qubits <= 0):
             raise RuntimeError("step() called before reset()")
         num_devices = len(self.devices)
-        weights = np.asarray(actions, dtype=np.float64).reshape(self.num_envs, -1)[:, :num_devices]
+        weights = np.asarray(actions, dtype=np.float64)
+        if weights.ndim == 1 and self.num_envs == 1:
+            weights = weights[None, :]
+        if weights.shape != (self.num_envs, self.max_devices):
+            raise ValueError(
+                f"actions must have shape ({self.num_envs}, {self.max_devices}), "
+                f"got {np.shape(actions)}"
+            )
+        weights = weights[:, :num_devices]
         allocations = allocation_from_weights_batch(weights, self._job_qubits, self._free_levels)
 
         used = allocations > 0
         devices_used = used.sum(axis=1)
 
         # Per-device fidelity F_i = F_1Q * F_2Q * F_ro over the (B, k)
-        # allocation matrix (Eqs. 4-7), multiplied in the scalar env's order
-        # so per-row results match QCloudGymEnv to within rounding (the only
-        # residual difference is vectorized-vs-scalar pow, <= 1 ulp).
+        # allocation matrix (Eqs. 4-7).
         f_1q = single_qubit_fidelity(self._eps_1q[None, :], self._job_depths[:, None])
         f_ro = readout_fidelity(
             self._eps_ro[None, :], self._job_qubits[:, None], devices_used[:, None]

@@ -7,27 +7,25 @@ allocation.  :func:`train_allocation_policy` reproduces that setup and also
 returns the training curve (mean episode reward and entropy loss versus
 timesteps) needed to regenerate Fig. 5.
 
-Training is serial by default (``n_envs=1``), which keeps seeded runs
-bit-identical to the original single-environment implementation.  With
-``n_envs > 1`` rollouts are collected from a
-:class:`~repro.rlenv.batched_env.BatchedQCloudEnv` — ``n_envs`` jobs sampled
-and scored per vector step — which cuts wall-clock training time severalfold
-at identical hyperparameters (the gradient updates see the same
-``n_steps``-transition rollouts, just collected in batches).
+Rollouts are collected from a :class:`~repro.rlenv.batched_env.BatchedQCloudEnv`
+with ``n_envs`` rows: ``n_envs`` jobs sampled and scored per vector step.
+Training is serial by default (``n_envs=1``, a one-row batch); larger values
+cut wall-clock training time severalfold at identical hyperparameters (the
+gradient updates see the same ``n_steps``-transition rollouts, just
+collected in batches).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.gymapi.vector import VecEnv
-from repro.hardware.backends import DeviceProfile, build_default_fleet
+from repro.hardware.backends import DeviceProfile
 from repro.rl.callbacks import TrainingCurveCallback
 from repro.rl.ppo import PPO
 from repro.rlenv.batched_env import BatchedQCloudEnv
-from repro.rlenv.qcloud_env import QCloudGymEnv
 
 __all__ = ["train_allocation_policy", "evaluate_policy"]
 
@@ -61,11 +59,8 @@ def train_allocation_policy(
     communication_aware:
         Fold the communication penalty into the reward (paper future work).
     n_envs:
-        Number of parallel environments used for rollout collection.  The
-        default 1 trains on the scalar :class:`QCloudGymEnv` and is
-        bit-identical to the historical serial implementation; larger values
-        train on a :class:`~repro.rlenv.batched_env.BatchedQCloudEnv` (same
-        MDP, vectorized dynamics, its own RNG stream) and must divide
+        Rows of the :class:`~repro.rlenv.batched_env.BatchedQCloudEnv` that
+        rollouts are collected from (default 1: serial training); must divide
         ``n_steps``.
     env_kwargs:
         Extra keyword arguments forwarded to the environment constructor.
@@ -77,17 +72,9 @@ def train_allocation_policy(
         (list of dicts with ``timesteps``, ``ep_rew_mean``, ``entropy_loss``,
         ``policy_loss``, ``value_loss``, ``approx_kl``).
     """
-    if n_envs < 1:
-        raise ValueError(f"n_envs must be >= 1, got {n_envs}")
-    if devices is None:
-        devices = build_default_fleet()
     env_kwargs = dict(env_kwargs or {})
     env_kwargs.setdefault("communication_aware", communication_aware)
-    env: Union[QCloudGymEnv, VecEnv]
-    if n_envs == 1:
-        env = QCloudGymEnv(devices=devices, seed=seed, **env_kwargs)
-    else:
-        env = BatchedQCloudEnv(n_envs=n_envs, devices=devices, seed=seed, **env_kwargs)
+    env = BatchedQCloudEnv(n_envs=n_envs, devices=devices, seed=seed, **env_kwargs)
 
     model = PPO(
         "MlpPolicy",
@@ -107,31 +94,32 @@ def train_allocation_policy(
 
 def evaluate_policy(
     model: Any,
-    env: QCloudGymEnv,
+    env: VecEnv,
     n_episodes: int = 100,
     deterministic: bool = True,
     seed: Optional[int] = None,
 ) -> Dict[str, float]:
     """Evaluate a trained allocation model on fresh random jobs.
 
-    Returns mean/std episode reward (i.e. mean device fidelity) and the mean
-    number of devices used per allocation.
+    *env* is a single-step allocation environment such as
+    :class:`~repro.rlenv.batched_env.BatchedQCloudEnv`: every vector step
+    scores one allocation per row.  Returns mean/std episode reward (i.e.
+    mean device fidelity) and the mean number of devices used per allocation
+    over the first *n_episodes* allocations.
     """
     if n_episodes <= 0:
         raise ValueError("n_episodes must be positive")
     rewards: List[float] = []
     devices_used: List[int] = []
     obs, _ = env.reset(seed=seed)
-    for _ in range(n_episodes):
-        action, _ = model.predict(obs, deterministic=deterministic)
-        obs, reward, terminated, truncated, info = env.step(action)
-        rewards.append(float(reward))
-        devices_used.append(int(info["num_devices"]))
-        if terminated or truncated:
-            obs, _ = env.reset()
+    while len(rewards) < n_episodes:
+        actions, _ = model.predict(obs, deterministic=deterministic)
+        obs, step_rewards, _terminated, _truncated, infos = env.step(actions)
+        rewards.extend(step_rewards.tolist())
+        devices_used.extend(int(info["num_devices"]) for info in infos)
     return {
-        "mean_reward": float(np.mean(rewards)),
-        "std_reward": float(np.std(rewards)),
-        "mean_devices_used": float(np.mean(devices_used)),
+        "mean_reward": float(np.mean(rewards[:n_episodes])),
+        "std_reward": float(np.std(rewards[:n_episodes])),
+        "mean_devices_used": float(np.mean(devices_used[:n_episodes])),
         "n_episodes": float(n_episodes),
     }

@@ -7,11 +7,10 @@ are normalised, scaled by the job's demand, rounded and adjusted so that the
 parts sum to the demand and respect each device's currently free capacity
 (§4.1).
 
-The observation layout must match the training environments
-(:class:`repro.rlenv.qcloud_env.QCloudGymEnv` and
-:class:`repro.rlenv.batched_env.BatchedQCloudEnv`) exactly;
+The observation layout must match the training environment
+(:class:`repro.rlenv.batched_env.BatchedQCloudEnv`) exactly;
 :func:`build_observation` below is the reference layout, which the
-environments mirror with vectorized assembly (verified by equivalence tests).
+environment mirrors with vectorized assembly (verified by equivalence tests).
 """
 
 from __future__ import annotations

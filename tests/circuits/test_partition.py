@@ -260,6 +260,19 @@ class TestAllocationFromWeightsBatch:
             expected = allocation_from_weights(weights[b], int(totals[b]), capacities)
             assert batch[b].tolist() == expected
 
+        # A -inf weight clips to zero like any negative one, on both paths.
+        weights[3, 1] = -np.inf
+        batch = allocation_from_weights_batch(weights, totals, capacities)
+        assert batch[3].tolist() == allocation_from_weights(weights[3], int(totals[3]), capacities)
+        # A NaN or +inf weight is refused by both paths; the batch names the row.
+        for b, bad in ((7, np.nan), (19, np.inf)):
+            rows = weights.copy()
+            rows[b, 2] = bad
+            with pytest.raises(ValueError, match=f"row {b}"):
+                allocation_from_weights_batch(rows, totals, capacities)
+            with pytest.raises(ValueError, match="finite"):
+                allocation_from_weights(rows[b], int(totals[b]), capacities)
+
     def test_per_row_capacities(self):
         rng = np.random.default_rng(1)
         weights = rng.uniform(0, 1, size=(16, 5))

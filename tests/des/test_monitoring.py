@@ -1,9 +1,6 @@
 """Unit tests for DES monitoring utilities."""
 
-import pytest
-
-from repro.des import Environment
-from repro.des.monitoring import EventLoopStats, PeriodicSampler, trace_events
+from repro.des.monitoring import EventLoopStats, trace_events
 
 
 class TestTraceEvents:
@@ -34,45 +31,6 @@ class TestTraceEvents:
         env.timeout(1)
         env.run()
         assert len(log) == first_count
-
-
-class TestPeriodicSampler:
-    def test_samples_at_fixed_period(self, env):
-        level = [100]
-
-        def worker(env):
-            level[0] -= 40
-            yield env.timeout(5)
-            level[0] += 40
-
-        env.process(worker(env))
-        sampler = PeriodicSampler(env, lambda: level[0], period=1.0)
-        env.run(until=8)
-        assert sampler.times == [0.0] + [float(t) for t in range(1, 8)]
-        assert sampler.values[0] in (100, 60)
-        assert 60 in sampler.values
-        assert sampler.values[-1] == 100
-
-    def test_stop_ends_sampling(self, env):
-        sampler = PeriodicSampler(env, lambda: 1, period=1.0)
-        env.timeout(10)  # keep the schedule non-empty beyond the stop
-        sampler.stop()
-        env.run()
-        assert len(sampler.samples) <= 2
-
-    def test_invalid_period(self, env):
-        with pytest.raises(ValueError):
-            PeriodicSampler(env, lambda: 0, period=0.0)
-
-    def test_delayed_start(self, env):
-        sampler = PeriodicSampler(env, lambda: env.now, period=2.0, start_immediately=False)
-
-        def background(env):
-            yield env.timeout(5)
-
-        env.process(background(env))
-        env.run(until=5)
-        assert sampler.times == [2.0, 4.0]
 
 
 class TestEventLoopStats:

@@ -54,58 +54,58 @@ class TestBox:
         assert spaces.Box(0.0, 1.0, shape=(2,)) == spaces.Box(0.0, 1.0, shape=(2,))
         assert spaces.Box(0.0, 1.0, shape=(2,)) != spaces.Box(0.0, 2.0, shape=(2,))
 
+    def test_equality_rejects_other_types_and_shapes(self):
+        box = spaces.Box(0.0, 1.0, shape=(2,))
+        assert box != object()
+        assert box != spaces.Box(0.0, 1.0, shape=(3,))
 
-class TestDiscrete:
-    def test_n_positive(self):
+    def test_in_operator_uses_contains(self):
+        box = spaces.Box(low=0.0, high=1.0, shape=(2,))
+        assert np.array([0.2, 0.8]) in box
+        assert np.array([0.2, 1.8]) not in box
+
+    def test_contains_tolerates_rounding_at_the_bounds(self):
+        box = spaces.Box(low=0.0, high=1.0, shape=(1,), dtype=np.float64)
+        assert box.contains(np.array([1.0 + 1e-7]))
+        assert not box.contains(np.array([1.0 + 1e-3]))
+
+    def test_array_bounds_must_match_shape(self):
         with pytest.raises(ValueError):
-            spaces.Discrete(0)
+            spaces.Box(low=np.zeros(3), high=1.0, shape=(4,))
 
-    def test_sample_and_contains(self):
-        space = spaces.Discrete(4, seed=0)
-        for _ in range(20):
-            assert space.contains(space.sample())
-        assert space.contains(0) and space.contains(3)
-        assert not space.contains(4)
-        assert not space.contains(-1)
-        assert not space.contains(1.5)
+    def test_is_bounded_rejects_unknown_manner(self):
+        with pytest.raises(ValueError, match="manner"):
+            spaces.Box(0.0, 1.0, shape=(2,)).is_bounded("sideways")
 
-    def test_start_offset(self):
-        space = spaces.Discrete(3, start=10)
-        assert space.contains(10) and space.contains(12)
-        assert not space.contains(2)
+    def test_lower_bounded_box_samples_above_low(self):
+        box = spaces.Box(low=2.0, high=np.inf, shape=(50,), seed=3)
+        assert box.is_bounded("below") and not box.is_bounded("above")
+        assert np.all(box.sample() >= 2.0)
 
-    def test_equality(self):
-        assert spaces.Discrete(3) == spaces.Discrete(3)
-        assert spaces.Discrete(3) != spaces.Discrete(4)
+    def test_upper_bounded_box_samples_below_high(self):
+        box = spaces.Box(low=-np.inf, high=-1.0, shape=(50,), seed=4)
+        assert box.is_bounded("above") and not box.is_bounded("below")
+        assert np.all(box.sample() <= -1.0)
 
+    def test_sample_has_space_dtype(self):
+        assert spaces.Box(0.0, 1.0, shape=(3,), seed=0).sample().dtype == np.float32
+        assert spaces.Box(0.0, 1.0, shape=(3,), dtype=np.float64, seed=0).sample().dtype == np.float64
 
-class TestDictSpace:
-    def test_sample_and_contains(self):
-        space = spaces.Dict(
-            {"obs": spaces.Box(0.0, 1.0, shape=(2,)), "mode": spaces.Discrete(3)}, seed=0
-        )
-        sample = space.sample()
-        assert space.contains(sample)
-        assert set(sample.keys()) == {"obs", "mode"}
-        assert len(space) == 2
-        assert isinstance(space["mode"], spaces.Discrete)
+    def test_seed_returns_the_seed_used(self):
+        box = spaces.Box(0.0, 1.0, shape=(2,))
+        assert box.seed(5) == 5
 
 
-class TestFlatten:
-    def test_flatdim(self):
-        assert spaces.flatdim(spaces.Box(0, 1, shape=(4,))) == 4
-        assert spaces.flatdim(spaces.Discrete(5)) == 5
+class TestSpaceBase:
+    def test_sample_and_contains_are_abstract(self):
+        space = spaces.Space(shape=(2,), dtype=np.float64)
+        with pytest.raises(NotImplementedError):
+            space.sample()
+        with pytest.raises(NotImplementedError):
+            space.contains(np.zeros(2))
 
-    def test_flatten_box(self):
-        flat = spaces.flatten(spaces.Box(0, 1, shape=(2, 2)), np.array([[1, 2], [3, 4]]))
-        assert np.allclose(flat, [1, 2, 3, 4])
-
-    def test_flatten_discrete_onehot(self):
-        flat = spaces.flatten(spaces.Discrete(4), 2)
-        assert np.allclose(flat, [0, 0, 1, 0])
-
-    def test_flatten_dict(self):
-        space = spaces.Dict({"a": spaces.Discrete(2), "b": spaces.Box(0, 1, shape=(2,))})
-        flat = spaces.flatten(space, {"a": 1, "b": np.array([0.25, 0.75])})
-        assert flat.shape == (4,)
-        assert spaces.flatdim(space) == 4
+    def test_np_random_is_created_lazily(self):
+        space = spaces.Space()
+        rng = space.np_random
+        assert isinstance(rng, np.random.Generator)
+        assert space.np_random is rng

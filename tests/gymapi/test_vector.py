@@ -1,181 +1,45 @@
-"""Unit tests for the vectorized environment layer (VecEnv / SyncVecEnv)."""
+"""Unit tests for the VecEnv base class."""
 
 import numpy as np
 import pytest
 
-from repro.gymapi import Env, spaces
-from repro.gymapi.vector import SyncVecEnv, VecEnv
+from repro.gymapi import spaces
+from repro.gymapi.vector import VecEnv
 
 
-class SingleStepEnv(Env):
-    """Scalar single-step env: obs is random, reward echoes the action sum."""
+class BareEnv(VecEnv):
+    """Two-row env that keeps the base class's reset and step."""
 
     def __init__(self):
+        self.num_envs = 2
         self.observation_space = spaces.Box(0.0, 1.0, shape=(3,), dtype=np.float64)
         self.action_space = spaces.Box(0.0, 1.0, shape=(2,), dtype=np.float64)
-        self._obs = None
         self.closed = False
-
-    def reset(self, *, seed=None, options=None):
-        super().reset(seed=seed)
-        self._obs = self.np_random.random(3)
-        return self._obs.copy(), {"tag": "reset"}
-
-    def step(self, action):
-        reward = float(np.sum(action))
-        return self._obs.copy(), reward, True, False, {"tag": "step"}
 
     def close(self):
         self.closed = True
 
 
-class CountdownEnv(Env):
-    """Multi-step env terminating after `horizon` steps; obs counts down."""
+class TestVecEnvBase:
+    def test_reset_and_step_are_abstract(self):
+        env = BareEnv()
+        with pytest.raises(NotImplementedError):
+            env.reset()
+        with pytest.raises(NotImplementedError):
+            env.step(np.zeros((2, 2)))
 
-    def __init__(self, horizon=3):
-        self.observation_space = spaces.Box(0.0, np.inf, shape=(1,), dtype=np.float64)
-        self.action_space = spaces.Box(0.0, 1.0, shape=(1,), dtype=np.float64)
-        self.horizon = horizon
-        self._t = 0
+    def test_np_random_is_lazily_created_and_kept(self):
+        env = BareEnv()
+        rng = env.np_random
+        assert isinstance(rng, np.random.Generator)
+        assert env.np_random is rng
 
-    def reset(self, *, seed=None, options=None):
-        super().reset(seed=seed)
-        self._t = 0
-        return np.array([float(self.horizon)]), {}
-
-    def step(self, action):
-        self._t += 1
-        done = self._t >= self.horizon
-        return np.array([float(self.horizon - self._t)]), 1.0, done, False, {}
-
-
-class TestConstruction:
-    def test_requires_at_least_one_env(self):
-        with pytest.raises(ValueError):
-            SyncVecEnv([])
-
-    def test_accepts_instances_and_factories(self):
-        venv = SyncVecEnv([SingleStepEnv(), SingleStepEnv])
-        assert venv.num_envs == 2
-        assert all(isinstance(e, SingleStepEnv) for e in venv.envs)
-
-    def test_single_env_spaces_exposed(self):
-        venv = SyncVecEnv([SingleStepEnv() for _ in range(4)])
-        assert venv.observation_space.shape == (3,)
-        assert venv.action_space.shape == (2,)
-
-    def test_mismatched_observation_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            SyncVecEnv([SingleStepEnv(), CountdownEnv()])
-
-    def test_is_vecenv(self):
-        assert isinstance(SyncVecEnv([SingleStepEnv()]), VecEnv)
-
-
-class TestReset:
-    def test_batched_observation_shape(self):
-        venv = SyncVecEnv([SingleStepEnv() for _ in range(5)])
-        obs, infos = venv.reset(seed=0)
-        assert obs.shape == (5, 3)
-        assert len(infos) == 5
-        assert all(info["tag"] == "reset" for info in infos)
-
-    def test_integer_seed_spreads_per_env(self):
-        # Env i is seeded with seed + i, so env 0 matches a scalar env reset
-        # with the same seed and distinct envs see distinct streams.
-        venv = SyncVecEnv([SingleStepEnv() for _ in range(3)])
-        obs, _ = venv.reset(seed=42)
-        scalar = SingleStepEnv()
-        s_obs, _ = scalar.reset(seed=42)
-        assert np.array_equal(obs[0], s_obs)
-        assert not np.array_equal(obs[0], obs[1])
-
-    def test_seed_sequence_used_verbatim(self):
-        venv = SyncVecEnv([SingleStepEnv() for _ in range(2)])
-        obs_a, _ = venv.reset(seed=[7, 7])
-        assert np.array_equal(obs_a[0], obs_a[1])
-
-    def test_wrong_number_of_seeds_rejected(self):
-        venv = SyncVecEnv([SingleStepEnv() for _ in range(2)])
-        with pytest.raises(ValueError):
-            venv.reset(seed=[1, 2, 3])
-
-    def test_seeded_reset_reproducible(self):
-        v1 = SyncVecEnv([SingleStepEnv() for _ in range(4)])
-        v2 = SyncVecEnv([SingleStepEnv() for _ in range(4)])
-        o1, _ = v1.reset(seed=9)
-        o2, _ = v2.reset(seed=9)
-        assert np.array_equal(o1, o2)
-
-
-class TestStep:
-    def test_batched_step_shapes_and_dtypes(self):
-        venv = SyncVecEnv([SingleStepEnv() for _ in range(4)])
-        venv.reset(seed=0)
-        obs, rewards, terminated, truncated, infos = venv.step(np.full((4, 2), 0.5))
-        assert obs.shape == (4, 3)
-        assert rewards.shape == (4,) and rewards.dtype == np.float64
-        assert terminated.shape == (4,) and terminated.dtype == bool
-        assert truncated.dtype == bool
-        assert np.allclose(rewards, 1.0)
-        assert len(infos) == 4
-
-    def test_wrong_leading_dimension_rejected(self):
-        venv = SyncVecEnv([SingleStepEnv() for _ in range(4)])
-        venv.reset(seed=0)
-        with pytest.raises(ValueError):
-            venv.step(np.zeros((3, 2)))
-
-    def test_autoreset_returns_next_episode_observation(self):
-        venv = SyncVecEnv([SingleStepEnv()])
-        first_obs, _ = venv.reset(seed=1)
-        obs, _, terminated, _, infos = venv.step(np.zeros((1, 2)))
-        assert terminated[0]
-        # The terminal observation is preserved in the info...
-        assert np.array_equal(infos[0]["final_observation"], first_obs[0])
-        assert infos[0]["final_info"]["tag"] == "step"
-        # ...while the returned observation belongs to the new episode.
-        assert not np.array_equal(obs[0], first_obs[0])
-
-    def test_multi_step_envs_only_reset_when_done(self):
-        venv = SyncVecEnv([CountdownEnv(horizon=3)])
-        obs, _ = venv.reset()
-        assert obs[0, 0] == 3.0
-        obs, _, term, _, _ = venv.step(np.zeros((1, 1)))
-        assert obs[0, 0] == 2.0 and not term[0]
-        obs, _, term, _, _ = venv.step(np.zeros((1, 1)))
-        assert obs[0, 0] == 1.0 and not term[0]
-        obs, _, term, _, _ = venv.step(np.zeros((1, 1)))
-        # Terminal step auto-resets: the observation is the fresh episode's.
-        assert term[0] and obs[0, 0] == 3.0
-
-    def test_scalar_env_equivalence_under_fixed_seed(self):
-        """A 1-env SyncVecEnv reproduces the scalar env's trajectory exactly."""
-        scalar = CountdownEnv(horizon=2)
-        s_obs, _ = scalar.reset(seed=5)
-        venv = SyncVecEnv([CountdownEnv(horizon=2)])
-        v_obs, _ = venv.reset(seed=5)
-        assert np.array_equal(v_obs[0], s_obs)
-        for _ in range(5):
-            action = np.array([[0.3]])
-            s_obs, s_r, s_te, s_tr, _ = scalar.step(action[0])
-            if s_te or s_tr:
-                s_obs, _ = scalar.reset()
-            v_obs, v_r, v_te, v_tr, _ = venv.step(action)
-            assert np.array_equal(v_obs[0], np.asarray(s_obs))
-            assert v_r[0] == s_r
-            assert v_te[0] == bool(s_te)
-
-
-class TestClose:
-    def test_close_propagates(self):
-        envs = [SingleStepEnv() for _ in range(3)]
-        venv = SyncVecEnv(envs)
-        venv.close()
-        assert all(e.closed for e in envs)
+    def test_unwrapped_is_self(self):
+        env = BareEnv()
+        assert env.unwrapped is env
 
     def test_context_manager_closes(self):
-        envs = [SingleStepEnv()]
-        with SyncVecEnv(envs):
+        env = BareEnv()
+        with env:
             pass
-        assert envs[0].closed
+        assert env.closed

@@ -1,4 +1,8 @@
-"""Unit tests for the rollout buffer and GAE computation."""
+"""Unit tests for the rollout buffer and GAE computation.
+
+Buffers built without ``n_envs`` hold one environment: every array has a
+``(buffer_size, 1, ...)`` layout, and the single-env checks read column 0.
+"""
 
 import numpy as np
 import pytest
@@ -28,12 +32,12 @@ def fill_buffer(buffer, rng, episode_length=None):
     for i in range(buffer.buffer_size):
         episode_start = (i % episode_length == 0) if episode_length else (i == 0)
         buffer.add(
-            obs=rng.standard_normal(buffer.obs_dim),
-            action=rng.standard_normal(buffer.action_dim),
-            reward=float(rng.normal()),
-            episode_start=episode_start,
-            value=float(rng.normal()),
-            log_prob=float(rng.normal()),
+            obs=rng.standard_normal((1, buffer.obs_dim)),
+            action=rng.standard_normal((1, buffer.action_dim)),
+            reward=rng.normal(size=1),
+            episode_start=np.array([episode_start]),
+            value=rng.normal(size=1),
+            log_prob=rng.normal(size=1),
         )
 
 
@@ -50,14 +54,14 @@ class TestValidation:
         buffer = RolloutBuffer(2, 3, 1)
         fill_buffer(buffer, rng)
         with pytest.raises(RuntimeError):
-            buffer.add(np.zeros(3), np.zeros(1), 0.0, False, 0.0, 0.0)
+            buffer.add(np.zeros((1, 3)), np.zeros((1, 1)), [0.0], [False], [0.0], [0.0])
 
     def test_get_before_full_raises(self):
         buffer = RolloutBuffer(4, 2, 1)
         with pytest.raises(RuntimeError):
             list(buffer.get(2))
         with pytest.raises(RuntimeError):
-            buffer.compute_returns_and_advantage(0.0, False)
+            buffer.compute_returns_and_advantage([0.0], [False])
 
 
 class TestGAE:
@@ -66,12 +70,13 @@ class TestGAE:
         buffer = RolloutBuffer(32, 4, 2, gamma=gamma, gae_lambda=lam)
         fill_buffer(buffer, rng, episode_length=8)
         last_value, done = 0.37, False
-        buffer.compute_returns_and_advantage(last_value, done)
+        buffer.compute_returns_and_advantage([last_value], [done])
         expected = reference_gae(
-            buffer.rewards, buffer.values, buffer.episode_starts, last_value, done, gamma, lam
+            buffer.rewards[:, 0], buffer.values[:, 0], buffer.episode_starts[:, 0],
+            last_value, done, gamma, lam,
         )
-        assert np.allclose(buffer.advantages, expected)
-        assert np.allclose(buffer.returns, expected + buffer.values)
+        assert np.allclose(buffer.advantages[:, 0], expected)
+        assert np.allclose(buffer.returns[:, 0], expected + buffer.values[:, 0])
 
     def test_single_step_episodes_are_montecarlo(self, rng):
         # With every step starting a new episode (the paper's single-step MDP),
@@ -79,32 +84,32 @@ class TestGAE:
         buffer = RolloutBuffer(16, 3, 2, gamma=0.99, gae_lambda=0.95)
         for i in range(16):
             buffer.add(
-                obs=rng.standard_normal(3),
-                action=rng.standard_normal(2),
-                reward=float(i),
-                episode_start=True,
-                value=0.5,
-                log_prob=0.0,
+                obs=rng.standard_normal((1, 3)),
+                action=rng.standard_normal((1, 2)),
+                reward=[float(i)],
+                episode_start=[True],
+                value=[0.5],
+                log_prob=[0.0],
             )
-        buffer.compute_returns_and_advantage(last_value=10.0, done=True)
-        assert np.allclose(buffer.returns, np.arange(16, dtype=float))
-        assert np.allclose(buffer.advantages, np.arange(16, dtype=float) - 0.5)
+        buffer.compute_returns_and_advantage(last_value=[10.0], done=[True])
+        assert np.allclose(buffer.returns[:, 0], np.arange(16, dtype=float))
+        assert np.allclose(buffer.advantages[:, 0], np.arange(16, dtype=float) - 0.5)
 
     def test_gae_lambda_zero_is_td_error(self, rng):
         buffer = RolloutBuffer(8, 2, 1, gamma=0.9, gae_lambda=0.0)
         fill_buffer(buffer, rng)
-        buffer.compute_returns_and_advantage(0.2, False)
-        rewards, values = buffer.rewards, buffer.values
+        buffer.compute_returns_and_advantage([0.2], [False])
+        rewards, values = buffer.rewards[:, 0], buffer.values[:, 0]
         next_values = np.append(values[1:], 0.2)
         deltas = rewards + 0.9 * next_values - values
-        assert np.allclose(buffer.advantages, deltas)
+        assert np.allclose(buffer.advantages[:, 0], deltas)
 
 
 class TestMinibatches:
     def test_batches_cover_everything_once(self, rng):
         buffer = RolloutBuffer(64, 3, 2)
         fill_buffer(buffer, rng)
-        buffer.compute_returns_and_advantage(0.0, True)
+        buffer.compute_returns_and_advantage([0.0], [True])
         seen = []
         for batch in buffer.get(16, rng=np.random.default_rng(0)):
             assert batch["observations"].shape == (16, 3)
@@ -112,14 +117,14 @@ class TestMinibatches:
         stacked = np.concatenate(seen)
         assert stacked.shape == (64, 3)
         # Every original observation appears exactly once.
-        original = buffer.observations[np.lexsort(buffer.observations.T)]
+        original = buffer.observations[:, 0][np.lexsort(buffer.observations[:, 0].T)]
         shuffled = stacked[np.lexsort(stacked.T)]
         assert np.allclose(original, shuffled)
 
     def test_batch_size_larger_than_buffer(self, rng):
         buffer = RolloutBuffer(8, 2, 1)
         fill_buffer(buffer, rng)
-        buffer.compute_returns_and_advantage(0.0, True)
+        buffer.compute_returns_and_advantage([0.0], [True])
         batches = list(buffer.get(1000))
         assert len(batches) == 1
         assert batches[0]["observations"].shape == (8, 2)
@@ -137,15 +142,15 @@ class TestExplainedVariance:
     def test_perfect_predictions(self, rng):
         buffer = RolloutBuffer(8, 2, 1, gamma=0.0, gae_lambda=0.0)
         for i in range(8):
-            buffer.add(np.zeros(2), np.zeros(1), float(i), True, float(i), 0.0)
-        buffer.compute_returns_and_advantage(0.0, True)
+            buffer.add(np.zeros((1, 2)), np.zeros((1, 1)), [float(i)], [True], [float(i)], [0.0])
+        buffer.compute_returns_and_advantage([0.0], [True])
         assert np.isclose(buffer.explained_variance(), 1.0)
 
     def test_constant_returns_gives_nan(self, rng):
         buffer = RolloutBuffer(4, 2, 1, gamma=0.0)
         for _ in range(4):
-            buffer.add(np.zeros(2), np.zeros(1), 1.0, True, 0.3, 0.0)
-        buffer.compute_returns_and_advantage(0.0, True)
+            buffer.add(np.zeros((1, 2)), np.zeros((1, 1)), [1.0], [True], [0.3], [0.0])
+        buffer.compute_returns_and_advantage([0.0], [True])
         assert np.isnan(buffer.explained_variance())
 
 
@@ -200,14 +205,14 @@ class TestMultiEnvBuffer:
             vec.add(data[t, :, :2], data[t, :, 2:3], data[t, :, 3], starts[t],
                     data[t, :, 4], data[t, :, 5])
             for e in range(n_envs):
-                singles[e].add(data[t, e, :2], data[t, e, 2:3], float(data[t, e, 3]),
-                               bool(starts[t, e]), float(data[t, e, 4]), float(data[t, e, 5]))
+                singles[e].add(data[t, e:e + 1, :2], data[t, e:e + 1, 2:3], data[t, e:e + 1, 3],
+                               starts[t, e:e + 1], data[t, e:e + 1, 4], data[t, e:e + 1, 5])
         last_values = rng.normal(size=n_envs)
         vec.compute_returns_and_advantage(last_values, np.zeros(n_envs, dtype=bool))
         for e in range(n_envs):
-            singles[e].compute_returns_and_advantage(float(last_values[e]), False)
-            assert np.array_equal(vec.advantages[:, e], singles[e].advantages)
-            assert np.array_equal(vec.returns[:, e], singles[e].returns)
+            singles[e].compute_returns_and_advantage(last_values[e:e + 1], [False])
+            assert np.array_equal(vec.advantages[:, e], singles[e].advantages[:, 0])
+            assert np.array_equal(vec.returns[:, e], singles[e].returns[:, 0])
 
     def test_minibatches_cover_flattened_transitions(self, rng):
         buffer = RolloutBuffer(8, 3, 2, n_envs=4)
@@ -224,12 +229,3 @@ class TestMultiEnvBuffer:
         assert np.allclose(
             flat[np.lexsort(flat.T)], stacked[np.lexsort(stacked.T)]
         )
-
-    def test_scalar_conversions_still_accepted_for_one_env(self, rng):
-        # n_envs=1 accepts size-1 arrays (the vectorized PPO path) and floats.
-        buffer = RolloutBuffer(2, 2, 1)
-        buffer.add(np.zeros((1, 2)), np.zeros((1, 1)), np.array([1.0]),
-                   np.array([True]), np.array([0.5]), np.array([0.1]))
-        buffer.add(np.zeros(2), np.zeros(1), 2.0, False, 0.6, 0.2)
-        assert buffer.rewards.tolist() == [1.0, 2.0]
-        assert buffer.episode_starts.tolist() == [1.0, 0.0]

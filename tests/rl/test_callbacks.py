@@ -1,6 +1,8 @@
 """Unit tests for training callbacks (with a stub model)."""
 
-from repro.rl.callbacks import BaseCallback, CallbackList, StopOnRewardCallback, TrainingCurveCallback
+import math
+
+from repro.rl.callbacks import BaseCallback, CallbackList, TrainingCurveCallback
 from repro.rl.logger import TrainingLogger
 
 
@@ -29,6 +31,34 @@ class TestCallbackList:
         cb = CallbackList([BaseCallback(), Stopper()])
         cb.init_callback(StubModel())
         assert cb.on_update_end() is False
+
+    def test_stops_on_rollout_end_if_any_callback_stops(self):
+        class Stopper(BaseCallback):
+            def on_rollout_end(self):
+                return False
+
+        cb = CallbackList([Stopper(), BaseCallback()])
+        cb.init_callback(StubModel())
+        assert cb.on_rollout_end() is False
+        assert cb.on_update_end() is True
+
+    def test_propagates_training_start_and_end(self):
+        class Recorder(BaseCallback):
+            def __init__(self):
+                super().__init__()
+                self.calls = []
+
+            def on_training_start(self):
+                self.calls.append("start")
+
+            def on_training_end(self):
+                self.calls.append("end")
+
+        children = [Recorder(), Recorder()]
+        cb = CallbackList(children)
+        cb.on_training_start()
+        cb.on_training_end()
+        assert all(child.calls == ["start", "end"] for child in children)
 
     def test_propagates_init(self):
         children = [BaseCallback(), BaseCallback()]
@@ -60,19 +90,13 @@ class TestTrainingCurveCallback:
         assert cb.curve[0]["ep_rew_mean"] == 0.5
         assert cb.curve[1]["entropy_loss"] == -6.0
 
-
-class TestStopOnReward:
-    def test_stops_when_threshold_reached(self):
+    def test_missing_metrics_are_nan(self):
         model = StubModel()
-        cb = StopOnRewardCallback(0.7)
+        cb = TrainingCurveCallback()
         cb.init_callback(model)
-
-        model.num_timesteps = 100
-        model.logger.record("rollout/ep_rew_mean", 0.5, 100)
+        model.logger.record("rollout/ep_rew_mean", 0.5, 64)
         assert cb.on_update_end() is True
-        assert cb.triggered_at is None
-
-        model.num_timesteps = 200
-        model.logger.record("rollout/ep_rew_mean", 0.75, 200)
-        assert cb.on_update_end() is False
-        assert cb.triggered_at == 200
+        point = cb.curve[0]
+        assert point["ep_rew_mean"] == 0.5
+        for key in ("entropy_loss", "policy_loss", "value_loss", "approx_kl"):
+            assert math.isnan(point[key])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from repro.rl.distributions import Categorical, DiagGaussian
+from repro.rl.distributions import DiagGaussian
 
 
 class TestDiagGaussian:
@@ -80,63 +80,50 @@ class TestDiagGaussian:
         with pytest.raises(ValueError):
             DiagGaussian(np.zeros((2, 3)), np.zeros(2))
 
+    def test_sample_shape_and_seeded_reproducibility(self):
+        dist = DiagGaussian(np.zeros((4, 5)), np.zeros(5))
+        first = dist.sample(np.random.default_rng(3))
+        second = dist.sample(np.random.default_rng(3))
+        assert first.shape == (4, 5)
+        assert np.array_equal(first, second)
 
-class TestCategorical:
-    def test_probs_normalised(self, rng):
-        dist = Categorical(rng.standard_normal((7, 4)))
-        assert np.allclose(dist.probs.sum(axis=1), 1.0)
-        assert np.all(dist.probs >= 0)
+    def test_log_prob_is_maximal_at_the_mean(self, rng):
+        mean = rng.standard_normal((3, 4))
+        dist = DiagGaussian(mean, np.array([0.2, -0.3, 0.0, 0.5]))
+        at_mean = dist.log_prob(mean)
+        for _ in range(10):
+            assert np.all(dist.log_prob(mean + rng.normal(scale=0.1, size=mean.shape)) < at_mean)
 
-    def test_log_prob_consistent_with_probs(self, rng):
-        dist = Categorical(rng.standard_normal((5, 3)))
-        actions = np.array([0, 1, 2, 1, 0])
-        expected = np.log(dist.probs[np.arange(5), actions])
-        assert np.allclose(dist.log_prob(actions), expected)
+    def test_entropy_does_not_depend_on_the_mean(self, rng):
+        log_std = np.array([0.3, -0.7])
+        a = DiagGaussian(rng.standard_normal((5, 2)), log_std)
+        b = DiagGaussian(rng.standard_normal((5, 2)) * 10.0, log_std)
+        assert np.allclose(a.entropy(), b.entropy())
 
-    def test_entropy_bounds(self, rng):
-        dist = Categorical(rng.standard_normal((10, 6)))
-        ent = dist.entropy()
-        assert np.all(ent >= 0)
-        assert np.all(ent <= np.log(6) + 1e-12)
-
-    def test_uniform_entropy_is_log_n(self):
-        dist = Categorical(np.zeros((1, 8)))
-        assert np.isclose(dist.entropy()[0], np.log(8))
-
-    def test_sampling_frequencies(self, rng):
-        logits = np.log(np.array([[0.7, 0.2, 0.1]]))
-        dist = Categorical(np.tile(logits, (20000, 1)))
-        samples = dist.sample(rng)
-        freqs = np.bincount(samples, minlength=3) / len(samples)
-        assert np.allclose(freqs, [0.7, 0.2, 0.1], atol=0.02)
-
-    def test_mode(self):
-        dist = Categorical(np.array([[0.1, 5.0, 0.3], [2.0, 0.0, -1.0]]))
-        assert list(dist.mode()) == [1, 0]
-
-    def test_log_prob_grad_matches_finite_differences(self, rng):
-        logits = rng.standard_normal((3, 4))
-        actions = np.array([1, 3, 0])
-        grad = Categorical(logits).log_prob_grad_logits(actions)
+    def test_entropy_grad_matches_finite_differences(self):
+        log_std = np.array([0.1, -0.4, 0.25])
+        grad = DiagGaussian(np.zeros((1, 3)), log_std).entropy_grad_log_std()
         eps = 1e-6
-        for i in range(3):
-            for j in range(4):
-                lp, lm = logits.copy(), logits.copy()
-                lp[i, j] += eps
-                lm[i, j] -= eps
-                fp = Categorical(lp).log_prob(actions)[i]
-                fm = Categorical(lm).log_prob(actions)[i]
-                assert np.isclose(grad[i, j], (fp - fm) / (2 * eps), rtol=1e-4, atol=1e-6)
+        for j in range(3):
+            lp, lm = log_std.copy(), log_std.copy()
+            lp[j] += eps
+            lm[j] -= eps
+            numeric = (
+                DiagGaussian(np.zeros((1, 3)), lp).entropy()[0]
+                - DiagGaussian(np.zeros((1, 3)), lm).entropy()[0]
+            ) / (2 * eps)
+            assert np.isclose(grad[j], numeric, rtol=1e-6)
 
-    def test_entropy_grad_matches_finite_differences(self, rng):
-        logits = rng.standard_normal((2, 5))
-        grad = Categorical(logits).entropy_grad_logits()
-        eps = 1e-6
-        for i in range(2):
-            for j in range(5):
-                lp, lm = logits.copy(), logits.copy()
-                lp[i, j] += eps
-                lm[i, j] -= eps
-                fp = Categorical(lp).entropy()[i]
-                fm = Categorical(lm).entropy()[i]
-                assert np.isclose(grad[i, j], (fp - fm) / (2 * eps), rtol=1e-4, atol=1e-6)
+    def test_kl_divergence_matches_monte_carlo(self):
+        rng = np.random.default_rng(0)
+        p = DiagGaussian(np.array([[0.5, -1.0]]), np.array([0.2, -0.3]))
+        q = DiagGaussian(np.array([[0.0, -0.5]]), np.array([-0.1, 0.1]))
+        samples = DiagGaussian(np.repeat(p.mean, 200_000, axis=0), p.log_std).sample(rng)
+        estimate = np.mean(p.log_prob(samples) - q.log_prob(samples))
+        assert p.kl_divergence(q)[0] == pytest.approx(estimate, abs=0.01)
+
+    def test_one_dimensional_mean_is_a_batch_of_one(self):
+        dist = DiagGaussian(np.array([1.0, 2.0]), np.zeros(2))
+        assert dist.mean.shape == (1, 2)
+        assert dist.dim == 2
+        assert dist.log_prob(np.array([1.0, 2.0])).shape == (1,)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.gymapi.spaces import Box, Discrete
-from repro.rl.distributions import Categorical, DiagGaussian
+from repro.gymapi.spaces import Box
+from repro.rl.distributions import DiagGaussian
 from repro.rl.policies import ActorCriticPolicy
 
 
@@ -15,25 +15,18 @@ def continuous_policy():
     return ActorCriticPolicy(obs_space, act_space, seed=0)
 
 
-@pytest.fixture
-def discrete_policy():
-    obs_space = Box(low=-1.0, high=1.0, shape=(4,), dtype=np.float64)
-    return ActorCriticPolicy(obs_space, Discrete(3), seed=0)
-
-
 class TestConstruction:
     def test_requires_box_observation(self):
-        with pytest.raises(TypeError):
-            ActorCriticPolicy(Discrete(4), Discrete(2))
+        with pytest.raises(TypeError, match="observation"):
+            ActorCriticPolicy(Box(0, 1, shape=(2, 2)), Box(0, 1, shape=(2,)))
+
+    def test_requires_1d_box_action(self):
+        with pytest.raises(TypeError, match="action"):
+            ActorCriticPolicy(Box(0, 1, shape=(4,)), Box(0, 1, shape=(2, 2)))
 
     def test_continuous_has_log_std(self, continuous_policy):
-        assert continuous_policy.is_continuous
         assert continuous_policy.log_std.data.shape == (5,)
         assert np.all(continuous_policy.log_std.data == 0.0)
-
-    def test_discrete_has_no_log_std(self, discrete_policy):
-        assert not discrete_policy.is_continuous
-        assert discrete_policy.log_std is None
 
     def test_parameter_count(self, continuous_policy):
         # pi: 16*64+64 + 64*64+64 + 64*5+5 ; vf: 16*64+64 + 64*64+64 + 64*1+1 ; log_std: 5
@@ -49,10 +42,9 @@ class TestConstruction:
 
 
 class TestForward:
-    def test_distribution_types(self, continuous_policy, discrete_policy, rng):
+    def test_distribution_types(self, continuous_policy, rng):
         obs = rng.random((4, 16))
         assert isinstance(continuous_policy.distribution(obs), DiagGaussian)
-        assert isinstance(discrete_policy.distribution(rng.random((4, 4))), Categorical)
 
     def test_forward_shapes(self, continuous_policy, rng):
         obs = rng.random((6, 16))
@@ -105,10 +97,6 @@ class TestPredict:
         action, _ = continuous_policy.predict(rng.random(16) * 10, deterministic=False)
         assert np.all(action >= 0.0) and np.all(action <= 1.0)
 
-    def test_discrete_predict(self, discrete_policy, rng):
-        action, _ = discrete_policy.predict(rng.random(4))
-        assert int(action) in (0, 1, 2)
-
 
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path, continuous_policy, rng):
@@ -124,6 +112,20 @@ class TestPersistence:
         other.load(path)
         assert np.allclose(other.distribution(obs).mean, expected)
         assert np.allclose(other.value(obs), continuous_policy.value(obs))
+
+    def test_saved_file_layout(self, tmp_path, continuous_policy):
+        # Saved --model files keep their key set, the meta keys included.
+        path = str(tmp_path / "policy.npz")
+        continuous_policy.save(path)
+        data = np.load(path)
+        meta = {k: data[k].tolist() for k in data.files if k.startswith("__meta_")}
+        assert meta == {
+            "__meta_obs_dim": 16,
+            "__meta_net_arch": [64, 64],
+            "__meta_action_dim": 5,
+            "__meta_is_continuous": 1,
+        }
+        assert set(data.files) - set(meta) == set(continuous_policy.state_dict())
 
     def test_parameters_flat(self, continuous_policy):
         flat = continuous_policy.parameters_flat

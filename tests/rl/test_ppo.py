@@ -3,61 +3,27 @@
 import numpy as np
 import pytest
 
-from repro.gymapi import Env, spaces
-from repro.rl.callbacks import TrainingCurveCallback
+from repro.rl.callbacks import BaseCallback, TrainingCurveCallback
 from repro.rl.ppo import PPO
-
-
-class ContinuousTargetEnv(Env):
-    """Single-step environment: reward is highest when the action matches a
-    target direction encoded in the observation.  PPO must learn the mapping.
-    """
-
-    def __init__(self, dim=3, seed=0):
-        self.observation_space = spaces.Box(0.0, 1.0, shape=(dim,), dtype=np.float64)
-        self.action_space = spaces.Box(0.0, 1.0, shape=(dim,), dtype=np.float64)
-        self.dim = dim
-        self._obs = None
-
-    def reset(self, *, seed=None, options=None):
-        super().reset(seed=seed)
-        self._obs = self.np_random.random(self.dim)
-        return self._obs.copy(), {}
-
-    def step(self, action):
-        action = np.clip(np.asarray(action, dtype=np.float64), 0.0, 1.0)
-        reward = 1.0 - float(np.mean(np.abs(action - self._obs)))
-        obs = self._obs.copy()
-        return obs, reward, True, False, {}
-
-
-class DiscreteBanditEnv(Env):
-    """Contextual bandit with a discrete action space: the observation encodes
-    which arm pays."""
-
-    def __init__(self):
-        self.observation_space = spaces.Box(0.0, 1.0, shape=(2,), dtype=np.float64)
-        self.action_space = spaces.Discrete(2)
-        self._target = 0
-
-    def reset(self, *, seed=None, options=None):
-        super().reset(seed=seed)
-        self._target = int(self.np_random.integers(2))
-        obs = np.zeros(2)
-        obs[self._target] = 1.0
-        return obs, {}
-
-    def step(self, action):
-        reward = 1.0 if int(action) == self._target else 0.0
-        obs = np.zeros(2)
-        obs[self._target] = 1.0
-        return obs, reward, True, False, {}
+from tests.rl.target_env import ContinuousTargetEnv
 
 
 class TestConstruction:
     def test_unknown_policy_name(self):
         with pytest.raises(ValueError):
             PPO("CnnPolicy", ContinuousTargetEnv())
+
+    def test_requires_vec_env(self):
+        with pytest.raises(TypeError, match="VecEnv"):
+            PPO("MlpPolicy", object())
+
+    def test_batch_size_below_one_rejected(self):
+        with pytest.raises(ValueError, match="batch_size"):
+            PPO("MlpPolicy", ContinuousTargetEnv(), n_steps=64, batch_size=0, seed=0)
+
+    def test_n_epochs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="n_epochs"):
+            PPO("MlpPolicy", ContinuousTargetEnv(), n_steps=64, batch_size=32, n_epochs=0, seed=0)
 
     def test_invalid_total_timesteps(self):
         model = PPO("MlpPolicy", ContinuousTargetEnv(), n_steps=8, batch_size=4, seed=0)
@@ -89,20 +55,6 @@ class TestLearning:
         rewards = [p["ep_rew_mean"] for p in curve_cb.curve]
         assert rewards[-1] > rewards[0] + 0.05
         assert rewards[-1] > 0.75
-
-    def test_discrete_bandit_is_solved(self):
-        env = DiscreteBanditEnv()
-        model = PPO(
-            "MlpPolicy", env, n_steps=256, batch_size=64, n_epochs=10,
-            learning_rate=1e-3, ent_coef=0.01, seed=2,
-        )
-        model.learn(total_timesteps=256 * 12)
-        # Deterministic policy should pick the rewarded arm for both contexts.
-        for target in (0, 1):
-            obs = np.zeros(2)
-            obs[target] = 1.0
-            action, _ = model.predict(obs)
-            assert int(action) == target
 
     def test_entropy_loss_starts_near_minus_action_dim_entropy(self):
         env = ContinuousTargetEnv(dim=5)
@@ -150,6 +102,35 @@ class TestLearning:
         )
         model.learn(total_timesteps=64)  # should not blow up
         assert model.num_timesteps == 64
+
+
+    def test_callback_stopping_after_rollout_skips_the_update(self):
+        class StopAfterRollout(BaseCallback):
+            def on_rollout_end(self):
+                return False
+
+        model = PPO("MlpPolicy", ContinuousTargetEnv(), n_steps=64, batch_size=32, seed=9)
+        before = model.policy.parameters_flat.copy()
+        model.learn(total_timesteps=640, callback=StopAfterRollout())
+        assert model.num_timesteps == 64
+        assert np.array_equal(model.policy.parameters_flat, before)
+        assert not model.logger.values("train/entropy_loss")
+
+    def test_callback_stopping_after_update_ends_training(self):
+        class StopAfterUpdate(BaseCallback):
+            def on_update_end(self):
+                return False
+
+        model = PPO("MlpPolicy", ContinuousTargetEnv(), n_steps=64, batch_size=32, seed=9)
+        model.learn(total_timesteps=640, callback=StopAfterUpdate())
+        assert model.num_timesteps == 64
+        assert len(model.logger.values("train/entropy_loss")) == 1
+
+    def test_callback_list_given_as_plain_list(self):
+        curve = TrainingCurveCallback()
+        model = PPO("MlpPolicy", ContinuousTargetEnv(), n_steps=64, batch_size=32, seed=10)
+        model.learn(total_timesteps=128, callback=[curve, BaseCallback()])
+        assert [p["timesteps"] for p in curve.curve] == [64.0, 128.0]
 
 
 class TestPersistence:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rlenv.qcloud_env import QCloudGymEnv
+from repro.rlenv.batched_env import BatchedQCloudEnv
 from repro.rlenv.train import evaluate_policy, train_allocation_policy
 from repro.scheduling.rl_policy import RLAllocationPolicy
 
@@ -36,17 +36,51 @@ class TestTraining:
 
     def test_evaluate_policy(self, trained_model, default_fleet):
         model, _ = trained_model
-        env = QCloudGymEnv(devices=default_fleet, seed=123)
+        env = BatchedQCloudEnv(n_envs=1, devices=default_fleet, seed=123)
         stats = evaluate_policy(model, env, n_episodes=20, seed=3)
         assert 0.0 < stats["mean_reward"] < 1.0
         assert 1 <= stats["mean_devices_used"] <= 5
         assert stats["n_episodes"] == 20
 
+    def test_evaluate_policy_counts_episodes_over_rows(self, trained_model, default_fleet):
+        # 3 rows x 7 steps = 21 allocations, of which the first 20 count.
+        model, _ = trained_model
+        env = BatchedQCloudEnv(n_envs=3, devices=default_fleet)
+        stats = evaluate_policy(model, env, n_episodes=20, seed=3)
+        obs, _ = env.reset(seed=3)
+        rewards = []
+        for _ in range(7):
+            obs, step_rewards, _, _, _ = env.step(model.predict(obs)[0])
+            rewards.extend(step_rewards.tolist())
+        assert stats["mean_reward"] == pytest.approx(np.mean(rewards[:20]), rel=1e-12)
+
     def test_evaluate_policy_validation(self, trained_model, default_fleet):
         model, _ = trained_model
-        env = QCloudGymEnv(devices=default_fleet, seed=1)
+        env = BatchedQCloudEnv(n_envs=1, devices=default_fleet, seed=1)
         with pytest.raises(ValueError):
             evaluate_policy(model, env, n_episodes=0)
+
+
+    def test_env_options_reach_the_training_env(self, default_fleet):
+        model, _ = train_allocation_policy(
+            total_timesteps=64, n_steps=64, batch_size=32, n_epochs=1, seed=0,
+            devices=default_fleet, communication_aware=True, n_envs=4,
+            env_kwargs={"randomize_utilization": False, "qubit_range": (140, 150)},
+        )
+        env = model.env
+        assert isinstance(env, BatchedQCloudEnv)
+        assert env.num_envs == 4
+        assert env.communication_aware is True
+        assert env.randomize_utilization is False
+        assert env.qubit_range == (140, 150)
+
+    def test_env_kwargs_override_communication_aware(self, default_fleet):
+        model, _ = train_allocation_policy(
+            total_timesteps=64, n_steps=64, batch_size=32, n_epochs=1, seed=0,
+            devices=default_fleet, communication_aware=True,
+            env_kwargs={"communication_aware": False},
+        )
+        assert model.env.communication_aware is False
 
 
 class TestDeployment:
