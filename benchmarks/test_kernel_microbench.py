@@ -78,11 +78,11 @@ def test_experiment_runner_overhead(benchmark):
 
 
 def test_des_resource_contention(benchmark):
-    """Cost of 200 processes contending for four shared ``Resource`` slots."""
+    """Cost of 200 processes contending for one shared ``Resource`` slot."""
 
     def run():
         env = Environment()
-        slots = Resource(env, capacity=4)
+        slots = Resource(env)
 
         def worker(env, slots):
             for _ in range(5):
@@ -93,11 +93,11 @@ def test_des_resource_contention(benchmark):
         for _ in range(200):
             env.process(worker(env, slots))
         env.run()
-        return env.now, slots.count, len(slots.queue)
+        return env.now, len(slots.users), len(slots.queue)
 
-    now, count, waiting = benchmark(run)
-    # 1,000 unit holds on 4 slots, never idle: the last one ends at t=250.
-    assert (now, count, waiting) == (250, 0, 0)
+    now, users, waiting = benchmark(run)
+    # 1,000 unit holds on one slot, never idle: the last one ends at t=1000.
+    assert (now, users, waiting) == (1000, 0, 0)
 
 
 @pytest.mark.parametrize("policy_name", ["speed", "fidelity", "fair"])

@@ -52,11 +52,6 @@ class TenantSignals:
         """Fraction of submissions rejected at admission."""
         return self.shed / self.submitted if self.submitted else 0.0
 
-    @property
-    def admit_rate(self) -> float:
-        """Fraction of submissions admitted."""
-        return self.admitted / self.submitted if self.submitted else 0.0
-
     def as_dict(self) -> Dict[str, object]:
         p95 = self.wait_p95.value if self.wait_p95.count else None
         return {

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from repro.hardware.regions import QubitRegionTracker
+from repro.hardware.qubit_regions import QubitRegionTracker
 
 __all__ = ["ConnectivityAudit", "audit_connectivity"]
 

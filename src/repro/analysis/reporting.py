@@ -1,4 +1,4 @@
-"""Plain-text / markdown rendering of result tables."""
+"""Plain-text rendering of result tables."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.metrics.aggregate import StrategySummary
 
 __all__ = [
     "format_table2",
-    "format_markdown_table",
     "format_region_table",
     "format_tenant_table",
 ]
@@ -87,21 +86,3 @@ def format_region_table(reports: Mapping[str, Mapping[str, object]]) -> str:
             f"{r['normalised_load']:>8.3f}"
         )
     return "\n".join(lines)
-
-
-def format_markdown_table(rows: Sequence[Mapping[str, object]], columns: Sequence[str] = ()) -> str:
-    """Render a list of dict rows as a GitHub-flavoured markdown table."""
-    rows = list(rows)
-    if not rows:
-        raise ValueError("no rows to format")
-    columns = list(columns) if columns else list(rows[0].keys())
-
-    def fmt(value: object) -> str:
-        if isinstance(value, float):
-            return f"{value:.5f}"
-        return str(value)
-
-    header = "| " + " | ".join(columns) + " |"
-    separator = "| " + " | ".join("---" for _ in columns) + " |"
-    body = ["| " + " | ".join(fmt(row.get(col, "")) for col in columns) + " |" for row in rows]
-    return "\n".join([header, separator] + body)

@@ -1,4 +1,4 @@
-"""Training-curve generation and summarisation (Fig. 5).
+"""Training-curve summarisation (Fig. 5).
 
 Fig. 5 of the paper plots the PPO agent's average episode reward (left axis)
 and entropy loss (right axis) against training timesteps: the reward climbs
@@ -6,86 +6,19 @@ and plateaus around 0.70 while the entropy loss rises from roughly −7 towards
 −2 as the policy becomes more deterministic.  These helpers condense the raw
 per-update curve produced by
 :class:`repro.rl.callbacks.TrainingCurveCallback` into the quantities needed
-to verify that shape, and :func:`run_training_replicates` regenerates the
-curve over several seeds through the experiment engine (so replicates train
-concurrently on the process backend).
+to verify that shape.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
-
-from repro.engine import ExperimentRunner, derive_seed
 
 __all__ = [
     "summarize_training_curve",
     "downsample_curve",
-    "run_training_replicates",
 ]
-
-
-def _train_one(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Train one PPO replicate (module-level: picklable worker entry point).
-
-    Returns only the seed and the curve — not the model — so the result
-    stays small on the wire; retrain (or use the serial path) when the
-    weights themselves are needed.
-    """
-    from repro.rlenv.train import train_allocation_policy
-
-    seed = payload["seed"]
-    kwargs = {k: v for k, v in payload.items() if k != "seed"}
-    _model, curve = train_allocation_policy(seed=seed, **kwargs)
-    return {"seed": seed, "curve": curve}
-
-
-def run_training_replicates(
-    seeds: Optional[Sequence[int]] = None,
-    replicates: int = 4,
-    base_seed: int = 0,
-    total_timesteps: int = 100_000,
-    n_envs: int = 1,
-    runner: Optional[ExperimentRunner] = None,
-    **train_kwargs: Any,
-) -> Dict[int, List[Mapping[str, float]]]:
-    """Regenerate the Fig. 5 training curve over several seeds.
-
-    Parameters
-    ----------
-    seeds:
-        Explicit replicate seeds; when ``None``, *replicates* seeds are
-        derived deterministically from *base_seed* via
-        :func:`repro.engine.derive_seed`.
-    n_envs:
-        Rows of the batched rollout environment *within* each replicate
-        (vectorized PPO); 1 is serial training, while e.g. 16 makes every
-        replicate severalfold faster.  Composes with the
-        process backend, which parallelises *across* replicates.
-    runner:
-        Experiment runner to execute on (default serial); with
-        ``ExperimentRunner(backend="process")`` replicates train
-        concurrently and results are identical to serial.
-    train_kwargs:
-        Forwarded to :func:`repro.rlenv.train.train_allocation_policy`
-        (``n_steps``, ``communication_aware``, …).
-
-    Returns
-    -------
-    Mapping of seed → per-update training curve, in seed order.
-    """
-    if seeds is None:
-        if replicates <= 0:
-            raise ValueError("replicates must be positive")
-        seeds = [derive_seed(base_seed, "training", r) for r in range(replicates)]
-    payloads = [
-        {"seed": int(seed), "total_timesteps": total_timesteps, "n_envs": n_envs, **train_kwargs}
-        for seed in seeds
-    ]
-    runner = runner if runner is not None else ExperimentRunner()
-    outcomes = runner.map(_train_one, payloads)
-    return {outcome["seed"]: outcome["curve"] for outcome in outcomes}
 
 
 def summarize_training_curve(curve: Sequence[Mapping[str, float]]) -> Dict[str, float]:

@@ -7,8 +7,7 @@ gates, without specifying explicit gate types").  This subpackage provides:
 
 * :class:`~repro.circuits.circuit.CircuitSpec` — the abstract circuit,
 * :mod:`~repro.circuits.generators` — synthetic circuit generators (random
-  large circuits matching the case-study distribution, GHZ, QAOA-like and
-  quantum-volume shapes),
+  circuits matching the case-study distribution, GHZ and QAOA-like shapes),
 * :mod:`~repro.circuits.partition` — qubit partitioning across devices
   (even, capacity-greedy, proportional and weight-normalised splits used by
   the allocation strategies of §5).
@@ -18,9 +17,7 @@ from repro.circuits.circuit import CircuitSpec
 from repro.circuits.generators import (
     ghz_spec,
     qaoa_spec,
-    quantum_volume_spec,
     random_circuit_spec,
-    random_large_circuit_spec,
 )
 from repro.circuits.partition import (
     allocation_from_weights,
@@ -40,8 +37,6 @@ __all__ = [
     "partition_greedy_fill",
     "partition_proportional",
     "qaoa_spec",
-    "quantum_volume_spec",
     "random_circuit_spec",
-    "random_large_circuit_spec",
     "validate_allocation",
 ]

@@ -54,16 +54,6 @@ class CircuitSpec:
             raise ValueError("num_single_qubit_gates must be non-negative")
 
     # -- derived quantities -------------------------------------------------
-    @property
-    def two_qubit_gate_density(self) -> float:
-        """Two-qubit gates per qubit per layer."""
-        return self.num_two_qubit_gates / (self.num_qubits * self.depth)
-
-    @property
-    def total_gates(self) -> int:
-        """Total gate count (single- + two-qubit)."""
-        return self.num_single_qubit_gates + self.num_two_qubit_gates
-
     def subcircuit(self, num_qubits: int, name: Optional[str] = None) -> "CircuitSpec":
         """Resource footprint of the fragment placed on one device.
 

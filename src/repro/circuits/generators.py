@@ -2,10 +2,10 @@
 
 The case study (§7) generates 1,000 synthetic jobs whose circuits require
 130-250 qubits, have depth 5-20 and 10,000-100,000 shots, with gate sets
-abstracted to single-/two-qubit gate counts.  :func:`random_large_circuit_spec`
-reproduces exactly that distribution; the other generators provide
-domain-flavoured workloads (GHZ state preparation, QAOA, quantum-volume
-model circuits) for the example applications.
+abstracted to single-/two-qubit gate counts.  :func:`random_circuit_spec`
+draws from that distribution; the other generators provide
+domain-flavoured workloads (GHZ state preparation, QAOA) for the example
+applications.
 """
 
 from __future__ import annotations
@@ -18,17 +18,34 @@ import numpy as np
 from repro.circuits.circuit import CircuitSpec
 
 __all__ = [
+    "check_circuit_ranges",
     "random_circuit_spec",
-    "random_large_circuit_spec",
     "ghz_spec",
     "qaoa_spec",
-    "quantum_volume_spec",
 ]
 
 #: Default fraction of (qubit, layer) slots occupied by a two-qubit gate in a
 #: random circuit.  Together with the case-study job sizes this places final
 #: fidelities in the 0.60-0.70 band reported by the paper.
 DEFAULT_TWO_QUBIT_DENSITY = 0.18
+
+
+def check_circuit_ranges(
+    qubit_range: Tuple[int, int],
+    depth_range: Tuple[int, int],
+    shots_range: Tuple[int, int],
+    two_qubit_density: float,
+) -> None:
+    """Raise ``ValueError`` unless the ranges are non-empty and start at 1 or
+    above and the density lies in ``[0, 0.5]`` (NaN included)."""
+    if qubit_range[0] > qubit_range[1] or qubit_range[0] <= 0:
+        raise ValueError(f"invalid qubit_range {qubit_range}")
+    if depth_range[0] > depth_range[1] or depth_range[0] <= 0:
+        raise ValueError(f"invalid depth_range {depth_range}")
+    if shots_range[0] > shots_range[1] or shots_range[0] <= 0:
+        raise ValueError(f"invalid shots_range {shots_range}")
+    if not 0.0 <= two_qubit_density <= 0.5:
+        raise ValueError("two_qubit_density must be in [0, 0.5]")
 
 
 def random_circuit_spec(
@@ -52,15 +69,7 @@ def random_circuit_spec(
         qubits are consumed per gate, the remainder of the slots hold
         single-qubit gates.
     """
-    if qubit_range[0] > qubit_range[1] or qubit_range[0] <= 0:
-        raise ValueError(f"invalid qubit_range {qubit_range}")
-    if depth_range[0] > depth_range[1] or depth_range[0] <= 0:
-        raise ValueError(f"invalid depth_range {depth_range}")
-    if shots_range[0] > shots_range[1] or shots_range[0] <= 0:
-        raise ValueError(f"invalid shots_range {shots_range}")
-    if not 0.0 <= two_qubit_density <= 0.5:
-        raise ValueError("two_qubit_density must be in [0, 0.5]")
-
+    check_circuit_ranges(qubit_range, depth_range, shots_range, two_qubit_density)
     num_qubits = int(rng.integers(qubit_range[0], qubit_range[1] + 1))
     depth = int(rng.integers(depth_range[0], depth_range[1] + 1))
     num_shots = int(rng.integers(shots_range[0], shots_range[1] + 1))
@@ -74,40 +83,6 @@ def random_circuit_spec(
         num_shots=num_shots,
         num_two_qubit_gates=num_two_qubit,
         num_single_qubit_gates=num_single,
-        name=name,
-    )
-
-
-def random_large_circuit_spec(
-    rng: np.random.Generator,
-    min_device_capacity: int = 127,
-    total_cloud_capacity: int = 635,
-    depth_range: Tuple[int, int] = (5, 20),
-    shots_range: Tuple[int, int] = (10_000, 100_000),
-    two_qubit_density: float = DEFAULT_TWO_QUBIT_DENSITY,
-    name: str = "large",
-) -> CircuitSpec:
-    """Draw a circuit guaranteed to need multi-device execution.
-
-    Enforces the paper's Eq. (1): the qubit requirement exceeds the largest
-    single device but fits in the cloud's total capacity.  The default bounds
-    (127 < q < 635) correspond to five 127-qubit devices; the draw is
-    restricted to [130, 250] as in the case study, clipped to the valid
-    window.
-    """
-    lower = max(min_device_capacity + 3, 130)
-    upper = min(total_cloud_capacity - 1, 250)
-    if lower > upper:
-        raise ValueError(
-            f"infeasible large-circuit window [{lower}, {upper}] for capacities "
-            f"{min_device_capacity}/{total_cloud_capacity}"
-        )
-    return random_circuit_spec(
-        rng,
-        qubit_range=(lower, upper),
-        depth_range=depth_range,
-        shots_range=shots_range,
-        two_qubit_density=two_qubit_density,
         name=name,
     )
 
@@ -162,24 +137,4 @@ def qaoa_spec(
         num_two_qubit_gates=num_layers * num_edges,
         num_single_qubit_gates=num_layers * num_qubits + num_qubits,
         name=f"qaoa_{num_qubits}q_{num_layers}p",
-    )
-
-
-def quantum_volume_spec(num_qubits: int, num_shots: int = 10_000) -> CircuitSpec:
-    """A quantum-volume model circuit (square shape: depth = width).
-
-    Each layer pairs up qubits with random SU(4) blocks, i.e. ``q/2``
-    two-qubit gates and ``3q`` single-qubit rotations per layer.
-    """
-    if num_qubits < 2:
-        raise ValueError("quantum volume circuits need at least 2 qubits")
-    depth = num_qubits
-    per_layer_two_q = num_qubits // 2
-    return CircuitSpec(
-        num_qubits=num_qubits,
-        depth=depth,
-        num_shots=num_shots,
-        num_two_qubit_gates=depth * per_layer_two_q,
-        num_single_qubit_gates=depth * 3 * num_qubits,
-        name=f"qv_{num_qubits}",
     )

@@ -18,8 +18,9 @@ fragment and is explored in the ablation benchmarks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.metrics.fidelity import DEFAULT_COMMUNICATION_PENALTY, communication_penalty
 from repro.metrics.timing import DEFAULT_COMM_LATENCY_PER_QUBIT, communication_time
@@ -50,8 +51,10 @@ class ClassicalCommunicationModel:
     _ACCOUNTING_MODES = ("per_link", "non_primary")
 
     def __post_init__(self) -> None:
-        if self.latency_per_qubit < 0:
-            raise ValueError("latency_per_qubit must be non-negative")
+        if not 0 <= self.latency_per_qubit < math.inf:
+            raise ValueError(
+                f"latency_per_qubit must be finite and non-negative, got {self.latency_per_qubit}"
+            )
         if not 0.0 <= self.fidelity_penalty <= 1.0:
             raise ValueError("fidelity_penalty must be in [0, 1]")
         if self.accounting not in self._ACCOUNTING_MODES:

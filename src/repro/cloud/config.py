@@ -10,7 +10,14 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.hardware.backends import DEFAULT_DEVICE_NAMES
+from repro.circuits.generators import check_circuit_ranges
+from repro.cloud.communication import ClassicalCommunicationModel
+from repro.cloud.job_generator import check_arrival
+from repro.hardware.backends import (
+    DEFAULT_DEVICE_NAMES,
+    check_quantum_volume,
+    check_unique_device_names,
+)
 from repro.registry import AXES
 
 __all__ = ["SimulationConfig"]
@@ -108,20 +115,24 @@ class SimulationConfig:
     adaptive: Optional[str] = None
 
     def __post_init__(self) -> None:
+        # The workload, fleet and communication checks are the ones the
+        # generators, device profiles and cloud run later, so a bad value
+        # fails here with the same message.
         if self.num_jobs <= 0:
             raise ValueError("num_jobs must be positive")
         if self.device_qubits <= 0:
             raise ValueError("device_qubits must be positive")
         if not self.device_names:
             raise ValueError("at least one device is required")
-        if self.qubit_range[0] > self.qubit_range[1]:
-            raise ValueError("invalid qubit_range")
-        if self.arrival not in ("batch", "poisson"):
-            raise ValueError("arrival must be 'batch' or 'poisson'")
-        if not 0.0 <= self.comm_fidelity_penalty <= 1.0:
-            raise ValueError("comm_fidelity_penalty must be in [0, 1]")
-        if self.comm_latency_per_qubit < 0:
-            raise ValueError("comm_latency_per_qubit must be non-negative")
+        check_unique_device_names(self.device_names)
+        check_quantum_volume(self.quantum_volume)
+        check_circuit_ranges(
+            self.qubit_range, self.depth_range, self.shots_range, self.two_qubit_density
+        )
+        check_arrival(self.arrival, self.arrival_rate)
+        ClassicalCommunicationModel(
+            self.comm_latency_per_qubit, self.comm_fidelity_penalty, self.comm_accounting
+        )
         if self.max_requeues < 0:
             raise ValueError("max_requeues must be non-negative")
         for axis in AXES:

@@ -13,7 +13,8 @@ supported, mirroring Fig. 4:
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, List, Optional, Sequence, Tuple
+import math
+from typing import Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,7 +24,18 @@ from repro.cloud.qjob import QJob
 from repro.des.environment import Environment
 from repro.des.events import NORMAL, Event, Process
 
-__all__ = ["JobGenerator", "generate_synthetic_jobs"]
+__all__ = ["JobGenerator", "check_arrival", "generate_synthetic_jobs"]
+
+
+def check_arrival(arrival: str, arrival_rate: float) -> None:
+    """Raise ``ValueError`` unless *arrival* is ``"batch"`` or ``"poisson"``
+    and a Poisson rate is positive and finite."""
+    if arrival not in ("batch", "poisson"):
+        raise ValueError(f"arrival must be 'batch' or 'poisson', got {arrival!r}")
+    if arrival == "poisson" and not 0 < arrival_rate < math.inf:
+        raise ValueError(
+            f"arrival_rate must be positive and finite for poisson arrivals, got {arrival_rate}"
+        )
 
 
 def generate_synthetic_jobs(
@@ -55,10 +67,7 @@ def generate_synthetic_jobs(
     """
     if num_jobs <= 0:
         raise ValueError("num_jobs must be positive")
-    if arrival not in ("batch", "poisson"):
-        raise ValueError(f"arrival must be 'batch' or 'poisson', got {arrival!r}")
-    if arrival == "poisson" and arrival_rate <= 0:
-        raise ValueError("arrival_rate must be positive for poisson arrivals")
+    check_arrival(arrival, arrival_rate)
 
     rng = np.random.default_rng(seed)
     jobs: List[QJob] = []

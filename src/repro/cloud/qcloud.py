@@ -15,7 +15,7 @@ from repro.cloud.qdevice import BaseQDevice, IBMQuantumDevice
 from repro.des.environment import Environment
 from repro.des.events import Event
 from repro.des.resource import Resource
-from repro.hardware.backends import DeviceProfile
+from repro.hardware.backends import DeviceProfile, check_unique_device_names
 
 __all__ = ["QCloud"]
 
@@ -52,9 +52,7 @@ class QCloud:
                 raise TypeError(f"unsupported device specification {device!r}")
         if not self.devices:
             raise ValueError("a QCloud needs at least one device")
-        names = [d.name for d in self.devices]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate device names: {names}")
+        check_unique_device_names([d.name for d in self.devices])
         #: Cached :attr:`online_devices` list; dropped on every availability
         #: change so planners see the current fleet.
         self._online: Optional[List[BaseQDevice]] = None
@@ -63,7 +61,7 @@ class QCloud:
 
         self.communication = communication or ClassicalCommunicationModel()
         #: Serialises the plan-and-reserve critical section (FIFO admission).
-        self.admission = Resource(env, capacity=1)
+        self.admission = Resource(env)
         self._capacity_released: Event = env.event()
         #: Total number of jobs completed by the cloud (counted by the
         #: broker's completion step).
@@ -115,14 +113,6 @@ class QCloud:
     def utilization(self) -> Dict[str, float]:
         """Current per-device qubit utilisation."""
         return {d.name: d.utilization for d in self.devices}
-
-    def fits_single_device(self, num_qubits: int) -> bool:
-        """Whether a circuit of *num_qubits* fits on one device (no splitting)."""
-        return num_qubits <= self.max_device_qubits
-
-    def requires_partitioning(self, num_qubits: int) -> bool:
-        """Whether a circuit must be split across devices (Eq. 1 lower bound)."""
-        return num_qubits > self.max_device_qubits
 
     def can_ever_fit(self, num_qubits: int) -> bool:
         """Whether the cloud's total capacity can hold the circuit (Eq. 1 upper bound)."""

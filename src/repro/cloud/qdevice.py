@@ -31,7 +31,6 @@ from repro.des.exceptions import Interrupt
 from repro.hardware.backends import DeviceProfile
 from repro.hardware.calibration import CalibrationData
 from repro.hardware.clops import DEFAULT_NUM_TEMPLATES, DEFAULT_NUM_UPDATES, log2_quantum_volume
-from repro.hardware.coupling import largest_connected_subgraph
 from repro.metrics.error_score import error_score_from_averages
 from repro.metrics.fidelity import FidelityBreakdown, readout_fidelity, single_qubit_fidelity, two_qubit_fidelity
 from repro.metrics.timing import processing_time_minutes
@@ -213,18 +212,6 @@ class QuantumDevice(BaseQDevice):
         super().__init__(env, name, coupling.number_of_nodes())
         self.coupling = coupling
 
-    def has_connected_region(self, size: int) -> bool:
-        """Whether the topology contains a connected subgraph of *size* qubits.
-
-        Used to check the connectivity constraint of §4; the allocation
-        workflow itself treats this as a black box (§5.2).
-        """
-        if size <= 0:
-            raise ValueError("size must be positive")
-        if size > self.num_qubits:
-            return False
-        return largest_connected_subgraph(self.coupling, size) is not None
-
 
 class IBMQuantumDevice(QuantumDevice):
     """An IBM-flavoured device: CLOPS, quantum volume and calibration data.
@@ -254,11 +241,6 @@ class IBMQuantumDevice(QuantumDevice):
         self._averages: Optional[Tuple[float, float, float]] = None
         self._scores: Dict[Tuple[float, float, float], float] = {}
         self._refresh_aggregates()
-
-    @classmethod
-    def from_profile(cls, env: Environment, profile: DeviceProfile) -> "IBMQuantumDevice":
-        """Alias constructor mirroring the framework documentation."""
-        return cls(env, profile)
 
     # -- live calibration ----------------------------------------------------------
     @property

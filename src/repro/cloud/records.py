@@ -234,18 +234,6 @@ class JobRecordsManager:
         for row in range(start, stop):
             self.log_event(int(job_ids[row]), "arrival", time)
 
-    def log_start(self, job_id: int, time: float, detail: Optional[str] = None) -> None:
-        """Record a job starting execution (qubits reserved)."""
-        self.log_event(job_id, "start", time, detail)
-
-    def log_finish(self, job_id: int, time: float) -> None:
-        """Record a job finishing (qubits released)."""
-        self.log_event(job_id, "finish", time)
-
-    def log_fidelity(self, job_id: int, time: float, fidelity: float) -> None:
-        """Record the final fidelity computed for a job."""
-        self.log_event(job_id, "fidelity", time, detail=f"{fidelity:.6f}")
-
     def log_failure(self, job_id: int, time: float, reason: str) -> None:
         """Record a job failing."""
         self.log_event(job_id, "failed", time, detail=reason)
@@ -306,16 +294,3 @@ class JobRecordsManager:
 
     def __len__(self) -> int:
         return len(self._records)
-
-    # -- export -----------------------------------------------------------------
-    def to_csv(self, path: str) -> None:
-        """Write all completed-job records to a CSV file."""
-        records_to_csv(self.completed_records, path)
-
-    def events_to_csv(self, path: str) -> None:
-        """Write the raw event log to a CSV file."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["job_id", "event", "time", "detail"])
-            for event in self._events:
-                writer.writerow([event.job_id, event.event, event.time, event.detail or ""])

@@ -235,9 +235,3 @@ class StreamingRecordsManager(JobRecordsManager):
 
     def __exit__(self, exc_type, exc_value, traceback) -> None:
         self.close()
-
-    def to_csv(self, path: str) -> None:  # pragma: no cover - explicit guard
-        raise RuntimeError(
-            "StreamingRecordsManager does not retain records; use export_path= "
-            "for a chunked JSONL export instead"
-        )

@@ -1,24 +1,24 @@
 """The discrete-event simulation kernel.
 
-This subpackage is a from-scratch, dependency-free replacement for the subset
-of SimPy that the paper's simulation framework relies on:
+A dependency-free event clock and the few event types the simulator uses:
 
-* :class:`~repro.des.environment.Environment` — the event loop and simulation
-  clock,
-* generator-based :class:`~repro.des.events.Process` objects,
-* :class:`~repro.des.events.Timeout`, :class:`~repro.des.events.Event`,
+* :class:`~repro.des.environment.Environment` — the event heap and
+  simulation clock: ``schedule`` / ``schedule_batch`` put events on the
+  heap, ``run`` drains it (same-time events in batches), ``step`` pops one
+  event at a time for :func:`~repro.des.monitoring.trace_events`,
+* :class:`~repro.des.events.Event` and :class:`~repro.des.events.Timeout`,
+* generator-based :class:`~repro.des.events.Process` objects, which
+  :class:`~repro.des.exceptions.Interrupt` can kill, and the
   :class:`~repro.des.events.AllOf` / :class:`~repro.des.events.AnyOf`
-  composite conditions,
-* :class:`~repro.des.resource.Resource` — FIFO usage slots, e.g. the
-  cloud's one-at-a-time admission turn.  It is the kernel's only shared
-  resource: a QPU's free qubits are a plain counter on the device
+  conditions they wait on — used by the per-job reference engine, the
+  world-dynamics sources, the adaptive control loop and the serve broker's
+  blocked-head wait,
+* :class:`~repro.des.resource.Resource` — a one-slot FIFO resource, the
+  cloud's one-at-a-time admission turn.  A QPU's free qubits are a plain
+  counter on the device
   (:meth:`~repro.cloud.qdevice.BaseQDevice.reserve_qubits`), because the
   broker only reserves plans that fit right now and nothing ever waits on
   them.
-
-The public API mirrors SimPy's so that code written against SimPy (such as the
-quantum-cloud layer in :mod:`repro.cloud`) ports over with only the import
-changed.
 
 Example
 -------

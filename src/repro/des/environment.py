@@ -12,9 +12,6 @@ from repro.des.exceptions import SimulationError, StopSimulation
 
 __all__ = ["Environment", "EmptySchedule"]
 
-#: Sentinel returned by :meth:`Environment.peek` when the queue is empty.
-Infinity = float("inf")
-
 #: Signature of an event-trace hook: ``(time, priority, event)``.
 TraceCallback = Callable[[float, int, Event], None]
 
@@ -88,15 +85,10 @@ class Environment:
         """The process currently being resumed (or ``None``)."""
         return self._active_proc
 
-    @property
-    def queue_size(self) -> int:
-        """Number of events currently scheduled."""
-        return len(self._queue)
-
     # -- event-loop counters ---------------------------------------------------
     @property
     def events_processed(self) -> int:
-        """Events dispatched by the loop since construction (or :meth:`rewind`)."""
+        """Events dispatched by the loop since construction."""
         return self._ev_count
 
     @property
@@ -172,10 +164,6 @@ class Environment:
             for entry in entries:
                 heappush(queue, entry)
         return len(entries)
-
-    def peek(self) -> float:
-        """Return the time of the next scheduled event (``inf`` if none)."""
-        return self._queue[0][0] if self._queue else Infinity
 
     def step(self) -> None:
         """Process the next scheduled event.
@@ -355,17 +343,3 @@ class Environment:
                     f"No scheduled events left but your simulation has not finished: {until!r}"
                 ) from None
         return None
-
-    def rewind(self, to_time: float = 0) -> None:
-        """Reset the clock and drop all scheduled events.
-
-        Convenience used by tests and by repeated benchmark runs; SimPy does
-        not offer this but it is harmless because environments are cheap.
-        """
-        self._now = to_time
-        self._queue.clear()
-        self._active_proc = None
-        self._ev_count = 0
-        self._batch_count = 0
-        self._max_batch = 0
-        self._peak_queue = 0

@@ -1,7 +1,5 @@
 """Event types for the discrete-event simulation kernel.
 
-The design follows SimPy's event model:
-
 * An :class:`Event` may be *pending*, *triggered* (it has a value and is
   scheduled in the environment's queue) or *processed* (its callbacks have
   been executed).
@@ -103,30 +101,6 @@ class Event:
         return self.callbacks is None
 
     @property
-    def ok(self) -> bool:
-        """``True`` if the event succeeded, ``False`` if it failed.
-
-        Raises :class:`AttributeError` if the event is not yet triggered.
-        """
-        if self._value is PENDING:
-            raise AttributeError(f"Value of {self!r} is not yet available")
-        return self._ok
-
-    @property
-    def defused(self) -> bool:
-        """``True`` if a failed event's exception has been handled.
-
-        A failed event whose exception is never handled (i.e. no process
-        yields it and nobody sets ``defused``) crashes the simulation when it
-        is processed.
-        """
-        return self._defused
-
-    @defused.setter
-    def defused(self, value: bool) -> None:
-        self._defused = bool(value)
-
-    @property
     def value(self) -> Any:
         """Value of the event (or the exception for a failed event)."""
         if self._value is PENDING:
@@ -134,16 +108,6 @@ class Event:
         return self._value
 
     # -- triggering -------------------------------------------------------
-    def trigger(self, event: "Event") -> None:
-        """Trigger this event with the state and value of *event*.
-
-        Used to forward the outcome of one event to another (e.g. when a
-        condition event forwards its result).
-        """
-        self._ok = event._ok
-        self._value = event._value
-        self.env.schedule(self)
-
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully with the given *value*."""
         if self._value is not PENDING:
@@ -163,13 +127,6 @@ class Event:
         self._value = exception
         self.env.schedule(self)
         return self
-
-    # -- composition ------------------------------------------------------
-    def __and__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.all_events, [self, other])
-
-    def __or__(self, other: "Event") -> "Condition":
-        return Condition(self.env, Condition.any_events, [self, other])
 
 
 class Timeout(Event):
@@ -268,11 +225,6 @@ class Process(Event):
         return self._generator.__name__  # type: ignore[attr-defined]
 
     @property
-    def target(self) -> Optional[Event]:
-        """The event the process is currently waiting for (or ``None``)."""
-        return self._target
-
-    @property
     def is_alive(self) -> bool:
         """``True`` until the wrapped generator terminates."""
         return self._value is PENDING
@@ -328,46 +280,18 @@ class Process(Event):
 
 
 class ConditionValue:
-    """Result of a :class:`Condition`: an ordered mapping of event -> value."""
+    """Result of a :class:`Condition`: the values of its triggered events,
+    looked up by event."""
 
     __slots__ = ("events",)
 
-    def __init__(self, *events: Event) -> None:
-        self.events: List[Event] = list(events)
+    def __init__(self) -> None:
+        self.events: List[Event] = []
 
     def __getitem__(self, key: Event) -> Any:
         if key not in self.events:
             raise KeyError(str(key))
         return key._value
-
-    def __contains__(self, key: Event) -> bool:
-        return key in self.events
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, ConditionValue):
-            return self.todict() == other.todict()
-        if isinstance(other, dict):
-            return self.todict() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<ConditionValue {self.todict()!r}>"
-
-    def __iter__(self):
-        return iter(self.keys())
-
-    def keys(self) -> Iterable[Event]:
-        return iter(self.events)
-
-    def values(self) -> Iterable[Any]:
-        return (event._value for event in self.events)
-
-    def items(self) -> Iterable[tuple]:
-        return ((event, event._value) for event in self.events)
-
-    def todict(self) -> dict:
-        """Return a plain ``dict`` mapping events to their values."""
-        return {event: event._value for event in self.events}
 
 
 class Condition(Event):
@@ -412,26 +336,13 @@ class Condition(Event):
     def _desc(self) -> str:
         return f"{self.__class__.__name__}({self._evaluate.__name__}, {self._events})"
 
-    def _populate_value(self, value: ConditionValue) -> None:
-        """Recursively collect the values of all nested triggered events."""
-        for event in self._events:
-            if isinstance(event, Condition):
-                event._populate_value(value)
-            elif event.callbacks is None:
-                value.events.append(event)
-
     def _build_value(self, event: Event) -> None:
-        self._remove_check_callbacks()
+        for child in self._events:
+            if child.callbacks is not None and self._check in child.callbacks:
+                child.callbacks.remove(self._check)
         if event._ok:
             self._value = ConditionValue()
-            self._populate_value(self._value)
-
-    def _remove_check_callbacks(self) -> None:
-        for event in self._events:
-            if event.callbacks is not None and self._check in event.callbacks:
-                event.callbacks.remove(self._check)
-            if isinstance(event, Condition):
-                event._remove_check_callbacks()
+            self._value.events = [child for child in self._events if child.callbacks is None]
 
     def _check(self, event: Event) -> None:
         if self._value is not PENDING:

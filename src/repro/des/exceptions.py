@@ -24,11 +24,11 @@ class StopSimulation(Exception):
     @classmethod
     def callback(cls, event: "Any") -> None:
         """Event callback that stops the simulation with the event's value."""
-        if event.ok:
-            raise cls(event.value)
+        if event._ok:
+            raise cls(event._value)
         # Propagate failures out of ``run()`` as-is.
-        event.defused = True
-        raise event.value
+        event._defused = True
+        raise event._value
 
 
 class Interrupt(Exception):

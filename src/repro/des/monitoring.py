@@ -1,6 +1,6 @@
 """Monitoring utilities for the DES kernel.
 
-SimPy-style monitoring: trace every event the environment processes
+Trace every event the environment processes
 (:func:`trace_events`) and count what the event loop did
 (:class:`EventLoopStats`), without touching the simulation logic itself.
 """
@@ -59,8 +59,7 @@ def trace_events(
 class EventLoopStats:
     """Snapshot of the environment's event-loop counters.
 
-    The counters accumulate from environment construction (or the last
-    :meth:`~repro.des.environment.Environment.rewind`) and cost one integer
+    The counters accumulate from environment construction and cost one integer
     update per drained batch, so they are always on.  ``events_per_second``
     is only available when the caller also measured wall-clock time —
     simulated time says nothing about loop throughput.

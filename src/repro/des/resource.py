@@ -1,7 +1,7 @@
-"""Resources with a fixed number of usage slots (SimPy ``Resource``).
+"""A resource with one usage slot: the cloud's one-at-a-time admission turn.
 
-Processes :meth:`Resource.request` a slot, use it, and
-:meth:`Resource.release` it.  The event mechanics match SimPy's:
+Processes :meth:`Resource.request` the slot, use it, and
+:meth:`Resource.release` it:
 
 * a :class:`Request` is granted at construction when a slot is free, and
   otherwise waits in :attr:`Resource.queue`;
@@ -73,7 +73,7 @@ class Release(Event):
 
 
 class Resource:
-    """A resource with ``capacity`` usage slots.
+    """A resource with one usage slot.
 
     Pending requests are granted in queue order: FIFO for a plain ``list``;
     subclasses may set :attr:`Queue` to a list type that keeps its own
@@ -86,12 +86,9 @@ class Resource:
     #: Event class :meth:`request` constructs.
     request_type = Request
 
-    def __init__(self, env: "Environment", capacity: int = 1) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be > 0")
+    def __init__(self, env: "Environment") -> None:
         self._env = env
-        self._capacity = capacity
-        #: Requests currently holding a slot.
+        #: The request holding the slot (empty while it is free).
         self.users: List[Request] = []
         #: Requests waiting for a slot.
         self.queue: List[Request] = self.Queue()
@@ -100,16 +97,6 @@ class Resource:
     def env(self) -> "Environment":
         """The environment this resource lives in."""
         return self._env
-
-    @property
-    def capacity(self) -> int:
-        """Number of usage slots."""
-        return self._capacity
-
-    @property
-    def count(self) -> int:
-        """Number of slots currently in use."""
-        return len(self.users)
 
     def request(self, *args: Any, **kwargs: Any) -> Request:
         """Request a slot (extra arguments go to :attr:`request_type`)."""
@@ -120,14 +107,12 @@ class Resource:
         return Release(self, request)
 
     def _grant(self, _event: Optional[Event] = None) -> None:
-        """Grant waiting requests, head first, while slots are free."""
-        queue = self.queue
-        users = self.users
-        while queue and len(users) < self._capacity:
-            request = queue.pop(0)
-            users.append(request)
+        """Grant the head of the queue if the slot is free."""
+        if self.queue and not self.users:
+            request = self.queue.pop(0)
+            self.users.append(request)
             request.usage_since = self._env.now
             request.succeed()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Resource capacity={self._capacity}>"
+        return f"<Resource users={len(self.users)} queued={len(self.queue)}>"

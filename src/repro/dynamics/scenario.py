@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 __all__ = [
     "CALIBRATION_CATEGORIES",
@@ -291,11 +291,3 @@ class Scenario:
     def is_static(self) -> bool:
         """Whether the scenario injects nothing at all."""
         return not self.has_world_dynamics and self.traffic is None and not self.is_replay
-
-    def affected_devices(self, fleet_names: List[str]) -> List[str]:
-        """Device names touched by drift/outages (for reporting)."""
-        names: List[str] = []
-        for spec in (self.drift, self.outages):
-            if spec is not None:
-                names.extend(spec.devices if spec.devices else fleet_names)
-        return sorted(set(names))

@@ -21,7 +21,7 @@ Quick start
 ...     replicates=4,
 ... )
 >>> result = ExperimentRunner(backend="process").run(spec)
->>> result.summaries_by_strategy(replicate=0)["speed"].mean_fidelity  # doctest: +SKIP
+>>> result.summary_rows()[0]["mean_fidelity"]  # doctest: +SKIP
 """
 
 from repro.engine.runner import CellResult, ExperimentResult, ExperimentRunner, execute_cell

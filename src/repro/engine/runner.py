@@ -53,7 +53,7 @@ class CellResult:
 
 @dataclass
 class ExperimentResult:
-    """Ordered cell results plus grid-shaped accessors."""
+    """Ordered cell results plus their summary table rows."""
 
     spec: Optional[ExperimentSpec]
     results: List[CellResult]
@@ -63,22 +63,6 @@ class ExperimentResult:
 
     def __len__(self) -> int:
         return len(self.results)
-
-    def summaries_by_strategy(self, replicate: int = 0) -> Dict[str, StrategySummary]:
-        """Strategy → summary for one replicate (insertion = grid order)."""
-        out: Dict[str, StrategySummary] = {}
-        for result in self.results:
-            if result.cell.replicate == replicate and result.cell.strategy not in out:
-                out[result.cell.strategy] = result.summary
-        return out
-
-    def records_by_strategy(self, replicate: int = 0) -> Dict[str, List[JobRecord]]:
-        """Strategy → per-job records for one replicate."""
-        out: Dict[str, List[JobRecord]] = {}
-        for result in self.results:
-            if result.cell.replicate == replicate and result.cell.strategy not in out:
-                out[result.cell.strategy] = result.records
-        return out
 
     def summary_rows(self) -> List[Dict[str, object]]:
         """All summaries as flat table rows (cell metadata included)."""

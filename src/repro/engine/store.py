@@ -154,13 +154,3 @@ class ResultStore:
             writer.writeheader()
             writer.writerows(rows)
         return path
-
-    def write_summaries_json(
-        self, rows: Iterable[Mapping[str, Any]], name: str = "summaries.json"
-    ) -> str:
-        """Write summary rows to a JSON file."""
-        os.makedirs(self.root, exist_ok=True)
-        path = os.path.join(self.root, name)
-        with open(path, "w") as fh:
-            json.dump([dict(row) for row in rows], fh, indent=2)
-        return path

@@ -1,4 +1,4 @@
-"""Random-number seeding helpers (Gymnasium-compatible)."""
+"""Random-number seeding helper."""
 
 from __future__ import annotations
 

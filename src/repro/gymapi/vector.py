@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.gymapi.seeding import np_random
-from repro.gymapi.spaces import Space
+from repro.gymapi.spaces import Box
 
 __all__ = ["VecEnv"]
 
@@ -47,29 +47,18 @@ class VecEnv:
     ``step`` returns the next episode's initial observation.
     """
 
-    metadata: Dict[str, Any] = {"render_modes": []}
-
     num_envs: int
-    observation_space: Space
-    action_space: Space
+    observation_space: Box
+    action_space: Box
 
     _np_random: Optional[np.random.Generator] = None
-    _np_random_seed: Optional[int] = None
 
     @property
     def np_random(self) -> np.random.Generator:
         """Random generator shared by all rows (lazily seeded)."""
         if self._np_random is None:
-            self._np_random, self._np_random_seed = np_random()
+            self._np_random, _ = np_random()
         return self._np_random
-
-    @np_random.setter
-    def np_random(self, value: np.random.Generator) -> None:
-        self._np_random = value
-
-    @property
-    def unwrapped(self) -> "VecEnv":
-        return self
 
     def reset(
         self, *, seed: Optional[int] = None, options: Optional[Dict[str, Any]] = None

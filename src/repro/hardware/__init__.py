@@ -3,7 +3,7 @@
 This subpackage provides the hardware substrate the scheduler reasons about:
 
 * :mod:`repro.hardware.coupling` — qubit connectivity graphs (heavy-hex /
-  grid / line / ring) built with :mod:`networkx`,
+  line / ring) built with :mod:`networkx`,
 * :mod:`repro.hardware.calibration` — calibration snapshots (readout,
   single- and two-qubit gate errors, coherence times) and the error-score
   formula of the paper's Eq. (2),
@@ -11,7 +11,10 @@ This subpackage provides the hardware substrate the scheduler reasons about:
   devices used in the paper's case study (ibm_strasbourg, ibm_brussels,
   ibm_kyiv, ibm_quebec, ibm_kawasaki) with the CLOPS values quoted in §7 and
   synthetic calibration data standing in for the March-2025 snapshots,
-* :mod:`repro.hardware.clops` — CLOPS / quantum-volume execution-time helpers.
+* :mod:`repro.hardware.clops` — CLOPS / quantum-volume execution-time helpers,
+* :mod:`repro.hardware.qubit_regions` — connected qubit-region tracking on a
+  coupling map (used by the connectivity audit; not :mod:`repro.region`,
+  the multi-region cloud).
 """
 
 from repro.hardware.backends import (
@@ -29,14 +32,12 @@ from repro.hardware.calibration import (
 )
 from repro.hardware.clops import clops_execution_time, log2_quantum_volume
 from repro.hardware.coupling import (
-    coupling_graph,
-    grid_graph,
     heavy_hex_graph,
     ibm_eagle_coupling,
     line_graph,
     ring_graph,
 )
-from repro.hardware.regions import QubitRegionTracker, RegionAllocation
+from repro.hardware.qubit_regions import QubitRegionTracker, RegionAllocation
 
 __all__ = [
     "QubitRegionTracker",
@@ -48,9 +49,7 @@ __all__ = [
     "QubitCalibration",
     "build_default_fleet",
     "clops_execution_time",
-    "coupling_graph",
     "get_device_profile",
-    "grid_graph",
     "heavy_hex_graph",
     "ibm_eagle_coupling",
     "line_graph",

@@ -24,7 +24,8 @@ fidelity trade-off appears.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import networkx as nx
@@ -34,12 +35,28 @@ from repro.hardware.coupling import ibm_eagle_coupling
 
 __all__ = [
     "DeviceProfile",
+    "check_quantum_volume",
+    "check_unique_device_names",
     "DEVICE_CATALOG",
     "DEFAULT_DEVICE_NAMES",
     "get_device_profile",
     "list_available_devices",
     "build_default_fleet",
 ]
+
+
+def check_quantum_volume(quantum_volume: float) -> None:
+    """Raise ``ValueError`` unless the quantum volume is finite and above 1
+    (``log2(QV)`` scales the Eq. (3) execution time)."""
+    if not 1 < quantum_volume < math.inf:
+        raise ValueError(f"quantum_volume must be finite and > 1, got {quantum_volume}")
+
+
+def check_unique_device_names(names: Sequence[str]) -> None:
+    """Raise ``ValueError`` if a device name repeats (devices are looked up
+    by name)."""
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate device names: {list(names)}")
 
 
 @dataclass
@@ -68,10 +85,9 @@ class DeviceProfile:
     def __post_init__(self) -> None:
         if self.num_qubits <= 0:
             raise ValueError("num_qubits must be positive")
-        if self.clops <= 0:
-            raise ValueError("clops must be positive")
-        if self.quantum_volume <= 1:
-            raise ValueError("quantum_volume must be > 1")
+        if not 0 < self.clops < math.inf:
+            raise ValueError(f"clops must be positive and finite, got {self.clops}")
+        check_quantum_volume(self.quantum_volume)
         if self.coupling.number_of_nodes() != self.num_qubits:
             raise ValueError(
                 f"coupling map has {self.coupling.number_of_nodes()} nodes but "

@@ -149,14 +149,6 @@ class CalibrationData:
             self.average_two_qubit_error(),
         )
 
-    def average_t1_us(self) -> float:
-        """Mean T1 over all qubits (microseconds)."""
-        return float(np.mean([q.t1_us for q in self.qubits]))
-
-    def average_t2_us(self) -> float:
-        """Mean T2 over all qubits (microseconds)."""
-        return float(np.mean([q.t2_us for q in self.qubits]))
-
     def as_dict(self) -> Dict[str, object]:
         """Serialise the snapshot into plain Python containers (JSON-safe)."""
         return {
@@ -198,7 +190,7 @@ class CalibrationData:
 
         Runs on the drift hot path (once per device per drift step), so the
         result is *lazy*: the aggregate statistics the simulator consumes
-        (average error rates, coherence means) are computed vectorized from
+        (average error rates) are computed vectorized from
         cached baseline statistics, while the per-record ``qubits``/``gates``
         lists materialise only if something actually reads them.  The
         scaled snapshot's ``average_*`` methods are the defining aggregates:
@@ -228,8 +220,6 @@ class CalibrationData:
                 "readout": self.readout_errors,
                 "single_qubit": self.single_qubit_errors,
                 "two_qubit": self.two_qubit_errors,
-                "t1": np.array([q.t1_us for q in self.qubits], dtype=np.float64),
-                "t2": np.array([q.t2_us for q in self.qubits], dtype=np.float64),
             }
             self.__dict__["_arrays_cache"] = cached
         return cached
@@ -354,12 +344,6 @@ class _ScaledCalibrationData(CalibrationData):
         arr = self._base._baseline_arrays()["two_qubit"] * self._factors["two_qubit"]
         return np.clip(arr, *TWO_QUBIT_ERROR_BOUNDS)
 
-    def _coherence_arrays(self):
-        base = self._base._baseline_arrays()
-        t1 = np.maximum(base["t1"] * self._factors["t1"], 1.0)
-        t2 = np.minimum(np.maximum(base["t2"] * self._factors["t2"], 1.0), 2.0 * t1)
-        return t1, t2
-
     def _scaled_mean(self, category: str, lo: float, hi: float) -> float:
         """Mean of the clipped scaled values.
 
@@ -386,12 +370,6 @@ class _ScaledCalibrationData(CalibrationData):
 
     def average_two_qubit_error(self) -> float:
         return self._scaled_mean("two_qubit", *TWO_QUBIT_ERROR_BOUNDS)
-
-    def average_t1_us(self) -> float:
-        return float(self._coherence_arrays()[0].mean())
-
-    def average_t2_us(self) -> float:
-        return float(self._coherence_arrays()[1].mean())
 
     def average_error_rates(self) -> "Tuple[float, float, float]":
         return (

@@ -5,23 +5,18 @@ The paper models each device's qubit topology as an undirected graph
 lattice: a hexagonal lattice with an extra qubit on every edge, giving a
 maximum degree of 3.  The scheduler itself treats connectivity as a black box
 (§5.2), but the graphs are still used for capacity accounting, for the
-connected-subgraph checks in the test-suite, and for reporting.
+qubit-region tracker and for the connectivity audit.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Iterable, Optional, Tuple
 
 import networkx as nx
 
 __all__ = [
     "heavy_hex_graph",
     "ibm_eagle_coupling",
-    "grid_graph",
     "line_graph",
     "ring_graph",
-    "coupling_graph",
-    "largest_connected_subgraph",
 ]
 
 
@@ -99,13 +94,6 @@ def ibm_eagle_coupling(num_qubits: int = 127) -> nx.Graph:
     return _trim_to_size(graph, num_qubits)
 
 
-def grid_graph(rows: int, cols: int) -> nx.Graph:
-    """A 2-D grid coupling map (used by some trapped-ion/neutral-atom layouts)."""
-    if rows <= 0 or cols <= 0:
-        raise ValueError("rows and cols must be positive")
-    return _relabel_to_integers(nx.grid_2d_graph(rows, cols))
-
-
 def line_graph(num_qubits: int) -> nx.Graph:
     """A 1-D chain of qubits."""
     if num_qubits <= 0:
@@ -118,58 +106,3 @@ def ring_graph(num_qubits: int) -> nx.Graph:
     if num_qubits < 3:
         raise ValueError("a ring needs at least 3 qubits")
     return nx.cycle_graph(num_qubits)
-
-
-_TOPOLOGY_BUILDERS = {
-    "heavy_hex": lambda n: ibm_eagle_coupling(n),
-    "eagle": lambda n: ibm_eagle_coupling(n),
-    "line": line_graph,
-    "ring": ring_graph,
-    "grid": lambda n: _square_grid(n),
-}
-
-
-def _square_grid(num_qubits: int) -> nx.Graph:
-    """Smallest square-ish grid with at least *num_qubits* nodes, trimmed."""
-    side = 1
-    while side * side < num_qubits:
-        side += 1
-    return _trim_to_size(grid_graph(side, side), num_qubits)
-
-
-def coupling_graph(topology: str, num_qubits: int) -> nx.Graph:
-    """Build a coupling map by name.
-
-    Parameters
-    ----------
-    topology:
-        One of ``"heavy_hex"``, ``"eagle"``, ``"grid"``, ``"line"``, ``"ring"``.
-    num_qubits:
-        Number of qubits in the device.
-    """
-    try:
-        builder = _TOPOLOGY_BUILDERS[topology]
-    except KeyError:
-        raise ValueError(
-            f"Unknown topology {topology!r}; choose from {sorted(_TOPOLOGY_BUILDERS)}"
-        ) from None
-    return builder(num_qubits)
-
-
-def largest_connected_subgraph(graph: nx.Graph, size: int) -> Optional[frozenset]:
-    """Find *some* connected subgraph of exactly *size* nodes (BFS heuristic).
-
-    Returns a frozenset of nodes, or ``None`` if the graph has fewer than
-    *size* nodes in its largest connected component.  This implements the
-    "practical assumption" of §5.2: on highly connected devices, a connected
-    region of any requested size can be found greedily.
-    """
-    if size <= 0:
-        raise ValueError("size must be positive")
-    components = sorted(nx.connected_components(graph), key=len, reverse=True)
-    if not components or len(components[0]) < size:
-        return None
-    component = components[0]
-    start = min(component)
-    order = list(nx.bfs_tree(graph.subgraph(component), start).nodes())
-    return frozenset(order[:size])

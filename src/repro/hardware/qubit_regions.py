@@ -19,8 +19,8 @@ scheduling strategy.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Optional
 
 import networkx as nx
 

@@ -5,23 +5,21 @@
 * :mod:`repro.metrics.timing` — CLOPS/QV execution-time model (Eq. 3) and
   classical communication overhead (Eq. 9),
 * :mod:`repro.metrics.fidelity` — single-/two-qubit/readout fidelities
-  (Eqs. 4-6), per-device fidelity (Eq. 7) and the inter-device communication
-  penalty (Eq. 8),
+  (Eqs. 4-6), their per-device product (Eq. 7, :class:`FidelityBreakdown`)
+  and the inter-device communication penalty (Eq. 8),
 * :mod:`repro.metrics.aggregate` — aggregation of job records into the rows
-  of Table 2 and the histogram series of Fig. 6.
+  of Table 2.
 """
 
 from repro.metrics.aggregate import (
     StrategySummary,
     empty_summary,
-    fidelity_histogram,
     summarize_records,
 )
 from repro.metrics.error_score import ErrorScoreWeights, error_score, error_score_from_averages
 from repro.metrics.fidelity import (
     FidelityBreakdown,
     communication_penalty,
-    device_fidelity,
     final_fidelity,
     merge_segment_fidelities,
     readout_fidelity,
@@ -40,12 +38,10 @@ __all__ = [
     "StrategySummary",
     "communication_penalty",
     "communication_time",
-    "device_fidelity",
     "empty_summary",
     "error_score",
     "error_score_from_averages",
     "execution_time",
-    "fidelity_histogram",
     "final_fidelity",
     "merge_segment_fidelities",
     "processing_time_minutes",

@@ -7,18 +7,17 @@ Table 2 of the paper reports, per allocation strategy:
 * average fidelity ``mu_F ± sigma_F`` over all jobs,
 * total communication time ``T_comm`` summed over all jobs.
 
-Figure 6 reports per-strategy fidelity histograms.  This module computes both
-from a sequence of completed job records.
+This module computes them from a sequence of completed job records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Sequence
 
 import numpy as np
 
-__all__ = ["StrategySummary", "summarize_records", "empty_summary", "fidelity_histogram"]
+__all__ = ["StrategySummary", "summarize_records", "empty_summary"]
 
 
 def _get(record: Any, name: str) -> Any:
@@ -79,14 +78,6 @@ class StrategySummary:
             "mean_wait_s": self.mean_wait_time,
         }
 
-    def format_row(self) -> str:
-        """Render the summary like a row of the paper's Table 2."""
-        return (
-            f"{self.strategy:<10s} {self.total_simulation_time:>12.2f} "
-            f"{self.mean_fidelity:.5f} ± {self.std_fidelity:.5f} "
-            f"{self.total_communication_time:>10.2f}"
-        )
-
 
 def summarize_records(records: Sequence[Any], strategy: str = "") -> StrategySummary:
     """Aggregate completed job records into a :class:`StrategySummary`.
@@ -139,25 +130,3 @@ def empty_summary(strategy: str = "") -> StrategySummary:
         mean_turnaround_time=nan,
         mean_wait_time=nan,
     )
-
-
-def fidelity_histogram(
-    records: Sequence[Any],
-    bins: int = 30,
-    value_range: Optional[Tuple[float, float]] = None,
-) -> Dict[str, np.ndarray]:
-    """Histogram of final job fidelities (the series plotted in Fig. 6).
-
-    Returns
-    -------
-    dict with keys ``counts`` (len = bins), ``edges`` (len = bins + 1) and
-    ``centers`` (len = bins).
-    """
-    if bins <= 0:
-        raise ValueError("bins must be positive")
-    fidelities = np.array([float(_get(r, "fidelity")) for r in records])
-    if fidelities.size == 0:
-        raise ValueError("cannot histogram an empty record list")
-    counts, edges = np.histogram(fidelities, bins=bins, range=value_range)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return {"counts": counts, "edges": edges, "centers": centers}

@@ -35,7 +35,6 @@ __all__ = [
     "single_qubit_fidelity",
     "two_qubit_fidelity",
     "readout_fidelity",
-    "device_fidelity",
     "communication_penalty",
     "final_fidelity",
     "merge_segment_fidelities",
@@ -141,23 +140,6 @@ def readout_fidelity(
     if num_devices <= 0:
         raise ValueError("num_devices must be positive")
     return (1.0 - avg_readout_error) ** math.sqrt(num_qubits / num_devices)
-
-
-def device_fidelity(
-    avg_single_qubit_error: float,
-    avg_two_qubit_error: float,
-    avg_readout_error: float,
-    depth: int,
-    num_two_qubit_gates: float,
-    num_qubits: int,
-    num_devices: int = 1,
-) -> float:
-    """Per-device fidelity ``F_dev = F_1Q * F_2Q * F_ro`` (Eq. 7)."""
-    return (
-        single_qubit_fidelity(avg_single_qubit_error, depth)
-        * two_qubit_fidelity(avg_two_qubit_error, num_two_qubit_gates)
-        * readout_fidelity(avg_readout_error, num_qubits, num_devices)
-    )
 
 
 def communication_penalty(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.cloud.communication import ClassicalCommunicationModel
 
@@ -185,11 +185,6 @@ class RegionTopology:
             if entry.connects(a, b):
                 return entry.model
         return self.default_link
-
-    def workload_shares(self) -> Dict[str, float]:
-        """Region name → normalised workload share."""
-        total = sum(r.workload_share for r in self.regions)
-        return {r.name: r.workload_share / total for r in self.regions}
 
     @property
     def is_single_region(self) -> bool:

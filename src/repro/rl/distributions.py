@@ -87,10 +87,3 @@ class DiagGaussian:
     def entropy_grad_log_std(self) -> np.ndarray:
         """Gradient of the (per-row) entropy w.r.t. ``log_std`` (it is 1)."""
         return np.ones_like(self.log_std)
-
-    def kl_divergence(self, other: "DiagGaussian") -> np.ndarray:
-        """KL(self || other), per batch row, summed over dimensions."""
-        var_ratio = (self.std / other.std) ** 2
-        mean_term = ((self.mean - other.mean) / other.std) ** 2
-        per_dim = 0.5 * (var_ratio + mean_term - 1.0) + (other.log_std - self.log_std)
-        return per_dim.sum(axis=1)

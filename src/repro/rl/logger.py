@@ -1,18 +1,16 @@
 """Training logger: records scalar diagnostics per update.
 
 The logger is intentionally tiny: it keeps every recorded key as a list of
-``(timestep, value)`` pairs so the training curves of the paper's Fig. 5
-(average episode reward and entropy loss over training steps) can be
-regenerated and inspected programmatically.
+``(timestep, value)`` pairs; :class:`~repro.rl.callbacks.TrainingCurveCallback`
+reads the latest values after each update to build the training curve of
+the paper's Fig. 5 (average episode reward and entropy loss over training
+steps).
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from collections import defaultdict
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["TrainingLogger"]
 
@@ -27,25 +25,7 @@ class TrainingLogger:
         """Record *value* for *key* at training *step*."""
         self._history[key].append((int(step), float(value)))
 
-    def record_dict(self, values: Dict[str, float], step: int) -> None:
-        """Record several metrics at the same step."""
-        for key, value in values.items():
-            self.record(key, value, step)
-
     # -- access ---------------------------------------------------------------
-    @property
-    def keys(self) -> List[str]:
-        """All metric names recorded so far."""
-        return sorted(self._history)
-
-    def history(self, key: str) -> List[Tuple[int, float]]:
-        """Full ``(step, value)`` history of one metric."""
-        return list(self._history[key])
-
-    def steps(self, key: str) -> List[int]:
-        """Steps at which *key* was recorded."""
-        return [s for s, _ in self._history[key]]
-
     def values(self, key: str) -> List[float]:
         """Values recorded for *key* (in step order)."""
         return [v for _, v in self._history[key]]
@@ -55,43 +35,3 @@ class TrainingLogger:
         if not self._history[key]:
             return default
         return self._history[key][-1][1]
-
-    def moving_average(self, key: str, window: int = 10) -> List[float]:
-        """Simple trailing moving average of a metric."""
-        vals = self.values(key)
-        out: List[float] = []
-        for i in range(len(vals)):
-            lo = max(0, i - window + 1)
-            out.append(sum(vals[lo : i + 1]) / (i - lo + 1))
-        return out
-
-    # -- export ---------------------------------------------------------------
-    def to_dict(self) -> Dict[str, List[Tuple[int, float]]]:
-        """Return the complete history as a plain dictionary."""
-        return {k: list(v) for k, v in self._history.items()}
-
-    def save_json(self, path: str) -> None:
-        """Dump the history to a JSON file."""
-        payload = {k: [[s, v] for s, v in pairs] for k, pairs in self._history.items()}
-        Path(path).write_text(json.dumps(payload, indent=2))
-
-    def save_csv(self, path: str, keys: Optional[Sequence[str]] = None) -> None:
-        """Dump selected metrics to a wide CSV (one row per step)."""
-        keys = list(keys) if keys is not None else self.keys
-        steps = sorted({s for k in keys for s, _ in self._history[k]})
-        by_key = {k: dict(self._history[k]) for k in keys}
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["step"] + keys)
-            for step in steps:
-                writer.writerow([step] + [by_key[k].get(step, "") for k in keys])
-
-    @classmethod
-    def load_json(cls, path: str) -> "TrainingLogger":
-        """Load a history previously written by :meth:`save_json`."""
-        payload = json.loads(Path(path).read_text())
-        logger = cls()
-        for key, pairs in payload.items():
-            for step, value in pairs:
-                logger.record(key, value, step)
-        return logger

@@ -1,8 +1,8 @@
 """Minimal neural-network building blocks with manual backpropagation."""
 
-from repro.rl.nn.init import constant_, orthogonal_, xavier_uniform_
+from repro.rl.nn.init import orthogonal_
 from repro.rl.nn.layers import Identity, Linear, MLP, Module, Parameter, ReLU, Sequential, Tanh
-from repro.rl.nn.optim import SGD, Adam, Optimizer, clip_grad_norm_
+from repro.rl.nn.optim import Adam, Optimizer, clip_grad_norm_
 
 __all__ = [
     "Adam",
@@ -13,11 +13,8 @@ __all__ = [
     "Optimizer",
     "Parameter",
     "ReLU",
-    "SGD",
     "Sequential",
     "Tanh",
     "clip_grad_norm_",
-    "constant_",
     "orthogonal_",
-    "xavier_uniform_",
 ]

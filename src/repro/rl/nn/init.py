@@ -1,8 +1,8 @@
-"""Weight initialisation schemes.
+"""Weight initialisation.
 
 PPO implementations conventionally use orthogonal initialisation with a gain
 of ``sqrt(2)`` for hidden layers, ``0.01`` for the policy head and ``1.0`` for
-the value head; these helpers reproduce that behaviour.
+the value head; :func:`orthogonal_` reproduces that behaviour.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-__all__ = ["orthogonal_", "xavier_uniform_", "constant_"]
+__all__ = ["orthogonal_"]
 
 
 def orthogonal_(
@@ -36,22 +36,3 @@ def orthogonal_(
     if rows < cols:
         q = q.T
     return gain * q[:rows, :cols]
-
-
-def xavier_uniform_(
-    shape: tuple,
-    gain: float = 1.0,
-    rng: Optional[np.random.Generator] = None,
-) -> np.ndarray:
-    """Glorot/Xavier uniform initialisation."""
-    if len(shape) != 2:
-        raise ValueError(f"xavier_uniform_ expects a 2-D shape, got {shape}")
-    rng = rng if rng is not None else np.random.default_rng()
-    fan_in, fan_out = shape[1], shape[0]
-    limit = gain * np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def constant_(shape: tuple, value: float = 0.0) -> np.ndarray:
-    """Constant initialisation."""
-    return np.full(shape, value, dtype=np.float64)

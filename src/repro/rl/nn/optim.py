@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.rl.nn.layers import Parameter
 
-__all__ = ["Optimizer", "SGD", "Adam", "clip_grad_norm_"]
+__all__ = ["Optimizer", "Adam", "clip_grad_norm_"]
 
 
 def clip_grad_norm_(parameters: Iterable[Parameter], max_norm: float) -> float:
@@ -53,26 +53,6 @@ class Optimizer:
         if lr <= 0:
             raise ValueError("learning rate must be > 0")
         self.lr = float(lr)
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, parameters: Iterable[Parameter], lr: float = 1e-2, momentum: float = 0.0) -> None:
-        super().__init__(parameters, lr)
-        if not 0.0 <= momentum < 1.0:
-            raise ValueError("momentum must be in [0, 1)")
-        self.momentum = float(momentum)
-        self._velocity = [np.zeros_like(p.data) for p in self.parameters]
-
-    def step(self) -> None:
-        for p, v in zip(self.parameters, self._velocity):
-            if self.momentum:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
 
 
 class Adam(Optimizer):

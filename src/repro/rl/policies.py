@@ -13,7 +13,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.gymapi.spaces import Box, Space
+from repro.gymapi.spaces import Box
 from repro.rl.distributions import DiagGaussian
 from repro.rl.nn.layers import MLP, Module, Parameter, Sequential
 
@@ -39,8 +39,8 @@ class ActorCriticPolicy(Module):
 
     def __init__(
         self,
-        observation_space: Space,
-        action_space: Space,
+        observation_space: Box,
+        action_space: Box,
         net_arch: Sequence[int] = (64, 64),
         activation: str = "tanh",
         log_std_init: float = 0.0,

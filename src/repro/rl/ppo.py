@@ -387,10 +387,3 @@ class PPO:
     def load_parameters(self, path: str) -> None:
         """Load policy parameters from a file written by :meth:`save`."""
         self.policy.load(path)
-
-    def training_curve(self) -> Dict[str, list]:
-        """Return the logged training curve (steps and values per metric)."""
-        return {
-            key: {"steps": self.logger.steps(key), "values": self.logger.values(key)}
-            for key in self.logger.keys
-        }

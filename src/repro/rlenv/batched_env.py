@@ -91,8 +91,6 @@ class BatchedQCloudEnv(VecEnv):
         Seeds the shared RNG and samples the first batch of jobs.
     """
 
-    metadata = {"render_modes": []}
-
     def __init__(
         self,
         n_envs: int,
@@ -230,7 +228,7 @@ class BatchedQCloudEnv(VecEnv):
         if seed is not None:
             if not isinstance(seed, (int, np.integer)):
                 raise TypeError("BatchedQCloudEnv uses one shared RNG; seed must be an int")
-            self._np_random, self._np_random_seed = np_random(int(seed))
+            self._np_random, _ = np_random(int(seed))
         self._sample_jobs()
         self._last_observations = self._observations()
         return self._last_observations, self._reset_infos()
@@ -307,9 +305,3 @@ class BatchedQCloudEnv(VecEnv):
         terminated = np.ones(self.num_envs, dtype=bool)
         truncated = np.zeros(self.num_envs, dtype=bool)
         return observations, rewards, terminated, truncated, infos
-
-    def render(self) -> str:  # pragma: no cover - diagnostic helper
-        return (
-            f"BatchedQCloudEnv(n_envs={self.num_envs} "
-            f"jobs={self._job_qubits.tolist()})"
-        )

@@ -82,10 +82,6 @@ class AllocationPlan:
         """Per-device qubit counts in plan order."""
         return [a.num_qubits for a in self.allocations]
 
-    def is_feasible_now(self) -> bool:
-        """Whether every device currently has enough free qubits."""
-        return all(a.device.free_qubits >= a.num_qubits for a in self.allocations)
-
 
 class AllocationPolicy(abc.ABC):
     """Base class of all device-selection policies (§5)."""

@@ -76,7 +76,7 @@ class _TicketQueue(list):
 
 
 class _DispatchQueue(Resource):
-    """A capacity-1 resource granting requests in dispatch-key order.
+    """A one-slot resource granting requests in dispatch-key order.
 
     Identical event mechanics to the plain broker's FIFO admission
     :class:`~repro.des.resource.Resource`; only the grant order of
@@ -208,7 +208,7 @@ class ServeBroker(Broker):
         #: Tenant attribution of every submitted job (admitted or rejected).
         self.tenant_of: Dict[int, str] = {}
 
-        self._dispatch = _DispatchQueue(env, capacity=1)
+        self._dispatch = _DispatchQueue(env)
         self.waiting_line = self._dispatch
         self._entries: Dict[int, _JobEntry] = {}
         self._running: Dict[int, _RunningInfo] = {}

@@ -96,11 +96,6 @@ class AdmissionSpec:
         if self.max_queued is not None and self.max_queued <= 0:
             raise ValueError("max_queued must be positive when given")
 
-    @property
-    def is_unlimited(self) -> bool:
-        """Whether this spec never rejects anything."""
-        return self.rate is None and self.max_queued is None
-
 
 @dataclass(frozen=True)
 class TenantSpec:
@@ -178,10 +173,6 @@ class TenantMix:
             if spec.name == name:
                 return spec
         raise KeyError(f"no tenant named {name!r} in mix {self.name!r}")
-
-    def tenant_names(self) -> Tuple[str, ...]:
-        """Names of all tenants in mix order."""
-        return tuple(t.name for t in self.tenants)
 
     @property
     def default_tenant(self) -> TenantSpec:

@@ -2,8 +2,6 @@
 
 Synthetic workloads (:mod:`repro.workloads.synthetic`):
 
-* :func:`~repro.workloads.synthetic.case_study_jobs` — the paper's 1,000-job
-  case-study workload (§7),
 * :func:`~repro.workloads.synthetic.ghz_sweep_jobs` — GHZ-state preparation
   circuits of increasing width,
 * :func:`~repro.workloads.synthetic.qaoa_portfolio_jobs` — a batch of QAOA
@@ -47,7 +45,6 @@ from repro.workloads.arrivals import (
     mmpp_arrival_times,
 )
 from repro.workloads.synthetic import (
-    case_study_jobs,
     ghz_sweep_jobs,
     mixed_tenant_jobs,
     qaoa_portfolio_jobs,
@@ -55,7 +52,6 @@ from repro.workloads.synthetic import (
 
 __all__ = [
     "bulk_diurnal_arrival_times",
-    "case_study_jobs",
     "diurnal_arrival_times",
     "generate_traffic_jobs",
     "ghz_sweep_jobs",

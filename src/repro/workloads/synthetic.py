@@ -7,38 +7,14 @@ are deterministic given a seed.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.circuits.generators import ghz_spec, qaoa_spec, random_circuit_spec
-from repro.cloud.job_generator import generate_synthetic_jobs
 from repro.cloud.qjob import QJob
 
-__all__ = ["case_study_jobs", "ghz_sweep_jobs", "qaoa_portfolio_jobs", "mixed_tenant_jobs"]
-
-
-def case_study_jobs(
-    num_jobs: int = 1000,
-    seed: int = 2025,
-    qubit_range: Tuple[int, int] = (130, 250),
-    depth_range: Tuple[int, int] = (5, 20),
-    shots_range: Tuple[int, int] = (10_000, 100_000),
-    two_qubit_density: float = 0.30,
-    arrival: str = "batch",
-    arrival_rate: float = 0.01,
-) -> List[QJob]:
-    """The paper's §7 case-study workload (1,000 large synthetic circuits)."""
-    return generate_synthetic_jobs(
-        num_jobs=num_jobs,
-        seed=seed,
-        qubit_range=qubit_range,
-        depth_range=depth_range,
-        shots_range=shots_range,
-        two_qubit_density=two_qubit_density,
-        arrival=arrival,
-        arrival_rate=arrival_rate,
-    )
+__all__ = ["ghz_sweep_jobs", "qaoa_portfolio_jobs", "mixed_tenant_jobs"]
 
 
 def ghz_sweep_jobs(

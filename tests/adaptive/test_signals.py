@@ -98,7 +98,8 @@ class TestCountersMatchGroundTruth:
     def test_rates_derive_from_counters(self):
         env, _ = _run(tenants="noisy-neighbor", num_jobs=60)
         for sig in env.adaptive_engine.signals.tenants.values():
-            assert sig.admit_rate + sig.shed_rate == 1.0 if sig.submitted else True
+            assert sig.admitted + sig.shed == sig.submitted
+            assert sig.shed_rate == (sig.shed / sig.submitted if sig.submitted else 0.0)
 
 
 class TestRollingMetrics:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.reporting import format_markdown_table, format_table2
+from repro.analysis.reporting import format_table2
 from repro.metrics.aggregate import StrategySummary
 
 
@@ -36,28 +36,6 @@ class TestTable2:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             format_table2({})
-
-
-class TestMarkdown:
-    def test_renders_rows(self):
-        rows = [
-            {"strategy": "speed", "T_sim_s": 1.0, "mean_fidelity": 0.65},
-            {"strategy": "fair", "T_sim_s": 2.0, "mean_fidelity": 0.64},
-        ]
-        text = format_markdown_table(rows)
-        lines = text.splitlines()
-        assert lines[0].startswith("| strategy")
-        assert len(lines) == 4
-        assert "| speed |" in lines[2]
-
-    def test_column_subset(self):
-        rows = [{"a": 1, "b": 2}]
-        text = format_markdown_table(rows, columns=["b"])
-        assert "a" not in text.splitlines()[0]
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            format_markdown_table([])
 
 
 class TestTenantTable:

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.analysis.training_curve import (
-    downsample_curve,
-    run_training_replicates,
-    summarize_training_curve,
-)
+from repro.analysis.training_curve import downsample_curve, summarize_training_curve
 
 
 def synthetic_curve(n=50):
@@ -59,26 +55,3 @@ class TestDownsample:
     def test_invalid(self):
         with pytest.raises(ValueError):
             downsample_curve(synthetic_curve(5), max_points=0)
-
-
-class TestTrainingReplicates:
-    def test_explicit_seeds_deterministic(self):
-        curves = run_training_replicates(seeds=[1, 2], total_timesteps=256, n_steps=128)
-        assert set(curves) == {1, 2}
-        assert all(len(curve) >= 1 for curve in curves.values())
-        again = run_training_replicates(seeds=[1], total_timesteps=256, n_steps=128)
-        assert again[1] == curves[1]
-
-    def test_derived_seeds_stable(self):
-        a = run_training_replicates(
-            replicates=2, base_seed=0, total_timesteps=256, n_steps=128
-        )
-        b = run_training_replicates(
-            replicates=2, base_seed=0, total_timesteps=256, n_steps=128
-        )
-        assert list(a) == list(b)
-        assert len(set(a)) == 2
-
-    def test_invalid_replicates(self):
-        with pytest.raises(ValueError):
-            run_training_replicates(replicates=0, total_timesteps=256)

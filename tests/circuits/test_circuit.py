@@ -35,15 +35,6 @@ class TestValidation:
             spec.depth = 3
 
 
-class TestDerived:
-    def test_density(self):
-        spec = make_spec()
-        assert spec.two_qubit_gate_density == pytest.approx(450 / (150 * 10))
-
-    def test_total_gates(self):
-        assert make_spec().total_gates == 1050
-
-
 class TestSubcircuit:
     def test_proportional_gate_split(self):
         spec = make_spec()

@@ -6,9 +6,7 @@ import pytest
 from repro.circuits.generators import (
     ghz_spec,
     qaoa_spec,
-    quantum_volume_spec,
     random_circuit_spec,
-    random_large_circuit_spec,
 )
 
 
@@ -40,18 +38,6 @@ class TestRandomCircuit:
             random_circuit_spec(rng, two_qubit_density=0.8)
 
 
-class TestLargeCircuit:
-    def test_exceeds_single_device(self, rng):
-        for _ in range(30):
-            spec = random_large_circuit_spec(rng, min_device_capacity=127, total_cloud_capacity=635)
-            assert spec.num_qubits > 127
-            assert spec.num_qubits < 635
-
-    def test_infeasible_window(self, rng):
-        with pytest.raises(ValueError):
-            random_large_circuit_spec(rng, min_device_capacity=300, total_cloud_capacity=301)
-
-
 class TestNamedCircuits:
     def test_ghz(self):
         spec = ghz_spec(150)
@@ -70,11 +56,3 @@ class TestNamedCircuits:
             qaoa_spec(100, num_layers=0)
         with pytest.raises(ValueError):
             qaoa_spec(100, edge_density=0.0)
-
-    def test_quantum_volume(self):
-        spec = quantum_volume_spec(16)
-        assert spec.depth == 16
-        assert spec.num_two_qubit_gates == 16 * 8
-        assert spec.num_single_qubit_gates == 16 * 48
-        with pytest.raises(ValueError):
-            quantum_volume_spec(1)

@@ -174,9 +174,11 @@ class TestTimingAttribution:
     def test_csv_roundtrips_new_columns(self, tmp_path):
         import csv
 
+        from repro.cloud.records import records_to_csv
+
         env, records = _run(checkpointing=True)
         path = tmp_path / "records.csv"
-        env.records.to_csv(str(path))
+        records_to_csv(env.records.completed_records, str(path))
         with open(path) as fh:
             (row,) = list(csv.DictReader(fh))
         (record,) = records

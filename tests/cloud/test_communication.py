@@ -20,6 +20,16 @@ class TestValidation:
         with pytest.raises(ValueError):
             ClassicalCommunicationModel(accounting="broadcast")
 
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_latency_rejected(self, latency):
+        with pytest.raises(ValueError, match="latency_per_qubit must be finite"):
+            ClassicalCommunicationModel(latency_per_qubit=latency)
+
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_penalty_rejected(self, penalty):
+        with pytest.raises(ValueError, match="fidelity_penalty"):
+            ClassicalCommunicationModel(fidelity_penalty=penalty)
+
 
 class TestQubitAccounting:
     def test_single_device_no_communication(self):

@@ -5,10 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.circuit import CircuitSpec
-from repro.cloud.qdevice import BaseQDevice, IBMQuantumDevice, QuantumDevice
+from repro.cloud.qdevice import BaseQDevice, IBMQuantumDevice
 from repro.des.environment import Environment
 from repro.hardware.backends import get_device_profile
-from repro.hardware.coupling import ibm_eagle_coupling
 from repro.metrics.error_score import error_score_from_averages
 from repro.metrics.timing import processing_time_minutes
 
@@ -121,16 +120,6 @@ def test_qubit_counter_conserved_under_concurrent_churn(jobs, capacity):
         dev.release_qubits(1)
 
 
-class TestQuantumDevice:
-    def test_connected_region_check(self, env):
-        dev = QuantumDevice(env, "dev", ibm_eagle_coupling(20))
-        assert dev.has_connected_region(10)
-        assert dev.has_connected_region(20)
-        assert not dev.has_connected_region(21)
-        with pytest.raises(ValueError):
-            dev.has_connected_region(0)
-
-
 class TestIBMQuantumDevice:
     def test_profile_attributes(self, device, small_profile):
         assert device.name == small_profile.name
@@ -163,10 +152,6 @@ class TestIBMQuantumDevice:
         assert device.completed_subjobs == 1
         assert device.busy_time == pytest.approx(env.now)
         assert device.qubit_seconds == pytest.approx(frag.num_qubits * env.now)
-
-    def test_from_profile_constructor(self, env, small_profile):
-        device = IBMQuantumDevice.from_profile(env, small_profile)
-        assert isinstance(device, IBMQuantumDevice)
 
 
 class TestErrorScoreCache:

@@ -4,7 +4,7 @@ import csv
 
 import pytest
 
-from repro.cloud.records import JobRecord, JobRecordsManager
+from repro.cloud.records import JobRecord, JobRecordsManager, records_to_csv
 
 
 def make_record(job_id=1, fidelity=0.66):
@@ -42,13 +42,13 @@ class TestRecordsManager:
     def test_event_logging_and_query(self):
         mgr = JobRecordsManager()
         mgr.log_arrival(1, 0.0)
-        mgr.log_start(1, 2.0, detail="ibm_kyiv")
-        mgr.log_fidelity(1, 10.0, 0.7)
-        mgr.log_finish(1, 10.0)
+        mgr.log_event(1, "start", 2.0, detail="ibm_kyiv")
+        mgr.log_requeue(1, 5.0)
+        mgr.log_event(1, "start", 6.0)
         mgr.log_arrival(2, 1.0)
         assert len(mgr.events) == 5
         events_1 = mgr.events_for(1)
-        assert [e.event for e in events_1] == ["arrival", "start", "fidelity", "finish"]
+        assert [e.event for e in events_1] == ["arrival", "start", "requeue", "start"]
         assert events_1[1].detail == "ibm_kyiv"
 
     def test_unknown_event_rejected(self):
@@ -72,7 +72,7 @@ class TestRecordsManager:
         mgr.add_record(make_record(job_id=1))
         mgr.add_record(make_record(job_id=2, fidelity=0.71))
         path = tmp_path / "records.csv"
-        mgr.to_csv(str(path))
+        records_to_csv(mgr.completed_records, str(path))
         with open(path) as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
@@ -81,7 +81,7 @@ class TestRecordsManager:
     def test_csv_export_empty_writes_header_only(self, tmp_path):
         """A zero-completion run exports the full schema with no data rows."""
         path = tmp_path / "x.csv"
-        JobRecordsManager().to_csv(str(path))
+        records_to_csv(JobRecordsManager().completed_records, str(path))
         with open(path) as fh:
             reader = csv.reader(fh)
             header = next(reader)
@@ -90,12 +90,3 @@ class TestRecordsManager:
 
     def test_csv_fields_match_as_dict(self):
         assert tuple(make_record().as_dict().keys()) == JobRecord.CSV_FIELDS
-
-    def test_events_csv_export(self, tmp_path):
-        mgr = JobRecordsManager()
-        mgr.log_arrival(1, 0.0)
-        mgr.log_failure(1, 2.0, "too big")
-        path = tmp_path / "events.csv"
-        mgr.events_to_csv(str(path))
-        content = path.read_text()
-        assert "arrival" in content and "too big" in content

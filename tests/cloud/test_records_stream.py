@@ -41,8 +41,8 @@ class TestStreamingManager:
     def test_counts_instead_of_storing(self):
         mgr = StreamingRecordsManager()
         mgr.log_arrival(1, 0.0)
-        mgr.log_start(1, 1.0, detail="ibm_kyiv")
-        mgr.log_finish(1, 3.0)
+        mgr.log_event(1, "start", 1.0, detail="ibm_kyiv")
+        mgr.log_event(1, "finish", 3.0)
         assert mgr.event_counts == {"arrival": 1, "start": 1, "finish": 1}
         assert mgr.events == []
         assert mgr.events_for(1) == []
@@ -124,10 +124,6 @@ class TestStreamingManager:
         assert payload["event_counts"] == {"arrival": 1}
         assert "wait_p50" in payload and "turnaround_p99" in payload
         assert json.dumps(payload)  # JSON-safe
-
-    def test_to_csv_refuses(self, tmp_path):
-        with pytest.raises(RuntimeError, match="export_path"):
-            StreamingRecordsManager().to_csv(str(tmp_path / "out.csv"))
 
 
 class TestJsonlExport:

@@ -11,14 +11,6 @@ class TestClock:
         assert Environment().now == 0
         assert Environment(initial_time=10).now == 10
 
-    def test_peek_empty(self, env):
-        assert env.peek() == float("inf")
-
-    def test_peek_returns_next_event_time(self, env):
-        env.timeout(7)
-        env.timeout(3)
-        assert env.peek() == 3
-
     def test_step_advances_clock(self, env):
         env.timeout(4)
         env.step()
@@ -27,11 +19,6 @@ class TestClock:
     def test_step_empty_raises(self, env):
         with pytest.raises(EmptySchedule):
             env.step()
-
-    def test_queue_size(self, env):
-        env.timeout(1)
-        env.timeout(2)
-        assert env.queue_size == 2
 
 
 class TestRun:
@@ -83,12 +70,6 @@ class TestRun:
         env.process(bad(env))
         with pytest.raises(KeyError):
             env.run()
-
-    def test_rewind_clears_queue(self, env):
-        env.timeout(5)
-        env.rewind()
-        assert env.queue_size == 0
-        assert env.now == 0
 
 
 class TestDeterminism:

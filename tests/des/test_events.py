@@ -16,14 +16,11 @@ class TestEvent:
         event = env.event()
         with pytest.raises(AttributeError):
             _ = event.value
-        with pytest.raises(AttributeError):
-            _ = event.ok
 
     def test_succeed_sets_value(self, env):
         event = env.event()
         event.succeed(42)
         assert event.triggered
-        assert event.ok
         assert event.value == 42
 
     def test_succeed_twice_raises(self, env):
@@ -41,9 +38,7 @@ class TestEvent:
         event = env.event()
         exc = ValueError("boom")
         event.fail(exc)
-        event.defused = True
         assert event.triggered
-        assert not event.ok
         assert event.value is exc
 
     def test_callbacks_invoked_on_processing(self, env):
@@ -103,43 +98,10 @@ class TestConditions:
         env.run()
         assert done_at == [1]
 
-    def test_and_operator(self, env):
-        t1, t2 = env.timeout(1), env.timeout(2)
-        cond = t1 & t2
-        env.run()
-        assert cond.processed
-        assert env.now == 2
-
-    def test_or_operator(self, env):
-        t1, t2 = env.timeout(1), env.timeout(2)
-        results = {}
-
-        def proc(env):
-            value = yield t1 | t2
-            results["value"] = value
-            results["time"] = env.now
-
-        env.process(proc(env))
-        env.run()
-        assert results["time"] == 1
-        assert t1 in results["value"]
-        assert t2 not in results["value"]
-
     def test_empty_all_of_succeeds_immediately(self, env):
         cond = env.all_of([])
         env.run()
         assert cond.processed
-
-    def test_condition_value_mapping_interface(self, env):
-        t1 = env.timeout(1, value="x")
-        cond = env.all_of([t1])
-        env.run()
-        value = cond.value
-        assert t1 in value
-        assert list(value.keys()) == [t1]
-        assert list(value.values()) == ["x"]
-        assert value.todict() == {t1: "x"}
-        assert value == {t1: "x"}
 
     def test_condition_events_must_share_environment(self, env):
         other = Environment()
@@ -164,11 +126,3 @@ class TestConditions:
         env.process(waiter(env, log))
         env.run()
         assert log == ["inner failure"]
-
-    def test_nested_conditions_collect_values(self, env):
-        t1, t2, t3 = env.timeout(1, value=1), env.timeout(2, value=2), env.timeout(3, value=3)
-        cond = (t1 & t2) & t3
-        env.run()
-        assert cond.value[t1] == 1
-        assert cond.value[t2] == 2
-        assert cond.value[t3] == 3

@@ -95,11 +95,3 @@ class TestEventLoopStats:
         }
         timed = EventLoopStats.from_env(env, wall_seconds=0.25).as_dict()
         assert timed["events_per_second"] == 4.0
-
-    def test_rewind_resets_counters(self, env):
-        env.timeout(1)
-        env.run()
-        assert env.events_processed == 1
-        env.rewind()
-        assert env.events_processed == 0
-        assert env.batches_processed == 0

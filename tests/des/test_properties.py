@@ -4,8 +4,8 @@ The kernel's guarantees, whatever the workload:
 
 * the clock never goes backwards while processing events,
 * timeouts fire exactly at their scheduled times, in nondecreasing order,
-* resources never admit more concurrent users than their capacity, grant
-  in request order and leave no slot idle while a request waits.
+* a resource never admits more than one user at a time, grants in request
+  order and leaves its slot idle only while nobody waits.
 """
 
 import heapq
@@ -62,34 +62,32 @@ def test_run_until_processes_exactly_the_events_before_the_horizon(delays, until
 
 @settings(max_examples=50, deadline=None)
 @given(
-    capacity=st.integers(min_value=1, max_value=5),
     hold_times=st.lists(st.floats(min_value=0.1, max_value=5.0, allow_nan=False), min_size=1, max_size=15),
 )
-def test_resource_never_oversubscribed(capacity, hold_times):
+def test_resource_never_oversubscribed(hold_times):
     env = Environment()
-    resource = Resource(env, capacity=capacity)
+    resource = Resource(env)
     max_seen = 0
 
     def user(env, resource, hold):
         nonlocal max_seen
         with resource.request() as req:
             yield req
-            max_seen = max(max_seen, resource.count)
+            max_seen = max(max_seen, len(resource.users))
             yield env.timeout(hold)
 
     for hold in hold_times:
         env.process(user(env, resource, hold))
     env.run()
 
-    assert max_seen <= capacity
-    assert resource.count == 0
+    assert max_seen == 1
+    assert resource.users == []
     assert len(resource.queue) == 0
 
 
 
 @settings(max_examples=50, deadline=None)
 @given(
-    capacity=st.integers(min_value=1, max_value=4),
     users=st.lists(
         st.tuples(
             st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
@@ -99,11 +97,11 @@ def test_resource_never_oversubscribed(capacity, hold_times):
         max_size=15,
     ),
 )
-def test_resource_grants_fifo_and_never_idles_a_slot(capacity, users):
+def test_resource_grants_fifo_and_never_idles_a_slot(users):
     """Requests are granted in the order they were made, and a request only
-    waits while every slot is taken."""
+    waits while the slot is taken."""
     env = Environment()
-    resource = Resource(env, capacity=capacity)
+    resource = Resource(env)
     requested, granted = [], []
 
     def user(env, index, arrive, hold):
@@ -111,7 +109,7 @@ def test_resource_grants_fifo_and_never_idles_a_slot(capacity, users):
         with resource.request() as req:
             requested.append(index)
             if not req.triggered:
-                assert resource.count == capacity
+                assert len(resource.users) == 1
             yield req
             granted.append(index)
             assert req.usage_since == env.now
@@ -123,7 +121,7 @@ def test_resource_grants_fifo_and_never_idles_a_slot(capacity, users):
 
     assert granted == requested
     assert sorted(granted) == list(range(len(users)))
-    assert resource.count == 0 and len(resource.queue) == 0
+    assert resource.users == [] and len(resource.queue) == 0
 
 @settings(max_examples=50, deadline=None)
 @given(

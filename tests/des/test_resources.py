@@ -1,26 +1,21 @@
 """Unit tests for Resource."""
 
-import pytest
-
 from repro.des import Interrupt, Resource
 from repro.des.resource import Request
 
 
 class TestResource:
-    def test_capacity_validation(self, env):
-        with pytest.raises(ValueError):
-            Resource(env, capacity=0)
 
     def test_count_and_queue(self, env):
-        res = Resource(env, capacity=1)
+        res = Resource(env)
         log = []
 
         def user(env, res, name, hold):
             with res.request() as req:
                 yield req
-                log.append((env.now, name, "acquired", res.count))
+                log.append((env.now, name, "acquired", len(res.users)))
                 yield env.timeout(hold)
-            log.append((env.now, name, "released", res.count))
+            log.append((env.now, name, "released", len(res.users)))
 
         env.process(user(env, res, "a", 5))
         env.process(user(env, res, "b", 3))
@@ -30,31 +25,16 @@ class TestResource:
         assert (5, "b", "acquired", 1) in log
         assert log[-1] == (8, "b", "released", 0)
 
-    def test_parallel_users_up_to_capacity(self, env):
-        res = Resource(env, capacity=2)
-        acquired_at = []
-
-        def user(env, res):
-            with res.request() as req:
-                yield req
-                acquired_at.append(env.now)
-                yield env.timeout(10)
-
-        for _ in range(3):
-            env.process(user(env, res))
-        env.run()
-        assert acquired_at == [0, 0, 10]
-
     def test_release_without_context_manager(self, env):
-        res = Resource(env, capacity=1)
+        res = Resource(env)
 
         def user(env, res, log):
             req = res.request()
             yield req
-            log.append(res.count)
+            log.append(len(res.users))
             yield env.timeout(1)
             yield res.release(req)
-            log.append(res.count)
+            log.append(len(res.users))
 
         log = []
         env.process(user(env, res, log))
@@ -62,7 +42,7 @@ class TestResource:
         assert log == [1, 0]
 
     def test_queue_is_fifo(self, env):
-        res = Resource(env, capacity=1)
+        res = Resource(env)
         order = []
 
         def user(env, res, name):
@@ -77,7 +57,7 @@ class TestResource:
         assert order == ["first", "second", "third"]
 
     def test_cancelled_request_leaves_queue(self, env):
-        res = Resource(env, capacity=1)
+        res = Resource(env)
 
         def holder(env, res):
             with res.request() as req:
@@ -86,8 +66,8 @@ class TestResource:
 
         def impatient(env, res, log):
             req = res.request()
-            result = yield req | env.timeout(2)
-            if req not in result:
+            yield env.any_of([req, env.timeout(2)])
+            if not req.triggered:
                 req.cancel()
                 log.append("gave up")
 
@@ -103,38 +83,38 @@ class TestResourceEventMechanics:
     """When a slot changes hands, pinned to the event it happens on."""
 
     def test_properties(self, env):
-        res = Resource(env, capacity=3)
-        assert (res.env, res.capacity, res.count) == (env, 3, 0)
+        res = Resource(env)
+        assert res.env is env
         assert res.users == [] and res.queue == []
 
     def test_request_granted_at_construction_when_slot_free(self, env):
-        res = Resource(env, capacity=1)
+        res = Resource(env)
         req = res.request()
         assert req.triggered
         assert res.users == [req] and res.queue == []
         assert req.usage_since == 0
 
     def test_request_waits_in_queue_when_full(self, env):
-        res = Resource(env, capacity=1)
+        res = Resource(env)
         first, second = res.request(), res.request()
         assert first.triggered and not second.triggered
         assert res.queue == [second]
         assert second.usage_since is None
 
     def test_release_frees_slot_at_construction(self, env):
-        res = Resource(env, capacity=1)
+        res = Resource(env)
         first, second = res.request(), res.request()
         release = res.release(first)
         # The slot is free as soon as the release exists, but the waiter is
         # only granted when the release event is processed.
         assert release.triggered
-        assert res.count == 0 and not second.triggered
+        assert len(res.users) == 0 and not second.triggered
         assert res.queue == [second]
         env.run()
         assert second.triggered and res.users == [second]
 
     def test_waiter_records_grant_time(self, env):
-        res = Resource(env, capacity=1)
+        res = Resource(env)
         granted = []
 
         def user(env, hold):
@@ -149,7 +129,7 @@ class TestResourceEventMechanics:
         assert granted == [0, 5]
 
     def test_interrupted_waiter_withdraws_request(self, env):
-        res = Resource(env, capacity=1)
+        res = Resource(env)
         log = []
 
         def holder(env):
@@ -174,7 +154,7 @@ class TestResourceEventMechanics:
         env.process(interrupter(env, victim))
         env.run()
         assert log == [("interrupted", 3, 0)]
-        assert res.count == 0 and res.queue == []
+        assert len(res.users) == 0 and res.queue == []
 
     def test_custom_queue_and_request_type(self, env):
         class Ticket(Request):
@@ -191,7 +171,7 @@ class TestResourceEventMechanics:
             Queue = PriorityQueue
             request_type = Ticket
 
-        res = PriorityResource(env, capacity=1)
+        res = PriorityResource(env)
         order = []
 
         def user(env, name, priority):

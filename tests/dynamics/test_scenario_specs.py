@@ -136,13 +136,3 @@ class TestRegistry:
     def test_resolve_trace_path_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             resolve_scenario(str(tmp_path / "missing.jsonl"))
-
-    def test_affected_devices(self):
-        scenario = Scenario(
-            name="x",
-            drift=DriftSpec(devices=("a",)),
-            outages=OutageSpec(devices=("b",)),
-        )
-        assert scenario.affected_devices(["a", "b", "c"]) == ["a", "b"]
-        fleet_wide = Scenario(name="y", outages=OutageSpec())
-        assert fleet_wide.affected_devices(["a", "b"]) == ["a", "b"]

@@ -83,10 +83,6 @@ class TestSummaryExports:
         assert len(parsed) == 2
         assert {row["strategy"] for row in parsed} == {"speed", "fair"}
 
-        json_path = store.write_summaries_json(rows)
-        with open(json_path) as fh:
-            assert len(json.load(fh)) == 2
-
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             ResultStore(str(tmp_path)).write_summaries_csv([])

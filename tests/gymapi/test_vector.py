@@ -34,10 +34,6 @@ class TestVecEnvBase:
         assert isinstance(rng, np.random.Generator)
         assert env.np_random is rng
 
-    def test_unwrapped_is_self(self):
-        env = BareEnv()
-        assert env.unwrapped is env
-
     def test_context_manager_closes(self):
         env = BareEnv()
         with env:

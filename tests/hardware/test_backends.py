@@ -95,6 +95,38 @@ class TestDeviceProfileValidation:
                 calibration=calibration,
             )
 
+    @pytest.mark.parametrize("clops", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_clops(self, clops):
+        coupling = ibm_eagle_coupling(10)
+        calibration = synthetic_calibration(coupling, seed=0)
+        with pytest.raises(ValueError, match="clops must be positive and finite"):
+            DeviceProfile(
+                name="bad",
+                num_qubits=10,
+                clops=clops,
+                quantum_volume=32,
+                coupling=coupling,
+                calibration=calibration,
+            )
+
+    @pytest.mark.parametrize("volume", [1.0, float("nan"), float("inf"), float("-inf")])
+    def test_invalid_quantum_volume(self, volume):
+        coupling = ibm_eagle_coupling(10)
+        calibration = synthetic_calibration(coupling, seed=0)
+        with pytest.raises(ValueError, match="quantum_volume must be finite and > 1"):
+            DeviceProfile(
+                name="bad",
+                num_qubits=10,
+                clops=1000,
+                quantum_volume=volume,
+                coupling=coupling,
+                calibration=calibration,
+            )
+
+    def test_get_device_profile_rejects_nan_quantum_volume(self):
+        with pytest.raises(ValueError, match="quantum_volume"):
+            get_device_profile("ibm_kyiv", quantum_volume=float("nan"))
+
     def test_calibration_mismatch(self):
         coupling = ibm_eagle_coupling(10)
         calibration = synthetic_calibration(ibm_eagle_coupling(8), seed=0)

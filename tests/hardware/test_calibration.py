@@ -54,8 +54,6 @@ class TestCalibrationData:
         assert np.isclose(cal.average_single_qubit_error(), 1e-4 * 2.5)
         assert np.isclose(cal.average_two_qubit_error(), 0.005 * 2)
         assert cal.num_qubits == 4
-        assert cal.average_t1_us() == 200
-        assert cal.average_t2_us() == 150
 
     def test_no_gates_average_is_zero(self):
         cal = CalibrationData(qubits=[QubitCalibration(0, 100, 80, 0.01, 1e-4)], gates=[])

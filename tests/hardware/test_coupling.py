@@ -4,11 +4,8 @@ import networkx as nx
 import pytest
 
 from repro.hardware.coupling import (
-    coupling_graph,
-    grid_graph,
     heavy_hex_graph,
     ibm_eagle_coupling,
-    largest_connected_subgraph,
     line_graph,
     ring_graph,
 )
@@ -68,40 +65,3 @@ class TestSimpleTopologies:
         assert all(d == 2 for _, d in g.degree())
         with pytest.raises(ValueError):
             ring_graph(2)
-
-    def test_grid(self):
-        g = grid_graph(3, 4)
-        assert g.number_of_nodes() == 12
-        assert nx.is_connected(g)
-
-    def test_coupling_graph_dispatch(self):
-        for name in ("heavy_hex", "eagle", "line", "ring", "grid"):
-            g = coupling_graph(name, 20)
-            assert g.number_of_nodes() == 20
-            assert nx.is_connected(g)
-
-    def test_coupling_graph_unknown(self):
-        with pytest.raises(ValueError):
-            coupling_graph("torus", 10)
-
-
-class TestConnectedSubgraph:
-    def test_found_region_is_connected(self):
-        g = ibm_eagle_coupling(60)
-        region = largest_connected_subgraph(g, 25)
-        assert region is not None
-        assert len(region) == 25
-        assert nx.is_connected(g.subgraph(region))
-
-    def test_too_large_returns_none(self):
-        g = line_graph(5)
-        assert largest_connected_subgraph(g, 6) is None
-
-    def test_invalid_size(self):
-        with pytest.raises(ValueError):
-            largest_connected_subgraph(line_graph(5), 0)
-
-    def test_full_size_region(self):
-        g = ring_graph(12)
-        region = largest_connected_subgraph(g, 12)
-        assert region == frozenset(range(12))

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hardware.coupling import ibm_eagle_coupling, line_graph, ring_graph
-from repro.hardware.regions import QubitRegionTracker
+from repro.hardware.qubit_regions import QubitRegionTracker
 
 
 class TestAllocate:

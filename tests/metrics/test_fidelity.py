@@ -11,7 +11,6 @@ from repro.metrics.fidelity import (
     DEFAULT_COMMUNICATION_PENALTY,
     FidelityBreakdown,
     communication_penalty,
-    device_fidelity,
     final_fidelity,
     readout_fidelity,
     single_qubit_fidelity,
@@ -61,22 +60,6 @@ class TestReadoutFidelity:
 
 
 class TestDeviceAndFinalFidelity:
-    def test_device_fidelity_is_product(self):
-        f = device_fidelity(
-            avg_single_qubit_error=3e-4,
-            avg_two_qubit_error=8e-3,
-            avg_readout_error=2e-2,
-            depth=12,
-            num_two_qubit_gates=300,
-            num_qubits=190,
-            num_devices=2,
-        )
-        expected = (
-            single_qubit_fidelity(3e-4, 12)
-            * two_qubit_fidelity(8e-3, 300)
-            * readout_fidelity(2e-2, 190, 2)
-        )
-        assert f == pytest.approx(expected)
 
     def test_communication_penalty_values(self):
         assert communication_penalty(1) == 1.0
@@ -113,22 +96,6 @@ class TestFidelityBreakdown:
 # ---------------------------------------------------------------------------
 # Property-based tests: fidelities are probabilities and degrade monotonically.
 # ---------------------------------------------------------------------------
-error_rates = st.floats(min_value=0.0, max_value=0.3, allow_nan=False)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    e1=error_rates,
-    e2=error_rates,
-    ero=error_rates,
-    depth=st.integers(min_value=1, max_value=50),
-    t2=st.integers(min_value=0, max_value=5000),
-    q=st.integers(min_value=1, max_value=600),
-    k=st.integers(min_value=1, max_value=5),
-)
-def test_device_fidelity_is_a_probability(e1, e2, ero, depth, t2, q, k):
-    f = device_fidelity(e1, e2, ero, depth, t2, q, k)
-    assert 0.0 <= f <= 1.0
 
 
 @settings(max_examples=200, deadline=None)

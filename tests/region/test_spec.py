@@ -112,10 +112,6 @@ class TestRegionTopology:
         with pytest.raises(KeyError):
             topology.region("ap")
 
-    def test_workload_shares_normalised(self):
-        topology = RegionTopology(name="t", regions=self._regions())
-        assert topology.workload_shares() == {"eu": 0.75, "us": 0.25}
-
     def test_is_single_region(self):
         assert RegionTopology(name="t", regions=(RegionSpec(name="eu"),)).is_single_region
         assert not RegionTopology(name="t", regions=self._regions()).is_single_region

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.rl.nn import MLP, Adam, Identity, Linear, Module, Parameter, ReLU, Sequential, Tanh
-from repro.rl.nn.init import constant_, orthogonal_, xavier_uniform_
+from repro.rl.nn.init import orthogonal_
 
 
 def numerical_gradient(f, x, eps=1e-6):
@@ -37,14 +37,6 @@ class TestInit:
     def test_orthogonal_wide_matrix(self, rng):
         w = orthogonal_((3, 7), gain=1.0, rng=rng)
         assert np.allclose(w @ w.T, np.eye(3), atol=1e-8)
-
-    def test_xavier_bounds(self, rng):
-        w = xavier_uniform_((20, 30), rng=rng)
-        limit = np.sqrt(6.0 / 50)
-        assert np.all(np.abs(w) <= limit + 1e-12)
-
-    def test_constant(self):
-        assert np.all(constant_((3, 2), 1.5) == 1.5)
 
     def test_orthogonal_rejects_non_2d(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,5 @@
 """Unit tests for the training logger."""
 
-import json
-
-import pytest
-
 from repro.rl.logger import TrainingLogger
 
 
@@ -13,53 +9,9 @@ class TestRecording:
         logger.record("loss", 1.0, step=10)
         logger.record("loss", 0.5, step=20)
         assert logger.values("loss") == [1.0, 0.5]
-        assert logger.steps("loss") == [10, 20]
         assert logger.latest("loss") == 0.5
-        assert logger.history("loss") == [(10, 1.0), (20, 0.5)]
 
     def test_latest_default(self):
         logger = TrainingLogger()
         assert logger.latest("missing") is None
         assert logger.latest("missing", default=3.0) == 3.0
-
-    def test_record_dict(self):
-        logger = TrainingLogger()
-        logger.record_dict({"a": 1.0, "b": 2.0}, step=5)
-        assert logger.keys == ["a", "b"]
-        assert logger.latest("a") == 1.0
-
-    def test_moving_average(self):
-        logger = TrainingLogger()
-        for i, v in enumerate([1.0, 2.0, 3.0, 4.0]):
-            logger.record("x", v, step=i)
-        assert logger.moving_average("x", window=2) == [1.0, 1.5, 2.5, 3.5]
-
-
-class TestExport:
-    def test_json_roundtrip(self, tmp_path):
-        logger = TrainingLogger()
-        logger.record("reward", 0.7, 100)
-        logger.record("reward", 0.8, 200)
-        path = tmp_path / "history.json"
-        logger.save_json(str(path))
-        loaded = TrainingLogger.load_json(str(path))
-        assert loaded.history("reward") == [(100, 0.7), (200, 0.8)]
-
-    def test_csv_export(self, tmp_path):
-        logger = TrainingLogger()
-        logger.record("a", 1.0, 1)
-        logger.record("b", 2.0, 1)
-        logger.record("a", 3.0, 2)
-        path = tmp_path / "history.csv"
-        logger.save_csv(str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,a,b"
-        assert lines[1].startswith("1,1.0,2.0")
-        assert lines[2].startswith("2,3.0,")
-
-    def test_to_dict_is_a_copy(self):
-        logger = TrainingLogger()
-        logger.record("a", 1.0, 1)
-        d = logger.to_dict()
-        d["a"].append((2, 2.0))
-        assert logger.history("a") == [(1, 1.0)]

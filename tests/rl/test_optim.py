@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.rl.nn import Adam, Linear, MLP, Parameter, SGD, clip_grad_norm_
+from repro.rl.nn import Adam, Linear, MLP, Parameter, clip_grad_norm_
 
 
 def quadratic_problem(dim=4, seed=0):
@@ -12,33 +12,6 @@ def quadratic_problem(dim=4, seed=0):
     target = rng.standard_normal(dim)
     param = Parameter(np.zeros(dim), "x")
     return param, target
-
-
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        param, target = quadratic_problem()
-        opt = SGD([param], lr=0.1)
-        for _ in range(200):
-            opt.zero_grad()
-            param.grad += param.data - target
-            opt.step()
-        assert np.allclose(param.data, target, atol=1e-4)
-
-    def test_momentum_accelerates(self):
-        param1, target = quadratic_problem(seed=1)
-        param2 = Parameter(np.zeros_like(param1.data), "x")
-        plain = SGD([param1], lr=0.01)
-        momentum = SGD([param2], lr=0.01, momentum=0.9)
-        for _ in range(50):
-            for param, opt in ((param1, plain), (param2, momentum)):
-                opt.zero_grad()
-                param.grad += param.data - target
-                opt.step()
-        assert np.linalg.norm(param2.data - target) < np.linalg.norm(param1.data - target)
-
-    def test_momentum_validation(self):
-        with pytest.raises(ValueError):
-            SGD([Parameter(np.zeros(2))], lr=0.1, momentum=1.5)
 
 
 class TestAdam:

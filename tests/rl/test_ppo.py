@@ -147,10 +147,3 @@ class TestPersistence:
         fresh.load_parameters(path)
         loaded, _ = fresh.predict(obs)
         assert np.allclose(expected, loaded)
-
-    def test_training_curve_export(self):
-        model = PPO("MlpPolicy", ContinuousTargetEnv(), n_steps=64, batch_size=32, seed=8)
-        model.learn(total_timesteps=128)
-        curve = model.training_curve()
-        assert "rollout/ep_rew_mean" in curve
-        assert len(curve["rollout/ep_rew_mean"]["steps"]) == 2

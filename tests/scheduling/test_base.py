@@ -44,13 +44,6 @@ class TestAllocationPlan:
         with pytest.raises(ValueError):
             AllocationPlan.from_pairs([(device, 10), (device, 20)])
 
-    def test_feasibility_check(self):
-        devices = [FakeDevice("a", 50), FakeDevice("b", 5)]
-        plan = AllocationPlan.from_pairs(zip(devices, [40, 10]))
-        assert not plan.is_feasible_now()
-        devices[1].free_qubits = 10
-        assert plan.is_feasible_now()
-
 
 class TestGreedyHelper:
     class _Policy(AllocationPolicy):

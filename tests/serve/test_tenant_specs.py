@@ -40,8 +40,6 @@ class TestSLOSpec:
 
 
 class TestAdmissionSpec:
-    def test_default_is_unlimited(self):
-        assert AdmissionSpec().is_unlimited
 
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -56,10 +54,6 @@ class TestAdmissionSpec:
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be"):
             AdmissionSpec(**{name: value})
-
-    def test_limited(self):
-        assert not AdmissionSpec(rate=0.1).is_unlimited
-        assert not AdmissionSpec(max_queued=5).is_unlimited
 
 
 class TestTenantSpec:
@@ -112,7 +106,6 @@ class TestTenantMix:
         mix = TenantMix(name="m", tenants=(TenantSpec(name="a"), TenantSpec(name="b")))
         assert mix.tenant("b").name == "b"
         assert mix.default_tenant.name == "a"
-        assert mix.tenant_names() == ("a", "b")
         with pytest.raises(KeyError):
             mix.tenant("c")
 

@@ -2,22 +2,7 @@
 
 import pytest
 
-from repro.workloads import case_study_jobs, ghz_sweep_jobs, mixed_tenant_jobs, qaoa_portfolio_jobs
-
-
-class TestCaseStudyWorkload:
-    def test_matches_paper_parameters(self):
-        jobs = case_study_jobs(num_jobs=50, seed=1)
-        assert len(jobs) == 50
-        for job in jobs:
-            assert 130 <= job.num_qubits <= 250
-            assert 5 <= job.depth <= 20
-            assert 10_000 <= job.num_shots <= 100_000
-
-    def test_seeded(self):
-        assert [j.circuit for j in case_study_jobs(10, seed=5)] == [
-            j.circuit for j in case_study_jobs(10, seed=5)
-        ]
+from repro.workloads import ghz_sweep_jobs, mixed_tenant_jobs, qaoa_portfolio_jobs
 
 
 class TestGHZSweep:
