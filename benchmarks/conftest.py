@@ -46,6 +46,22 @@ TRAINING_N_ENVS = int(os.environ.get("REPRO_N_ENVS", "8"))
 BENCHMARK_SEED = 2025
 
 
+class CountingPlanner:
+    """A registered allocation policy that counts its ``plan()`` calls: a
+    deterministic work counter the overhead benchmarks assert on."""
+
+    def __init__(self, name: str) -> None:
+        from repro.scheduling.registry import create_policy
+
+        self.inner = create_policy(name)
+        self.name = self.inner.name
+        self.calls = 0
+
+    def plan(self, job: Any, devices: Any) -> Any:
+        self.calls += 1
+        return self.inner.plan(job, devices)
+
+
 def write_artifact(path: Path, payload: Dict[str, Any]) -> None:
     """Write a benchmark artifact as JSON when ``REPRO_BENCH_WRITE=1``.
 

@@ -13,8 +13,10 @@ root (the perf trajectory of the checkpointing subsystem):
   complete).
 * **No-abort overhead** — a static world with checkpointing on vs off: the
   code path only differs by a flag check per sub-job, so the wall-clock
-  delta must stay **< 10 %** (asserted in the full-size run; results are
-  byte-identical either way, which the test also spot-checks).
+  delta must stay **< 10 %** (asserted in the full-size run).  Results are
+  byte-identical either way, and the two runs process the same heap events
+  and make the same ``plan()`` calls; the test asserts all three on every
+  run.
 
 Set ``REPRO_CHECKPOINT_BENCH_TINY=1`` (the CI smoke job does) for a
 seconds-fast run that exercises both paths without asserting the bounds.
@@ -26,7 +28,7 @@ import os
 import time
 from pathlib import Path
 
-from benchmarks.conftest import WRITE_ARTIFACTS, write_artifact
+from benchmarks.conftest import WRITE_ARTIFACTS, CountingPlanner, write_artifact
 from repro.cloud.config import SimulationConfig
 from repro.cloud.environment import QCloudSimEnv
 from repro.dynamics import OutageSpec, Scenario
@@ -65,10 +67,7 @@ def _run(scenario, checkpointing, num_jobs=NUM_JOBS):
         num_jobs=num_jobs, policy="fidelity", checkpointing=checkpointing,
     )
     start = time.perf_counter()
-    # Pinned to one engine (the per-job reference), so both sides of the
-    # static-world overhead ratio run the same engine.  The default flat
-    # engine's checkpointing cost is not timed here.
-    env = QCloudSimEnv(config, scenario=scenario, fast_path=False)
+    env = QCloudSimEnv(config, scenario=scenario, policy=CountingPlanner("fidelity"))
     records = env.run_until_complete()
     return time.perf_counter() - start, env, records
 
@@ -121,15 +120,26 @@ def test_checkpoint_benchmark():
                 None, checkpointing=checkpointing, num_jobs=OVERHEAD_NUM_JOBS
             )
             best[checkpointing] = min(best[checkpointing], seconds)
-            sample[checkpointing] = records
+            sample[checkpointing] = (env, records)
     overhead = best[True] / best[False] - 1.0
+    counters = {
+        checkpointing: {
+            "heap_events": env.events_processed,
+            "plan_calls": env.policy.calls,
+        }
+        for checkpointing, (env, _) in sample.items()
+    }
     results["no_abort_overhead"] = {
         "seconds_off": best[False],
         "seconds_on": best[True],
         "wallclock_vs_off": overhead,
+        "counters_off": counters[False],
+        "counters_on": counters[True],
     }
-    # Byte-identical results when nothing aborts (spot check).
-    assert [r.as_dict() for r in sample[True]] == [r.as_dict() for r in sample[False]]
+    # When nothing aborts, checkpointing changes neither the results nor
+    # the work: the same records, heap events and plan() calls.
+    assert [r.as_dict() for r in sample[True][1]] == [r.as_dict() for r in sample[False][1]]
+    assert counters[True] == counters[False], counters
     if not SKIP_TIMING:
         # Acceptance target: the flag check costs nothing when nothing aborts.
         # Asserted BEFORE the artifact is written so a failing (or noisy) run
@@ -158,7 +168,9 @@ def test_checkpoint_benchmark():
               f"({entry['turnaround_improvement']:+.2%})  "
               f"makespan {off['makespan_s']:>9.1f} -> {on['makespan_s']:>9.1f} s "
               f"({entry['makespan_improvement']:+.2%})")
-    print(f"no-abort overhead (static world): {overhead:+.1%}")
+    print(f"no-abort overhead (static world): {overhead:+.1%}, "
+          f"{counters[True]['heap_events']} heap events and "
+          f"{counters[True]['plan_calls']} plan() calls on both sides")
     write_artifact(RESULTS_PATH, payload)
     if WRITE_ARTIFACTS:
         assert RESULTS_PATH.exists()

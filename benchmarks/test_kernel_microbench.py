@@ -1,8 +1,8 @@
 """Micro-benchmarks of the substrate layers.
 
 Not a paper table/figure — these track the wall-clock cost of the building
-blocks (the DES kernel and its resources, the policy planners and the
-NumPy policy network) so simulator-scalability regressions are caught.
+blocks (the DES kernel, the policy planners and the NumPy policy network)
+so simulator-scalability regressions are caught.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import pytest
 
 from repro.cloud.config import SimulationConfig
 from repro.cloud.environment import QCloudSimEnv
-from repro.des import Environment, Resource
+from repro.des import Environment
 from repro.gymapi.spaces import Box
 from repro.rl.policies import ActorCriticPolicy
 from repro.scheduling.registry import create_policy
@@ -38,27 +38,6 @@ def test_des_event_throughput(benchmark):
     assert result == 10_000
 
 
-def test_des_bulk_schedule_throughput(benchmark):
-    """Cost of bulk-scheduling 10,000 absolute-time arrival markers at once."""
-    from repro.des.events import NORMAL, Event
-
-    def run():
-        env = Environment()
-
-        def make_marker():
-            marker = Event(env)
-            marker._ok = True
-            marker._value = None
-            return marker
-
-        env.schedule_batch((float(t), NORMAL, make_marker()) for t in range(10_000))
-        env.run()
-        return env.now
-
-    result = benchmark(run)
-    assert result == 9_999
-
-
 def test_experiment_runner_overhead(benchmark):
     """Engine overhead: a 3-cell serial spec vs three bare simulations."""
     from repro.engine import ExperimentRunner, ExperimentSpec
@@ -75,29 +54,6 @@ def test_experiment_runner_overhead(benchmark):
     result = benchmark(run)
     assert len(result) == 3
     assert {r.cell.strategy for r in result} == {"speed", "fidelity", "fair"}
-
-
-def test_des_resource_contention(benchmark):
-    """Cost of 200 processes contending for one shared ``Resource`` slot."""
-
-    def run():
-        env = Environment()
-        slots = Resource(env)
-
-        def worker(env, slots):
-            for _ in range(5):
-                with slots.request() as req:
-                    yield req
-                    yield env.timeout(1)
-
-        for _ in range(200):
-            env.process(worker(env, slots))
-        env.run()
-        return env.now, len(slots.users), len(slots.queue)
-
-    now, users, waiting = benchmark(run)
-    # 1,000 unit holds on one slot, never idle: the last one ends at t=1000.
-    assert (now, users, waiting) == (1000, 0, 0)
 
 
 @pytest.mark.parametrize("policy_name", ["speed", "fidelity", "fair"])

@@ -12,13 +12,9 @@ records.  Results land in ``BENCH_scale.json`` at the repository root:
   **30k jobs/s**; because identical code swings +/-15% with the machine's
   wall-clock weather, the full-size run asserts only a noise-tolerant hard
   floor (``THROUGHPUT_FLOOR``).
-* **Legacy-engine baseline** — the same workload shape through the per-job
-  process engine (``fast_path=False``), sized down so it finishes in
-  seconds.  Its wall-clock speedup ratio is reported, not asserted: the two
-  engines share every lifecycle step, so the ratio times only event
-  plumbing, and on a shared host the same code measures 2.5-3.3x.  What the
-  flat engine saves is asserted as a count from the same run instead: heap
-  events per job, flat ``<=`` per-job / 3 (2.0 against 10.0).
+* **Event economy** — heap events per job, asserted ``<=`` a third of the
+  10.0 the generator-per-job engine used on this workload shape
+  (:data:`PER_JOB_ENGINE_EVENTS_PER_JOB`); the flat engine uses 2.0.
 * **Event-loop stats** — :class:`~repro.des.monitoring.EventLoopStats` of
   the measured run; the flat path sustains O(1) events per job (one feed,
   one pooled completion), asserted as ``events <= 3 * jobs``.
@@ -67,9 +63,6 @@ SKIP_TIMING = TINY or os.environ.get(
 
 #: Jobs in the measured trace.
 NUM_JOBS = 5_000 if TINY else 1_000_000
-#: Jobs in the legacy-engine baseline run (per-job processes are ~5x
-#: slower, so the baseline is sized to finish in seconds).
-BASELINE_JOBS = 500 if TINY else 5_000
 #: Timed repetitions of the measured run (best-of is reported).
 REPEATS = 1 if TINY else 3
 #: Workload sizes for the traced-memory sublinearity check (1:4 ratio).
@@ -81,10 +74,15 @@ THROUGHPUT_TARGET = 30_000.0
 #: Hard floor asserted on every full-size run.  Identical code measures
 #: 25k-33k jobs/s depending on the machine's wall-clock weather, so the
 #: hard gate sits well under that band — it catches catastrophic
-#: regressions (the legacy engine measures ~6-8k on the same workload);
-#: the heap-events-per-job count against the legacy engine guards the
-#: flat engine's event economy without depending on the clock.
+#: regressions (the generator-per-job engine measured ~6-8k on the same
+#: workload); the heap-events-per-job bound guards the engine's event
+#: economy without depending on the clock.
 THROUGHPUT_FLOOR = 20_000.0
+#: Heap events per job of the generator-per-job engine on this workload:
+#: 50,003 events for the 5,000-job trace (5,003 for 500 jobs), the last
+#: measurement before that engine was removed from the repository.  The
+#: flat engine must stay at or under a third of it.
+PER_JOB_ENGINE_EVENTS_PER_JOB = 10.0
 
 #: Workload parameters (fixed so BENCH_scale.json is comparable across PRs).
 SEED = 42
@@ -130,27 +128,7 @@ def _timed_fast_run(num_jobs: int):
         wall = time.perf_counter() - start
     finally:
         gc.enable()
-    assert env.fast_path_active
     return wall, env, records
-
-
-def _legacy_baseline(num_jobs: int):
-    """The same workload shape through the per-job process engine."""
-    table = _make_table(num_jobs)
-    jobs = [table.job_for(row) for row in range(num_jobs)]
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        env = QCloudSimEnv(config=SimulationConfig(), jobs=jobs, fast_path=False)
-        env.run()
-        wall = time.perf_counter() - start
-    finally:
-        gc.enable()
-    assert not env.fast_path_active
-    completed = len(env.records.completed_records)
-    assert completed == num_jobs, f"legacy baseline completed {completed}/{num_jobs}"
-    return wall, completed / wall, EventLoopStats.from_env(env, wall)
 
 
 def _traced_peaks():
@@ -175,9 +153,6 @@ def _traced_peaks():
 def test_scale_benchmark():
     _timed_fast_run(min(2_000, NUM_JOBS))  # warm-up: catalogues, caches
 
-    baseline_seconds, baseline_jps, baseline_stats = _legacy_baseline(BASELINE_JOBS)
-    baseline_events_per_job = baseline_stats.events_processed / BASELINE_JOBS
-
     best = None
     for _ in range(REPEATS):
         wall, env, records = _timed_fast_run(NUM_JOBS)
@@ -201,9 +176,9 @@ def test_scale_benchmark():
         f"flat path used {stats.events_processed} events for {NUM_JOBS} jobs "
         "(expected O(1) events/job)"
     )
-    assert events_per_job <= baseline_events_per_job / 3.0, (
+    assert events_per_job <= PER_JOB_ENGINE_EVENTS_PER_JOB / 3.0, (
         f"flat path used {events_per_job:.2f} heap events per job, not a third "
-        f"of the legacy engine's {baseline_events_per_job:.2f}"
+        f"of the per-job engine's {PER_JOB_ENGINE_EVENTS_PER_JOB:.2f}"
     )
     assert mem_ratio < jobs_ratio / 2.0, (
         f"streaming peak memory grew {mem_ratio:.2f}x for {jobs_ratio:.0f}x the "
@@ -247,14 +222,8 @@ def test_scale_benchmark():
             "dispatch_throughput_jobs_per_s": throughput,
             "throughput_target_jobs_per_s": None if TINY else THROUGHPUT_TARGET,
             "throughput_floor_jobs_per_s": None if TINY else THROUGHPUT_FLOOR,
-            "legacy_baseline": {
-                "num_jobs": BASELINE_JOBS,
-                "wall_seconds": baseline_seconds,
-                "jobs_per_s": baseline_jps,
-                "events_per_job": baseline_events_per_job,
-            },
             "events_per_job": events_per_job,
-            "speedup_vs_legacy_engine": throughput / baseline_jps,
+            "per_job_engine_events_per_job": PER_JOB_ENGINE_EVENTS_PER_JOB,
             "serve_bench_plain_broker_jobs_per_s": serve_baseline,
         },
         "event_loop": stats.as_dict(),
@@ -270,10 +239,8 @@ def test_scale_benchmark():
           f"best of {REPEATS}):")
     print(f"  dispatch throughput : {throughput:,.0f} jobs/s "
           f"({wall:.1f}s wall)")
-    print(f"  legacy engine       : {baseline_jps:,.0f} jobs/s "
-          f"({BASELINE_JOBS:,} jobs) -> {throughput / baseline_jps:.1f}x")
-    print(f"  heap events per job : {events_per_job:.2f} flat vs "
-          f"{baseline_events_per_job:.2f} legacy")
+    print(f"  heap events per job : {events_per_job:.2f} "
+          f"(per-job engine: {PER_JOB_ENGINE_EVENTS_PER_JOB:.2f})")
     print(f"  event loop          : {stats.events_processed:,} events, "
           f"{stats.events_per_second:,.0f} events/s, "
           f"max batch {stats.max_batch_size}")

@@ -4,13 +4,13 @@
 :class:`~repro.adaptive.spec.AdaptivePolicySpec` inside one simulation.  At
 install time it
 
-1. attaches itself to the broker as ``broker.adaptive``: whichever engine
-   dispatches the run (the per-job broker processes or the flat
-   :class:`~repro.cloud.fastpath.FlatDispatcher`) reports every submission,
-   completion and failure to its :class:`~repro.adaptive.signals.SignalBus`
-   and asks it for each execution attempt's checkpoint decision (an
-   adaptive-less run is byte-identical because both engines skip every call
-   while the attribute is ``None``),
+1. attaches itself to the broker as ``broker.adaptive``: the dispatch
+   engine (:class:`~repro.cloud.fastpath.FlatDispatcher`) reports every
+   submission, completion and failure to its
+   :class:`~repro.adaptive.signals.SignalBus` and asks it for each
+   execution attempt's checkpoint decision (an adaptive-less run is
+   byte-identical because the engine skips every call while the attribute
+   is ``None``),
 2. builds an :class:`~repro.adaptive.forecast.OnlineArrivalForecaster`
    (with a diurnal period hint when the scenario/tenant traffic declares
    one),

@@ -68,11 +68,11 @@ class TenantSignals:
 class SignalBus:
     """Collects broker/record signals for the control loop.
 
-    Both engines call :meth:`on_submit`, :meth:`on_completed` and
+    The dispatch engine calls :meth:`on_submit`, :meth:`on_completed` and
     :meth:`on_failed` through the broker's ``adaptive`` attachment, passing
     only what the bus reads: the tenant, whether the job was admitted, and
-    the completed record.  The flat engine's streaming mode therefore
-    reports straight from its job table, without a job object per row.
+    the completed record.  The engine's streaming mode therefore reports
+    straight from its job table, without a job object per row.
     """
 
     def __init__(self, env, forecaster: Optional["OnlineArrivalForecaster"] = None) -> None:

@@ -415,7 +415,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             from repro.des.monitoring import EventLoopStats
 
             stats = EventLoopStats.from_env(env, wall_seconds=wall)
-            print(f"engine        : {'flat events' if env.fast_path_active else 'per-job processes'}")
             print(f"events        : {stats.events_processed:,} in {stats.batches_processed:,} batches "
                   f"(mean {stats.mean_batch_size:.2f}, max {stats.max_batch_size})")
             print(f"peak queue    : {stats.peak_queue_size:,}")
@@ -631,8 +630,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="checkpointed preemption: aborted jobs (outages, preemptions) "
                             "resume with only their remaining shots")
     p_sim.add_argument("--stats", action="store_true",
-                       help="print which engine ran (flat events) and event-loop "
-                            "statistics (events, batches, events/s); runs in-process")
+                       help="print event-loop statistics (events, batches, events/s); "
+                            "runs in-process")
     _add_axis_options(p_sim)
     _add_engine_options(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)

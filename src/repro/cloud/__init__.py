@@ -11,12 +11,10 @@ This subpackage models the components of Fig. 3/Fig. 4 of the paper:
   allocation and inter-device communication,
 * :class:`~repro.cloud.broker.Broker` — mediates between job requests and
   devices, executing the unified allocation workflow (Algorithm 1),
-* :class:`~repro.cloud.fastpath.FlatDispatcher` — the flat-event engine
-  that feeds every run's jobs (synthetic, from a list, or read from CSV/JSON
-  by :mod:`repro.cloud.io`) to the broker at their arrival times;
-  :class:`~repro.cloud.job_generator.JobGenerator` is the per-job engine kept
-  as the reference the identity tests compare against
-  (``QCloudSimEnv(..., fast_path=False)``),
+* :class:`~repro.cloud.fastpath.FlatDispatcher` — the dispatch engine: it
+  feeds every run's jobs (synthetic, from a list, or read from CSV/JSON by
+  :mod:`repro.cloud.io`) to the broker at their arrival times and runs
+  their sub-jobs as flat heap events,
 * :class:`~repro.cloud.records.JobRecordsManager` — job life-cycle tracking,
 * :class:`~repro.cloud.environment.QCloudSimEnv` — the top-level simulation
   environment tying everything together.
@@ -26,7 +24,6 @@ from repro.cloud.broker import Broker
 from repro.cloud.communication import ClassicalCommunicationModel
 from repro.cloud.config import SimulationConfig
 from repro.cloud.environment import QCloudSimEnv
-from repro.cloud.job_generator import JobGenerator
 from repro.cloud.qcloud import QCloud
 from repro.cloud.qdevice import BaseQDevice, IBMQuantumDevice, QuantumDevice
 from repro.cloud.qjob import QJob, QJobStatus
@@ -38,7 +35,6 @@ __all__ = [
     "ClassicalCommunicationModel",
     "IBMQuantumDevice",
     "JobEvent",
-    "JobGenerator",
     "JobRecord",
     "JobRecordsManager",
     "QCloud",

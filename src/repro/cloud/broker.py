@@ -11,17 +11,15 @@ For every incoming job the broker
 5. computes the final fidelity with the communication penalty (line 13),
 6. releases the qubits and logs completion (line 14).
 
-Planning and reservation happen inside a FIFO admission critical section so
-that concurrent jobs never race for the same free qubits (which would make
-plans infeasible or deadlock the reservation step).  If no feasible plan
-exists at admission time the broker waits for the cloud's capacity-released
-signal and re-plans.
+Jobs are planned one at a time, in dispatch order (FIFO here), so two jobs
+never race for the same free qubits.  If no feasible plan exists, the job at
+the head of the line waits for the cloud's capacity-released signal and
+re-plans.
 
 Non-stationary scenarios (:mod:`repro.dynamics`) extend the workflow: the
 broker only plans over *online* devices, and when a device outage kills a
-job's in-flight sub-jobs (they come back ``aborted``) the broker releases
-every reservation, signals the freed capacity and requeues the job from the
-planning step, up to ``max_requeues`` attempts.
+job's in-flight sub-jobs the broker releases every reservation and requeues
+the job from the planning step, up to ``max_requeues`` attempts.
 
 Checkpointed preemption (``checkpointing=True``) makes those requeues cheap:
 an aborted attempt records how many shots every sub-job completed (the
@@ -33,13 +31,11 @@ segment evaluated on its own device allocation (a resumed attempt may land
 on entirely different devices).  With checkpointing off — the default —
 every path is byte-identical to full re-execution.
 
-Byte identity
--------------
-Two engines run this workflow: :meth:`Broker._handle_job`, one DES process
-per job (the per-job reference, ``fast_path=False``), and the flat-event
-:class:`~repro.cloud.fastpath.FlatDispatcher` that every other run uses.
-Each transition is written once, here or on the device, and both engines
-call it, so they differ only in their event plumbing:
+Lifecycle steps
+---------------
+The event plumbing lives in the dispatch engine,
+:class:`~repro.cloud.fastpath.FlatDispatcher`; every job transition is
+written here or on the device:
 
 * an :class:`_Attempt` is built from the policy's plan before its qubits
   are reserved: it refuses a misallocated or infeasible plan and takes the
@@ -53,14 +49,17 @@ call it, so they differ only in their event plumbing:
   :class:`~repro.cloud.records.JobRecord`;
 * an aborted attempt ends in :meth:`Broker._abort_attempt`, then
   :meth:`Broker._requeue` or :meth:`Broker._fail`.
+
+The broker's hooks (``submit``, ``dispatch_key``, ``_on_dispatch``,
+``_blocked`` and the running-set and requeue hooks) are where a broker
+subclass, such as :class:`~repro.serve.ServeBroker`, plugs its policy in.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.cloud.qcloud import QCloud
-from repro.cloud.qdevice import IBMQuantumDevice, SubJobResult
 from repro.cloud.qjob import QJob, QJobStatus
 from repro.cloud.records import JobRecord, JobRecordsManager
 from repro.des.environment import Environment
@@ -108,10 +107,10 @@ class _JobRun:
 
 
 class _Attempt:
-    """One execution attempt of a dispatched job: what both engines start,
-    abort and complete through the broker's lifecycle steps.
+    """One execution attempt of a dispatched job: what the engine starts,
+    aborts and completes through the broker's lifecycle steps.
 
-    Built from the job (a :class:`QJob`, or the flat engine's row view of a
+    Built from the job (a :class:`QJob`, or the engine's row view of a
     streaming table) and its policy's plan, before the plan's qubits are
     reserved: the constructor refuses a plan that does not allocate exactly
     the job's qubits or does not fit the fleet right now (a policy bug), and
@@ -170,8 +169,8 @@ class _Attempt:
         self.depth = job.depth
         self.shots = shots = job.num_shots
         self.arrival = job.arrival_time
-        # ``_now`` rather than the ``now`` property: both engines build one
-        # attempt per dispatch.
+        # ``_now`` rather than the ``now`` property: one attempt is built
+        # per dispatch.
         self.start = broker.env._now
         self.plan = plan
         self.allocations = allocations
@@ -255,18 +254,17 @@ class Broker:
         #: ``install()``): fed job reports, asked for checkpoint decisions.
         self.adaptive: Optional[Any] = None
         #: For a broker with a :attr:`dispatch_key`: the engine's line of
-        #: jobs waiting for the dispatch floor, set by the engine that runs
-        #: the broker.  Its ``best_waiting_key`` is the smallest key behind
+        #: jobs waiting for the dispatch floor, set by the engine.  Its ``best_waiting_key`` is the smallest key behind
         #: the floor holder (``None`` when nobody waits).
         self.waiting_line: Optional[Any] = None
 
     # -- public API ---------------------------------------------------------------
     def submit(self, job: QJob) -> bool:
-        """Admit an arriving job: the one admission step of both engines.
+        """Admit an arriving job.
 
         Marks *job* queued and reports it; returns whether it was admitted
         (always, here).  The engine then queues an admitted job for
-        dispatch: the per-job engine starts its :meth:`_handle_job` process.
+        dispatch.
         """
         job.status = QJobStatus.QUEUED
         if self.adaptive is not None:
@@ -286,65 +284,8 @@ class Broker:
         if self.unended == 0:
             self.all_ended.succeed()
 
-    # -- Algorithm 1 -----------------------------------------------------------------
-    def _handle_job(self, job: QJob) -> Generator[object, object, Optional[JobRecord]]:
-        """DES process implementing the unified allocation workflow for one job.
-
-        The plan/reserve/execute cycle repeats when a device outage aborts
-        the job's sub-jobs mid-flight: reservations are released and the job
-        re-enters planning (counted in the completed record's ``retries``).
-        """
-        if not self.cloud.can_ever_fit(job.num_qubits):
-            self._fail(job, "exceeds total cloud capacity")
-            return None
-
-        run: Optional[_JobRun] = None
-        while True:
-            attempt = yield from self._plan_and_reserve(job, run)
-            if attempt is None:
-                return None  # permanently failed (logged inside)
-            record = yield from self._execute_plan(job, attempt)
-            if record is not None:
-                return record
-            run = attempt.run
-            if not self._requeue(job, run):
-                return None
-
-    def _plan_and_reserve(
-        self, job: QJob, run: Optional[_JobRun]
-    ) -> Generator[object, object, Optional[_Attempt]]:
-        """Plan the job over the online fleet, build the attempt (*run* is
-        the job's cross-attempt state) and reserve the planned qubits while
-        holding the dispatch floor; ``None`` means the job failed."""
-        attempts = 0
-        while True:
-            with self._dispatch_request(job) as request:
-                yield request
-                self._on_dispatch(job)
-                while True:
-                    plan = self.policy.plan(job, self.cloud.online_devices)
-                    if plan is not None:
-                        attempt = _Attempt(self, job, plan, run)
-                        # The plan is feasible right now and we still hold
-                        # the floor, so every reservation succeeds at once.
-                        for alloc in plan.allocations:
-                            alloc.device.reserve_qubits(alloc.num_qubits)
-                        return attempt
-                    attempts += 1
-                    if attempts >= self.max_plan_attempts:
-                        self._fail(job, "no feasible allocation")
-                        return None
-                    blocked = self._blocked(job)
-                    if blocked is None:
-                        break  # give the floor up, then request it again
-                    yield blocked
-
-    # -- dispatch hooks (the serve broker's tenant-aware queue plugs in here;
-    # the flat engine calls _on_dispatch and _blocked too) ------------------------
-    def _dispatch_request(self, job: QJob) -> Any:
-        """The request that grants *job* the dispatch floor (FIFO here)."""
-        return self.cloud.admission.request()
-
+    # -- dispatch hooks (the engine calls them; the serve broker's tenant
+    # policy plugs in here) -------------------------------------------------------
     def _on_dispatch(self, job: QJob) -> None:
         """Called each time *job* is granted the dispatch floor."""
 
@@ -353,58 +294,7 @@ class Broker:
         re-planning, or ``None`` to give the floor up."""
         return self.cloud.capacity_released
 
-    def _execute_plan(
-        self, job: QJob, attempt: _Attempt
-    ) -> Generator[object, object, Optional[JobRecord]]:
-        """Execute an attempt's reserved plan; ``None`` means an outage or
-        preemption aborted it (the reservations have been released and the
-        job should be requeued, carrying ``attempt.run``)."""
-        self._start_attempt(job, attempt)
-        # Under checkpointing a resumed attempt executes only the shots its
-        # aborted predecessors did not complete.
-        circuit = job.circuit
-        shots = attempt.attempt_shots
-        if shots != job.num_shots:
-            circuit = circuit.with_shots(shots)
-        allocations = attempt.allocations
-        sub_processes = [
-            self.env.process(
-                alloc.device.execute(
-                    circuit.subcircuit(
-                        alloc.num_qubits, name=f"{job.circuit.name}@{alloc.device.name}"
-                    ),
-                    len(allocations),
-                    job.num_qubits,
-                    checkpoint=attempt.checkpoint,
-                )
-            )
-            for alloc in allocations
-        ]
-        self._register_running(job, attempt.plan, sub_processes)
-        results_map = yield self.env.all_of(sub_processes)
-        results: List[SubJobResult] = [results_map[p] for p in sub_processes]
-        attempt.breakdowns = [r.fidelity_breakdown for r in results]
-
-        if any(result.aborted for result in results):
-            self._unregister_running(job)
-            self._abort_attempt(attempt, min(result.completed_shots for result in results))
-            self.cloud.signal_capacity_change()
-            return None
-
-        # -- inter-device classical communication ------------------------------------
-        attempt.durations = [r.processing_time for r in results]
-        attempt.comm_delay = self.cloud.communication.communication_delay(attempt.qubit_counts)
-        if attempt.comm_delay > 0:
-            job.status = QJobStatus.COMMUNICATING
-            yield self.env.timeout(attempt.comm_delay)
-
-        record = self._complete_attempt(job, attempt)
-        self.cloud.signal_capacity_change()
-        self._ended()
-        return record
-
-    # -- attempt lifecycle (shared with the flat engine, which passes job=None
-    # for a streaming table's rows) ------------------------------------------------
+    # -- attempt lifecycle (job=None for a streaming table's rows) -----------------
     def _start_attempt(self, job: Optional[QJob], attempt: _Attempt) -> None:
         """Mark *job* running and log the attempt's start, plus its resume
         when earlier attempts checkpointed shots."""
@@ -544,12 +434,11 @@ class Broker:
         self._ended()
 
     # -- life-cycle hooks (no-ops here; the serve broker keeps its tenant and
-    # preemption bookkeeping in sync by overriding them; both engines call them) ---
+    # preemption bookkeeping in sync by overriding them; the engine calls them) ---
     def _register_running(self, job: QJob, plan: Any, sub_processes: List[Any]) -> None:
         """Called when a job's sub-jobs have been launched.  Each entry of
-        *sub_processes* exposes ``is_alive`` and ``interrupt(cause)``: a
-        :class:`~repro.des.events.Process` here, a kill-list entry on the
-        flat engine."""
+        *sub_processes* is one sub-job's kill-list entry, exposing
+        ``is_alive`` and ``interrupt(cause)``."""
 
     def _unregister_running(self, job: QJob) -> None:
         """Called when a job's sub-jobs have finished or aborted."""

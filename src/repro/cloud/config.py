@@ -17,6 +17,7 @@ from repro.hardware.backends import (
     DEFAULT_DEVICE_NAMES,
     check_quantum_volume,
     check_unique_device_names,
+    list_available_devices,
 )
 from repro.registry import AXES
 
@@ -32,10 +33,8 @@ class SimulationConfig:
     10k-100k shots, λ = 0.02 s/qubit and φ = 0.95.
 
     The dispatch engine is not a knob: :class:`~repro.cloud.environment
-    .QCloudSimEnv` runs the flat-event dispatcher for every configuration
-    (any tenant mix, scenario or adaptive policy); only its ``fast_path=False``
-    argument selects the per-job reference engine.  Both give byte-identical
-    results.
+    .QCloudSimEnv` runs every configuration (any tenant mix, scenario or
+    adaptive policy) on the one flat-event dispatcher.
     """
 
     #: Allocation policy name (see :mod:`repro.scheduling.registry`).
@@ -125,6 +124,10 @@ class SimulationConfig:
         if not self.device_names:
             raise ValueError("at least one device is required")
         check_unique_device_names(self.device_names)
+        available = list_available_devices()
+        unknown = [name for name in self.device_names if name not in available]
+        if unknown:
+            raise ValueError(f"unknown device names {unknown}; available: {available}")
         check_quantum_volume(self.quantum_volume)
         check_circuit_ranges(
             self.qubit_range, self.depth_range, self.shots_range, self.two_qubit_density

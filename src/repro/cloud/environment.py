@@ -2,8 +2,8 @@
 
 ``QCloudSimEnv`` extends the DES :class:`~repro.des.environment.Environment`
 and wires together the fleet (:class:`~repro.cloud.qcloud.QCloud`), the
-broker, the job generator and the records manager, so that a complete
-simulation is three lines::
+broker, the dispatch engine (:class:`~repro.cloud.fastpath.FlatDispatcher`)
+and the records manager, so that a complete simulation is three lines::
 
     env = QCloudSimEnv(config)           # or pass devices/jobs/policy explicitly
     env.run_until_complete()
@@ -22,7 +22,6 @@ from typing import Any, List, Optional, Sequence
 from repro.cloud.broker import Broker
 from repro.cloud.communication import ClassicalCommunicationModel
 from repro.cloud.config import SimulationConfig
-from repro.cloud.job_generator import JobGenerator
 from repro.cloud.qcloud import QCloud
 from repro.cloud.qjob import QJob
 from repro.cloud.records import JobRecord, JobRecordsManager
@@ -68,27 +67,17 @@ class QCloudSimEnv(Environment):
         :class:`~repro.serve.ServeBroker` (admission control, fair-share
         dispatch, preemption) and shapes the workload from the tenants'
         traffic specs; the ``single`` preset stays byte-identical to a plain
-        run.  Tenant mixes run on the flat engine like every other
-        configuration.
+        run.
     records:
         Records manager (overrides the default in-memory
         :class:`~repro.cloud.records.JobRecordsManager`).  Pass a
         :class:`~repro.cloud.records_stream.StreamingRecordsManager` for
         O(1)-memory million-job runs.
-    fast_path:
-        Engine override.  By default (``None``, or ``True``) the flat-event
-        dispatcher (:mod:`repro.cloud.fastpath`) drives every run: tenant
-        mixes, scenarios (drift, outages, maintenance, replayed traces) and
-        adaptive policies included.  ``False`` forces the per-job broker
-        processes (the reference for identity tests and benchmark
-        baselines).  Both engines give byte-identical results;
-        :attr:`fast_path_active` reports which ran.
     job_table:
-        A :class:`~repro.cloud.fastpath.JobTable` as the workload.  Runs on
-        the flat engine with any scenario; raises ``ValueError`` with
-        ``fast_path=False``.  With a tenant mix the table must carry its
-        jobs (:meth:`~repro.cloud.fastpath.JobTable.from_jobs`), whose
-        tenant tags it needs: a streaming table (the bulk form that never
+        A :class:`~repro.cloud.fastpath.JobTable` as the workload, with any
+        scenario.  With a tenant mix the table must carry its jobs
+        (:meth:`~repro.cloud.fastpath.JobTable.from_jobs`), whose tenant
+        tags it needs: a streaming table (the bulk form that never
         materialises per-job objects) raises ``ValueError``.  Mutually
         exclusive with ``jobs``.
     adaptive:
@@ -97,9 +86,8 @@ class QCloudSimEnv(Environment):
         :class:`~repro.adaptive.AdaptivePolicySpec` instance (overrides
         ``config.adaptive``).  A non-static policy attaches the
         closed-loop control plane (:class:`~repro.adaptive.AdaptiveEngine`)
-        to the broker, on whichever engine the rest of the configuration
-        selects; ``None`` and the ``static`` preset are byte-identical to an
-        open-loop run.
+        to the broker; ``None`` and the ``static`` preset are byte-identical
+        to an open-loop run.
     """
 
     def __init__(
@@ -111,7 +99,6 @@ class QCloudSimEnv(Environment):
         scenario: Optional[Any] = None,
         tenants: Optional[Any] = None,
         records: Optional[JobRecordsManager] = None,
-        fast_path: Optional[bool] = None,
         job_table: Optional[Any] = None,
         adaptive: Optional[Any] = None,
     ) -> None:
@@ -181,8 +168,6 @@ class QCloudSimEnv(Environment):
 
         if job_table is not None and jobs is not None:
             raise ValueError("pass either jobs or job_table, not both")
-        if job_table is not None and fast_path is False:
-            raise ValueError("job_table runs on the flat engine; it cannot take fast_path=False")
         if job_table is not None and self.tenant_mix is not None:
             if job_table.jobs is None:
                 raise ValueError(
@@ -216,13 +201,9 @@ class QCloudSimEnv(Environment):
         # -- dispatch engine -----------------------------------------------------
         from repro.cloud.fastpath import FlatDispatcher, JobTable
 
-        #: Whether the flat-event dispatcher is driving this run.
-        self.fast_path_active = fast_path is not False
-        if self.fast_path_active:
-            table = job_table if job_table is not None else JobTable.from_jobs(jobs)
-            self.job_generator = FlatDispatcher(self, self.broker, table)
-        else:
-            self.job_generator = JobGenerator(self, self.broker, jobs)
+        table = job_table if job_table is not None else JobTable.from_jobs(jobs)
+        #: The dispatch engine: feeds the workload to the broker and runs it.
+        self.job_generator = FlatDispatcher(self, self.broker, table)
 
         #: The world-dynamics runtime (``None`` for plain static runs).
         self.scenario_engine = None

@@ -1,122 +1,102 @@
 """Flat-event engine: the dispatcher behind every run.
 
-The per-job engine runs one generator-based DES process per job
-(:class:`~repro.cloud.broker.Broker._handle_job`), which is wonderfully
-composable but costs ~15 heap events and several generator resumptions per
-completed job.  At a million jobs that overhead dominates the run.
-
-This module provides the replacement that
-:class:`~repro.cloud.environment.QCloudSimEnv` selects for every
-configuration (``fast_path=False`` forces the per-job engine as a
-reference):
+:class:`~repro.cloud.environment.QCloudSimEnv` builds one engine per run
+from two pieces:
 
 * :class:`JobTable` — the workload as NumPy column arrays (job id, arrival
   time, qubits, depth, shots, gate counts) instead of a list of
   :class:`~repro.cloud.qjob.QJob` objects.  Built either from existing jobs
-  (:meth:`JobTable.from_jobs` — byte-identity mode) or generated directly in
-  bulk (:meth:`JobTable.synthetic` — streaming mode, which never
-  materialises a million ``QJob``/``CircuitSpec`` objects).
-* :class:`FlatDispatcher` — a flat pending-table dispatcher that replaces
-  both the per-job broker processes and the :class:`~repro.cloud
-  .job_generator.JobGenerator`: arrivals are fed straight from the table,
-  planning/reservation runs in a single pump loop, and each sub-job costs
-  exactly one heap event (plus one communication event for split jobs).
+  (:meth:`JobTable.from_jobs`) or generated directly in bulk
+  (:meth:`JobTable.synthetic` — streaming mode, which never materialises a
+  million ``QJob``/``CircuitSpec`` objects).
+* :class:`FlatDispatcher` — a flat pending-table dispatcher: arrivals are
+  fed straight from the table, planning and reservation run in a single
+  pump loop, and each sub-job costs exactly one heap event (plus one
+  communication event for split jobs).
 
-Byte identity
--------------
-For every configuration it drives, the flat dispatcher reproduces the
-per-job record and event streams *bit for bit*, outside the two
-same-instant corners described below (tests/cloud/test_fastpath_identity.py
-sweeps policies × scenario presets × arrival processes × checkpointing ×
-adaptive policies × tenant mixes).  Every job and sub-job transition is
-written once and called by both engines (see :mod:`repro.cloud.broker`,
-"Byte identity"): the attempt record, which checks the plan and takes the
-attempt's one checkpoint decision (``broker._Attempt``), its start
-(``Broker._start_attempt``), each sub-job's end
-(``IBMQuantumDevice.complete_subjob`` / ``abort_subjob``), and the
-attempt's end (``Broker._complete_attempt``, or ``Broker._abort_attempt``
-then ``_requeue`` or ``_fail``).  Qubits move through the synchronous
+Every job and sub-job transition is written once, in the broker or on the
+device (see :mod:`repro.cloud.broker`, "Lifecycle steps"): the attempt
+record, which checks the plan and takes the attempt's one checkpoint
+decision (``broker._Attempt``), its start (``Broker._start_attempt``), each
+sub-job's end (``IBMQuantumDevice.complete_subjob`` / ``abort_subjob``), and
+the attempt's end (``Broker._complete_attempt``, or
+``Broker._abort_attempt`` then ``_requeue`` or ``_fail``).  Qubits move
+through the synchronous
 :meth:`~repro.cloud.qdevice.BaseQDevice.reserve_qubits` /
-:meth:`~repro.cloud.qdevice.BaseQDevice.release_qubits` pair, so both
-engines leave identical fleet states behind by construction.  This module
-keeps only the event plumbing: the feed, the pump, pooled completion
-events and tombstones.
+:meth:`~repro.cloud.qdevice.BaseQDevice.release_qubits` pair.  This module
+keeps only the event plumbing: the feed, the pump, pooled completion events
+and tombstones.  ``tests/cloud/records_corpus.json`` pins the record and
+event streams this engine produces, bit for bit, over policies × scenario
+presets × arrival processes × checkpointing × adaptive policies × tenant
+mixes.
 
-The rest of the equivalence rests on two invariants of the per-job engine:
+Same-time order
+---------------
+Two rules fix the order of events that share a timestamp:
 
-1. Arrival markers are pre-scheduled at ``t=0`` with small sequence numbers,
-   so at any timestamp arrivals are processed before every runtime event of
-   the same priority.  The dispatcher mirrors this by scheduling its feed
-   events with sequence numbers from a reserved negative range.
-2. A waiting head-of-queue job re-plans exactly once per timestamp that
-   released capacity (the ``capacity_released`` signal is swapped on first
-   use), after every same-timestamp completion has released its qubits.
-   The dispatcher's pump runs at priority ``PUMP``, after every NORMAL
-   event of the timestamp — including the ones the event loop already
-   popped into the batch it is draining — and re-plans the head at most
-   once.
+1. Arrivals first.  Feed events draw their sequence numbers from a reserved
+   negative range, so at any timestamp arrivals are processed before every
+   runtime event of the same priority; a group due at or before the current
+   time is fed at ``URGENT`` priority.
+2. One re-plan after every release.  A waiting head-of-queue job re-plans
+   at most once per timestamp that released capacity, after every
+   same-timestamp completion has released its qubits: the pump runs at
+   priority ``PUMP``, after every NORMAL event of the timestamp — including
+   the ones the event loop already popped into the batch it is draining.
 
 Arrival at a completion
 -----------------------
-One corner has its own rule: a job arriving at exactly the float time T at
-which another job completes is planned after every release at T, so it sees
-the post-release fleet.  The per-job engine plans some of these arrivals
-mid-completion (before the release of a job whose last sub-job ends at T),
-so the two engines may differ here (and at a kill due at a completion, see
-"Aborts and requeues").  Continuous arrival
-processes hit this with probability zero; batch arrivals (all at ``t=0``)
-cannot collide with completions at all.
+A job arriving at exactly the float time T at which another job completes
+is planned after every release at T, so it sees the post-release fleet: the
+arrival asks for a pump, which runs at ``PUMP`` priority, after the
+completion.  Continuous arrival processes hit this with probability zero;
+batch arrivals (all at ``t=0``) cannot collide with completions at all.
 
 Aborts and requeues
 -------------------
-The dispatcher plans over the cloud's current online view, like the per-job
-engine, and runs every scenario: drift, outages, maintenance and replayed
-traces.  Each launched sub-job sits in its device's start-ordered
-``_running`` kill list: an unsplit job's :class:`_FlatJob`, a split job's
-:class:`_SubJobDone` per fragment.  Both expose the ``is_alive`` /
-``interrupt(cause)`` pair a killing ``set_offline`` calls.  A kill leaves
-the sub-job's completion event in the heap as a tombstone, ignored when
-popped, and marks the attempt aborted.  Once the attempt's last sub-job has
-ended, it is checkpointed, released and requeued into the pending queue
-(at its tail, or by its key) or failed at ``max_requeues``, by the per-job
-engine's own steps:
+The dispatcher plans over the cloud's current online view and runs every
+scenario: drift, outages, maintenance and replayed traces.  Each launched
+sub-job sits in its device's start-ordered ``_running`` kill list: an
+unsplit job's :class:`_FlatJob`, a split job's :class:`_SubJobDone` per
+fragment.  Both expose the ``is_alive`` / ``interrupt(cause)`` pair a
+killing ``set_offline`` calls.  A kill leaves the sub-job's completion event
+in the heap as a tombstone, ignored when popped, and marks the attempt
+aborted.  Once the attempt's last sub-job has ended, it is checkpointed,
+released and requeued into the pending queue (at its tail, or by its key)
+or failed at ``max_requeues``, through the broker's steps:
 :meth:`~repro.cloud.qdevice.IBMQuantumDevice.abort_subjob`,
 :meth:`~repro.cloud.broker.Broker._abort_attempt` and
 :meth:`~repro.cloud.broker.Broker._requeue`.  Only requeued rows keep a
 ``_JobRun`` while they wait; a resumed attempt runs only the remaining
 shots.  The requeue re-plans through a ``PUMP`` event, after every kill of
 the instant has released its qubits.  A sub-job whose device was
-recalibrated while it ran recomputes its breakdown at completion, as
-``execute`` does, and a blocked plain head listens for
-``cloud.capacity_released``, the signal a recovered device sends.  Released
-qubits wake a blocked head whether the aborted job was requeued or failed.
-One more corner: a kill popped before a completion due at the same float
-time aborts that sub-job here, while the per-job engine
-lets it complete when both events are drained in one batch (its interrupt
-is only delivered after the batch).
+recalibrated while it ran recomputes its breakdown at completion, and a
+blocked plain head listens for ``cloud.capacity_released``, the signal a
+recovered device sends.  Released qubits wake a blocked head whether the
+aborted job was requeued or failed.  A kill popped before a completion due
+at the same float time aborts that sub-job: its completion event is a
+tombstone by the time it pops, and the job is requeued.
 
 Adaptive control
 ----------------
-An attached adaptive control plane (``broker.adaptive``) sees the same
-reports on both engines: the dispatcher passes each arrival to the signal
-bus at feed, takes one checkpoint decision per dispatched attempt (the
-attempt's kills checkpoint by it), and reports completions and failures
-through the broker's own steps.  It reads ``broker.policy`` at
-:meth:`FlatDispatcher.start`, after the control plane has installed its
-planner wrapper.
+An attached adaptive control plane (``broker.adaptive``) gets every report:
+the dispatcher passes each arrival to the signal bus at feed, takes one
+checkpoint decision per dispatched attempt (the attempt's kills checkpoint
+by it), and reports completions and failures through the broker's own
+steps.  It reads ``broker.policy`` at :meth:`FlatDispatcher.start`, after
+the control plane has installed its planner wrapper.
 
 Brokers and tenant mixes
 ------------------------
-The dispatcher drives any broker through the hooks the per-job loop calls,
-so a tenant mix's :class:`~repro.serve.ServeBroker` is a configuration, not
-an engine; its tenant policy (fair-share tags, token buckets, floor
-yielding, victim choice) stays in :mod:`repro.serve`.
+The dispatcher drives any broker through the broker's hooks, so a tenant
+mix's :class:`~repro.serve.ServeBroker` is a configuration, not an engine;
+its tenant policy (fair-share tags, token buckets, floor yielding, victim
+choice) stays in :mod:`repro.serve`.
 
 * Admission: a broker with a ``dispatch_key`` admits each arrival through
-  ``submit`` (the per-job engine's order: each arrival logged right before
-  its submission), and only after the whole group are the admitted rows
-  checked against the fleet's capacity and queued.  The plain broker's
-  ``submit`` runs in bulk.
+  ``submit``, each arrival logged right before its submission, and only
+  after the whole group are the admitted rows checked against the fleet's
+  capacity and queued.  The plain broker's ``submit`` runs in bulk.
 * Order: such a broker's pending rows wait in key order behind the head
   (:class:`_KeyedPending`), which the broker reads as its
   ``waiting_line``.
@@ -124,7 +104,7 @@ yielding, victim choice) stays in :mod:`repro.serve`.
   with no plan it calls ``broker._blocked``.  ``None`` means the head gives
   the floor up and re-enters by its key; an event is what the head waits
   on (the plain broker's ``cloud.capacity_released``).  Plan attempts are
-  counted per row, across yields, as in ``_plan_and_reserve``.
+  counted per row, across yields.
 * Running set: each launched attempt is registered through
   ``broker._register_running`` with its kill-list entries, and the pump
   launches what it already dispatched before asking ``_blocked``: a
@@ -144,6 +124,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 import numpy as np
 
 from repro.circuits.circuit import CircuitSpec
+from repro.circuits.generators import check_circuit_ranges
 from repro.cloud.broker import _Attempt, _JobRun
 from repro.cloud.qjob import QJob, QJobStatus
 from repro.des.events import NORMAL, URGENT, Event
@@ -151,20 +132,21 @@ from repro.des.events import NORMAL, URGENT, Event
 __all__ = ["JobTable", "FlatDispatcher", "PUMP"]
 
 #: Scheduling priority of the dispatcher's pump event: after every NORMAL
-#: event of the timestamp (completions release qubits at NORMAL), mirroring
-#: the legacy one-replan-after-all-releases wake-up semantics.
+#: event of the timestamp (completions release qubits at NORMAL), so a
+#: blocked head re-plans once, after all of the timestamp's releases.
 PUMP = 2
 
 #: Feed events draw their heap sequence numbers from this reserved negative
 #: range so arrivals sort before every runtime event of the same (time,
-#: priority) — exactly like the legacy generator's pre-scheduled markers.
+#: priority).
 _FEED_SEQ_START = -(1 << 62)
 
 class JobTable:
     """A workload as sorted column arrays.
 
-    Rows are sorted by ``(arrival_time, priority, job_id)`` — the exact
-    submission order of :class:`~repro.cloud.job_generator.JobGenerator`.
+    Rows are sorted by ``(arrival_time, priority, job_id)``, the order in
+    which jobs are submitted: jobs sharing an arrival time go in priority
+    order (smaller = more important, ties by job id).
 
     Parameters
     ----------
@@ -287,12 +269,15 @@ class JobTable:
         :func:`~repro.circuits.generators.random_circuit_spec` (inclusive
         uniform ranges, ``t2 = round(q * d * density)``), but are drawn as
         whole arrays — the RNG stream is consumed column-by-column instead
-        of job-by-job, so the workload is *statistically* equivalent to the
-        legacy generator's, not byte-identical to it.  No per-job Python
-        objects are created.
+        of job-by-job, so the workload is *statistically* equivalent to
+        :func:`~repro.cloud.job_generator.generate_synthetic_jobs`, not
+        byte-identical to it.  No per-job Python objects are created.  The
+        ranges and density are checked like the generator's
+        (:func:`~repro.circuits.generators.check_circuit_ranges`).
         """
         if num_jobs <= 0:
             raise ValueError("num_jobs must be positive")
+        check_circuit_ranges(qubit_range, depth_range, shots_range, two_qubit_density)
         rng = np.random.default_rng(seed)
         qubits = rng.integers(qubit_range[0], qubit_range[1] + 1, num_jobs)
         depth = rng.integers(depth_range[0], depth_range[1] + 1, num_jobs)
@@ -462,9 +447,8 @@ class _KeyedPending(list):
     """Pending rows in a broker's dispatch order (``Broker.dispatch_key``).
 
     The head, the row holding the dispatch floor, stays first whatever its
-    key: a row entering an empty line takes the floor at once, as the
-    per-job engine's dispatch resource grants a request when nothing holds
-    it, and a later row never goes ahead of it.  The rows behind the head
+    key: a row entering an empty line takes the floor at once, and a later
+    row never goes ahead of it.  The rows behind the head
     wait sorted by key (keys are unique).  Offers the deque operations the
     dispatcher uses, plus :meth:`yield_head` and :attr:`best_waiting_key`.
     """
@@ -497,12 +481,11 @@ class _KeyedPending(list):
 
 
 class FlatDispatcher:
-    """Flat pending-table dispatcher: the replacement for the per-job
-    broker processes plus the :class:`JobGenerator`.
+    """Flat pending-table dispatcher: feeds a :class:`JobTable` to a
+    broker and runs its jobs.
 
-    The dispatcher drives the same policy, devices, records manager and
-    communication model as the per-job broker — only the *event plumbing*
-    changes:
+    The dispatcher drives the broker's policy, devices, records manager and
+    communication model; it owns only the *event plumbing*:
 
     * arrivals: one pre-triggered feed event per distinct arrival time
       (negative sequence numbers — see the module docstring), appending row
@@ -519,8 +502,7 @@ class FlatDispatcher:
     (``max_plan_attempts``, ``max_requeues``), its records manager, its
     lifecycle steps (plan check, attempt start and completion, abort,
     requeue and failure), its end-of-run count, its adaptive attachment and
-    the hooks the per-job loop calls (admission, dispatch, blocked head,
-    running set), so results read the same regardless of which engine ran.
+    its hooks (admission, dispatch, blocked head, running set).
     """
 
     def __init__(self, env: Any, broker: Any, table: JobTable) -> None:
@@ -566,7 +548,7 @@ class FlatDispatcher:
         self._total_capacity = self.cloud.total_qubits
         self._log_arrival_block = self.records.log_arrival_block
         # When no job exceeds the fleet's capacity (one vectorised check),
-        # the per-row can_ever_fit guard in _feed is dead code.
+        # the per-row can-ever-fit guard in _feed is dead code.
         self._all_fit = len(table) == 0 or int(table.qubits.max()) <= self._total_capacity
         self._feed_tick = Event(env)
         self._feed_tick._value = None
@@ -595,7 +577,7 @@ class FlatDispatcher:
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
-        """Install the first arrival feed (mirrors ``JobGenerator.start``).
+        """Install the first arrival feed.
 
         The policy and the adaptive attachment are read here, not at
         construction: an adaptive planner replaces ``broker.policy`` when
@@ -617,9 +599,8 @@ class FlatDispatcher:
         tick = self._feed_tick
         tick.callbacks = self._feed_callbacks
         if time <= env._now:
-            # Past/immediate arrivals: the legacy generator logs these inside
-            # its URGENT dispatch-process initialisation, before any NORMAL
-            # event of the timestamp.
+            # Past/immediate arrivals: fed at URGENT priority, before any
+            # NORMAL event of the timestamp.
             heappush(env._queue, (env._now, URGENT, next(self._feed_seq), tick))
         else:
             heappush(env._queue, (time, NORMAL, next(self._feed_seq), tick))
@@ -633,9 +614,9 @@ class FlatDispatcher:
         jobs = self.table.jobs
         rows: Sequence[int] = range(start, stop)
         if self._keyed:
-            # The broker admits each arrival (it may reject some), logging
-            # in the per-job engine's order: each arrival right before its
-            # submission, so rejections interleave with arrivals.
+            # The broker admits each arrival (it may reject some), each
+            # arrival logged right before its submission, so rejections
+            # interleave with arrivals.
             log_arrival = self.records.log_arrival
             submit = self.broker.submit
             rows = []
@@ -654,8 +635,7 @@ class FlatDispatcher:
                 on_submit = self._adaptive.signals.on_submit
                 for row in rows:
                     on_submit(jobs[row].tenant if jobs is not None else None, True)
-        # After the whole group, as the per-job engine's processes start
-        # after the arrival batch: the can-ever-fit guard and the queue.
+        # After the whole group: the can-ever-fit guard and the queue.
         if self._all_fit:
             pending.extend(rows)
         else:
@@ -664,7 +644,6 @@ class FlatDispatcher:
             total_capacity = self._total_capacity
             for row in rows:
                 if qubits[row] > total_capacity:
-                    # Mirrors Broker._handle_job's can_ever_fit guard.
                     self.broker._fail(table.job_for(row), "exceeds total cloud capacity")
                 else:
                     pending.append(row)
@@ -676,16 +655,13 @@ class FlatDispatcher:
         """Ask for (at most) one pump at the current timestamp.
 
         ``signal=True`` marks that capacity was released, unblocking a head
-        that already planned and failed at an earlier timestamp — the exact
-        analogue of the legacy ``capacity_released`` wake-up.
+        that already planned and failed at an earlier timestamp.
         """
         if signal:
             self._waiting = False
             if not self.pending:
-                # Nothing to plan: the pump would be a no-op, and the legacy
-                # engine's capacity signal with no admission waiters is one
-                # too.  Saves one heap event per completion in uncongested
-                # runs.
+                # Nothing to plan: the pump would be a no-op.  Saves one heap
+                # event per completion in uncongested runs.
                 return
         if self._pump_scheduled:
             return
@@ -773,8 +749,7 @@ class FlatDispatcher:
                     continue
                 if blocked is not self._blocked_on:
                     # Capacity the dispatcher does not release itself (a
-                    # recovered device) arrives through this event, which
-                    # the per-job engine's blocked head waits on too.
+                    # recovered device) arrives through this event.
                     self._blocked_on = blocked
                     blocked.callbacks.append(self._unblock)
                 break
@@ -828,7 +803,7 @@ class FlatDispatcher:
                     q, depth, t2, total_q, k
                 )
         # Schedule completion events in dispatch order (sequence numbers
-        # mirror the legacy per-chain allocation order), and register each
+        # follow the dispatch and allocation order), and register each
         # sub-job in its device's start-ordered kill list and with the
         # broker.  (A streaming table has no jobs; its plain broker's
         # running-set hooks are no-ops.)
@@ -927,8 +902,8 @@ class FlatDispatcher:
 
     def _refresh_breakdown(self, state: _FlatJob, index: int) -> None:
         """Recompute a sub-job's breakdown on its device's current
-        calibration (which changed while it ran), as ``execute`` computes
-        it at completion."""
+        calibration (which changed while it ran): a sub-job's fidelity is
+        that of the calibration it finishes under."""
         device = state.allocations[index].device
         state.breakdowns[index] = device.compute_fidelity_breakdown(
             self._fragment(state, index), len(state.allocations), state.qubits
@@ -965,7 +940,7 @@ class FlatDispatcher:
     def _end_aborted(self, state: _FlatJob) -> None:
         """Checkpoint an aborted attempt, release its qubits and requeue its
         job into :attr:`pending` (or fail it at ``max_requeues``),
-        through the per-job engine's own steps."""
+        through the broker's steps."""
         row = state.row
         broker = self.broker
         job = self.table.job_for(row)
@@ -975,7 +950,7 @@ class FlatDispatcher:
             self._runs[row] = run
             self.pending.append(row)
         # The released qubits wake a blocked head whether the job requeued
-        # or failed, as the per-job engine's capacity signal does.  Always
+        # or failed.  Always
         # an event: planning inside ``set_offline`` would run before the
         # other kills of this instant released their qubits.
         self._waiting = False

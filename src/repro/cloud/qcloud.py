@@ -1,9 +1,9 @@
 """The quantum cloud (paper §3, ``QCloud``).
 
-``QCloud`` owns the device fleet, provides the admission control used by the
-unified allocation workflow (one job is admitted/planned at a time, FIFO),
-exposes a *capacity-released* signal so waiting jobs re-plan when qubits free
-up, and carries the inter-device communication model.
+``QCloud`` owns the device fleet, keeps its online view for the planners,
+exposes a *capacity-released* signal so a waiting job re-plans when qubits
+free up or a device comes back, and carries the inter-device communication
+model.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from repro.cloud.communication import ClassicalCommunicationModel
 from repro.cloud.qdevice import BaseQDevice, IBMQuantumDevice
 from repro.des.environment import Environment
 from repro.des.events import Event
-from repro.des.resource import Resource
 from repro.hardware.backends import DeviceProfile, check_unique_device_names
 
 __all__ = ["QCloud"]
@@ -60,8 +59,6 @@ class QCloud:
             device.availability_listeners.append(self._availability_changed)
 
         self.communication = communication or ClassicalCommunicationModel()
-        #: Serialises the plan-and-reserve critical section (FIFO admission).
-        self.admission = Resource(env)
         self._capacity_released: Event = env.event()
         #: Total number of jobs completed by the cloud (counted by the
         #: broker's completion step).
@@ -71,7 +68,7 @@ class QCloud:
     @property
     def online_devices(self) -> List[BaseQDevice]:
         """Devices currently accepting work (scenario outages/maintenance may
-        take devices offline mid-run); both engines plan over this view.
+        take devices offline mid-run); the broker plans over this view.
 
         The list is cached until a device changes availability, when a fresh
         list replaces it — callers must treat it as a read-only snapshot.
@@ -114,26 +111,23 @@ class QCloud:
         """Current per-device qubit utilisation."""
         return {d.name: d.utilization for d in self.devices}
 
-    def can_ever_fit(self, num_qubits: int) -> bool:
-        """Whether the cloud's total capacity can hold the circuit (Eq. 1 upper bound)."""
-        return num_qubits <= self.total_qubits
-
     # -- capacity-released signalling ---------------------------------------------
     @property
     def capacity_released(self) -> Event:
-        """Event that fires the next time any job releases its qubits.
+        """Event that fires at the next :meth:`signal_capacity_change`.
 
-        Waiting brokers yield this event and re-plan when it fires; a fresh
-        event is installed after each release.
+        A blocked head waits on it and re-plans when it fires; a fresh event
+        is installed after each signal.
         """
         return self._capacity_released
 
     def signal_capacity_change(self) -> None:
-        """Fire the capacity-released signal so waiting brokers re-plan.
+        """Fire the capacity-released signal so a blocked head re-plans.
 
-        Sent when capacity appears: a job finishing or a requeued job
-        releasing its reservations, or a device coming back online after an
-        outage.
+        Sent when capacity appears that the dispatch engine does not release
+        itself: a device coming back online after an outage
+        (:meth:`~repro.dynamics.ScenarioEngine.apply`), or user code.  Jobs
+        that complete or abort wake the blocked head through the engine.
         """
         event, self._capacity_released = self._capacity_released, self.env.event()
         if not event.triggered:

@@ -5,29 +5,27 @@ Three levels of modelling detail:
 * :class:`BaseQDevice` — a named pool of qubits.  The free qubits are a
   plain counter (the paper's ``device.container.level``) behind one
   synchronous pair, :meth:`~BaseQDevice.reserve_qubits` and
-  :meth:`~BaseQDevice.release_qubits`, which both engines call: the broker
-  only reserves a plan that is feasible right now, so a reservation never
-  has to wait,
+  :meth:`~BaseQDevice.release_qubits`: the broker only reserves a plan that
+  is feasible right now, so a reservation never has to wait,
 * :class:`QuantumDevice` — adds a graph-based qubit topology (coupling map)
   and utilisation accounting,
 * :class:`IBMQuantumDevice` — adds IBM-specific attributes: CLOPS, quantum
-  volume and an error score derived from calibration data, and implements
-  sub-job execution as a DES process whose duration follows the CLOPS model
-  of Eq. (3).
+  volume and an error score derived from calibration data, plus the
+  kernels the dispatch engine runs a sub-job through: its duration (the
+  CLOPS model of Eq. 3), its fidelity (Eqs. 4-7), and the accounting of
+  its completion or abort.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import networkx as nx
 import numpy as np
 
 from repro.circuits.circuit import CircuitSpec
 from repro.des.environment import Environment
-from repro.des.exceptions import Interrupt
 from repro.hardware.backends import DeviceProfile
 from repro.hardware.calibration import CalibrationData
 from repro.hardware.clops import DEFAULT_NUM_TEMPLATES, DEFAULT_NUM_UPDATES, log2_quantum_volume
@@ -35,34 +33,11 @@ from repro.metrics.error_score import error_score_from_averages
 from repro.metrics.fidelity import FidelityBreakdown, readout_fidelity, single_qubit_fidelity, two_qubit_fidelity
 from repro.metrics.timing import processing_time_minutes
 
-__all__ = ["SubJobResult", "BaseQDevice", "QuantumDevice", "IBMQuantumDevice"]
+__all__ = ["BaseQDevice", "QuantumDevice", "IBMQuantumDevice"]
 
 #: CLOPS benchmark constant ``M * K``, hoisted for the fast-path kernels
 #: (kept symbolic so the product can never drift from the scalar model).
 _CLOPS_MK = DEFAULT_NUM_TEMPLATES * DEFAULT_NUM_UPDATES
-
-
-@dataclass(frozen=True)
-class SubJobResult:
-    """Outcome of executing one job fragment on one device.
-
-    ``aborted`` results normally carry no fidelity breakdown: the device went
-    offline mid-execution (or was already offline at start) and the broker
-    requeues the owning job.  Under checkpointed execution an aborted result
-    additionally reports ``completed_shots`` — how many of the fragment's
-    shots finished before the kill — and, when that is positive, the
-    breakdown of those completed shots (the analytic per-device fidelity does
-    not depend on the shot count, only the merge weighting does).
-    """
-
-    device_name: str
-    qubits_allocated: int
-    processing_time: float
-    fidelity_breakdown: Optional[FidelityBreakdown]
-    aborted: bool = False
-    #: Shots of the fragment that completed (all of them for a successful
-    #: result; a prefix for a checkpointed abort; 0 without checkpointing).
-    completed_shots: int = 0
 
 
 class BaseQDevice:
@@ -96,9 +71,8 @@ class BaseQDevice:
         self.outage_count = 0
         #: Number of sub-jobs aborted by outages.
         self.aborted_subjobs = 0
-        #: In-flight sub-jobs, in start order so kills are deterministic:
-        #: the per-job engine's execution processes and the flat engine's
-        #: sub-job entries.  Each exposes ``is_alive`` and
+        #: In-flight sub-jobs' kill-list entries, in start order so kills
+        #: are deterministic.  Each exposes ``is_alive`` and
         #: ``interrupt(cause)``, which a killing outage calls.
         self._running: Dict[object, None] = {}
         #: Active offline causes; the device is online iff this is empty.
@@ -164,9 +138,9 @@ class BaseQDevice:
         once :meth:`set_online` has cleared every one of them.
 
         With ``kill_running`` every in-flight sub-job is interrupted in
-        start order, on either engine (it aborts and the owning job is
-        requeued, or fails at ``max_requeues``); otherwise running sub-jobs
-        drain gracefully while no new work is planned onto the device.
+        start order (it aborts and the owning job is requeued, or fails at
+        ``max_requeues``); otherwise running sub-jobs drain gracefully
+        while no new work is planned onto the device.
         """
         was_online = not self._offline_causes
         if cause in self._offline_causes:
@@ -225,7 +199,7 @@ class IBMQuantumDevice(QuantumDevice):
         self.clops = float(profile.clops)
         self.quantum_volume = float(profile.quantum_volume)
         self._calibration = profile.calibration
-        #: Simulation time of the last calibration change (the flat engine
+        #: Simulation time of the last calibration change (the engine
         #: recomputes the breakdown of a sub-job that ran across one).
         self.calibrated_at = -math.inf
         #: Snapshot the average aggregates were computed from (identity check).
@@ -427,7 +401,7 @@ class IBMQuantumDevice(QuantumDevice):
     def batch_process_times(self, shots) -> "np.ndarray":
         """Vectorised :meth:`calculate_process_time` over an array of shot counts.
 
-        No dispatch path calls it: the flat engine's per-pump batches were
+        No dispatch path calls it: the engine's per-pump batches were
         smaller than NumPy's per-call cost, so it uses
         :meth:`scalar_process_time`.  Kept as a tested helper, and because
         the perfbench tracer patches it by name.
@@ -453,7 +427,7 @@ class IBMQuantumDevice(QuantumDevice):
         """Vectorised :meth:`compute_fidelity_breakdown` over parallel columns.
 
         Like :meth:`batch_process_times`, no dispatch path calls it (the
-        flat engine uses :meth:`scalar_fidelity_breakdown`); kept as a
+        engine uses :meth:`scalar_fidelity_breakdown`); kept as a
         tested helper and a perfbench-traced name.
 
         NumPy handles the exactly-rounded steps (int conversion, division,
@@ -484,7 +458,7 @@ class IBMQuantumDevice(QuantumDevice):
     def complete_subjob(self, num_qubits: int, elapsed: float) -> None:
         """Account a sub-job of *num_qubits* qubits that ran to completion
         in *elapsed*: count it and charge its busy time and qubit-seconds.
-        Both engines end every completed sub-job here."""
+        The engine ends every completed sub-job here."""
         self.completed_subjobs += 1
         self.busy_time += elapsed
         self.qubit_seconds += num_qubits * elapsed
@@ -506,7 +480,7 @@ class IBMQuantumDevice(QuantumDevice):
         duration, floored, and capped one shot short of the fragment so a
         resume always has a shot left to re-execute (the in-flight shot's
         results are never persisted); when positive, they come with the
-        fidelity breakdown of those shots.  Both engines end every killed
+        fidelity breakdown of those shots.  The engine ends every killed
         sub-job here.
         """
         self.busy_time += elapsed
@@ -520,66 +494,3 @@ class IBMQuantumDevice(QuantumDevice):
             if completed > 0:
                 breakdown = self.compute_fidelity_breakdown(fragment, num_devices, total_qubits)
         return completed, breakdown
-
-    def execute(
-        self,
-        fragment: CircuitSpec,
-        num_devices: int = 1,
-        total_qubits: Optional[int] = None,
-        checkpoint: bool = False,
-    ) -> Generator[object, object, SubJobResult]:
-        """DES process executing one circuit fragment on this device.
-
-        The caller must already hold the fragment's qubits (reserved through
-        :meth:`reserve_qubits`).  Yields a timeout for the processing time and
-        returns a :class:`SubJobResult` with the fidelity breakdown.
-
-        If the device is offline when execution starts, or goes offline with
-        ``kill_running`` mid-execution, the result comes back ``aborted`` and
-        the broker requeues the owning job.  With ``checkpoint`` the aborted
-        result also reports the shots completed before the kill, along with
-        their fidelity breakdown (see :meth:`abort_subjob`), so the broker
-        can resume the job from where it died instead of re-executing
-        everything.
-        """
-        if not self.online:
-            self.aborted_subjobs += 1
-            return SubJobResult(
-                device_name=self.name,
-                qubits_allocated=fragment.num_qubits,
-                processing_time=0.0,
-                fidelity_breakdown=None,
-                aborted=True,
-            )
-        duration = self.calculate_process_time(fragment)
-        start = self.env.now
-        process = self.env.active_process
-        if process is not None:
-            self._running[process] = None
-        try:
-            yield self.env.timeout(duration)
-        except Interrupt:
-            elapsed = self.env.now - start
-            completed, breakdown = self.abort_subjob(
-                fragment, elapsed, duration, checkpoint, num_devices, total_qubits
-            )
-            return SubJobResult(
-                device_name=self.name,
-                qubits_allocated=fragment.num_qubits,
-                processing_time=elapsed,
-                fidelity_breakdown=breakdown,
-                aborted=True,
-                completed_shots=completed,
-            )
-        finally:
-            if process is not None:
-                self._running.pop(process, None)
-        self.complete_subjob(fragment.num_qubits, self.env.now - start)
-        breakdown = self.compute_fidelity_breakdown(fragment, num_devices, total_qubits)
-        return SubJobResult(
-            device_name=self.name,
-            qubits_allocated=fragment.num_qubits,
-            processing_time=duration,
-            fidelity_breakdown=breakdown,
-            completed_shots=fragment.num_shots,
-        )

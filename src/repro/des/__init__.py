@@ -3,22 +3,20 @@
 A dependency-free event clock and the few event types the simulator uses:
 
 * :class:`~repro.des.environment.Environment` — the event heap and
-  simulation clock: ``schedule`` / ``schedule_batch`` put events on the
-  heap, ``run`` drains it (same-time events in batches), ``step`` pops one
-  event at a time for :func:`~repro.des.monitoring.trace_events`,
+  simulation clock: ``schedule`` puts events on the heap, ``run`` drains
+  it (same-time events in batches), ``step`` pops one event at a time for
+  :func:`~repro.des.monitoring.trace_events`,
 * :class:`~repro.des.events.Event` and :class:`~repro.des.events.Timeout`,
 * generator-based :class:`~repro.des.events.Process` objects, which
   :class:`~repro.des.exceptions.Interrupt` can kill, and the
-  :class:`~repro.des.events.AllOf` / :class:`~repro.des.events.AnyOf`
-  conditions they wait on — used by the per-job reference engine, the
-  world-dynamics sources, the adaptive control loop and the serve broker's
-  blocked-head wait,
-* :class:`~repro.des.resource.Resource` — a one-slot FIFO resource, the
-  cloud's one-at-a-time admission turn.  A QPU's free qubits are a plain
-  counter on the device
-  (:meth:`~repro.cloud.qdevice.BaseQDevice.reserve_qubits`), because the
-  broker only reserves plans that fit right now and nothing ever waits on
-  them.
+  :class:`~repro.des.events.AnyOf` condition — used by the world-dynamics
+  sources, the adaptive control loop and the serve broker's blocked-head
+  wait.
+
+The dispatch engine (:class:`~repro.cloud.fastpath.FlatDispatcher`) pushes
+its own events onto the heap.  A QPU's free qubits are a plain counter on the
+device (:meth:`~repro.cloud.qdevice.BaseQDevice.reserve_qubits`), because the
+broker only reserves plans that fit right now and nothing ever waits on them.
 
 Example
 -------
@@ -37,7 +35,6 @@ Example
 
 from repro.des.environment import Environment
 from repro.des.events import (
-    AllOf,
     AnyOf,
     Condition,
     ConditionValue,
@@ -49,10 +46,8 @@ from repro.des.events import (
 )
 from repro.des.exceptions import Interrupt, SimulationError, StopSimulation
 from repro.des.monitoring import trace_events
-from repro.des.resource import Resource
 
 __all__ = [
-    "AllOf",
     "AnyOf",
     "Condition",
     "ConditionValue",
@@ -62,7 +57,6 @@ __all__ = [
     "Interrupt",
     "Interruption",
     "Process",
-    "Resource",
     "SimulationError",
     "StopSimulation",
     "Timeout",

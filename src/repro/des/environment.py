@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import count
 from types import GeneratorType
 from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
 
-from repro.des.events import NORMAL, PENDING, AllOf, AnyOf, Event, Process, Timeout
+from repro.des.events import NORMAL, PENDING, AnyOf, Event, Process, Timeout
 from repro.des.exceptions import SimulationError, StopSimulation
 
 __all__ = ["Environment", "EmptySchedule"]
@@ -26,7 +26,7 @@ class Environment:
     The environment keeps the current simulation time (:attr:`now`), a
     priority queue of scheduled events, and offers factory methods for the
     common event types (:meth:`timeout`, :meth:`process`, :meth:`event`,
-    :meth:`all_of`, :meth:`any_of`).
+    :meth:`any_of`).
 
     Event ordering is deterministic: events scheduled for the same time are
     processed in ``(priority, insertion order)`` order.
@@ -125,10 +125,6 @@ class Environment:
         """Start a new :class:`~repro.des.events.Process` from *generator*."""
         return Process(self, generator)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Create a condition triggering when all *events* have triggered."""
-        return AllOf(self, events)
-
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         """Create a condition triggering when any of *events* has triggered."""
         return AnyOf(self, events)
@@ -137,33 +133,6 @@ class Environment:
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0) -> None:
         """Schedule *event* to be processed after *delay* time units."""
         heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
-
-    def schedule_batch(
-        self, items: Iterable[Tuple[float, int, Event]]
-    ) -> int:
-        """Bulk-schedule many ``(time, priority, event)`` entries at once.
-
-        Insertion order within the batch is preserved for same-time entries.
-        When the batch is large relative to the queue the heap is rebuilt in
-        one O(n + k) ``heapify`` instead of k O(log n) pushes — this is the
-        fast path the job generator uses for arrival batches.
-
-        Returns the number of scheduled events.
-        """
-        now = self._now
-        eid = self._eid
-        entries = [(float(time), priority, next(eid), event) for time, priority, event in items]
-        for entry in entries:
-            if entry[0] < now:
-                raise ValueError(f"time (={entry[0]}) lies in the past (now={now})")
-        queue = self._queue
-        if len(entries) > 8 and 4 * len(entries) > len(queue):
-            queue.extend(entries)
-            heapify(queue)
-        else:
-            for entry in entries:
-                heappush(queue, entry)
-        return len(entries)
 
     def step(self) -> None:
         """Process the next scheduled event.

@@ -7,8 +7,8 @@
 * :class:`Process` wraps a Python generator.  Each value the generator yields
   must be an event; the process is resumed when that event is processed.  The
   process itself is an event that triggers when the generator terminates.
-* :class:`Condition` (and its helpers :class:`AllOf` / :class:`AnyOf`) compose
-  several events into one.
+* :class:`Condition` (and its helper :class:`AnyOf`) composes several
+  events into one.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "Process",
     "ConditionValue",
     "Condition",
-    "AllOf",
     "AnyOf",
 ]
 
@@ -356,23 +355,9 @@ class Condition(Event):
             self.succeed(ConditionValue())
 
     @staticmethod
-    def all_events(events: List[Event], count: int) -> bool:
-        """``True`` once *all* events have triggered."""
-        return len(events) == count
-
-    @staticmethod
     def any_events(events: List[Event], count: int) -> bool:
         """``True`` once at least one event has triggered."""
         return count > 0 or len(events) == 0
-
-
-class AllOf(Condition):
-    """Condition that triggers once all of *events* have triggered."""
-
-    __slots__ = ()
-
-    def __init__(self, env: "Any", events: Iterable[Event]) -> None:
-        super().__init__(env, Condition.all_events, events)
 
 
 class AnyOf(Condition):

@@ -36,7 +36,7 @@ class SpeedPolicy(AllocationPolicy):
         # descending-CLOPS groups, then each plan only re-sorts the
         # multi-device groups.  The concatenated order is exactly the
         # ``(-clops, -free_qubits, name)`` global sort.  Callers must treat
-        # the passed sequence as an immutable snapshot (both engines build a
+        # the passed sequence as an immutable snapshot (``QCloud`` builds a
         # fresh list when the fleet changes).
         self._groups_for: Optional[Sequence[Any]] = None
         self._groups: List[List[Any]] = []

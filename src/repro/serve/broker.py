@@ -6,11 +6,11 @@ with the demand-side machinery of a multi-tenant cloud:
 * **admission control** — every submission passes the per-tenant token
   bucket / queue cap of :class:`~repro.serve.admission.AdmissionController`;
   shed jobs get a ``rejected`` record event and never touch the fleet,
-* **tenant-aware dispatch** — the plain broker's FIFO admission section is
-  replaced by a dispatch queue ordered by ``(priority class, weighted-fair
-  virtual finish tag, job priority, submission order)``.  Tenants of the same
-  class share capacity in proportion to their weights (start-time fair
-  queueing over qubit demand); smaller priority classes dispatch first,
+* **tenant-aware dispatch** — the plain broker's FIFO line is replaced by a
+  dispatch order ``(priority class, weighted-fair virtual finish tag, job
+  priority, submission order)``.  Tenants of the same class share capacity
+  in proportion to their weights (start-time fair queueing over qubit
+  demand); smaller priority classes dispatch first,
 * **cross-class overtaking** — when the job at the head of the queue cannot
   fit and a strictly more important class is waiting, the head yields its
   turn instead of head-of-line-blocking the premium job (the plain broker's
@@ -22,10 +22,9 @@ with the demand-side machinery of a multi-tenant cloud:
   Victims are requeued and count the preemption against the shared
   ``max_requeues`` starvation guard.
 
-All of it is tenant policy plugged into the plain broker's hooks, so both
-dispatch engines run it unchanged: the per-job engine through this broker's
-keyed dispatch queue, the flat engine (:mod:`repro.cloud.fastpath`) through
-its own pending line in the same key order.
+All of it is tenant policy plugged into the plain broker's hooks; the
+dispatch engine (:mod:`repro.cloud.fastpath`) keeps its pending line in this
+broker's key order.
 
 With a single-class mix every one of these paths degenerates to the plain
 broker's behaviour: the dispatch keys are monotone in submission order, the
@@ -36,7 +35,6 @@ broker, which the regression tests assert across all four paper policies.
 
 from __future__ import annotations
 
-import bisect
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.cloud.broker import Broker
@@ -45,54 +43,10 @@ from repro.cloud.qjob import QJob, QJobStatus
 from repro.cloud.records import JobRecordsManager
 from repro.cloud.records_stream import StreamingRecordsManager
 from repro.des.environment import Environment
-from repro.des.resource import Request, Resource
 from repro.serve.admission import AdmissionController
 from repro.serve.tenant import TenantMix, TenantSpec
 
 __all__ = ["ServeBroker"]
-
-_ticket_key = lambda ticket: ticket.key  # noqa: E731 - bisect key
-
-
-class _DispatchTicket(Request):
-    """An admission request carrying an externally-computed dispatch key."""
-
-    def __init__(self, resource: "Resource", key: Tuple = (0,)) -> None:
-        self.key = key
-        super().__init__(resource)
-
-
-class _TicketQueue(list):
-    """A list kept sorted by ticket key.
-
-    Insertion uses :func:`bisect.insort` rather than re-sorting on every
-    append — O(log n) comparisons per enqueue, which matters when arrival
-    storms keep the dispatch queue hundreds of tickets deep.  ``insort`` keeps equal keys in
-    insertion order, matching a stable sort.
-    """
-
-    def append(self, item: Any) -> None:
-        bisect.insort(self, item, key=_ticket_key)
-
-
-class _DispatchQueue(Resource):
-    """A one-slot resource granting requests in dispatch-key order.
-
-    Identical event mechanics to the plain broker's FIFO admission
-    :class:`~repro.des.resource.Resource`; only the grant order of
-    *waiting* tickets differs (sorted by key instead of insertion order).
-    """
-
-    Queue = _TicketQueue
-    request_type = _DispatchTicket
-
-    @property
-    def best_waiting_key(self) -> Optional[Tuple]:
-        """The smallest key waiting behind the floor holder (``None`` if
-        nobody waits)."""
-        queue = self.queue
-        return queue[0].key if queue else None
-
 
 class _JobEntry:
     """Per-job dispatch state tracked by the serve broker."""
@@ -128,9 +82,8 @@ class _JobEntry:
 class _RunningInfo:
     """A running job's plan and sub-jobs (the preemption target set).
 
-    *processes* are the sub-jobs' kill entries, each with ``is_alive`` and
-    ``interrupt(cause)``: per-job engine processes, or the flat engine's
-    kill-list entries.
+    *processes* are the sub-jobs' kill-list entries, each with ``is_alive``
+    and ``interrupt(cause)``.
     """
 
     __slots__ = ("job", "plan", "processes", "class_rank", "started_at")
@@ -149,14 +102,11 @@ class ServeBroker(Broker):
     """A :class:`~repro.cloud.broker.Broker` serving a multi-tenant mix.
 
     The serve layer is a configuration of the plain broker, not an engine:
-    it plugs into the hooks both engines call — admission in ``submit``,
+    it plugs into the hooks the engine calls — admission in ``submit``,
     the dispatch order (``dispatch_key``, read by the engine's waiting
     line), ``_on_dispatch`` (the fair-share virtual clock), ``_blocked``
     (floor yielding, preemption and the capacity wait) and the life-cycle
     hooks (running set, requeue re-tags, queue-slot release on failure).
-    On the per-job engine the waiting line is this broker's own keyed
-    dispatch queue (``_dispatch_request`` hands out its tickets); the flat
-    engine keeps its pending rows in the same order.
 
     Parameters
     ----------
@@ -208,8 +158,6 @@ class ServeBroker(Broker):
         #: Tenant attribution of every submitted job (admitted or rejected).
         self.tenant_of: Dict[int, str] = {}
 
-        self._dispatch = _DispatchQueue(env)
-        self.waiting_line = self._dispatch
         self._entries: Dict[int, _JobEntry] = {}
         self._running: Dict[int, _RunningInfo] = {}
         self._multiclass = self.mix.is_multiclass
@@ -271,10 +219,6 @@ class ServeBroker(Broker):
     def dispatch_key(self, job: QJob) -> Tuple[int, float, int, int]:
         """The order of *job* in the waiting line (see :attr:`_JobEntry.key`)."""
         return self._entries[job.job_id].key
-
-    def _dispatch_request(self, job: QJob) -> _DispatchTicket:
-        """A ticket for the dispatch queue, ordered by the job's key."""
-        return self._dispatch.request(self.dispatch_key(job))
 
     def _on_dispatch(self, job: QJob) -> None:
         """Advance the fair-share virtual clock to the granted job's tag."""
@@ -350,8 +294,7 @@ class ServeBroker(Broker):
         enough online qubits for *job* to fit.  Victims' sub-jobs are
         interrupted; the outage machinery releases their reservations and
         requeues them.  Every preemption is logged before the first
-        interrupt: the flat engine ends a victim at once, while the per-job
-        engine delivers interrupts later, and both log in this order.
+        interrupt, because the engine ends a victim at once.
         """
         deadline = entry.tenant.slo.queue_deadline
         if not self._multiclass or deadline is None:

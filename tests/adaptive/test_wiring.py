@@ -35,18 +35,18 @@ class TestSimulationConfig:
             env.adaptive_report()
 
 
-class TestFastPathInteraction:
-    def test_static_policy_keeps_fast_path(self):
+class TestEngineInteraction:
+    def test_static_policy_attaches_nothing(self):
         config = SimulationConfig(num_jobs=10, seed=1, adaptive="static")
         env = QCloudSimEnv(config)
-        assert env.fast_path_active
+        assert env.broker.adaptive is None
+        assert not env.adaptive_engine.controllers and not env.adaptive_engine.perpetual
 
-    def test_active_policy_runs_on_the_flat_engine(self):
-        # The flat dispatcher reports to the control plane like the broker
-        # does, so an active policy keeps the default engine.
+    def test_active_policy_sees_every_job(self):
+        # The dispatcher reports each submission and completion to the
+        # control plane.
         config = SimulationConfig(num_jobs=10, seed=1, adaptive="reactive")
         env = QCloudSimEnv(config)
-        assert env.fast_path_active
         records = env.run_until_complete()
         assert len(records) == 10
         signals = env.adaptive_report()["signals"]["tenants"]["__untenanted__"]
@@ -69,15 +69,7 @@ class TestFastPathInteraction:
 
         planner.inner = Recording()
         env.run_until_complete()
-        assert env.fast_path_active
         assert sorted(set(planned)) == list(range(10))
-
-    @pytest.mark.parametrize("adaptive", ["reactive", "predictive"])
-    def test_active_policy_accepts_explicit_fast_path(self, adaptive):
-        config = SimulationConfig(num_jobs=10, seed=1, adaptive=adaptive)
-        env = QCloudSimEnv(config, fast_path=True)
-        assert env.fast_path_active
-        assert len(env.run_until_complete()) == 10
 
 
 class TestExperimentGrid:

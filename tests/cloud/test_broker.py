@@ -6,6 +6,7 @@ from repro.circuits.circuit import CircuitSpec
 from repro.cloud.broker import Broker
 from repro.cloud.config import SimulationConfig
 from repro.cloud.environment import QCloudSimEnv
+from repro.cloud.fastpath import FlatDispatcher, JobTable
 from repro.cloud.qcloud import QCloud
 from repro.cloud.qjob import QJob, QJobStatus
 from repro.cloud.records import JobRecordsManager
@@ -30,10 +31,11 @@ def make_job(job_id=0, q=16, depth=6, shots=5_000, t2=20, arrival=0.0):
     return QJob(job_id=job_id, circuit=circuit, arrival_time=arrival)
 
 
-def submit(broker, job):
-    """Admit *job* and start its per-job process, as the job generator does."""
-    if broker.submit(job):
-        broker.env.process(broker._handle_job(job))
+def dispatch(broker, *jobs):
+    """Feed *jobs* to *broker* through the dispatch engine, as
+    ``QCloudSimEnv`` does; ``env.run()`` then runs them."""
+    broker.expect(len(jobs))
+    FlatDispatcher(broker.env, broker, JobTable.from_jobs(jobs)).start()
 
 
 def build(env, policy=None):
@@ -54,7 +56,7 @@ class TestSingleJob:
     def test_split_job_completes_with_penalised_fidelity(self, env):
         cloud, records, broker = build(env)
         job = make_job(q=16)
-        submit(broker, job)
+        dispatch(broker, job)
         env.run()
 
         assert job.status is QJobStatus.COMPLETED
@@ -71,7 +73,7 @@ class TestSingleJob:
     def test_single_device_job_has_no_communication(self, env):
         cloud, records, broker = build(env)
         job = make_job(q=8)
-        submit(broker, job)
+        dispatch(broker, job)
         env.run()
         record = records.record_for(0)
         assert record.num_devices == 1
@@ -79,7 +81,7 @@ class TestSingleJob:
 
     def test_qubits_released_after_completion(self, env):
         cloud, records, broker = build(env)
-        submit(broker, make_job(q=16))
+        dispatch(broker, make_job(q=16))
         env.run()
         assert cloud.free_qubits == cloud.total_qubits
         assert cloud.jobs_completed == 1
@@ -87,7 +89,7 @@ class TestSingleJob:
     def test_oversized_job_fails_gracefully(self, env):
         cloud, records, broker = build(env)
         job = make_job(q=100)
-        submit(broker, job)
+        dispatch(broker, job)
         env.run()
         assert job.status is QJobStatus.FAILED
         assert broker.failed_jobs == [job]
@@ -96,8 +98,7 @@ class TestSingleJob:
 
     def test_events_logged_in_order(self, env):
         cloud, records, broker = build(env)
-        records.log_arrival(0, 0.0)
-        submit(broker, make_job(q=16))
+        dispatch(broker, make_job(q=16))
         env.run()
         names = [e.event for e in records.events_for(0)]
         assert names == ["arrival", "start", "fidelity", "finish"]
@@ -106,8 +107,7 @@ class TestSingleJob:
 class TestContention:
     def test_jobs_queue_when_capacity_exhausted(self, env):
         cloud, records, broker = build(env)
-        submit(broker, make_job(job_id=0, q=20))
-        submit(broker, make_job(job_id=1, q=20))
+        dispatch(broker, make_job(job_id=0, q=20), make_job(job_id=1, q=20))
         env.run()
         r0, r1 = records.record_for(0), records.record_for(1)
         # The second job cannot start before the first finishes (20 + 20 > 24).
@@ -116,24 +116,22 @@ class TestContention:
 
     def test_small_jobs_run_concurrently(self, env):
         cloud, records, broker = build(env)
-        submit(broker, make_job(job_id=0, q=8))
-        submit(broker, make_job(job_id=1, q=8))
+        dispatch(broker, make_job(job_id=0, q=8), make_job(job_id=1, q=8))
         env.run()
         r0, r1 = records.record_for(0), records.record_for(1)
         assert r0.start_time == r1.start_time == 0.0
 
     def test_fifo_admission_order(self, env):
         cloud, records, broker = build(env)
-        for job_id in range(4):
-            submit(broker, make_job(job_id=job_id, q=20))
+        dispatch(broker, *[make_job(job_id=job_id, q=20) for job_id in range(4)])
         env.run()
         starts = [records.record_for(i).start_time for i in range(4)]
         assert starts == sorted(starts)
 
     def test_makespan_reflects_serialisation(self, env):
         cloud, records, broker = build(env)
-        submit(broker, make_job(job_id=0, q=20, shots=5_000))
-        submit(broker, make_job(job_id=1, q=20, shots=5_000))
+        dispatch(broker, make_job(job_id=0, q=20, shots=5_000),
+                 make_job(job_id=1, q=20, shots=5_000))
         env.run()
         single = records.record_for(0).finish_time
         total = max(records.record_for(i).finish_time for i in range(2))
@@ -144,7 +142,7 @@ class TestContention:
 class TestPolicyInteraction:
     def test_error_aware_policy_prefers_low_error_device(self, env):
         cloud, records, broker = build(env, policy=ErrorAwarePolicy())
-        submit(broker, make_job(q=8))
+        dispatch(broker, make_job(q=8))
         env.run()
         record = records.record_for(0)
         scores = {d.name: d.error_score() for d in cloud.devices}
@@ -162,7 +160,7 @@ class TestPolicyInteraction:
 
         cloud = small_cloud(env)
         broker = Broker(env, cloud, BrokenPolicy(), JobRecordsManager())
-        submit(broker, make_job(q=16))
+        dispatch(broker, make_job(q=16))
         with pytest.raises(RuntimeError):
             env.run()
 
@@ -189,9 +187,8 @@ class _OverfullPlanPolicy(SpeedPolicy):
 
 
 class TestPlanCheck:
-    """A policy bug stops the run with the same error on both engines."""
+    """A policy bug stops the run with an error naming the policy."""
 
-    @pytest.mark.parametrize("fast_path", [None, False], ids=["flat", "per-job"])
     @pytest.mark.parametrize(
         "policy, message",
         [
@@ -200,26 +197,24 @@ class TestPlanCheck:
         ],
         ids=["qubit-total", "infeasible"],
     )
-    def test_broken_policy_raises(self, policy, message, fast_path):
+    def test_broken_policy_raises(self, policy, message):
         profiles = [
             get_device_profile("ibm_strasbourg", num_qubits=12, quantum_volume=32),
             get_device_profile("ibm_kyiv", num_qubits=12, quantum_volume=32),
         ]
         env = QCloudSimEnv(
-            devices=profiles, jobs=[make_job(q=16)], policy=policy, fast_path=fast_path
+            devices=profiles, jobs=[make_job(q=16)], policy=policy
         )
-        assert env.fast_path_active is (fast_path is None)
         with pytest.raises(RuntimeError, match=f"policy {policy.name!r} {message}"):
             env.run_until_complete()
 
 
 class TestCompletionStep:
-    @pytest.mark.parametrize("fast_path", [None, False], ids=["flat", "per-job"])
-    def test_counts_each_completed_job_once(self, fast_path):
+    def test_counts_each_completed_job_once(self):
         # Kills, requeues and resumes: only the completing attempt counts.
         config = SimulationConfig(num_jobs=120, seed=1, scenario="flaky-fleet",
                                   qubit_range=(20, 90), checkpointing=True)
-        env = QCloudSimEnv(config, fast_path=fast_path)
+        env = QCloudSimEnv(config)
         env.run_until_complete()
         records = env.records.completed_records
         assert any(r.retries for r in records)
@@ -230,10 +225,9 @@ class TestCompletionStep:
 class TestAllEnded:
     def test_succeeds_when_the_last_expected_job_ends(self, env):
         cloud, records, broker = build(env)
-        broker.expect(3)
-        submit(broker, make_job(job_id=0, q=8, shots=2_000))
-        submit(broker, make_job(job_id=1, q=8, shots=9_000))
-        submit(broker, make_job(job_id=2, q=100))  # wider than the fleet: fails
+        dispatch(broker, make_job(job_id=0, q=8, shots=2_000),
+                 make_job(job_id=1, q=8, shots=9_000),
+                 make_job(job_id=2, q=100))  # wider than the fleet: fails
         env.run(until=broker.all_ended)
         assert broker.unended == 0
         assert [job.job_id for job in broker.failed_jobs] == [2]

@@ -81,6 +81,15 @@ class TestDefaults:
                 downstream()
             assert str(at_config.value) == str(at_use.value)
 
+    def test_unknown_device_names_refused_when_built(self):
+        from repro.hardware.backends import list_available_devices
+
+        with pytest.raises(ValueError, match=r"unknown device names \['ibm_nowhere'\]") as info:
+            SimulationConfig(device_names=["ibm_kyiv", "ibm_nowhere"])
+        assert f"available: {list_available_devices()}" in str(info.value)
+        # A config that builds has devices the environment can build.
+        SimulationConfig(device_names=list_available_devices())
+
     def test_batch_arrival_ignores_the_rate(self):
         assert SimulationConfig(arrival="batch", arrival_rate=float("nan")).arrival == "batch"
 

@@ -1,11 +1,13 @@
-"""Bit-identity of the fast-path device kernels against the legacy methods.
+"""Bit-identity of the dispatch engine's device kernels against the
+``CircuitSpec`` methods.
 
 The flat dispatcher computes durations and fidelities through the scalar
 kernels on :class:`~repro.cloud.qdevice.IBMQuantumDevice`, from fragment
-columns it derives without building a :class:`CircuitSpec`; byte identity of
-the engines rests on both being *exactly* the legacy
-``subcircuit`` / ``calculate_process_time`` / ``compute_fidelity_breakdown``
-results — same IEEE operations in the same order, not merely close.  The
+columns it derives without building a :class:`CircuitSpec`.  They must be
+*exactly* the ``subcircuit`` / ``calculate_process_time`` /
+``compute_fidelity_breakdown`` results — same IEEE operations in the same
+order, not merely close — because a sub-job whose device was recalibrated
+while it ran gets its breakdown from ``compute_fidelity_breakdown``.  The
 batch kernels are checked against the scalar ones too.
 """
 
@@ -116,7 +118,6 @@ class TestFragmentColumns:
         sim = QCloudSimEnv(SimulationConfig(num_jobs=60, seed=1, scenario="flaky-fleet",
                                             checkpointing=True))
         sim.run_until_complete()
-        assert sim.fast_path_active
         for circuit, state, fragments in started:
             circuit = circuit.with_shots(state.attempt_shots)
             assert len(fragments) == len(state.allocations)
@@ -133,7 +134,7 @@ class TestFragmentColumns:
 
 
 class TestDirectQubitArithmetic:
-    """Both engines reserve through the one synchronous counter pair."""
+    """The engine reserves through the one synchronous counter pair."""
 
     def test_reserve_then_release_round_trip(self, device):
         free = device.free_qubits
@@ -142,36 +143,33 @@ class TestDirectQubitArithmetic:
         device.release_qubits(4)
         assert device.free_qubits == free
 
-    def test_both_engines_make_the_same_reservations(self, monkeypatch):
-        """The flat and per-job engines make the same reservations.
-
-        Both call :meth:`BaseQDevice.reserve_qubits` /
-        :meth:`BaseQDevice.release_qubits` at dispatch and completion, so the
-        logged (time, device, amount) calls agree and every device ends the
-        run with all of its qubits free.
-        """
+    def test_reservations_follow_the_records(self, monkeypatch):
+        """Each completed job reserved its record's allocation at its start
+        and released it at its finish, through
+        :meth:`BaseQDevice.reserve_qubits` /
+        :meth:`BaseQDevice.release_qubits`, and every device ends the run
+        with all of its qubits free."""
         reserve, release = BaseQDevice.reserve_qubits, BaseQDevice.release_qubits
+        calls = []
 
-        def run(fast_path):
-            calls = []
+        def logged(method, op):
+            def wrapper(self, amount):
+                calls.append((op, self.env.now, self.name, amount))
+                method(self, amount)
+            return wrapper
 
-            def logged(method, op):
-                def wrapper(self, amount):
-                    calls.append((op, self.env.now, self.name, amount))
-                    method(self, amount)
-                return wrapper
-
-            monkeypatch.setattr(BaseQDevice, "reserve_qubits", logged(reserve, "reserve"))
-            monkeypatch.setattr(BaseQDevice, "release_qubits", logged(release, "release"))
-            sim = QCloudSimEnv(SimulationConfig(num_jobs=40, seed=3), fast_path=fast_path)
-            sim.run_until_complete()
-            assert sim.fast_path_active is fast_path
-            assert all(d.free_qubits == d.num_qubits for d in sim.cloud.devices)
-            return sorted(calls)
-
-        flat, per_job = run(True), run(False)
-        assert flat == per_job
-        assert sum(op == "reserve" for op, *_ in flat) >= 40
+        monkeypatch.setattr(BaseQDevice, "reserve_qubits", logged(reserve, "reserve"))
+        monkeypatch.setattr(BaseQDevice, "release_qubits", logged(release, "release"))
+        sim = QCloudSimEnv(SimulationConfig(num_jobs=40, seed=3))
+        records = sim.run_until_complete()
+        assert len(records) == 40
+        assert all(d.free_qubits == d.num_qubits for d in sim.cloud.devices)
+        expected = []
+        for r in records:
+            for device, amount in zip(r.devices, r.allocation):
+                expected.append(("reserve", r.start_time, device, amount))
+                expected.append(("release", r.finish_time, device, amount))
+        assert sorted(calls) == sorted(expected)
 
     def test_aborted_runs_release_their_reservations(self):
         """Outage aborts release through the same pair as completions."""

@@ -1,4 +1,5 @@
-"""Unit tests for the job generator and synthetic workload creation."""
+"""Unit tests for synthetic workload creation and for feeding a workload
+to the broker at its arrival times."""
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from repro.circuits.circuit import CircuitSpec
 from repro.cloud.broker import Broker
 from repro.cloud.config import SimulationConfig
 from repro.cloud.environment import QCloudSimEnv
-from repro.cloud.job_generator import JobGenerator, generate_synthetic_jobs
+from repro.cloud.fastpath import FlatDispatcher, JobTable
+from repro.cloud.job_generator import generate_synthetic_jobs
 from repro.cloud.qcloud import QCloud
 from repro.cloud.qjob import QJob
 from repro.cloud.records import JobRecordsManager
@@ -55,7 +57,7 @@ class TestSyntheticJobs:
         assert len({j.job_id for j in jobs}) == 200
 
 
-class TestJobGeneratorDispatch:
+class TestArrivalFeed:
     def _build(self, env):
         profiles = [
             get_device_profile("ibm_strasbourg", num_qubits=12, quantum_volume=32),
@@ -73,8 +75,7 @@ class TestJobGeneratorDispatch:
     def test_jobs_dispatched_at_arrival_times(self, env):
         cloud, records, broker = self._build(env)
         jobs = [self._job(0, 0.0), self._job(1, 50.0), self._job(2, 120.0)]
-        gen = JobGenerator(env, broker, jobs)
-        gen.start()
+        FlatDispatcher(env, broker, JobTable.from_jobs(jobs)).start()
         env.run()
         arrivals = {e.job_id: e.time for e in records.events if e.event == "arrival"}
         assert arrivals == {0: 0.0, 1: 50.0, 2: 120.0}
@@ -83,37 +84,24 @@ class TestJobGeneratorDispatch:
     def test_jobs_sorted_by_arrival(self, env):
         cloud, records, broker = self._build(env)
         jobs = [self._job(0, 30.0), self._job(1, 0.0)]
-        gen = JobGenerator(env, broker, jobs)
-        assert [j.job_id for j in gen.jobs] == [1, 0]
-        assert len(gen) == 2
+        dispatcher = FlatDispatcher(env, broker, JobTable.from_jobs(jobs))
+        assert [j.job_id for j in dispatcher.jobs] == [1, 0]
+        assert len(dispatcher) == 2
 
     def test_cannot_start_twice(self, env):
         cloud, records, broker = self._build(env)
-        gen = JobGenerator(env, broker, [self._job(0, 0.0)])
-        gen.start()
+        dispatcher = FlatDispatcher(env, broker, JobTable.from_jobs([self._job(0, 0.0)]))
+        dispatcher.start()
         with pytest.raises(RuntimeError):
-            gen.start()
-
-    def test_synthetic_classmethod(self, env):
-        cloud, records, broker = self._build(env)
-        gen = JobGenerator.synthetic(
-            env, broker, num_jobs=3, seed=0, qubit_range=(14, 20), shots_range=(1_000, 2_000)
-        )
-        gen.start()
-        env.run()
-        assert len(records.completed_records) == 3
+            dispatcher.start()
 
 
 class TestEndOfRun:
     """Runs with perpetual event sources stop on the broker's ``all_ended``
     event: when the last job completes, fails or is rejected."""
 
-    @pytest.mark.parametrize("fast_path", [False, None], ids=["per-job", "flat"])
-    def test_empty_adaptive_workload_returns(self, fast_path):
-        env = QCloudSimEnv(
-            SimulationConfig(adaptive="predictive"), jobs=[], fast_path=fast_path
-        )
-        assert env.fast_path_active is (fast_path is None)
+    def test_empty_adaptive_workload_returns(self):
+        env = QCloudSimEnv(SimulationConfig(adaptive="predictive"), jobs=[])
         assert env.adaptive_engine.perpetual
         assert env.run_until_complete() == []
         assert env.now == 0.0

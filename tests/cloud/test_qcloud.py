@@ -47,8 +47,6 @@ class TestQueries:
         assert cloud.total_qubits == 24
         assert cloud.free_qubits == 24
         assert cloud.max_device_qubits == 12
-        assert cloud.can_ever_fit(24)
-        assert not cloud.can_ever_fit(25)
 
     def test_device_lookup(self, cloud):
         assert cloud.device("ibm_kyiv").name == "ibm_kyiv"

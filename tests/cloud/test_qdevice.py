@@ -141,17 +141,32 @@ class TestIBMQuantumDevice:
         assert b.device == pytest.approx(b.single_qubit * b.two_qubit * b.readout)
         assert b.device_name == device.name
 
-    def test_execute_advances_clock_and_returns_result(self, env, small_profile):
+    def test_complete_subjob_accounts_busy_time(self, env, small_profile):
         device = IBMQuantumDevice(env, small_profile)
         frag = fragment()
-        proc = env.process(device.execute(frag, num_devices=1, total_qubits=frag.num_qubits))
-        result = env.run(until=proc)
-        assert env.now == pytest.approx(device.calculate_process_time(frag))
-        assert result.device_name == device.name
-        assert result.qubits_allocated == frag.num_qubits
+        elapsed = device.calculate_process_time(frag)
+        device.complete_subjob(frag.num_qubits, elapsed)
         assert device.completed_subjobs == 1
-        assert device.busy_time == pytest.approx(env.now)
-        assert device.qubit_seconds == pytest.approx(frag.num_qubits * env.now)
+        assert device.busy_time == elapsed
+        assert device.qubit_seconds == frag.num_qubits * elapsed
+
+    @pytest.mark.parametrize("checkpoint", [False, True])
+    def test_abort_subjob_checkpoints_the_elapsed_shots(self, env, small_profile, checkpoint):
+        device = IBMQuantumDevice(env, small_profile)
+        frag = fragment(shots=1_000)
+        duration = device.calculate_process_time(frag)
+        completed, breakdown = device.abort_subjob(
+            frag, 0.25 * duration, duration, checkpoint, 1, frag.num_qubits
+        )
+        assert device.aborted_subjobs == 1 and device.completed_subjobs == 0
+        assert device.busy_time == 0.25 * duration
+        if checkpoint:
+            assert completed == 250
+            assert breakdown == device.compute_fidelity_breakdown(frag, 1, frag.num_qubits)
+        else:
+            assert (completed, breakdown) == (0, None)
+        # A kill at the very end still leaves one shot for the resume.
+        assert device.abort_subjob(frag, duration, duration, True)[0] == 999
 
 
 class TestErrorScoreCache:

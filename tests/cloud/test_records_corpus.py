@@ -16,9 +16,11 @@ their shortest round-trip ``repr``):
 ``records_corpus.json`` maps each case name to its digest.  The file was
 written while the repository still carried two dispatch engines: each case
 ran on the generator-per-job reference engine and on the flat-event engine,
-both runs produced the same digest, and that digest was stored.  The cases
+both runs produced the same digest, and ``json.dumps({name:
+digest(observe(name))}, indent=1, sort_keys=True)`` stored it.  The cases
 are the configurations the engine-identity tests compared, so the corpus is
-the reference engine's output, frozen.  A change that moves a digest changes
+the reference engine's output, frozen; the flat-event engine, now the only
+one, must keep reproducing it.  A change that moves a digest changes
 simulated behaviour; such a change has to say why, and rewrite the entry
 from a run of the new code.
 
@@ -499,13 +501,17 @@ def _assert(condition: bool) -> None:
 
 
 # -- observing and hashing a run ---------------------------------------------------
-def observe(name: str, **engine: Any) -> Dict[str, Any]:
+def observe(name: str) -> Dict[str, Any]:
     """Run case *name* and return its observable output (see the module
-    docstring); *engine* goes to ``QCloudSimEnv``."""
+    docstring)."""
     build, _ = CASES[name]
-    kwargs = build()
-    setup = kwargs.pop("setup", None)
-    env = QCloudSimEnv(**kwargs, **engine)
+    return run_observed(**build())
+
+
+def run_observed(setup: Optional[Callable] = None, **kwargs: Any) -> Dict[str, Any]:
+    """Build ``QCloudSimEnv(**kwargs)``, call *setup* with it, run it and
+    return its observable output."""
+    env = QCloudSimEnv(**kwargs)
     if setup is not None:
         setup(env)
     error = None
@@ -543,10 +549,9 @@ def test_corpus_names_every_case():
     assert sorted(CORPUS) == sorted(CASES)
 
 
-@pytest.mark.parametrize("engine", [{}, {"fast_path": False}], ids=["flat", "per-job"])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_run_matches_frozen_digest(name, engine):
-    run = observe(name, **engine)
+def test_run_matches_frozen_digest(name):
+    run = observe(name)
     _, check = CASES[name]
     if check is not None:
         check(run)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import AllOf, AnyOf, Environment, Event, Timeout
+from repro.des import AnyOf, Environment, Event, Timeout
 from repro.des.events import PENDING
 
 
@@ -81,15 +81,6 @@ class TestTimeout:
 
 
 class TestConditions:
-    def test_all_of_waits_for_all(self, env):
-        t1, t2 = env.timeout(1, value="a"), env.timeout(3, value="b")
-        cond = AllOf(env, [t1, t2])
-        env.run()
-        assert cond.processed
-        assert cond.value[t1] == "a"
-        assert cond.value[t2] == "b"
-        assert env.now == 3
-
     def test_any_of_fires_on_first(self, env):
         t1, t2 = env.timeout(1, value="a"), env.timeout(3, value="b")
         done_at = []
@@ -98,8 +89,8 @@ class TestConditions:
         env.run()
         assert done_at == [1]
 
-    def test_empty_all_of_succeeds_immediately(self, env):
-        cond = env.all_of([])
+    def test_empty_any_of_succeeds_immediately(self, env):
+        cond = env.any_of([])
         env.run()
         assert cond.processed
 
@@ -108,7 +99,7 @@ class TestConditions:
         t1 = env.timeout(1)
         t2 = other.timeout(1)
         with pytest.raises(ValueError):
-            AllOf(env, [t1, t2])
+            AnyOf(env, [t1, t2])
 
     def test_condition_failure_propagates(self, env):
         def failing(env):
@@ -118,7 +109,7 @@ class TestConditions:
         def waiter(env, log):
             proc = env.process(failing(env))
             try:
-                yield env.all_of([proc, env.timeout(5)])
+                yield env.any_of([proc, env.timeout(5)])
             except RuntimeError as exc:
                 log.append(str(exc))
 

@@ -22,13 +22,12 @@ def _profiles():
     return [get_device_profile("ibm_strasbourg"), get_device_profile("ibm_kyiv")]
 
 
-def _two_device_env(scenario, jobs, policy="speed", fast_path=None):
+def _two_device_env(scenario, jobs, policy="speed"):
     return QCloudSimEnv(
         SimulationConfig(num_jobs=len(jobs), policy=policy),
         devices=_profiles(),
         jobs=jobs,
         scenario=scenario,
-        fast_path=fast_path,
     )
 
 
@@ -194,31 +193,29 @@ class TestOutages:
                 assert "maintenance" in causes, f"window broken at t={event.time}"
 
     def test_kills_follow_start_order(self):
+        # Eight 10-qubit jobs start on one device in arrival order; one kill
+        # aborts them all, and they are requeued in that start order.
         from repro.hardware.backends import get_device_profile
 
+        jobs = [_job(tag, 10, arrival_time=0.1 * tag) for tag in range(8)]
         env = QCloudSimEnv(
-            SimulationConfig(num_jobs=1),
+            SimulationConfig(num_jobs=8, max_requeues=0),
             devices=[get_device_profile("ibm_kyiv")],
-            jobs=[_job(0, 10, arrival_time=1e9)],
+            jobs=jobs,
         )
         device = env.cloud.device("ibm_kyiv")
-        aborted = []
-
-        def run(tag):
-            result = yield env.process(device.execute(_job(tag, 10).circuit))
-            assert result.aborted
-            aborted.append(tag)
-
-        for tag in range(8):
-            env.process(run(tag))
 
         def outage():
             yield env.timeout(1.0)
             device.set_offline(kill_running=True)
 
         env.process(outage())
-        env.run(until=2.0)
-        assert aborted == list(range(8))
+        env.run()
+        starts = [e.job_id for e in env.records.events if e.event == "start"]
+        failed = [e.job_id for e in env.records.events if e.event == "failed"]
+        assert starts == list(range(8))
+        assert failed == starts
+        assert device.aborted_subjobs == 8
 
     @pytest.mark.parametrize("policy", ["speed", "fair"])
     def test_killing_outages_replay_identically_in_one_process(self, policy):
@@ -244,15 +241,15 @@ class TestOutages:
         assert second[2] == first[2]
 
 
-class TestFlatEngineAvailability:
-    """Availability changes made by user code (not a scenario) on a run the
-    flat-event engine drives."""
+class TestUserCodeAvailability:
+    """Availability changes made by user code (not a scenario).  Their full
+    outputs are pinned in the records corpus (``availability/*``)."""
 
-    def test_graceful_offline_mid_run_matches_per_job_engine(self):
-        def run(fast_path):
+    def test_graceful_offline_mid_run(self):
+        def run():
             jobs = [_job(0, 100, arrival_time=0.0), _job(1, 100, arrival_time=500.0),
                     _job(2, 100, arrival_time=50_000.0)]
-            env = _two_device_env(None, jobs, fast_path=fast_path)
+            env = _two_device_env(None, jobs)
             strasbourg = env.cloud.device("ibm_strasbourg")
 
             def toggle():
@@ -263,26 +260,22 @@ class TestFlatEngineAvailability:
 
             env.process(toggle())
             records = env.run_until_complete()
-            events = [(e.job_id, e.event, e.time, e.detail) for e in env.records.events]
-            return env.fast_path_active, [r.as_dict() for r in records], events
+            return [r.as_dict() for r in records]
 
-        flat, per_job = run(None), run(False)
-        assert flat[0] and not per_job[0]
-        assert flat[1:] == per_job[1:]
-        devices = {r["job_id"]: r["devices"] for r in flat[1]}
+        devices = {r["job_id"]: r["devices"] for r in run()}
         assert devices == {0: "ibm_strasbourg", 1: "ibm_kyiv", 2: "ibm_strasbourg"}
 
     @pytest.mark.parametrize("checkpointing", [False, True], ids=["restart", "checkpoint"])
     @pytest.mark.parametrize("num_qubits", [100, 200], ids=["unsplit", "split"])
-    def test_flat_kill_requeues_like_per_job_engine(self, num_qubits, checkpointing):
+    def test_kill_requeues(self, num_qubits, checkpointing):
         # 100 qubits run on ibm_strasbourg alone; 200 split over both
         # devices.  A user-code kill mid-run aborts the attempt, which
-        # requeues the job exactly as the per-job engine does.
-        def run(fast_path):
+        # requeues the job (and resumes it under checkpointing).
+        def run():
             jobs = [_job(0, num_qubits), _job(1, 60, arrival_time=0.5)]
             env = QCloudSimEnv(
                 SimulationConfig(num_jobs=len(jobs), checkpointing=checkpointing),
-                devices=_profiles(), jobs=jobs, fast_path=fast_path,
+                devices=_profiles(), jobs=jobs,
             )
             strasbourg = env.cloud.device("ibm_strasbourg")
 
@@ -296,17 +289,14 @@ class TestFlatEngineAvailability:
             env.process(outage())
             records = env.run_until_complete()
             events = [(e.job_id, e.event, e.time, e.detail) for e in env.records.events]
-            return (env.fast_path_active, [r.as_dict() for r in records], events,
-                    env.device_utilization_report(), env.now)
+            return [r.as_dict() for r in records], events, env.device_utilization_report()
 
-        flat, per_job = run(None), run(False)
-        assert flat[0] and not per_job[0]
-        assert flat[1:] == per_job[1:]
-        job0 = next(r for r in flat[1] if r["job_id"] == 0)
+        records, events, devices = run()
+        job0 = next(r for r in records if r["job_id"] == 0)
         assert job0["retries"] == 1
-        assert flat[3]["ibm_strasbourg"]["aborted_subjobs"] >= 1
-        assert all(stats["free_qubits"] == 127 for stats in flat[3].values())
-        kinds = [e[1] for e in flat[2] if e[0] == 0]
+        assert devices["ibm_strasbourg"]["aborted_subjobs"] >= 1
+        assert all(stats["free_qubits"] == 127 for stats in devices.values())
+        kinds = [e[1] for e in events if e[0] == 0]
         assert "requeue" in kinds
         assert ("resume" in kinds) == checkpointing
 
@@ -315,12 +305,12 @@ class TestFlatEngineAvailability:
         # behind it and is blocked (54 qubits free).  A kill on one device
         # aborts the split job, which fails at max_requeues=0 once its
         # surviving fragment ends.  The released qubits must wake the
-        # blocked head on both engines, not only on a requeue.
-        def run(fast_path):
+        # blocked head, not only on a requeue.
+        def run():
             jobs = [_job(0, 200), _job(1, 100, arrival_time=0.5)]
             env = QCloudSimEnv(
                 SimulationConfig(num_jobs=len(jobs), max_requeues=0),
-                devices=_profiles(), jobs=jobs, fast_path=fast_path,
+                devices=_profiles(), jobs=jobs,
             )
 
             def outage():
@@ -329,26 +319,22 @@ class TestFlatEngineAvailability:
 
             env.process(outage())
             records = env.run_until_complete()
-            events = [(e.job_id, e.event, e.time, e.detail) for e in env.records.events]
             failed = [j.job_id for j in env.broker.failed_jobs]
-            return (env.fast_path_active, [r.as_dict() for r in records], events, failed,
-                    env.device_utilization_report(), env.now)
+            return [r.as_dict() for r in records], failed
 
-        flat, per_job = run(None), run(False)
-        assert flat[0] and not per_job[0]
-        assert flat[1:] == per_job[1:]
-        assert flat[3] == [0]
-        assert [r["job_id"] for r in flat[1]] == [1]
-        assert flat[1][0]["devices"] == "ibm_kyiv"
+        records, failed = run()
+        assert failed == [0]
+        assert [r["job_id"] for r in records] == [1]
+        assert records[0]["devices"] == "ibm_kyiv"
 
     def test_blocked_head_wakes_on_capacity_signal(self):
         # A device is offline when three jobs too wide for the remaining
         # fleet arrive; it returns at t=100 through set_online() plus the
         # capacity signal ScenarioEngine.apply sends.  The blocked head
-        # must re-plan on that signal on both engines.
-        def run(fast_path):
+        # must re-plan on that signal.
+        def run():
             jobs = [_job(i, 560 + 20 * i, arrival_time=10.0) for i in range(3)]
-            env = QCloudSimEnv(SimulationConfig(num_jobs=3), jobs=jobs, fast_path=fast_path)
+            env = QCloudSimEnv(SimulationConfig(num_jobs=3), jobs=jobs)
             device = env.cloud.devices[0]
             device.set_offline(kill_running=False)
 
@@ -359,21 +345,17 @@ class TestFlatEngineAvailability:
 
             env.process(recover())
             records = env.run_until_complete()
-            return env.fast_path_active, [r.as_dict() for r in records], env.broker.unended
+            return [r.as_dict() for r in records], env.broker.unended
 
-        flat, per_job = run(None), run(False)
-        assert flat[0] and not per_job[0]
-        assert len(flat[1]) == 3 and flat[2] == 0
-        assert flat[1:] == per_job[1:]
-        assert all(r["start_time"] >= 100.0 for r in flat[1])
+        records, unended = run()
+        assert len(records) == 3 and unended == 0
+        assert all(r["start_time"] >= 100.0 for r in records)
 
-    @pytest.mark.parametrize("fast_path", [None, False], ids=["flat", "per_job"])
-    def test_run_until_complete_reports_jobs_that_never_end(self, fast_path):
+    def test_run_until_complete_reports_jobs_that_never_end(self):
         # Two devices leave for good while three of four wide jobs wait:
         # the queue drains with those three never ended.
         jobs = [_job(i, 400 + 30 * i) for i in range(4)]
-        env = QCloudSimEnv(SimulationConfig(num_jobs=4, policy="speed"), jobs=jobs,
-                           fast_path=fast_path)
+        env = QCloudSimEnv(SimulationConfig(num_jobs=4, policy="speed"), jobs=jobs)
 
         def leave():
             yield env.timeout(0.5)

@@ -175,44 +175,37 @@ class TestTrain:
         assert args.n_envs == 1
 
 
-class TestSimulateFastPath:
-    def test_fast_path_matches_legacy_records(self, capsys, tmp_path):
-        # The CLI runs the flat engine by default; its records must equal
-        # those of the per-job engine on the same configuration.
+class TestSimulateStats:
+    def test_simulate_matches_library_records(self, capsys, tmp_path):
+        # The CLI's records are those of the library run of the same
+        # configuration (records corpus case ``cli/simulate-speed-8-jobs``).
         from repro.cloud.config import SimulationConfig
         from repro.cloud.environment import QCloudSimEnv
         from repro.cloud.records import records_to_csv
 
-        fast_path = str(tmp_path / "fast.csv")
+        cli_path = str(tmp_path / "cli.csv")
         code = main(
             ["simulate", "--policy", "speed", "-n", "8", "--seed", "4",
-             "--records", fast_path]
+             "--records", cli_path]
         )
         assert code == 0
         assert "jobs completed: 8" in capsys.readouterr().out
-        env = QCloudSimEnv(SimulationConfig(policy="speed", num_jobs=8, seed=4),
-                           fast_path=False)
-        legacy_path = str(tmp_path / "legacy.csv")
-        records_to_csv(env.run_until_complete(), legacy_path)
-        assert open(fast_path).read() == open(legacy_path).read()
+        env = QCloudSimEnv(SimulationConfig(policy="speed", num_jobs=8, seed=4))
+        library_path = str(tmp_path / "library.csv")
+        records_to_csv(env.run_until_complete(), library_path)
+        assert open(cli_path).read() == open(library_path).read()
 
-    def test_stats_reports_engine_and_counters(self, capsys):
-        # A tenant mix runs on the flat engine like every configuration.
+    def test_stats_reports_counters(self, capsys):
         assert main(["simulate", "-n", "5", "--seed", "2", "--stats",
                      "--tenants", "single"]) == 0
         out = capsys.readouterr().out
-        assert "engine        : flat events" in out
+        assert "engine" not in out
+        assert "jobs completed: 5" in out
         assert "events        :" in out
         assert "batches" in out
         assert "peak queue    :" in out
         assert "events/s" in out
 
-    def test_stats_with_fast_path(self, capsys):
-        assert main(["simulate", "-n", "5", "--seed", "2", "--stats"]) == 0
-        out = capsys.readouterr().out
-        assert "engine        : flat events" in out
-        assert "jobs completed: 5" in out
-
-    def test_fast_path_flag_is_gone(self, capsys):
+    def test_engine_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit):
             main(["simulate", "-n", "5", "--fast-path"])

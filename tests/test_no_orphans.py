@@ -27,8 +27,8 @@ SCOPES = ("src", "perfbench", "benchmarks", "examples")
 #: Public names that only tests reference, kept on purpose.
 TEST_ONLY = {
     "JobTable.arrival_groups": "eager reference the lazy arrival iterator is tested against",
-    "JobRecordsManager.events_for": "tests read one job's event log to check both engines",
-    "JobRecordsManager.record_for": "tests read one job's record to check both engines",
+    "JobRecordsManager.events_for": "tests read one job's event log to check a serve run",
+    "JobRecordsManager.record_for": "tests read one job's record to check a serve run",
     "StreamingRecordsManager.events_for": "the streaming manager's side of events_for",
     "StreamingRecordsManager.record_for": "the streaming manager's side of record_for",
     "trace_events": "one-event-per-step reference for the batched event loop",
