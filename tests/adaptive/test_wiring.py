@@ -1,4 +1,4 @@
-"""Config, experiment-grid, fast-path and region wiring of adaptive policies."""
+"""Config, experiment-grid, engine and region wiring of adaptive policies."""
 
 import pytest
 

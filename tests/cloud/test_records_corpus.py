@@ -74,6 +74,11 @@ def _count(run: Dict, event: str) -> int:
     return sum(1 for e in run["events"] if e[1] == event)
 
 
+def _assert(condition: bool) -> None:
+    """An assert usable in a lambda check."""
+    assert condition
+
+
 def _two_devices() -> list:
     return [get_device_profile("ibm_strasbourg"), get_device_profile("ibm_kyiv")]
 
@@ -494,10 +499,6 @@ _case("plan-check/infeasible", _broken_policy(_OverfullPlanPolicy),
 
 # The workload ``python -m repro simulate --policy speed -n 8 --seed 4`` runs.
 _case("cli/simulate-speed-8-jobs", _config(policy="speed", num_jobs=8, seed=4))
-
-
-def _assert(condition: bool) -> None:
-    assert condition
 
 
 # -- observing and hashing a run ---------------------------------------------------
