@@ -7,8 +7,7 @@ A dependency-free event clock and the few event types the simulator uses:
   it (same-time events in batches), ``step`` pops one event at a time for
   :func:`~repro.des.monitoring.trace_events`,
 * :class:`~repro.des.events.Event` and :class:`~repro.des.events.Timeout`,
-* generator-based :class:`~repro.des.events.Process` objects, which
-  :class:`~repro.des.exceptions.Interrupt` can kill, and the
+* generator-based :class:`~repro.des.events.Process` objects and the
   :class:`~repro.des.events.AnyOf` condition — used by the world-dynamics
   sources, the adaptive control loop and the serve broker's blocked-head
   wait.
@@ -40,11 +39,10 @@ from repro.des.events import (
     ConditionValue,
     Event,
     Initialize,
-    Interruption,
     Process,
     Timeout,
 )
-from repro.des.exceptions import Interrupt, SimulationError, StopSimulation
+from repro.des.exceptions import SimulationError, StopSimulation
 from repro.des.monitoring import trace_events
 
 __all__ = [
@@ -54,8 +52,6 @@ __all__ = [
     "Environment",
     "Event",
     "Initialize",
-    "Interrupt",
-    "Interruption",
     "Process",
     "SimulationError",
     "StopSimulation",

@@ -47,7 +47,6 @@ class Environment:
         "_now",
         "_queue",
         "_eid",
-        "_active_proc",
         "_trace",
         "_ev_count",
         "_batch_count",
@@ -60,7 +59,6 @@ class Environment:
         self._now: float = initial_time
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = count()
-        self._active_proc: Optional[Process] = None
         self._trace: Optional[TraceCallback] = None
         self._ev_count: int = 0
         self._batch_count: int = 0
@@ -79,11 +77,6 @@ class Environment:
     def now(self) -> float:
         """Current simulation time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (or ``None``)."""
-        return self._active_proc
 
     # -- event-loop counters ---------------------------------------------------
     @property

@@ -16,8 +16,6 @@ from __future__ import annotations
 from types import GeneratorType
 from typing import Any, Callable, Iterable, List, Optional
 
-from repro.des.exceptions import Interrupt
-
 __all__ = [
     "PENDING",
     "URGENT",
@@ -25,7 +23,6 @@ __all__ = [
     "Event",
     "Timeout",
     "Initialize",
-    "Interruption",
     "Process",
     "ConditionValue",
     "Condition",
@@ -61,8 +58,8 @@ class Event:
 
     Events are created in very large numbers on the simulation hot path, so
     the core event classes declare ``__slots__``; subclasses that need extra
-    attributes (e.g. the resource request events) may simply omit
-    ``__slots__`` and fall back to a normal instance ``__dict__``.
+    attributes may simply omit ``__slots__`` and fall back to a normal
+    instance ``__dict__``.
     """
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_defused")
@@ -164,38 +161,6 @@ class Initialize(Event):
         env.schedule(self, priority=URGENT)
 
 
-class Interruption(Event):
-    """Immediately schedules an :class:`Interrupt` to be thrown into a process."""
-
-    __slots__ = ("process",)
-
-    def __init__(self, process: "Process", cause: Any) -> None:
-        super().__init__(process.env)
-        self.callbacks = [self._interrupt]
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-
-        if process._value is not PENDING:
-            raise RuntimeError(f"{process!r} has terminated and cannot be interrupted")
-        if process is self.env.active_process:
-            raise RuntimeError("A process is not allowed to interrupt itself")
-
-        self.process = process
-        self.env.schedule(self, priority=URGENT)
-
-    def _interrupt(self, event: "Event") -> None:
-        process = self.process
-        if process._value is not PENDING:
-            # Process terminated before the interrupt could be delivered.
-            return
-        # Detach the process from whatever event it was waiting for, then
-        # resume it with the interrupt as a failed event.
-        if process._target is not None and process._target.callbacks is not None:
-            process._target.callbacks.remove(process._resume)
-        process._resume(self)
-
-
 class Process(Event):
     """A process wraps a generator and is resumed by the events it yields.
 
@@ -205,15 +170,14 @@ class Process(Event):
     finish by yielding it.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, env: "Any", generator: GeneratorType) -> None:
         if not hasattr(generator, "throw"):
             raise ValueError(f"{generator!r} is not a generator")
         super().__init__(env)
         self._generator = generator
-        #: The event the process is currently waiting for.
-        self._target: Optional[Event] = Initialize(env, self)
+        Initialize(env, self)
 
     def _desc(self) -> str:
         return f"{self.__class__.__name__}({self.name})"
@@ -223,19 +187,9 @@ class Process(Event):
         """Name of the wrapped generator function."""
         return self._generator.__name__  # type: ignore[attr-defined]
 
-    @property
-    def is_alive(self) -> bool:
-        """``True`` until the wrapped generator terminates."""
-        return self._value is PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Interrupt the process by throwing :class:`Interrupt` into it."""
-        Interruption(self, cause)
-
     # -- internal ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
         """Resume the generator with the outcome of *event*."""
-        self.env._active_proc = self
         while True:
             try:
                 if event._ok:
@@ -273,9 +227,6 @@ class Process(Event):
                 if not hasattr(event, "callbacks"):
                     raise RuntimeError(f"Invalid yield value {event!r}") from None
                 raise
-
-        self._target = event
-        self.env._active_proc = None
 
 
 class ConditionValue:

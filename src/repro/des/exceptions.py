@@ -30,24 +30,3 @@ class StopSimulation(Exception):
         event._defused = True
         raise event._value
 
-
-class Interrupt(Exception):
-    """Raised into a process when :meth:`Process.interrupt` is called.
-
-    Parameters
-    ----------
-    cause:
-        Arbitrary object describing why the process was interrupted.  It is
-        available as :attr:`cause` inside the interrupted process.
-    """
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-
-    @property
-    def cause(self) -> Any:
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0]
-
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return f"Interrupt({self.cause!r})"

@@ -165,13 +165,21 @@ def final_fidelity(
     device_fidelities: Sequence[float],
     phi: float = DEFAULT_COMMUNICATION_PENALTY,
 ) -> float:
-    """Final job fidelity: average device fidelity times the comm penalty (Eq. 8)."""
+    """Final job fidelity: average device fidelity times the comm penalty (Eq. 8).
+
+    The fidelities are added left to right in plain float arithmetic rather
+    than with the built-in ``sum``, which compensates float sums since
+    Python 3.12: the result, and every record built from it, is then the
+    same bits on every supported interpreter.
+    """
     fidelities = list(device_fidelities)
     if not fidelities:
         raise ValueError("at least one device fidelity is required")
+    total = 0.0
     for f in fidelities:
         _check_probability("device fidelity", f)
-    mean_fid = sum(fidelities) / len(fidelities)
+        total += f
+    mean_fid = total / len(fidelities)
     return mean_fid * communication_penalty(len(fidelities), phi)
 
 

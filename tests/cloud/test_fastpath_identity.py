@@ -1,7 +1,7 @@
 """The flat-event engine: its workload tables, its same-instant rules and
 its conservation guarantees.
 
-The byte-identity contract, every record and event of 280 configurations,
+The byte-identity contract, every record and event of 270 configurations,
 is the records corpus (``test_records_corpus.py``); these tests cover what
 a digest cannot state: the :class:`JobTable` plumbing, that streaming
 tables end every job once, and the two same-instant rules of

@@ -1,8 +1,6 @@
-"""Unit tests for DES processes (generator semantics, interrupts, return values)."""
+"""Unit tests for DES processes (generator semantics, return values)."""
 
 import pytest
-
-from repro.des import Environment, Interrupt
 
 
 class TestProcessBasics:
@@ -18,14 +16,13 @@ class TestProcessBasics:
         proc = env.process(producer(env))
         assert env.run(until=proc) == "result"
 
-    def test_process_is_alive_until_done(self, env):
+    def test_process_triggers_when_done(self, env):
         def worker(env):
             yield env.timeout(5)
 
         proc = env.process(worker(env))
-        assert proc.is_alive
+        assert not proc.triggered
         env.run()
-        assert not proc.is_alive
         assert proc.processed
 
     def test_yielding_a_process_waits_for_it(self, env):
@@ -41,18 +38,6 @@ class TestProcessBasics:
         env.process(parent(env, log))
         env.run()
         assert log == [(4, 99)]
-
-    def test_active_process_tracking(self, env):
-        observed = []
-
-        def worker(env):
-            observed.append(env.active_process)
-            yield env.timeout(1)
-
-        proc = env.process(worker(env))
-        env.run()
-        assert observed == [proc]
-        assert env.active_process is None
 
     def test_yield_invalid_value_raises(self, env):
         def broken(env):
@@ -98,66 +83,3 @@ class TestProcessBasics:
         proc = env.process(my_process(env))
         assert proc.name == "my_process"
         assert "my_process" in repr(proc)
-
-
-class TestInterrupts:
-    def test_interrupt_delivers_cause(self, env):
-        log = []
-
-        def victim(env):
-            try:
-                yield env.timeout(10)
-            except Interrupt as interrupt:
-                log.append((env.now, interrupt.cause))
-
-        def attacker(env, victim_proc):
-            yield env.timeout(3)
-            victim_proc.interrupt("preempted")
-
-        proc = env.process(victim(env))
-        env.process(attacker(env, proc))
-        env.run()
-        assert log == [(3, "preempted")]
-
-    def test_interrupted_process_can_continue(self, env):
-        log = []
-
-        def victim(env):
-            try:
-                yield env.timeout(10)
-            except Interrupt:
-                pass
-            yield env.timeout(2)
-            log.append(env.now)
-
-        def attacker(env, victim_proc):
-            yield env.timeout(1)
-            victim_proc.interrupt()
-
-        proc = env.process(victim(env))
-        env.process(attacker(env, proc))
-        env.run()
-        assert log == [3]
-
-    def test_cannot_interrupt_self(self, env):
-        def selfish(env):
-            env.active_process.interrupt()
-            yield env.timeout(1)
-
-        env.process(selfish(env))
-        with pytest.raises(RuntimeError):
-            env.run()
-
-    def test_cannot_interrupt_finished_process(self, env):
-        def quick(env):
-            yield env.timeout(1)
-
-        proc = env.process(quick(env))
-        env.run()
-        with pytest.raises(RuntimeError):
-            proc.interrupt()
-
-    def test_interrupt_cause_str(self):
-        interrupt = Interrupt("why")
-        assert interrupt.cause == "why"
-        assert "why" in str(interrupt)

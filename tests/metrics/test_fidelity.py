@@ -74,6 +74,13 @@ class TestDeviceAndFinalFidelity:
         value = final_fidelity([0.8, 0.9])
         assert value == pytest.approx(0.85 * 0.95)
 
+    def test_final_fidelity_adds_left_to_right(self):
+        # A compensated sum (the built-in sum since Python 3.12) gives 0.6
+        # here; the left-to-right one gives 0.6000000000000001 on every
+        # interpreter, so records hash the same on all of them.
+        assert final_fidelity([0.1, 0.2, 0.3], phi=1.0) == ((0.1 + 0.2) + 0.3) / 3
+        assert final_fidelity([0.1, 0.2, 0.3], phi=1.0) != 0.6 / 3
+
     def test_final_fidelity_validation(self):
         with pytest.raises(ValueError):
             final_fidelity([])
