@@ -22,7 +22,9 @@ are the configurations the engine-identity tests compared, so the corpus is
 the reference engine's output, frozen; the flat-event engine, now the only
 one, must keep reproducing it.  A change that moves a digest changes
 simulated behaviour; such a change has to say why, and rewrite the entry
-from a run of the new code.
+from a run of the new code.  A case added later (the overlapping
+maintenance windows) was frozen from the code of its day before the code
+it covers was rewritten.
 
 Some cases also carry a check: a property of the run that shows the case
 still exercises what it was written for (kills, requeues, preemptions,
@@ -57,7 +59,7 @@ from repro.cloud.job_generator import generate_synthetic_jobs
 from repro.cloud.qjob import QJob
 from repro.cloud.records_stream import StreamingRecordsManager
 from repro.dynamics import available_scenarios
-from repro.dynamics.scenario import TrafficSpec
+from repro.dynamics.scenario import MaintenanceWindow, Scenario, TrafficSpec
 from repro.hardware.backends import get_device_profile
 from repro.scheduling.base import AllocationPlan
 from repro.scheduling.speed import SpeedPolicy
@@ -254,6 +256,37 @@ def _check_all_split(run):
 _case("world/drift-split-jobs",
       _config(num_jobs=40, seed=4, scenario="drift", arrival="poisson", arrival_rate=0.05),
       _check_all_split)
+
+
+def _overlapping_maintenance():
+    # Strasbourg: a killing window 100-300, an overlapping one declared at
+    # 150 and deferred to 300-400, and a window starting at 400, right as the
+    # deferred one ends.  The device is back online only for an instant at
+    # 300 and at 400.
+    windows = (
+        MaintenanceWindow(start=100.0, duration=200.0, device="ibm_strasbourg",
+                          kill_running=True),
+        MaintenanceWindow(start=150.0, duration=100.0, device="ibm_strasbourg"),
+        MaintenanceWindow(start=400.0, duration=50.0, device="ibm_strasbourg"),
+    )
+    jobs = generate_synthetic_jobs(num_jobs=24, seed=5, qubit_range=(60, 120),
+                                   arrival="poisson", arrival_rate=0.05)
+    return dict(config=SimulationConfig(num_jobs=24, policy="speed"), devices=_two_devices(),
+                jobs=jobs, scenario=Scenario(name="overlapping-maintenance",
+                                             maintenance=windows))
+
+
+def _check_deferred_windows(run):
+    starts = [e[2] for e in run["events"]
+              if e[1] == "start" and "ibm_strasbourg" in e[3].split(",")]
+    assert starts and min(starts) < 100.0 and max(starts) >= 450.0
+    assert not [t for t in starts if 100.0 <= t < 450.0]
+    assert _count(run, "requeue") > 0
+    assert run["devices"]["ibm_strasbourg"]["outages"] == 3
+
+
+_case("world/maintenance-deferred-and-back-to-back", _overlapping_maintenance,
+      _check_deferred_windows)
 
 
 # -- tenant mixes: admission, fair share, floor yielding, preemption ---------------
