@@ -26,11 +26,11 @@ def test_des_event_throughput(benchmark):
     def run():
         env = Environment()
 
-        def clock(env):
-            for _ in range(10_000):
-                yield env.timeout(1)
+        def clock(_event):
+            if env.now < 10_000:
+                env.timeout(1).callbacks.append(clock)
 
-        env.process(clock(env))
+        env.start(clock)
         env.run()
         return env.now
 

@@ -70,10 +70,9 @@ def _run_once(scenario):
 def _hook_heap_events(static_events, env):
     """The heap events a zero-volatility drift run must process: static's,
     plus one drift timeout per distinct world-event instant, plus two at
-    t=0 — the drift source's ``Initialize`` event, and the first pump,
-    which that pending ``Initialize`` pushes onto the heap as a ``PUMP``
-    event (in a static run nothing else is due at t=0 and the pump runs
-    inline)."""
+    t=0 — the drift source's start event, and the first pump, which that
+    pending start event pushes onto the heap as a ``PUMP`` event (in a
+    static run nothing else is due at t=0 and the pump runs inline)."""
     instants = {event.time for event in env.scenario_engine.applied_events}
     return static_events + len(instants) + 2
 

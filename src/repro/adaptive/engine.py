@@ -15,8 +15,9 @@ install time it
    (with a diurnal period hint when the scenario/tenant traffic declares
    one),
 3. instantiates and installs the enabled controllers, and
-4. starts one DES process that ticks every controller each
-   ``tick_interval`` simulated seconds.
+4. starts the control loop: a timed DES callback that ticks every
+   controller each ``tick_interval`` simulated seconds and then schedules
+   its next tick.
 
 A ``static`` spec (no controllers) installs nothing at all — mirroring how
 a static :class:`~repro.dynamics.engine.ScenarioEngine` installs no event
@@ -27,7 +28,7 @@ from the shared spec (one control loop per shard).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.adaptive.controllers import (
     AdaptiveAdmission,
@@ -66,7 +67,7 @@ class AdaptiveEngine:
     env:
         The :class:`~repro.cloud.environment.QCloudSimEnv` (duck-typed: any
         DES environment exposing ``broker``, ``cloud``, ``timeout`` and
-        ``process``).
+        ``start``).
     spec:
         The resolved adaptive policy.
     """
@@ -115,16 +116,17 @@ class AdaptiveEngine:
         self.env.broker.adaptive = self
         for controller in self.controllers:
             controller.install()
-        self.env.process(self._control_loop())
+        self.env.start(self._wait)
 
-    def _control_loop(self) -> Generator:
-        interval = self.spec.tick_interval
-        while True:
-            yield self.env.timeout(interval)
-            now = self.env.now
-            for controller in self.controllers:
-                controller.tick(now)
-            self.ticks += 1
+    def _wait(self, _event: Any) -> None:
+        self.env.timeout(self.spec.tick_interval).callbacks.append(self._tick)
+
+    def _tick(self, _event: Any) -> None:
+        now = self.env.now
+        for controller in self.controllers:
+            controller.tick(now)
+        self.ticks += 1
+        self._wait(None)
 
     # -- broker hook ------------------------------------------------------------
     def checkpoint(self, job: Any) -> bool:

@@ -435,9 +435,9 @@ class Broker:
 
     # -- life-cycle hooks (no-ops here; the serve broker keeps its tenant and
     # preemption bookkeeping in sync by overriding them; the engine calls them) ---
-    def _register_running(self, job: QJob, plan: Any, sub_processes: List[Any]) -> None:
-        """Called when a job's sub-jobs have been launched.  Each entry of
-        *sub_processes* is one sub-job's kill-list entry, exposing
+    def _register_running(self, job: QJob, plan: Any, kill_entries: List[Any]) -> None:
+        """Called when a job's sub-jobs have been launched.  Each of
+        *kill_entries* is one sub-job's kill-list entry, exposing
         ``is_alive`` and ``interrupt(cause)``."""
 
     def _unregister_running(self, job: QJob) -> None:

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
-from types import GeneratorType
-from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
+from typing import Any, Callable, List, Optional, Tuple, Union
 
-from repro.des.events import NORMAL, PENDING, AnyOf, Event, Process, Timeout
+from repro.des.events import NORMAL, PENDING, URGENT, Event, Timeout
 from repro.des.exceptions import SimulationError, StopSimulation
 
 __all__ = ["Environment", "EmptySchedule"]
@@ -25,8 +24,8 @@ class Environment:
 
     The environment keeps the current simulation time (:attr:`now`), a
     priority queue of scheduled events, and offers factory methods for the
-    common event types (:meth:`timeout`, :meth:`process`, :meth:`event`,
-    :meth:`any_of`).
+    event types (:meth:`event`, :meth:`timeout`, :meth:`timeout_at`) and
+    :meth:`start` for a callback's first step.
 
     Event ordering is deterministic: events scheduled for the same time are
     processed in ``(priority, insertion order)`` order.
@@ -114,13 +113,19 @@ class Environment:
             raise ValueError(f"time (={time}) lies in the past (now={self._now})")
         return Timeout(self, time - self._now, value)
 
-    def process(self, generator: GeneratorType) -> Process:
-        """Start a new :class:`~repro.des.events.Process` from *generator*."""
-        return Process(self, generator)
+    def start(self, callback: Callable[[Event], None]) -> Event:
+        """Call *callback* at the current time, before every ``NORMAL``
+        event of the instant (``URGENT`` priority).
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Create a condition triggering when any of *events* has triggered."""
-        return AnyOf(self, events)
+        This is how a recurring source takes its first step: the callback
+        does one step and schedules the next itself (e.g. on a
+        :meth:`timeout`).  Returns the scheduled start event.
+        """
+        event = Event(self)
+        event.callbacks.append(callback)
+        event._value = None
+        self.schedule(event, priority=URGENT)
+        return event
 
     # -- scheduling ----------------------------------------------------------
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0) -> None:
@@ -130,10 +135,7 @@ class Environment:
     def step(self) -> None:
         """Process the next scheduled event.
 
-        Raises :class:`EmptySchedule` if no event is scheduled.  If the event
-        failed and its exception was never *defused* (nobody waited for it),
-        the exception is re-raised here and crashes the simulation — mirroring
-        SimPy's behaviour so programming errors inside processes surface.
+        Raises :class:`EmptySchedule` if no event is scheduled.
         """
         qlen = len(self._queue)
         if qlen > self._peak_queue:
@@ -155,12 +157,6 @@ class Environment:
         # should never happen because events are only scheduled once).
         for callback in callbacks or ():
             callback(event)
-
-        if not event._ok and not event._defused:
-            exc = event._value
-            if isinstance(exc, BaseException):
-                raise exc
-            raise SimulationError(f"Event {event!r} failed with non-exception {exc!r}")
 
     def _run_fast(self) -> None:
         """Drain the queue with the heap primitives pre-bound to locals.
@@ -215,13 +211,6 @@ class Environment:
                 callbacks, event.callbacks = event.callbacks, None
                 for callback in callbacks or ():
                     callback(event)
-                if not event._ok and not event._defused:
-                    exc = event._value
-                    if isinstance(exc, BaseException):
-                        raise exc
-                    raise SimulationError(
-                        f"Event {event!r} failed with non-exception {exc!r}"
-                    )
                 continue
             batch = [head]
             while queue and queue[0][0] == time and queue[0][1] == priority:
@@ -238,13 +227,6 @@ class Environment:
                     callbacks, event.callbacks = event.callbacks, None
                     for callback in callbacks or ():
                         callback(event)
-                    if not event._ok and not event._defused:
-                        exc = event._value
-                        if isinstance(exc, BaseException):
-                            raise exc
-                        raise SimulationError(
-                            f"Event {event!r} failed with non-exception {exc!r}"
-                        )
             finally:
                 self._batch_rest = 0
                 self._ev_count += index
@@ -281,11 +263,10 @@ class Environment:
                 # repeated benchmark runs rely on this being a no-op).
                 return None
             until = Event(self)
-            until._ok = True
             until._value = None
             # Schedule with URGENT priority so that the simulation stops
             # before normal events scheduled for exactly ``at``.
-            self.schedule(until, priority=0, delay=at - self._now)
+            self.schedule(until, priority=URGENT, delay=at - self._now)
         elif until is not None:
             if until.callbacks is None:
                 # Already processed: return its value immediately.

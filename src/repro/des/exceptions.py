@@ -24,9 +24,5 @@ class StopSimulation(Exception):
     @classmethod
     def callback(cls, event: "Any") -> None:
         """Event callback that stops the simulation with the event's value."""
-        if event._ok:
-            raise cls(event._value)
-        # Propagate failures out of ``run()`` as-is.
-        event._defused = True
-        raise event._value
+        raise cls(event._value)
 

@@ -1,19 +1,23 @@
 """The scenario engine: injects world events into a running simulation.
 
 :class:`ScenarioEngine` turns the declarative specs of a
-:class:`~repro.dynamics.scenario.Scenario` into DES processes — one per
-*event source* — that wake up over simulated time and apply
+:class:`~repro.dynamics.scenario.Scenario` into *event sources* — chains of
+timed DES callbacks that wake up over simulated time and apply
 :class:`~repro.dynamics.scenario.WorldEvent`\\ s to the fleet:
 
-* ``drift`` — one fleet-wide process stepping every device's calibration,
-* ``outage:<device>`` — one process per failable device,
-* ``maintenance`` — one process walking the scheduled windows.
+* ``drift`` — one fleet-wide source stepping every device's calibration,
+* ``outage:<device>`` — one source per failable device,
+* ``maintenance`` — one source walking the scheduled windows.
+
+Each source takes its first step from a start event at the install instant
+(``Environment.start``, ``URGENT`` priority) and then schedules one wake-up
+timeout per event time.
 
 Every applied event funnels through :meth:`ScenarioEngine.apply`, which both
 mutates the world *and* appends the event to :attr:`applied_events` — so any
-scenario run can be dumped to a trace and replayed.  Replay creates one
-process per *recorded* source that re-applies the recorded events at their
-recorded times; because each source allocates exactly one wake-up timeout per
+scenario run can be dumped to a trace and replayed.  Replay re-creates
+every *recorded* source, re-applying the recorded events at their recorded
+times; because each source allocates exactly one wake-up timeout per
 event time in both modes, the interleaving of same-time events (and hence the
 entire simulation) is reproduced exactly.
 
@@ -26,7 +30,8 @@ independent of fleet size changes in *other* sources.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Generator, List, Optional, Sequence
+from collections import deque
+from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +56,7 @@ class ScenarioEngine:
     env:
         The :class:`~repro.cloud.environment.QCloudSimEnv` (duck-typed: any
         DES environment exposing ``cloud``, ``config``, ``timeout`` and
-        ``process``).
+        ``start``).
     scenario:
         The scenario to run.
     """
@@ -83,9 +88,9 @@ class ScenarioEngine:
         return self.scenario.is_perpetual
 
     def install(self) -> None:
-        """Snapshot calibration baselines and start the event-source processes.
+        """Snapshot calibration baselines and start the event sources.
 
-        A static scenario installs nothing: no processes are created, no
+        A static scenario installs nothing: no sources are started, no
         events are scheduled, and the simulation is byte-identical to a run
         without a scenario.
         """
@@ -105,19 +110,19 @@ class ScenarioEngine:
         if scenario.drift is not None:
             self._validate_devices(scenario.drift.devices)
             self.sources.append("drift")
-            self.env.process(self._drift_source(scenario.drift))
+            self._start_drift(scenario.drift)
         if scenario.outages is not None:
             self._validate_devices(scenario.outages.devices)
             names = scenario.outages.devices or tuple(d.name for d in self.cloud.devices)
             for name in names:
                 self.sources.append(f"outage:{name}")
-                self.env.process(self._outage_source(name, scenario.outages))
+                self._start_outage(name, scenario.outages)
         if scenario.maintenance:
             self._validate_devices(
                 tuple(w.device for w in scenario.maintenance if w.device is not None)
             )
             self.sources.append("maintenance")
-            self.env.process(self._maintenance_source(scenario.maintenance))
+            self._start_maintenance(scenario.maintenance)
 
     def _validate_devices(self, names: Optional[Sequence[str]]) -> None:
         for name in names or ():
@@ -125,8 +130,14 @@ class ScenarioEngine:
 
     def _install_replay(self, scenario: Scenario) -> None:
         events = scenario.replay_events or ()
+        known = set(self.cloud.device_names())
         by_source: Dict[str, List[WorldEvent]] = {}
-        for event in events:
+        for index, event in enumerate(events, start=1):
+            if event.device is not None and event.device not in known:
+                raise ValueError(
+                    f"replay event {index} (t={event.time}, source {event.source!r}) "
+                    f"targets unknown device {event.device!r}"
+                )
             by_source.setdefault(event.source, []).append(event)
         # Re-create sources in the recorded creation order so that same-time
         # wake-up events interleave exactly as in the recorded run.
@@ -135,16 +146,20 @@ class ScenarioEngine:
             source_events = by_source.pop(source, [])
             if source_events:
                 self.sources.append(source)
-                self.env.process(self._replay_source(source_events))
+                self._start_replay(source_events)
         for source, source_events in by_source.items():  # sources missing from header
             self.sources.append(source)
-            self.env.process(self._replay_source(source_events))
+            self._start_replay(source_events)
 
     # -- event sources ---------------------------------------------------------
+    # Each source is a chain of timed callbacks: the start event takes its
+    # first step, and every step applies its events and then schedules the
+    # next wake-up.
     def _source_rng(self, *components: Any) -> np.random.Generator:
         return np.random.default_rng(derive_seed(self._seed_root, *components))
 
-    def _drift_source(self, spec: DriftSpec) -> Generator[object, object, None]:
+    def _start_drift(self, spec: DriftSpec) -> None:
+        env = self.env
         rng = self._source_rng("drift")
         names = list(spec.devices) if spec.devices else [d.name for d in self.cloud.devices]
         # One vectorized draw per wake (5 categories x devices) instead of 5k
@@ -154,10 +169,14 @@ class ScenarioEngine:
         )
         elapsed = 0.0
         next_recal = spec.recalibration_period
-        while True:
-            yield self.env.timeout(spec.interval)
+
+        def wait(_event: Any) -> None:
+            env.timeout(spec.interval).callbacks.append(step)
+
+        def step(_event: Any) -> None:
+            nonlocal elapsed, next_recal
             elapsed += spec.interval
-            now = self.env.now
+            now = env.now
             steps = np.exp(sigma * rng.standard_normal(sigma.shape[0]))
             for i, name in enumerate(names):
                 base = 5 * i
@@ -181,54 +200,96 @@ class ScenarioEngine:
                             {"strength": spec.recalibration_strength},
                         )
                     )
+            wait(None)
 
-    def _outage_source(self, name: str, spec: OutageSpec) -> Generator[object, object, None]:
+        env.start(wait)
+
+    def _start_outage(self, name: str, spec: OutageSpec) -> None:
+        env = self.env
         rng = self._source_rng("outage", name)
         source = f"outage:{name}"
-        while True:
-            yield self.env.timeout(float(rng.exponential(spec.mtbf)))
+
+        def run(_event: Any) -> None:
+            env.timeout(float(rng.exponential(spec.mtbf))).callbacks.append(fail)
+
+        def fail(_event: Any) -> None:
             self.apply(
                 WorldEvent(
-                    self.env.now,
+                    env.now,
                     source,
                     "offline",
                     name,
                     {"kill_running": spec.kill_running, "cause": "outage"},
                 )
             )
-            yield self.env.timeout(float(rng.exponential(spec.mttr)))
-            self.apply(WorldEvent(self.env.now, source, "online", name, {"cause": "outage"}))
+            env.timeout(float(rng.exponential(spec.mttr))).callbacks.append(repair)
 
-    def _maintenance_source(
-        self, windows: Sequence[MaintenanceWindow]
-    ) -> Generator[object, object, None]:
+        def repair(_event: Any) -> None:
+            self.apply(WorldEvent(env.now, source, "online", name, {"cause": "outage"}))
+            run(None)
+
+        env.start(run)
+
+    def _start_maintenance(self, windows: Sequence[MaintenanceWindow]) -> None:
         # Windows are served in start order; an overlapping window is simply
         # deferred until the previous one ends (its full duration is honoured).
-        for window in sorted(windows, key=lambda w: (w.start, w.device or "")):
-            if window.start > self.env.now:
-                yield self.env.timeout(window.start - self.env.now)
+        env = self.env
+        queue = deque(sorted(windows, key=lambda w: (w.start, w.device or "")))
+
+        def next_window(_event: Any) -> None:
+            if not queue:
+                return
+            window = queue[0]
+            if window.start > env.now:
+                env.timeout(window.start - env.now).callbacks.append(begin)
+            else:
+                begin(None)
+
+        def begin(_event: Any) -> None:
+            window = queue[0]
             self.apply(
                 WorldEvent(
-                    self.env.now,
+                    env.now,
                     "maintenance",
                     "offline",
                     window.device,
                     {"kill_running": window.kill_running, "cause": "maintenance"},
                 )
             )
-            yield self.env.timeout(window.duration)
+            env.timeout(window.duration).callbacks.append(end)
+
+        def end(_event: Any) -> None:
+            window = queue.popleft()
             self.apply(
                 WorldEvent(
-                    self.env.now, "maintenance", "online", window.device,
+                    env.now, "maintenance", "online", window.device,
                     {"cause": "maintenance"},
                 )
             )
+            next_window(None)
 
-    def _replay_source(self, events: Sequence[WorldEvent]) -> Generator[object, object, None]:
-        for event in events:
-            if event.time > self.env.now:
-                yield self.env.timeout(event.time - self.env.now)
-            self.apply(event)
+        env.start(next_window)
+
+    def _start_replay(self, events: Sequence[WorldEvent]) -> None:
+        env = self.env
+        queue = deque(events)
+
+        def next_events(_event: Any) -> None:
+            # Apply every event that is due, then sleep until the next one.
+            while queue:
+                event = queue[0]
+                if event.time > env.now:
+                    env.timeout(event.time - env.now).callbacks.append(wake)
+                    return
+                self.apply(queue.popleft())
+
+        def wake(_event: Any) -> None:
+            # The wake-up is the event's time: apply it without comparing
+            # the clock again (``now + (t - now)`` need not equal ``t``).
+            self.apply(queue.popleft())
+            next_events(None)
+
+        env.start(next_events)
 
     # -- event application -----------------------------------------------------
     def apply(self, event: WorldEvent) -> None:

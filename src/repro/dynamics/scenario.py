@@ -33,6 +33,7 @@ from typing import Any, Dict, Mapping, Optional, Tuple
 
 __all__ = [
     "CALIBRATION_CATEGORIES",
+    "WORLD_EVENT_KINDS",
     "WorldEvent",
     "DriftSpec",
     "OutageSpec",
@@ -43,6 +44,10 @@ __all__ = [
 
 #: Calibration quantities the drift process perturbs (multiplicative factors).
 CALIBRATION_CATEGORIES = ("readout", "single_qubit", "two_qubit", "t1", "t2")
+
+#: The kinds of world event :meth:`~repro.dynamics.engine.ScenarioEngine.apply`
+#: knows.
+WORLD_EVENT_KINDS = ("calibration", "recalibration", "offline", "online")
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,8 @@ class WorldEvent:
     source:
         Identifier of the event source that produced it (``"drift"``,
         ``"outage:<device>"``, ``"maintenance"``).  Replay re-creates one
-        process per source so same-time event interleaving is preserved.
+        event source per recorded source so same-time event interleaving is
+        preserved.
     kind:
         ``"calibration"`` | ``"recalibration"`` | ``"offline"`` | ``"online"``.
     device:
@@ -84,11 +90,21 @@ class WorldEvent:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "WorldEvent":
-        """Rebuild an event from :meth:`as_dict` output."""
+        """Rebuild an event from :meth:`as_dict` output.
+
+        Raises ``ValueError`` for an unknown kind and for a time that is
+        not a finite, non-negative number.
+        """
+        time = float(payload["time"])
+        if not (math.isfinite(time) and time >= 0):
+            raise ValueError(f"world-event time must be finite and non-negative, got {time}")
+        kind = str(payload["kind"])
+        if kind not in WORLD_EVENT_KINDS:
+            raise ValueError(f"unknown world-event kind {kind!r}")
         return cls(
-            time=float(payload["time"]),
+            time=time,
             source=str(payload["source"]),
-            kind=str(payload["kind"]),
+            kind=kind,
             device=None if payload.get("device") is None else str(payload["device"]),
             payload=dict(payload.get("payload", {})),
         )

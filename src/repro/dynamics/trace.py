@@ -80,11 +80,18 @@ def load_trace(path: str) -> Scenario:
     simulation constructed with it schedules exactly those arrivals and world
     changes and reproduces the recorded run bit-for-bit (given the same
     simulation config and policy).
+
+    Raises ``ValueError``, naming the line, for a world event of unknown
+    kind, with a time that is not finite and non-negative, or earlier than
+    its source's previous event.  Events naming a device the fleet lacks are
+    refused when the scenario is installed.
     """
     text = Path(path).read_text()
     header: Optional[Dict[str, Any]] = None
     jobs: List[QJob] = []
     events: List[WorldEvent] = []
+    #: Time of each source's latest event (a source's events never go back).
+    last_time: Dict[str, float] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -101,7 +108,17 @@ def load_trace(path: str) -> Scenario:
         elif kind == "job":
             jobs.append(QJob.from_dict(payload))
         elif kind == "event":
-            events.append(WorldEvent.from_dict(payload))
+            try:
+                event = WorldEvent.from_dict(payload)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if event.time < last_time.get(event.source, 0.0):
+                raise ValueError(
+                    f"{path}:{lineno}: world event at t={event.time} precedes source "
+                    f"{event.source!r}'s event at t={last_time[event.source]}"
+                )
+            last_time[event.source] = event.time
+            events.append(event)
         else:
             raise ValueError(f"{path}:{lineno}: unknown trace line type {kind!r}")
     if header is None:

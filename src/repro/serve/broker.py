@@ -82,18 +82,18 @@ class _JobEntry:
 class _RunningInfo:
     """A running job's plan and sub-jobs (the preemption target set).
 
-    *processes* are the sub-jobs' kill-list entries, each with ``is_alive``
-    and ``interrupt(cause)``.
+    *kill_entries* are the sub-jobs' kill-list entries, each with
+    ``is_alive`` and ``interrupt(cause)``.
     """
 
-    __slots__ = ("job", "plan", "processes", "class_rank", "started_at")
+    __slots__ = ("job", "plan", "kill_entries", "class_rank", "started_at")
 
     def __init__(
-        self, job: QJob, plan: Any, processes: List[Any], class_rank: int, started_at: float
+        self, job: QJob, plan: Any, kill_entries: List[Any], class_rank: int, started_at: float
     ) -> None:
         self.job = job
         self.plan = plan
-        self.processes = processes
+        self.kill_entries = kill_entries
         self.class_rank = class_rank
         self.started_at = started_at
 
@@ -260,20 +260,31 @@ class ServeBroker(Broker):
             return capacity
         nudge = self.env.event()
         self._floor_wait = (entry, nudge)
-
-        def _clear(_event: Any) -> None:
-            if self._floor_wait is not None and self._floor_wait[1] is nudge:
-                self._floor_wait = None
-
-        events = [capacity, nudge]
+        signals = [capacity, nudge]
         deadline = entry.tenant.slo.queue_deadline
         if deadline is not None:
             wake_at = entry.job.arrival_time + deadline
             if wake_at > self.env.now:
-                events.append(self.env.timeout_at(wake_at))
-        condition = self.env.any_of(events)
-        condition.callbacks.append(_clear)
-        return condition
+                signals.append(self.env.timeout_at(wake_at))
+        # The first signal to fire succeeds the wake event (one more heap
+        # event), whose callback detaches the wait from the others.
+        wake = self.env.event()
+
+        def _fire(_event: Any) -> None:
+            if not wake.triggered:
+                wake.succeed()
+
+        def _clear(_event: Any) -> None:
+            for signal in signals:
+                if signal.callbacks is not None and _fire in signal.callbacks:
+                    signal.callbacks.remove(_fire)
+            if self._floor_wait is not None and self._floor_wait[1] is nudge:
+                self._floor_wait = None
+
+        for signal in signals:
+            signal.callbacks.append(_fire)
+        wake.callbacks.append(_clear)
+        return wake
 
     def _nudge_floor_holder(self, entry: _JobEntry) -> None:
         """Wake a parked floor holder outranked by the newly-admitted *entry*."""
@@ -310,7 +321,7 @@ class ServeBroker(Broker):
         for info in self._running.values():
             if info.class_rank <= entry.class_rank:
                 continue
-            if not any(p.is_alive for p in info.processes):
+            if not any(kill_entry.is_alive for kill_entry in info.kill_entries):
                 continue  # nothing left to reclaim
             reclaim = sum(
                 alloc.num_qubits for alloc in info.plan.allocations if alloc.device.online
@@ -340,15 +351,15 @@ class ServeBroker(Broker):
                 detail=f"by job {job.job_id} ({job.tenant})",
             )
         for info in chosen:
-            for process in info.processes:
-                if process.is_alive:
-                    process.interrupt("preempted")
+            for kill_entry in info.kill_entries:
+                if kill_entry.is_alive:
+                    kill_entry.interrupt("preempted")
 
     # -- life-cycle hooks --------------------------------------------------------------
-    def _register_running(self, job: QJob, plan: Any, sub_processes: List[Any]) -> None:
+    def _register_running(self, job: QJob, plan: Any, kill_entries: List[Any]) -> None:
         entry = self._entries[job.job_id]
         self._running[job.job_id] = _RunningInfo(
-            job, plan, sub_processes, entry.class_rank, self.env.now
+            job, plan, kill_entries, entry.class_rank, self.env.now
         )
         if entry.occupies_queue_slot:
             entry.occupies_queue_slot = False

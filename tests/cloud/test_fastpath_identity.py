@@ -20,6 +20,7 @@ from repro.cloud.job_generator import generate_synthetic_jobs
 from repro.cloud.qjob import QJob
 from repro.dynamics import available_scenarios
 from tests.cloud.test_records_corpus import STRESS_MIX, run_observed
+from tests.timeline import timeline
 
 
 class TestJobTableWorkloads:
@@ -296,16 +297,16 @@ class TestKillAtCompletion:
             jobs=[TestArrivalAtCompletion._job(0, 100, 0.0)],
         )
         if kill_at is not None:
-            # Created before the run, so the kill's timeout is scheduled
+            # Started before the run, so the kill's timeout is scheduled
             # before the job launches and pops first at T.
-            def outage():
-                yield env.timeout(kill_at)
-                env.cloud.device("ibm_strasbourg").set_offline(kill_running=True)
-                yield env.timeout(10.0)
-                env.cloud.device("ibm_strasbourg").set_online()
+            device = env.cloud.device("ibm_strasbourg")
+
+            def back():
+                device.set_online()
                 env.cloud.signal_capacity_change()
 
-            env.process(outage())
+            timeline(env, (kill_at, lambda: device.set_offline(kill_running=True)),
+                     (10.0, back))
         (record,) = env.run_until_complete()
         return record, [e.event for e in env.records.events]
 

@@ -6,6 +6,7 @@ from repro.cloud.qcloud import QCloud
 from repro.cloud.qdevice import IBMQuantumDevice
 from repro.des.environment import Environment
 from repro.hardware.backends import get_device_profile
+from tests.timeline import timeline
 
 
 @pytest.fixture
@@ -81,36 +82,23 @@ class TestCapacityReleasedSignal:
     def test_waiters_are_woken_once_per_release(self, cloud, env):
         log = []
 
-        def waiter(env, cloud, name):
-            yield cloud.capacity_released
-            log.append((name, env.now))
-
-        def releaser(env, cloud):
-            yield env.timeout(4)
-            cloud.signal_capacity_change()
-
-        env.process(waiter(env, cloud, "w1"))
-        env.process(waiter(env, cloud, "w2"))
-        env.process(releaser(env, cloud))
+        for name in ("w1", "w2"):
+            cloud.capacity_released.callbacks.append(
+                lambda _event, name=name: log.append((name, env.now))
+            )
+        env.timeout(4).callbacks.append(lambda _event: cloud.signal_capacity_change())
         env.run()
         assert sorted(log) == [("w1", 4), ("w2", 4)]
 
     def test_signal_is_renewed_after_firing(self, cloud, env):
         log = []
 
-        def waiter(env, cloud):
-            yield cloud.capacity_released
+        def wake(_event):
             log.append(env.now)
-            yield cloud.capacity_released
-            log.append(env.now)
+            if len(log) < 2:
+                cloud.capacity_released.callbacks.append(wake)
 
-        def releaser(env, cloud):
-            yield env.timeout(1)
-            cloud.signal_capacity_change()
-            yield env.timeout(2)
-            cloud.signal_capacity_change()
-
-        env.process(waiter(env, cloud))
-        env.process(releaser(env, cloud))
+        cloud.capacity_released.callbacks.append(wake)
+        timeline(env, (1, cloud.signal_capacity_change), (2, cloud.signal_capacity_change))
         env.run()
         assert log == [1, 3]

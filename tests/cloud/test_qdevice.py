@@ -95,22 +95,27 @@ def test_qubit_counter_conserved_under_concurrent_churn(jobs, capacity):
     dev = BaseQDevice(env, "dev", capacity)
     observed = []
 
-    def churn(env, amount, arrive, hold):
-        yield env.timeout(arrive)
-        while dev.free_qubits < amount:
-            free = dev.free_qubits
-            with pytest.raises(RuntimeError):
-                dev.reserve_qubits(amount)
-            assert dev.free_qubits == free
-            yield env.timeout(1)
-        dev.reserve_qubits(amount)
-        observed.append(dev.free_qubits)
-        yield env.timeout(hold)
-        dev.release_qubits(amount)
-        observed.append(dev.free_qubits)
+    def churn(amount, hold):
+        def attempt(_event):
+            if dev.free_qubits < amount:
+                free = dev.free_qubits
+                with pytest.raises(RuntimeError):
+                    dev.reserve_qubits(amount)
+                assert dev.free_qubits == free
+                env.timeout(1).callbacks.append(attempt)
+                return
+            dev.reserve_qubits(amount)
+            observed.append(dev.free_qubits)
+            env.timeout(hold).callbacks.append(release)
+
+        def release(_event):
+            dev.release_qubits(amount)
+            observed.append(dev.free_qubits)
+
+        return attempt
 
     for amount, arrive, hold in jobs:
-        env.process(churn(env, amount, arrive, hold))
+        env.timeout(arrive).callbacks.append(churn(amount, hold))
     env.run()
 
     assert dev.free_qubits == capacity

@@ -64,6 +64,7 @@ from repro.hardware.backends import get_device_profile
 from repro.scheduling.base import AllocationPlan
 from repro.scheduling.speed import SpeedPolicy
 from repro.serve import AdmissionSpec, SLOSpec, TenantMix, TenantSpec
+from tests.timeline import timeline
 
 CORPUS_PATH = Path(__file__).with_name("records_corpus.json")
 
@@ -103,16 +104,15 @@ def _job(job_id, num_qubits, arrival_time=0.0, tenant=None, seed=None):
 def _outage(env, device, at, back_after=None, signal=True):
     """A user-code outage: *device* goes offline (killing) at *at* and,
     with *back_after*, returns that much later."""
-    def run():
-        yield env.timeout(at)
-        env.cloud.device(device).set_offline(kill_running=True)
-        if back_after is not None:
-            yield env.timeout(back_after)
-            env.cloud.device(device).set_online()
-            if signal:
-                env.cloud.signal_capacity_change()
+    def back():
+        env.cloud.device(device).set_online()
+        if signal:
+            env.cloud.signal_capacity_change()
 
-    env.process(run())
+    steps = [(at, lambda: env.cloud.device(device).set_offline(kill_running=True))]
+    if back_after is not None:
+        steps.append((back_after, back))
+    timeline(env, *steps)
 
 
 # -- policies × arrivals × rush-hour, plain and adaptive -----------------------
@@ -375,14 +375,13 @@ def _head_preempts_job_dispatched_in_same_pump():
     # premium job, which must preempt job 2 (the latest-started victim).
     def kill_and_restore(env):
         def outage():
-            yield env.timeout(5.0)
             start = next(e for e in env.records.events if e.job_id == 1 and e.event == "start")
             device = env.cloud.device(start.detail)
             device.set_offline(kill_running=True)
             device.set_online()
             env.cloud.signal_capacity_change()
 
-        env.process(outage())
+        timeline(env, (5.0, outage))
 
     jobs = [_job(0, 127, 0.0, "batch"), _job(1, 100, 0.0, "premium"),
             _job(2, 100, 1.0, "batch")]
@@ -436,13 +435,9 @@ def _availability_job(job_id, num_qubits, arrival_time=0.0):
 
 def _graceful_offline():
     def toggle(env):
-        def run():
-            yield env.timeout(100.0)
-            env.cloud.device("ibm_strasbourg").set_offline(kill_running=False)
-            yield env.timeout(1_000.0)
-            env.cloud.device("ibm_strasbourg").set_online()
-
-        env.process(run())
+        device = env.cloud.device("ibm_strasbourg")
+        timeline(env, (100.0, lambda: device.set_offline(kill_running=False)),
+                 (1_000.0, device.set_online))
 
     jobs = [_availability_job(0, 100, 0.0), _availability_job(1, 100, 500.0),
             _availability_job(2, 100, 50_000.0)]
@@ -472,12 +467,11 @@ def _capacity_signal_wakes_head():
         device = env.cloud.devices[0]
         device.set_offline(kill_running=False)
 
-        def run():
-            yield env.timeout(100.0)
+        def back():
             device.set_online()
             env.cloud.signal_capacity_change()
 
-        env.process(run())
+        timeline(env, (100.0, back))
 
     jobs = [_availability_job(i, 560 + 20 * i, 10.0) for i in range(3)]
     return dict(config=SimulationConfig(num_jobs=3), jobs=jobs, setup=recover)
@@ -489,11 +483,10 @@ _case("availability/capacity-signal-wakes-head", _capacity_signal_wakes_head)
 def _never_ending_jobs():
     def leave(env):
         def run():
-            yield env.timeout(0.5)
             env.cloud.devices[0].set_offline(kill_running=False)
             env.cloud.devices[1].set_offline(kill_running=False)
 
-        env.process(run())
+        timeline(env, (0.5, run))
 
     return dict(config=SimulationConfig(num_jobs=4, policy="speed"),
                 jobs=[_availability_job(i, 400 + 30 * i) for i in range(4)], setup=leave)

@@ -25,12 +25,11 @@ class TestRun:
     def test_run_until_time(self, env):
         ticks = []
 
-        def clock(env):
-            while True:
-                ticks.append(env.now)
-                yield env.timeout(1)
+        def clock(_event):
+            ticks.append(env.now)
+            env.timeout(1).callbacks.append(clock)
 
-        env.process(clock(env))
+        env.start(clock)
         env.run(until=5)
         assert ticks == [0, 1, 2, 3, 4]
         assert env.now == 5
@@ -62,14 +61,30 @@ class TestRun:
         with pytest.raises(RuntimeError):
             env.run(until=pending)
 
-    def test_unhandled_process_failure_crashes_run(self, env):
-        def bad(env):
-            yield env.timeout(1)
+    def test_callback_exception_stops_run(self, env):
+        def bad(_event):
             raise KeyError("unhandled")
 
-        env.process(bad(env))
+        env.timeout(1).callbacks.append(bad)
         with pytest.raises(KeyError):
             env.run()
+        assert env.now == 1
+
+
+class TestStart:
+    def test_start_runs_before_normal_events_of_the_instant(self, env):
+        order = []
+        env.timeout(0).callbacks.append(lambda e: order.append("timeout"))
+        started = env.start(lambda e: order.append(("start", env.now)))
+        env.run()
+        assert order == [("start", 0), "timeout"]
+        assert started.processed
+
+    def test_start_at_current_time(self, env):
+        seen = []
+        env.timeout(3).callbacks.append(lambda e: env.start(lambda e: seen.append(env.now)))
+        env.run()
+        assert seen == [3]
 
 
 class TestDeterminism:
@@ -81,17 +96,20 @@ class TestDeterminism:
         env.run()
         assert order == ["a", "b", "c"]
 
-    def test_interleaved_processes_are_deterministic(self):
+    def test_interleaved_sources_are_deterministic(self):
         def worker(env, name, log, period):
-            while env.now < 10:
-                log.append((env.now, name))
-                yield env.timeout(period)
+            def step(_event):
+                if env.now < 10:
+                    log.append((env.now, name))
+                    env.timeout(period).callbacks.append(step)
+
+            return step
 
         def simulate():
             env = Environment()
             log = []
-            env.process(worker(env, "w1", log, 2))
-            env.process(worker(env, "w2", log, 3))
+            env.start(worker(env, "w1", log, 2))
+            env.start(worker(env, "w2", log, 3))
             env.run(until=10)
             return log
 
@@ -100,11 +118,7 @@ class TestDeterminism:
     def test_event_ordering_monotone_nondecreasing(self, env):
         seen = []
 
-        def proc(env, delay):
-            yield env.timeout(delay)
-            seen.append(env.now)
-
         for delay in [5, 1, 3, 3, 0, 2]:
-            env.process(proc(env, delay))
+            env.timeout(delay).callbacks.append(lambda e: seen.append(env.now))
         env.run()
         assert seen == sorted(seen)

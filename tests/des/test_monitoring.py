@@ -8,16 +8,15 @@ class TestTraceEvents:
         log = []
         trace_events(env, lambda t, prio, ev: log.append((t, type(ev).__name__)))
 
-        def proc(env):
-            yield env.timeout(2)
-            yield env.timeout(3)
+        def first(_event):
+            env.timeout(2).callbacks.append(second)
 
-        env.process(proc(env))
+        def second(_event):
+            env.timeout(3)
+
+        env.start(first)
         env.run()
-        names = [name for _, name in log]
-        assert "Initialize" in names
-        assert names.count("Timeout") == 2
-        assert "Process" in names
+        assert log == [(0, "Event"), (2, "Timeout"), (5, "Timeout")]
         times = [t for t, _ in log]
         assert times == sorted(times)
 

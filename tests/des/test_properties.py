@@ -21,18 +21,14 @@ def test_timeouts_fire_in_nondecreasing_time_order(delays):
     env = Environment()
     fired = []
 
-    def waiter(env, delay):
-        yield env.timeout(delay)
-        fired.append((env.now, delay))
-
     for delay in delays:
-        env.process(waiter(env, delay))
+        env.timeout(delay).callbacks.append(lambda e, delay=delay: fired.append((env.now, delay)))
     env.run()
 
     times = [t for t, _ in fired]
     assert times == sorted(times)
     assert len(fired) == len(delays)
-    # Every timeout fired exactly at its delay (single-shot processes from t=0).
+    # Every timeout fired exactly at its delay (all scheduled at t=0).
     for time, delay in fired:
         assert time == pytest.approx(delay)
 
@@ -46,12 +42,8 @@ def test_run_until_processes_exactly_the_events_before_the_horizon(delays, until
     env = Environment()
     fired = []
 
-    def waiter(env, delay):
-        yield env.timeout(delay)
-        fired.append(delay)
-
     for delay in delays:
-        env.process(waiter(env, delay))
+        env.timeout(delay).callbacks.append(lambda e, delay=delay: fired.append(delay))
     env.run(until=until)
 
     assert sorted(fired) == sorted(d for d in delays if d < until)
@@ -74,14 +66,18 @@ def test_simulation_is_deterministic_for_identical_programs(seed_delays):
         env = Environment()
         trace = []
 
-        def proc(env, first, second, label):
-            yield env.timeout(first)
-            trace.append((env.now, label, "a"))
-            yield env.timeout(second)
-            trace.append((env.now, label, "b"))
+        def source(first, second, label):
+            def a(_event):
+                trace.append((env.now, label, "a"))
+                env.timeout(second).callbacks.append(b)
+
+            def b(_event):
+                trace.append((env.now, label, "b"))
+
+            return lambda _event: env.timeout(first).callbacks.append(a)
 
         for i, (first, second) in enumerate(seed_delays):
-            env.process(proc(env, first, second, i))
+            env.start(source(first, second, i))
         env.run()
         return trace
 

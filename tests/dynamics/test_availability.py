@@ -8,6 +8,7 @@ from repro.cloud.config import SimulationConfig
 from repro.cloud.environment import QCloudSimEnv
 from repro.cloud.qjob import QJob
 from repro.dynamics import MaintenanceWindow, OutageSpec, Scenario
+from tests.timeline import timeline
 
 
 def _job(job_id, num_qubits, arrival_time=0.0):
@@ -205,11 +206,7 @@ class TestOutages:
         )
         device = env.cloud.device("ibm_kyiv")
 
-        def outage():
-            yield env.timeout(1.0)
-            device.set_offline(kill_running=True)
-
-        env.process(outage())
+        timeline(env, (1.0, lambda: device.set_offline(kill_running=True)))
         env.run()
         starts = [e.job_id for e in env.records.events if e.event == "start"]
         failed = [e.job_id for e in env.records.events if e.event == "failed"]
@@ -252,13 +249,8 @@ class TestUserCodeAvailability:
             env = _two_device_env(None, jobs)
             strasbourg = env.cloud.device("ibm_strasbourg")
 
-            def toggle():
-                yield env.timeout(100.0)
-                strasbourg.set_offline(kill_running=False)
-                yield env.timeout(1_000.0)
-                strasbourg.set_online()
-
-            env.process(toggle())
+            timeline(env, (100.0, lambda: strasbourg.set_offline(kill_running=False)),
+                     (1_000.0, strasbourg.set_online))
             records = env.run_until_complete()
             return [r.as_dict() for r in records]
 
@@ -279,14 +271,12 @@ class TestUserCodeAvailability:
             )
             strasbourg = env.cloud.device("ibm_strasbourg")
 
-            def outage():
-                yield env.timeout(1.0)
-                strasbourg.set_offline(kill_running=True)
-                yield env.timeout(50.0)
+            def back():
                 strasbourg.set_online()
                 env.cloud.signal_capacity_change()
 
-            env.process(outage())
+            timeline(env, (1.0, lambda: strasbourg.set_offline(kill_running=True)),
+                     (50.0, back))
             records = env.run_until_complete()
             events = [(e.job_id, e.event, e.time, e.detail) for e in env.records.events]
             return [r.as_dict() for r in records], events, env.device_utilization_report()
@@ -313,11 +303,8 @@ class TestUserCodeAvailability:
                 devices=_profiles(), jobs=jobs,
             )
 
-            def outage():
-                yield env.timeout(1.0)
-                env.cloud.device("ibm_strasbourg").set_offline(kill_running=True)
-
-            env.process(outage())
+            strasbourg = env.cloud.device("ibm_strasbourg")
+            timeline(env, (1.0, lambda: strasbourg.set_offline(kill_running=True)))
             records = env.run_until_complete()
             failed = [j.job_id for j in env.broker.failed_jobs]
             return [r.as_dict() for r in records], failed
@@ -339,11 +326,10 @@ class TestUserCodeAvailability:
             device.set_offline(kill_running=False)
 
             def recover():
-                yield env.timeout(100.0)
                 device.set_online()
                 env.cloud.signal_capacity_change()
 
-            env.process(recover())
+            timeline(env, (100.0, recover))
             records = env.run_until_complete()
             return [r.as_dict() for r in records], env.broker.unended
 
@@ -358,11 +344,10 @@ class TestUserCodeAvailability:
         env = QCloudSimEnv(SimulationConfig(num_jobs=4, policy="speed"), jobs=jobs)
 
         def leave():
-            yield env.timeout(0.5)
             env.cloud.devices[0].set_offline(kill_running=False)
             env.cloud.devices[1].set_offline(kill_running=False)
 
-        env.process(leave())
+        timeline(env, (0.5, leave))
         with pytest.raises(RuntimeError, match="3 job"):
             env.run_until_complete()
         assert env.broker.unended == 3

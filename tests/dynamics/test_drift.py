@@ -13,6 +13,7 @@ from repro.des.environment import Environment
 from repro.dynamics import DriftSpec, Scenario
 from repro.hardware.backends import get_device_profile
 from repro.scheduling.error_aware import ErrorAwarePolicy
+from tests.timeline import timeline
 
 import numpy as np
 
@@ -68,13 +69,12 @@ class TestLiveErrorScores:
         )
 
         def flip():
-            yield env.timeout(2500.0)
             kyiv = env.cloud.device("ibm_kyiv")
             kyiv.calibration = kyiv.calibration.scaled(
                 readout=10.0, single_qubit=10.0, two_qubit=10.0
             )
 
-        env.process(flip())
+        timeline(env, (2500.0, flip))
         records = env.run_until_complete()
         assert records[0].devices == ["ibm_kyiv"]
         assert records[1].devices == ["ibm_brussels"]

@@ -122,3 +122,47 @@ class TestFormat:
         )
         with pytest.raises(ValueError, match="banana"):
             load_trace(str(path))
+
+
+HEADER = '{"type": "header", "version": 1, "scenario": "x", "sources": [], "config": {}}\n'
+
+
+def _event_line(time, kind="offline", source="maintenance", device="ibm_kyiv"):
+    return json.dumps({"type": "event", "time": time, "source": source, "kind": kind,
+                       "device": device, "payload": {"cause": "maintenance"}}) + "\n"
+
+
+class TestMalformedEvents:
+    """A bad world event is refused when the trace is loaded or installed,
+    not applied (or raised) mid-run."""
+
+    def test_load_rejects_unknown_event_kind(self, tmp_path):
+        path = tmp_path / "kind.jsonl"
+        path.write_text(HEADER + _event_line(1.0) + _event_line(2.0, kind="meltdown"))
+        with pytest.raises(ValueError, match=r"kind\.jsonl:3: unknown world-event kind 'meltdown'"):
+            load_trace(str(path))
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), -1.0])
+    def test_load_rejects_bad_event_time(self, tmp_path, time):
+        path = tmp_path / "time.jsonl"
+        path.write_text(HEADER + _event_line(time))
+        with pytest.raises(ValueError, match=r"time\.jsonl:2: .*finite and non-negative"):
+            load_trace(str(path))
+
+    def test_load_rejects_time_going_back_within_a_source(self, tmp_path):
+        path = tmp_path / "order.jsonl"
+        path.write_text(
+            HEADER
+            + _event_line(5.0)
+            + _event_line(3.0, source="outage:ibm_kyiv")  # another source: fine
+            + _event_line(4.0, kind="online")
+        )
+        with pytest.raises(ValueError, match=r"order\.jsonl:4: .*t=4\.0 precedes .*t=5\.0"):
+            load_trace(str(path))
+
+    def test_install_rejects_unknown_device(self, tmp_path):
+        path = tmp_path / "device.jsonl"
+        path.write_text(HEADER + _event_line(1.0) + _event_line(2.0, device="ibm_nowhere"))
+        scenario = load_trace(str(path))
+        with pytest.raises(ValueError, match="replay event 2 .*unknown device 'ibm_nowhere'"):
+            QCloudSimEnv(SimulationConfig(num_jobs=2), scenario=scenario)
