@@ -63,4 +63,3 @@ class TestTimeout:
 
     def test_delay_property(self, env):
         assert env.timeout(3.5).delay == 3.5
-
