@@ -87,6 +87,25 @@ class TestStart:
         assert seen == [3]
 
 
+    def test_start_returns_the_scheduled_event(self, env):
+        started = env.start(lambda e: None)
+        assert started.triggered and not started.processed
+        assert started.value is None
+        env.run()
+        assert started.processed
+
+    def test_self_rescheduling_source_steps_every_period(self, env):
+        times = []
+
+        def step(_event):
+            times.append(env.now)
+            env.timeout(2.5).callbacks.append(step)
+
+        env.start(step)
+        env.run(until=10)
+        assert times == [0, 2.5, 5.0, 7.5]
+
+
 class TestDeterminism:
     def test_same_time_events_fifo(self, env):
         order = []

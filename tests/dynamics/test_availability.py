@@ -107,6 +107,35 @@ class TestMaintenance:
         report = env.device_utilization_report()
         assert report["ibm_kyiv"]["outages"] == 1
 
+    def test_overlapping_window_is_deferred_to_the_previous_end(self):
+        # The second window opens inside the first: it starts when the first
+        # ends and still runs for its full duration.
+        scenario = Scenario(
+            name="overlap",
+            maintenance=(MaintenanceWindow(start=1.0, duration=100.0, device="ibm_kyiv"),
+                         MaintenanceWindow(start=50.0, duration=20.0, device="ibm_kyiv")),
+        )
+        env = _two_device_env(scenario, [_job(0, 50, arrival_time=500.0)])
+        env.run_until_complete()
+        applied = [(e.time, e.kind) for e in env.scenario_engine.applied_events]
+        assert applied == [(1.0, "offline"), (101.0, "online"),
+                           (101.0, "offline"), (121.0, "online")]
+
+    def test_back_to_back_windows_keep_their_starts(self):
+        # A window starting exactly when the previous one ends is not shifted.
+        scenario = Scenario(
+            name="back-to-back",
+            maintenance=(MaintenanceWindow(start=1.0, duration=10.0, device="ibm_kyiv"),
+                         MaintenanceWindow(start=11.0, duration=5.0,
+                                           device="ibm_strasbourg")),
+        )
+        env = _two_device_env(scenario, [_job(0, 50, arrival_time=500.0)])
+        env.run_until_complete()
+        applied = [(e.time, e.kind, e.device) for e in env.scenario_engine.applied_events]
+        assert applied == [(1.0, "offline", "ibm_kyiv"), (11.0, "online", "ibm_kyiv"),
+                           (11.0, "offline", "ibm_strasbourg"),
+                           (16.0, "online", "ibm_strasbourg")]
+
 
 class TestOutages:
     def test_outage_requeue_completes_on_recovery(self):

@@ -104,6 +104,19 @@ class TestSpecs:
         event = WorldEvent(1.5, "drift", "calibration", "ibm_kyiv", {"factors": {"readout": 1.1}})
         assert WorldEvent.from_dict(event.as_dict()) == event
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("kind", "meltdown", "unknown world-event kind"),
+         ("time", float("nan"), "finite and non-negative"),
+         ("time", -0.5, "finite and non-negative")],
+        ids=["kind", "nan", "negative"],
+    )
+    def test_world_event_from_dict_rejects(self, field, value, message):
+        payload = WorldEvent(1.5, "maintenance", "offline", "ibm_kyiv").as_dict()
+        payload[field] = value
+        with pytest.raises(ValueError, match=message):
+            WorldEvent.from_dict(payload)
+
 
 class TestRegistry:
     def test_presets_registered(self):

@@ -160,6 +160,21 @@ class TestMalformedEvents:
         with pytest.raises(ValueError, match=r"order\.jsonl:4: .*t=4\.0 precedes .*t=5\.0"):
             load_trace(str(path))
 
+    def test_load_accepts_equal_times_within_a_source(self, tmp_path):
+        # A source may apply several events at one instant (drift applies a
+        # calibration and a recalibration together); only going back is bad.
+        path = tmp_path / "same.jsonl"
+        path.write_text(
+            HEADER
+            + _event_line(5.0)
+            + _event_line(5.0, kind="online")
+            + _event_line(2.0, source="outage:ibm_kyiv")
+        )
+        scenario = load_trace(str(path))
+        assert [(e.time, e.source) for e in scenario.replay_events] == [
+            (5.0, "maintenance"), (5.0, "maintenance"), (2.0, "outage:ibm_kyiv")
+        ]
+
     def test_install_rejects_unknown_device(self, tmp_path):
         path = tmp_path / "device.jsonl"
         path.write_text(HEADER + _event_line(1.0) + _event_line(2.0, device="ibm_nowhere"))
